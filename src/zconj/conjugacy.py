@@ -31,8 +31,8 @@ import numpy as np
 
 from .forms import BinaryQuadraticForm, UnitRepresentation, bqf_represents_unit
 from .linalg import charpoly, det, kernel_basis, lll_reduce
-from .matrix import IntMatrix
-from .modular import det_mod, inv_mod, prime_factors, solve_congruence_lattice
+from .matrix import IntMatrix, int_dtype
+from .modular import det_mod, inv_mod, prime_factors, residues, solve_congruence_lattice
 from .spectral import NotSplit, SplitSpectrum, check_assumption, split_spectrum
 
 _DET_FILTER_PRIME = (1 << 31) - 1
@@ -144,32 +144,13 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     m_total = sum(my * mx for _, my, mx in block_shapes)
     # congruence rows: entry (r,c) of sum_a Chat_a S_a D_a, coefficient of
     # S_a[u,v] is Chat_a[r,u] * D_a[v,c]; as a block this is kron(Chat_a, D_a^t)
-    use_np = q < (1 << 31)
-    if use_np:
-        blocks = []
-        for a, my, mx in block_shapes:
-            c_cols = np.array(
-                [[v % q for v in row] for row in chat[a]], dtype=np.int64
-            ).T  # n x my
-            d_rows = np.array(
-                [[v % q for v in row] for row in d_blocks[a]], dtype=np.int64
-            )  # mx x n
-            blocks.append(np.kron(c_cols, d_rows.T) % q)
-        eq = np.concatenate(blocks, axis=1)
-        eq_rows = eq.tolist()
-    else:
-        eq_rows = []
-        for r in range(n):
-            for c in range(n):
-                row = []
-                for a, my, mx in block_shapes:
-                    cc = chat[a]
-                    dd = d_blocks[a]
-                    for u in range(my):
-                        for v in range(mx):
-                            row.append((cc[u][r] * dd[v][c]) % q)
-                eq_rows.append(row)
-    sols = solve_congruence_lattice(eq_rows, m_total, q)
+    blocks = []
+    for a, my, mx in block_shapes:
+        c_cols = residues(chat[a], q).T  # n x my
+        d_rows = residues(d_blocks[a], q)  # mx x n
+        blocks.append(np.kron(c_cols, d_rows.T) % q)
+    eq = np.concatenate(blocks, axis=1)
+    sols = solve_congruence_lattice(eq, m_total, q)
     basis = []
     for s in sols:
         total = IntMatrix.zeros(n, n)
@@ -284,18 +265,6 @@ class LocalVerdict:
         return obj
 
 
-def _assemble(basis, coeffs) -> IntMatrix:
-    total = None
-    for c, b in zip(coeffs, basis):
-        if not c:
-            continue
-        term = b * int(c)
-        total = term if total is None else total + term
-    if total is None:
-        return IntMatrix.zeros(basis[0].nrows, basis[0].ncols)
-    return total
-
-
 def local_test(
     x: IntMatrix,
     y: IntMatrix,
@@ -319,20 +288,16 @@ def local_test(
     m = lattice.rank
     if m == 0:
         return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
+    # candidates are combinations with coefficients in [0, p)
     max_entry = max(abs(v) for b in lattice.basis for row in b.rows for v in row)
-    use_np = p * max_entry * m < (1 << 62)
-    if use_np:
-        stack = np.array([b.to_lists() for b in lattice.basis], dtype=np.int64)
+    dtype = int_dtype(max_entry, p, p * max_entry * m)
+    stack = np.array([b.rows for b in lattice.basis], dtype=dtype)
 
-    def det_mod_p(coeffs) -> int:
-        if use_np:
-            t = np.tensordot(np.array(coeffs, dtype=np.int64), stack, axes=1) % p
-            return _det_mod_np(t, p)
-        t = _assemble(lattice.basis, coeffs)
-        return det_mod(t.rows, p)
+    def combine(coeffs):
+        return np.tensordot(np.array(coeffs, dtype=dtype), stack, axes=1)
 
     def certify(coeffs, method):
-        t = _assemble(lattice.basis, [c % p for c in coeffs])
+        t = IntMatrix(combine(coeffs).tolist())
         assert verify_conjugator(t, x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
@@ -360,7 +325,7 @@ def local_test(
         if spent >= budget:
             break
         spent += 1
-        if det_mod_p(coeffs):
+        if det_mod(combine(coeffs), p):
             return certify(coeffs, "sampled")
     rng = random.Random(seed)
     quick = budget
@@ -371,41 +336,17 @@ def local_test(
         coeffs = [rng.randrange(p) for _ in range(m)]
         if not any(coeffs):
             continue
-        if det_mod_p(coeffs):
+        if det_mod(combine(coeffs), p):
             return certify(coeffs, "sampled")
     if exhaustible:
         # FAIL demands that every class of C(X,Y)/p has been evaluated
         for coeffs in itertools.product(range(p), repeat=m):
             if not any(coeffs):
                 continue
-            if det_mod_p(coeffs):
+            if det_mod(combine(coeffs), p):
                 return certify(coeffs, "exhaustive")
         return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
     return LocalVerdict(prime=p, status="UNDECIDED")
-
-
-def _det_mod_np(t, p: int) -> int:
-    """Determinant mod a prime for an int64 array, by elimination."""
-    a = t % p
-    n = a.shape[0]
-    result = 1
-    for c in range(n):
-        col = a[c:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            return 0
-        piv = int(nz[0]) + c
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            result = -result
-        pv = int(a[c, c])
-        result = (result * pv) % p
-        inv = pow(pv, -1, p)
-        rows_below = a[c + 1 :, c]
-        if rows_below.any():
-            f = (rows_below * inv) % p
-            a[c + 1 :, c:] = (a[c + 1 :, c:] - np.outer(f, a[c, c:])) % p
-    return result % p
 
 
 # -- explicit conjugator search ---------------------------------------------
@@ -661,30 +602,17 @@ def conjugator_search(
             return hit
         if spent >= budget:
             return None
-    # fast determinant filter on assembled candidates where int64 is safe
-    max_entry = max((abs(v) for w in vectors for v in w), default=0)
-    stack = None
-    if max_entry and max_entry * m < (1 << 40):
-        stack = np.array(
-            [[[v[r * n + c] for c in range(n)] for r in range(n)] for v in vectors],
-            dtype=np.int64,
-        )
+    # determinant filter on each combination before it is assembled exactly
+    max_entry = max(abs(v) for w in vectors for v in w)
+    stack = np.array([t.rows for t in mats], dtype=int_dtype(max_entry))
 
     def check_coeffs(coeffs):
-        if stack is not None:
-            t_np = np.tensordot(np.array(coeffs, dtype=np.int64), stack, axes=1)
-            if _det_mod_np(t_np % _DET_FILTER_PRIME, _DET_FILTER_PRIME) not in (
-                1,
-                _DET_FILTER_PRIME - 1,
-            ):
-                return None
-        total = None
-        for c, b in zip(coeffs, mats):
-            if not c:
-                continue
-            term = b * int(c)
-            total = term if total is None else total + term
-        return check(total)
+        cmax = max(abs(c) for c in coeffs)
+        dtype = int_dtype(max_entry, cmax, max_entry * cmax * m)
+        t = np.tensordot(np.array(coeffs, dtype=dtype), stack, axes=1)
+        if det_mod(t, _DET_FILTER_PRIME) not in (1, _DET_FILTER_PRIME - 1):
+            return None
+        return check(IntMatrix(t.tolist()))
 
     # growing-radius short-vector rounds over the reduced basis
     if m <= 64:

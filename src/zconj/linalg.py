@@ -396,34 +396,6 @@ def det(matrix: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(matrix: IntMatrix) -> int:
-    """Rank over Q by fraction-free elimination."""
-    m = matrix.to_lists()
-    rows, cols = matrix.nrows, matrix.ncols
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prc = m[r][c]
-        for i in range(r + 1, rows):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c, cols):
-                row_i[j] = (prc * row_i[j] - mic * row_r[j]) // prev
-        prev = prc
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def charpoly(matrix: IntMatrix):
     """Characteristic polynomial coefficients [1, c_1, ..., c_n].
 
@@ -501,9 +473,3 @@ def lll_reduce(basis, delta=Fraction(99, 100)):
             update_gs(k - 1)
             k = max(k - 1, 1)
     return [tuple(v) for v in b]
-
-
-def gram_det(basis) -> int:
-    """Determinant of the Gram matrix of integer row vectors."""
-    g = IntMatrix([[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis])
-    return det(g)

@@ -14,34 +14,26 @@ Serialization formats:
 
 from __future__ import annotations
 
-import json
 from math import gcd
+
+import numpy as np
 
 
 class MatrixFormatError(ValueError):
     """Raised when matrix text or JSON input is malformed."""
 
 
-_INT64_BUDGET = 1 << 62
+_INT64_LIMIT = 1 << 62
 
 
-def _matmul_int64(a_rows, b_rows):
-    """Exact product via int64 numpy when no dot product can overflow.
+def int_dtype(*bounds):
+    """numpy dtype for exact integer work whose magnitudes stay within bounds.
 
-    Returns None when the entry bound does not guarantee exactness, in
-    which case the caller falls back to arbitrary-precision loops.
+    Each bound must cover every intermediate magnitude of the computation
+    it stands for.  int64 when all are below 2^62, otherwise object,
+    which runs the same numpy code on Python ints.
     """
-    inner = len(b_rows)
-    ma = max((abs(x) for row in a_rows for x in row), default=0)
-    mb = max((abs(x) for row in b_rows for x in row), default=0)
-    if ma * mb * inner >= _INT64_BUDGET:
-        return None
-    import numpy
-
-    prod = numpy.array(a_rows, dtype=numpy.int64) @ numpy.array(
-        b_rows, dtype=numpy.int64
-    )
-    return prod.tolist()
+    return np.int64 if max(bounds) < _INT64_LIMIT else object
 
 
 class IntMatrix:
@@ -97,9 +89,6 @@ class IntMatrix:
     def row(self, i):
         return self._rows[i]
 
-    def column(self, j):
-        return tuple(r[j] for r in self._rows)
-
     def to_lists(self):
         return [list(r) for r in self._rows]
 
@@ -133,33 +122,16 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        fast = _matmul_int64(self._rows, other._rows)
-        if fast is not None:
-            return IntMatrix(fast)
-        bt = other.transpose()._rows
-        return IntMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in bt]
-                for row in self._rows
-            ]
-        )
+        ma = max(abs(x) for row in self._rows for x in row)
+        mb = max(abs(x) for row in other._rows for x in row)
+        dtype = int_dtype(ma, mb, ma * mb * self.ncols)
+        prod = np.array(self._rows, dtype=dtype) @ np.array(other._rows, dtype=dtype)
+        return IntMatrix(prod.tolist())
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self * other
         return NotImplemented
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        if not self.is_square or k < 0:
-            raise ValueError("power needs a square matrix and k >= 0")
-        result = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self._rows)))
@@ -254,17 +226,6 @@ class IntMatrix:
             except (TypeError, ValueError) as exc:
                 raise MatrixFormatError("non-integer matrix JSON entry") from exc
         return cls(rows)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntMatrix":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError("invalid JSON") from exc
-        return cls.from_json_obj(obj)
 
 
 def int_from_json(value) -> int:

@@ -2,9 +2,10 @@
 
 The central object is the solution lattice {s in Z^m : A s = 0 (mod q)}.
 It always contains q Z^m, so a triangular basis can be maintained with
-all intermediate entries reduced mod q; that keeps the arithmetic in
-machine range whenever q is small and lets the hot paths run on int64
-numpy arrays.  A pure-Python fallback covers moduli too large for that.
+all intermediate entries reduced mod q.  Every kernel here keeps its
+residues in [0, q), so no intermediate exceeds q^2 + q in magnitude;
+that bound picks the numpy dtype (int64 for small q, Python ints
+otherwise) and the same code runs for every modulus.
 
 Also here: the invariant-factor shortcut for scaled idempotents.  If
 E * E = L * E exactly, every invariant factor of E divides L (for v in
@@ -22,9 +23,7 @@ from math import gcd
 import numpy as np
 
 from .linalg import xgcd
-from .matrix import IntMatrix
-
-_NUMPY_MODULUS_LIMIT = 1 << 31
+from .matrix import IntMatrix, int_dtype
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -70,46 +69,59 @@ def prime_factors(n: int):
     return out
 
 
+def residues(rows, q: int):
+    """rows (nested int lists or an integer array) reduced into [0, q).
+
+    The result has the dtype every mod-q kernel uses, chosen by the
+    bound q^2 + q.  Lists go through Python ints so that no entry is
+    rounded or wrapped on the way in.
+    """
+    dtype = int_dtype(q * q + q)
+    if dtype is object or not isinstance(rows, np.ndarray):
+        rows = np.array(rows, dtype=object)
+    return (rows % q).astype(dtype, copy=False)
+
+
 def det_mod(rows, p: int) -> int:
-    """Determinant modulo a prime p by Gaussian elimination."""
-    m = [[a % p for a in row] for row in rows]
-    n = len(m)
+    """Determinant of rows (int lists or an integer array) modulo a prime p.
+
+    Gaussian elimination over Z/p.
+    """
+    a = residues(rows, p)
+    n = a.shape[0]
     result = 1
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        nz = np.nonzero(a[c:, c])[0]
+        if len(nz) == 0:
             return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
+        piv = int(nz[0]) + c
+        if piv != c:
+            a[[c, piv]] = a[[piv, c]]
             result = -result
-        piv = m[c][c]
-        result = (result * piv) % p
-        inv = pow(piv, -1, p)
-        for i in range(c + 1, n):
-            f = (m[i][c] * inv) % p
-            if f:
-                mi, mc = m[i], m[c]
-                for j in range(c, n):
-                    mi[j] = (mi[j] - f * mc[j]) % p
+        pv = int(a[c, c])
+        result = (result * pv) % p
+        below = a[c + 1 :, c]
+        if below.any():
+            f = (below * pow(pv, -1, p)) % p
+            a[c + 1 :, c:] = (a[c + 1 :, c:] - np.outer(f, a[c, c:])) % p
     return result % p
 
 
 # -- diagonalization over Z/q --------------------------------------------
 
 
-def _diagonalize_mod_np(a, q: int):
-    """Diagonalize a (int64 array) over Z/q; returns (diag, V).
+def _diagonalize_mod(rows, q: int):
+    """Diagonalize rows over Z/q; returns (diag, V).
 
     Row and column operations invertible mod q only; V collects the
     column side so that the solution lattice can be reconstructed.
+    Each pivot is an entry of least gcd with q in the residual block;
+    when it fails to divide its row or column, the sweep repeats with
+    the smaller gcd it leaves behind.
     """
-    a = np.ascontiguousarray(a % q, dtype=np.int64)
+    a = residues(rows, q)
     nrows, ncols = a.shape
-    v = np.eye(ncols, dtype=np.int64)
+    v = np.eye(ncols, dtype=a.dtype)
     steps = min(nrows, ncols)
     t = 0
     while t < steps:
@@ -153,156 +165,24 @@ def _diagonalize_mod_np(a, q: int):
     return diag, v
 
 
-def _factor_powers(n: int):
-    """[(p, e)] with n = product of p**e, primes ascending."""
-    m = abs(n)
-    out = []
-    for p in prime_factors(m):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def _diagonalize_ppow_np(a, p: int, e: int):
-    """Diagonalize an int64 array over Z/p**e; returns (diag, V).
-
-    Pivots are picked by minimal p-valuation, located with at most e
-    divisibility masks, so every entry of the residual block is
-    divisible by the pivot and one two-sided sweep finishes the step.
-    The general-modulus routine re-scans the block with gcds instead,
-    which is far too slow for the systems intertwiner lattices produce.
-    """
-    q = p**e
-    a = np.ascontiguousarray(a % q, dtype=np.int64)
-    nrows, ncols = a.shape
-    v = np.eye(ncols, dtype=np.int64)
-    steps = min(nrows, ncols)
-    t = 0
-    while t < steps:
-        block = a[t:, t:]
-        val = None
-        pw = p
-        for cand in range(e):
-            mask = block % pw != 0
-            if mask.any():
-                val = cand
-                break
-            pw *= p
-        if val is None:
-            break
-        i, j = np.unravel_index(int(np.argmax(mask)), mask.shape)
-        i += t
-        j += t
-        if i != t:
-            a[[t, i], :] = a[[i, t], :]
-        if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
-        piv = p**val
-        _, u = unit_scaling(int(a[t, t]), q)
-        if u != 1:
-            a[t, t:] = (a[t, t:] * u) % q
-        col = a[t + 1 :, t]
-        if col.any():
-            f = col // piv
-            a[t + 1 :, t:] = (a[t + 1 :, t:] - np.outer(f, a[t, t:])) % q
-        row = a[t, t + 1 :]
-        if row.any():
-            f = row // piv
-            a[:, t + 1 :] = (a[:, t + 1 :] - np.outer(a[:, t], f)) % q
-            v[:, t + 1 :] = (v[:, t + 1 :] - np.outer(v[:, t], f)) % q
-        t += 1
-    diag = [int(a[i, i]) for i in range(t)]
-    return diag, v
-
-
-def _diagonalize_mod_py(rows, q: int):
-    """Pure-python twin of _diagonalize_mod_np for very large moduli."""
-    a = [[x % q for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0])
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    steps = min(nrows, ncols)
-    t = 0
-    while t < steps:
-        found = any(a[i][j] for i in range(t, nrows) for j in range(t, ncols))
-        if not found:
-            break
-        while True:
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j]:
-                        g = gcd(a[i][j], q)
-                        if best is None or g < best[0]:
-                            best = (g, i, j)
-            _, i, j = best
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-            if j != t:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
-            g, u = unit_scaling(a[t][t], q)
-            if u != 1:
-                at = a[t]
-                for jj in range(t, ncols):
-                    at[jj] = (at[jj] * u) % q
-            piv = g
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    f = a[i][t] // piv
-                    ai, at = a[i], a[t]
-                    for jj in range(t, ncols):
-                        ai[jj] = (ai[jj] - f * at[jj]) % q
-                    if a[i][t]:
-                        dirty = True
-            if dirty:
-                continue
-            dirty = False
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    f = a[t][j] // piv
-                    for i in range(nrows):
-                        a[i][j] = (a[i][j] - f * a[i][t]) % q
-                    for i in range(ncols):
-                        v[i][j] = (v[i][j] - f * v[i][t]) % q
-                    if a[t][j]:
-                        dirty = True
-            if dirty or any(a[i][t] for i in range(t + 1, nrows)):
-                continue
-            break
-        t += 1
-    diag = [a[i][i] for i in range(t)]
-    return diag, v
-
-
 # -- Howell-style triangular bases ----------------------------------------
 
 
-def _kernel_gens_np(diag, v, m: int, q: int):
-    """Generators (q / gcd(d_j, q)) V e_j of the solution lattice."""
-    gens = []
-    for j in range(m):
-        d = diag[j] if j < len(diag) else 0
-        mult = q // gcd(d, q)
-        col = (v[:, j] * mult) % q
-        if col.any():
-            gens.append([int(x) for x in col])
-    return gens
+def _kernel_gens(diag, v, q: int):
+    """Generators (q / gcd(d_j, q)) V e_j of the solution lattice, as rows."""
+    m = v.shape[1]
+    d = list(diag) + [0] * (m - len(diag))
+    mults = np.array([q // gcd(x, q) for x in d], dtype=v.dtype)
+    gens = ((v * mults) % q).T
+    return gens[(gens != 0).any(axis=1)]
 
 
-def _howell_np(gens, m: int, q: int):
-    pool = np.array([[x % q for x in row] for row in gens], dtype=np.int64)
+def _howell(gens, m: int, q: int):
+    pool = residues(gens, q)
     out = {}
     for col in range(m):
         while True:
-            mask = pool[:, col] != 0 if len(pool) else np.zeros(0, bool)
+            mask = pool[:, col] != 0
             if not mask.any():
                 break
             active = np.nonzero(mask)[0]
@@ -334,10 +214,10 @@ def _howell_np(gens, m: int, q: int):
             row[col] = gcd(int(row[col]), q)
             basis.append(row)
         else:
-            row = np.zeros(m, dtype=np.int64)
+            row = np.zeros(m, dtype=pool.dtype)
             row[col] = q
             basis.append(row)
-    basis = np.array(basis, dtype=np.int64)
+    basis = np.array(basis, dtype=pool.dtype)
     # reduce entries above each pivot; reducing mod q afterwards only
     # adds q e_j rows, which lie in the lattice, and never touches the
     # pivots sitting strictly left of the current column
@@ -351,62 +231,6 @@ def _howell_np(gens, m: int, q: int):
     return [tuple(int(x) for x in row) for row in basis]
 
 
-def _howell_py(gens, m: int, q: int):
-    pool = [[x % q for x in row] for row in gens]
-    out = {}
-    for col in range(m):
-        while True:
-            active = [r for r in pool if r[col]]
-            if not active:
-                break
-            best = min(active, key=lambda r: gcd(r[col], q))
-            g, u = unit_scaling(best[col], q)
-            if u != 1:
-                for j in range(col, m):
-                    best[j] = (best[j] * u) % q
-            pivrow = list(best)
-            for r in active:
-                if r is best:
-                    continue
-                f = r[col] // g
-                for j in range(col, m):
-                    r[j] = (r[j] - f * pivrow[j]) % q
-            for j in range(m):
-                best[j] = 0
-            pool = [r for r in pool if any(r)]
-            if not any(r[col] for r in pool):
-                out[col] = pivrow
-                ann = q // gcd(g, q)
-                if ann > 1:
-                    annrow = [(x * ann) % q for x in pivrow]
-                    if any(annrow):
-                        pool.append(annrow)
-                break
-            pool.append(pivrow)
-    basis = []
-    for col in range(m):
-        if col in out:
-            row = list(out[col])
-            row[col] = gcd(row[col], q)
-            basis.append(row)
-        else:
-            row = [0] * m
-            row[col] = q
-            basis.append(row)
-    for col in range(m):
-        d = basis[col][col]
-        bc = basis[col]
-        for i in range(col):
-            f = basis[i][col] // d
-            if f:
-                bi = basis[i]
-                for j in range(col, m):
-                    bi[j] -= f * bc[j]
-                for j in range(col + 1, m):
-                    bi[j] %= q
-    return [tuple(row) for row in basis]
-
-
 def triangular_lattice_basis(gens, m: int, q: int):
     """Triangular basis of the lattice generated by gens together with qZ^m.
 
@@ -414,11 +238,9 @@ def triangular_lattice_basis(gens, m: int, q: int):
     the pivot divides q, and a column no generator reaches gets the
     plain q e_j row.
     """
-    if not gens:
+    if len(gens) == 0:
         gens = [[0] * m]
-    if q < _NUMPY_MODULUS_LIMIT:
-        return _howell_np(gens, m, q)
-    return _howell_py(gens, m, q)
+    return _howell(gens, m, q)
 
 
 def solve_congruence_lattice(rows, m: int, q: int):
@@ -430,44 +252,10 @@ def solve_congruence_lattice(rows, m: int, q: int):
     """
     if q <= 1:
         return [tuple(q if i == j else 0 for i in range(m)) for j in range(m)] if q else []
-    if not rows:
+    if len(rows) == 0:
         rows = [[0] * m]
-    use_np = q < _NUMPY_MODULUS_LIMIT
-    if use_np:
-        factors = _factor_powers(q)
-        if len(factors) == 1:
-            p0, e0 = factors[0]
-            a = np.array([[x % q for x in row] for row in rows], dtype=np.int64)
-            diag, v = _diagonalize_ppow_np(a, p0, e0)
-            gens = _kernel_gens_np(diag, v, m, q)
-        else:
-            # solve one prime-power system per factor, then glue with the
-            # chinese remainder units c_i = 1 mod q_i, 0 mod q/q_i; the
-            # scaled rows generate the intersection lattice together with
-            # the q e_j rows the triangular pass adjoins anyway
-            gens = []
-            for p0, e0 in factors:
-                qi = p0**e0
-                ai = np.array([[x % qi for x in row] for row in rows], dtype=np.int64)
-                diag, v = _diagonalize_ppow_np(ai, p0, e0)
-                sub = triangular_lattice_basis(_kernel_gens_np(diag, v, m, qi), m, qi)
-                rest = q // qi
-                ci = (rest * inv_mod(rest, qi)) % q
-                for srow in sub:
-                    lifted = [(ci * x) % q for x in srow]
-                    if any(lifted):
-                        gens.append(lifted)
-    else:
-        a = [list(r) for r in rows]
-        diag, v = _diagonalize_mod_py(a, q)
-        gens = []
-        for j in range(m):
-            d = diag[j] if j < len(diag) else 0
-            mult = q // gcd(d, q)
-            col = [(v[i][j] * mult) % q for i in range(m)]
-            if any(col):
-                gens.append(col)
-    return triangular_lattice_basis(gens, m, q)
+    diag, v = _diagonalize_mod(rows, q)
+    return triangular_lattice_basis(_kernel_gens(diag, v, q), m, q)
 
 
 # -- invariant factors of scaled idempotents -------------------------------
@@ -496,11 +284,7 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
         raise NotScaledIdempotent("trace out of range")
     if scale == 1:
         return (1,) * r
-    if scale < _NUMPY_MODULUS_LIMIT:
-        a = np.array([[x % scale for x in row] for row in e.rows], dtype=np.int64)
-        diag, _ = _diagonalize_mod_np(a, scale)
-    else:
-        diag, _ = _diagonalize_mod_py(e.to_lists(), scale)
+    diag, _ = _diagonalize_mod(e.rows, scale)
     vals = [gcd(d, scale) for d in diag if d]
     # Smith chain over divisors of the scale
     for i in range(len(vals)):
@@ -509,7 +293,8 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
             if b % a:
                 g = gcd(a, b)
                 vals[i], vals[j] = g, a // g * b
-    vals.sort()
+    # an entry equal to the scale vanishes mod the scale
+    vals = sorted(x for x in vals if x != scale)
     if len(vals) > r:
         raise NotScaledIdempotent("more invariant factors than the rank allows")
     return tuple(vals) + (scale,) * (r - len(vals))

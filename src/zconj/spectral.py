@@ -56,29 +56,6 @@ def poly_eval_matrix(poly, m: IntMatrix) -> IntMatrix:
     return acc
 
 
-def poly_to_text(poly, var: str = "t") -> str:
-    """Human-readable form, highest degree first."""
-    terms = []
-    for d in range(len(poly) - 1, -1, -1):
-        c = poly[d]
-        if c == 0:
-            continue
-        if d == 0:
-            body = str(abs(c))
-        else:
-            coeff = "" if abs(c) == 1 else str(abs(c)) + "*"
-            body = coeff + (var if d == 1 else "%s^%d" % (var, d))
-        sign = "-" if c < 0 else "+"
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        text += " %s %s" % (sign, body)
-    return text
-
-
 def _matvec(m: IntMatrix, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m.rows]
 
@@ -202,11 +179,6 @@ class SplitSpectrum:
     multiplicities: tuple
     idempotents: tuple
     scales: tuple
-
-    def __iter__(self):
-        return iter(
-            zip(self.eigenvalues, self.multiplicities, self.idempotents, self.scales)
-        )
 
 
 def split_spectrum(x: IntMatrix) -> SplitSpectrum:

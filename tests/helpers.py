@@ -11,6 +11,7 @@ from math import gcd
 
 from zconj.linalg import hnf
 from zconj.matrix import IntMatrix
+from zconj.modular import prime_factors, unit_scaling
 
 
 def det_small(rows) -> int:
@@ -106,3 +107,73 @@ def lattice_hnf(basis):
 
 def same_span(basis_a, basis_b) -> bool:
     return lattice_hnf(basis_a) == lattice_hnf(basis_b)
+
+
+def factor_powers(n: int):
+    """[(p, e)] with n = product of p**e, primes ascending."""
+    m = abs(n)
+    out = []
+    for p in prime_factors(m):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def howell_py(gens, m: int, q: int):
+    """Triangular basis of gens + qZ^m by list arithmetic on Python ints."""
+    pool = [[x % q for x in row] for row in gens]
+    out = {}
+    for col in range(m):
+        while True:
+            active = [r for r in pool if r[col]]
+            if not active:
+                break
+            best = min(active, key=lambda r: gcd(r[col], q))
+            g, u = unit_scaling(best[col], q)
+            if u != 1:
+                for j in range(col, m):
+                    best[j] = (best[j] * u) % q
+            pivrow = list(best)
+            for r in active:
+                if r is best:
+                    continue
+                f = r[col] // g
+                for j in range(col, m):
+                    r[j] = (r[j] - f * pivrow[j]) % q
+            for j in range(m):
+                best[j] = 0
+            pool = [r for r in pool if any(r)]
+            if not any(r[col] for r in pool):
+                out[col] = pivrow
+                ann = q // gcd(g, q)
+                if ann > 1:
+                    annrow = [(x * ann) % q for x in pivrow]
+                    if any(annrow):
+                        pool.append(annrow)
+                break
+            pool.append(pivrow)
+    basis = []
+    for col in range(m):
+        if col in out:
+            row = list(out[col])
+            row[col] = gcd(row[col], q)
+            basis.append(row)
+        else:
+            row = [0] * m
+            row[col] = q
+            basis.append(row)
+    for col in range(m):
+        d = basis[col][col]
+        bc = basis[col]
+        for i in range(col):
+            f = basis[i][col] // d
+            if f:
+                bi = basis[i]
+                for j in range(col, m):
+                    bi[j] -= f * bc[j]
+                for j in range(col + 1, m):
+                    bi[j] %= q
+    return [tuple(row) for row in basis]

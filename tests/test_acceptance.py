@@ -12,6 +12,7 @@ import time
 from collections import Counter
 
 from helpers import (
+    factor_powers,
     gcd_minor_invariants,
     random_sl,
     random_split_conjugate,
@@ -32,7 +33,6 @@ from zconj.graphs import (
 )
 from zconj.linalg import det, kernel_basis, snf, snf_invariants
 from zconj.matrix import IntMatrix
-from zconj.modular import _factor_powers
 from zconj.padic import TruncatedUnramifiedRing, _character_table, c_of_j, jacobi_sum
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
 
@@ -237,7 +237,7 @@ def test_criterion_8_quotient_invariants_consistent(corpus):
             for d, m in zip(divisors, quotients):
                 assert q % d == 0  # m_j = q_i / d_j is integral
                 assert m * d == q
-            factors = _factor_powers(q)
+            factors = factor_powers(q)
             if len(factors) == 1 and q > 1:
                 p, exponent = factors[0]
 

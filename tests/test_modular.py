@@ -4,12 +4,13 @@ import itertools
 import random
 from math import gcd
 
-from helpers import adjugate, det_small
+import numpy as np
+from helpers import adjugate, det_small, howell_py
 
 from zconj.linalg import snf_invariants
 from zconj.matrix import IntMatrix
 from zconj.modular import (
-    _howell_py,
+    det_mod,
     inv_mod,
     prime_factors,
     scaled_idempotent_invariants,
@@ -17,6 +18,11 @@ from zconj.modular import (
     triangular_lattice_basis,
     unit_scaling,
 )
+from zconj.spectral import AssumptionReport, check_assumption, split_spectrum
+
+# moduli on both sides of the int64 bound q^2 + q < 2^62 of the mod-q kernels
+BOUNDARY_PRIMES = (2**31 - 1, 3037000493, 4294967311, 2**61 - 1)
+BOUNDARY_MODULI = (2**31 - 1, 2**31, 2**31 + 11, 10**20 + 39, 2**40 * 3**5)
 
 
 def test_unit_scaling():
@@ -93,7 +99,7 @@ def test_solve_congruence_lattice_brute_force():
 
 
 def test_solve_congruence_lattice_composite_modulus():
-    # composite q goes through per-prime-power solves glued by CRT;
+    # composite q, where the least-gcd pivot need not divide its row;
     # the result must match a direct brute force
     rng = random.Random(9)
     for _ in range(60):
@@ -119,7 +125,7 @@ def test_triangular_basis_matches_pure_python():
         k = rng.randint(1, 4)
         gens = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
         bn = triangular_lattice_basis([list(g) for g in gens], m, q)
-        bp = _howell_py([list(g) for g in gens], m, q)
+        bp = howell_py([list(g) for g in gens], m, q)
         assert bn == [tuple(r) for r in bp]
 
 
@@ -143,3 +149,49 @@ def test_scaled_idempotent_invariants_match_snf():
         assert e * e == e * scale
         assert scaled_idempotent_invariants(e, scale) == snf_invariants(e)
         good += 1
+    # over a composite scale the Smith chain can reach the scale itself:
+    # for this Y the diagonal (2, 3) mod 6 chains to (1, 6)
+    y = IntMatrix([[9, -8], [9, -9]])
+    spectrum = split_spectrum(y)
+    for e, scale in zip(spectrum.idempotents, spectrum.scales):
+        assert scaled_idempotent_invariants(e, scale) == snf_invariants(e)
+    assert isinstance(check_assumption(y), AssumptionReport)
+
+
+def test_det_mod_at_dtype_boundary():
+    rng = random.Random(17)
+    for p in BOUNDARY_PRIMES:
+        cases = [[[0, 1], [1, 0]], [[2**70, 3], [5, -(2**65)]], [[p - 1, p - 2], [2 * p - 2, 2 * p - 4]]]
+        for n in (1, 2, 3, 5):
+            cases.append([[rng.randrange(-p, p) for _ in range(n)] for _ in range(n)])
+        for rows in cases:
+            expected = det_small(rows) % p
+            assert det_mod(rows, p) == expected
+            if max(abs(x) for row in rows for x in row) < 2**62:
+                assert det_mod(np.array(rows, dtype=np.int64), p) == expected
+
+
+def test_solve_congruence_lattice_at_dtype_boundary():
+    rng = random.Random(19)
+    for q in BOUNDARY_MODULI:
+        for _ in range(4):
+            m = rng.randint(1, 4)
+            rows = [
+                [rng.randrange(-q, q) * rng.choice((1, 2**20, 3**3, 6)) for _ in range(m)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            rows.append([sum(col) for col in zip(*rows)])
+            basis = solve_congruence_lattice(rows, m, q)
+            index = 1
+            for i, b in enumerate(basis):
+                assert all(b[j] == 0 for j in range(i)) and q % b[i] == 0
+                index *= b[i]
+                for r in rows:
+                    assert sum(r[j] * b[j] for j in range(m)) % q == 0
+            # solutions mod q number prod gcd(d_j, q) over the m Smith
+            # invariants of A, counting each missing one as 0
+            d = snf_invariants(IntMatrix(rows))
+            count = 1
+            for j in range(m):
+                count *= gcd(d[j], q) if j < len(d) else q
+            assert index * count == q**m
