@@ -47,14 +47,35 @@ class DetNotOne(ValueError):
     """Input to sl_lift has determinant != 1 modulo q."""
 
 
+class CertificateError(AssertionError):
+    """A computed certificate or lattice basis failed its exact re-check.
+
+    Raised explicitly, so every check still runs under python -O.
+    """
+
+
+def _certified(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> IntMatrix:
+    """t, once verify_conjugator has accepted it for (x, y)."""
+    if not verify_conjugator(t, x, y, prime=prime):
+        raise CertificateError("certificate failed verification")
+    return t
+
+
 @dataclass(frozen=True)
 class IntertwinerLattice:
-    """Saturated Z-basis of {T : T source = target T}."""
+    """Saturated Z-basis of {T : T source = target T}.
+
+    aligned is the eigenbasis-aligned intertwiner C B^{-1} (B and C
+    stacking the eigenlattice bases of source and target), set when
+    both spectra agree and it is integral; it is unimodular exactly
+    when |det B| = |det C|.
+    """
 
     n: int
     basis: tuple
     source: IntMatrix
     target: IntMatrix
+    aligned: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -64,7 +85,7 @@ class IntertwinerLattice:
 def _scaled_inverse(m: IntMatrix, scale: int) -> IntMatrix:
     """Integer matrix D with M D = scale I, via exact rational elimination.
 
-    Exists iff scale M^{-1} is integral; asserts that.
+    Exists iff scale M^{-1} is integral; raises CertificateError otherwise.
     """
     n = m.nrows
     a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
@@ -74,7 +95,8 @@ def _scaled_inverse(m: IntMatrix, scale: int) -> IntMatrix:
     ]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), None)
-        assert piv is not None, "matrix is singular"
+        if piv is None:
+            raise CertificateError("matrix is singular")
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
             inv[c], inv[piv] = inv[piv], inv[c]
@@ -86,91 +108,88 @@ def _scaled_inverse(m: IntMatrix, scale: int) -> IntMatrix:
                 g = a[i][c]
                 a[i] = [v - g * w for v, w in zip(a[i], a[c])]
                 inv[i] = [v - g * w for v, w in zip(inv[i], inv[c])]
-    assert all(v.denominator == 1 for row in inv for v in row)
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise CertificateError("scaled inverse is not integral")
     return IntMatrix([[int(v) for v in row] for row in inv])
 
 
-def _eigenlattice_basis(m: IntMatrix, a: int):
-    """Basis of the saturated eigenlattice Z^n ∩ ker(M - aI), as row tuples."""
+def _eigenbases(m: IntMatrix, sp: SplitSpectrum):
+    """Saturated eigenlattice bases of m stacked as columns, in spectrum
+    order, and the slice of columns that belongs to each eigenvalue."""
     n = m.nrows
-    shifted = m - IntMatrix.identity(n) * a
-    return kernel_basis(shifted)
+    cols = []
+    blocks = {}
+    for a, mult in zip(sp.eigenvalues, sp.multiplicities):
+        rows = kernel_basis(m - IntMatrix.identity(n) * a)
+        if len(rows) != mult:
+            raise CertificateError("eigenlattice rank differs from multiplicity")
+        blocks[a] = slice(len(cols), len(cols) + mult)
+        cols.extend(rows)
+    return IntMatrix(cols).transpose(), blocks
+
+
+def _max_abs(m: IntMatrix) -> int:
+    return max(abs(v) for row in m.rows for v in row)
 
 
 def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
-    """Basis of C(X,Y) for split X, Y via per-eigenvalue blocks.
+    """C(X,Y) for split X, Y via per-eigenvalue blocks.
 
-    T is parametrized by blocks S_a (one per eigenvalue common to both
-    spectra) through T Bhat_a = Chat_a S_a; with D = q B^{-1} (integral
+    B and C stack the eigenlattice bases of X and Y as columns.  T is
+    parametrized by blocks S_a (one per eigenvalue common to both
+    spectra) through T B_a = C_a S_a; with D = q B^{-1} (integral
     because q Z^n lies inside the sum of the X-eigenlattices), T =
-    (1/q) sum_a Chat_a S_a D_a, and integrality of T is the congruence
-    sum_a Chat_a S_a D_a = 0 (mod q) solved over Z/q.
+    (1/q) sum_a C_a S_a D_a, and integrality of T is the congruence
+    sum_a C_a S_a D_a = 0 (mod q) solved over Z/q.  When the spectra
+    agree, C D / q is the aligned intertwiner.
     """
     n = x.nrows
-    bx = {}
-    for a, mult in zip(spx.eigenvalues, spx.multiplicities):
-        rows = _eigenlattice_basis(x, a)
-        assert len(rows) == mult
-        bx[a] = rows
-    cy = {}
-    for a, mult in zip(spy.eigenvalues, spy.multiplicities):
-        rows = _eigenlattice_basis(y, a)
-        assert len(rows) == mult
-        cy[a] = rows
-    common = [a for a in spx.eigenvalues if a in cy]
-    # B stacks the X-eigenlattice bases as columns, in spectrum order
-    b_cols = []
-    for a in spx.eigenvalues:
-        b_cols.extend(bx[a])
-    b_mat = IntMatrix(b_cols).transpose()
+    b_mat, bx = _eigenbases(x, spx)
+    c_mat, cy = _eigenbases(y, spy)
     q = lcm(*spx.scales)
     d_mat = _scaled_inverse(b_mat, q)
-    assert b_mat * d_mat == IntMatrix.identity(n) * q
-    # split D into row blocks aligned with the column blocks of B
-    d_blocks = {}
-    off = 0
-    for a, mult in zip(spx.eigenvalues, spx.multiplicities):
-        d_blocks[a] = [d_mat.row(i) for i in range(off, off + mult)]
-        off += mult
+    if b_mat * d_mat != IntMatrix.identity(n) * q:
+        raise CertificateError("B D is not q I")
+    aligned = None
+    if spx.eigenvalues == spy.eigenvalues and spx.multiplicities == spy.multiplicities:
+        cd = c_mat * d_mat
+        if all(v % q == 0 for row in cd.rows for v in row):
+            aligned = IntMatrix([[v // q for v in row] for row in cd.rows])
+    common = [a for a in spx.eigenvalues if a in cy]
     if not common:
-        return []
-    block_shapes = []
-    chat = {}
+        return IntertwinerLattice(n=n, basis=(), source=x, target=y, aligned=aligned)
+    # congruence rows: entry (r,c) of sum_a C_a S_a D_a, coefficient of
+    # S_a[u,v] is C_a[r,u] * D_a[v,c]; as a block this is kron(C_a, D_a^t)
+    c = np.array(c_mat.rows, dtype=object)
+    d = np.array(d_mat.rows, dtype=object)
+    eq = np.concatenate(
+        [np.kron(residues(c[:, cy[a]], q), residues(d[bx[a]], q).T) % q for a in common],
+        axis=1,
+    )
+    m = eq.shape[1]
+    sols = solve_congruence_lattice(eq, m, q)
+    # solution entries lie in [0, q], so |C S D| <= max|C| q max|D| m in
+    # the assembly and |T X| <= max|C| max|D| m max|X, Y| n in the check
+    bound = _max_abs(c_mat) * _max_abs(d_mat) * m
+    dtype = int_dtype(bound * q, bound * max(_max_abs(x), _max_abs(y)) * n)
+    c, d, s = c.astype(dtype), d.astype(dtype), np.array(sols, dtype=dtype)
+    # every basis element at once: S_a is the next my x mx slice of each row
+    total = np.zeros((len(s), n, n), dtype=dtype)
+    off = 0
     for a in common:
-        my = len(cy[a])
-        mx = len(bx[a])
-        block_shapes.append((a, my, mx))
-        chat[a] = cy[a]
-    m_total = sum(my * mx for _, my, mx in block_shapes)
-    # congruence rows: entry (r,c) of sum_a Chat_a S_a D_a, coefficient of
-    # S_a[u,v] is Chat_a[r,u] * D_a[v,c]; as a block this is kron(Chat_a, D_a^t)
-    blocks = []
-    for a, my, mx in block_shapes:
-        c_cols = residues(chat[a], q).T  # n x my
-        d_rows = residues(d_blocks[a], q)  # mx x n
-        blocks.append(np.kron(c_cols, d_rows.T) % q)
-    eq = np.concatenate(blocks, axis=1)
-    sols = solve_congruence_lattice(eq, m_total, q)
-    basis = []
-    for s in sols:
-        total = IntMatrix.zeros(n, n)
-        off = 0
-        for a, my, mx in block_shapes:
-            s_block = IntMatrix(
-                [[s[off + u * mx + v] for v in range(mx)] for u in range(my)]
-            )
-            c_mat = IntMatrix(chat[a]).transpose()
-            d_mat_a = IntMatrix(d_blocks[a])
-            total = total + c_mat * s_block * d_mat_a
-            off += my * mx
-        t_rows = []
-        for row in total.rows:
-            assert all(v % q == 0 for v in row)
-            t_rows.append([v // q for v in row])
-        t = IntMatrix(t_rows)
-        assert t * x == y * t
-        basis.append(t)
-    return basis
+        ca, da = c[:, cy[a]], d[bx[a]]
+        my, mx = ca.shape[1], da.shape[0]
+        total += ca @ s[:, off : off + my * mx].reshape(-1, my, mx) @ da
+        off += my * mx
+    if (total % q).any():
+        raise CertificateError("lattice element is not divisible by q")
+    t = total // q
+    if not np.array_equal(
+        t @ np.array(x.rows, dtype=dtype), np.array(y.rows, dtype=dtype) @ t
+    ):
+        raise CertificateError("lattice element does not intertwine")
+    basis = tuple(IntMatrix(b) for b in t.tolist())
+    return IntertwinerLattice(n=n, basis=basis, source=x, target=y, aligned=aligned)
 
 
 def _sylvester_basis(x: IntMatrix, y: IntMatrix):
@@ -188,7 +207,8 @@ def _sylvester_basis(x: IntMatrix, y: IntMatrix):
     basis = []
     for flat in ker:
         t = IntMatrix([[flat[r * n + c] for c in range(n)] for r in range(n)])
-        assert t * x == y * t
+        if t * x != y * t:
+            raise CertificateError("lattice element does not intertwine")
         basis.append(t)
     return basis
 
@@ -196,24 +216,20 @@ def _sylvester_basis(x: IntMatrix, y: IntMatrix):
 def intertwiner_lattice(x: IntMatrix, y: IntMatrix) -> IntertwinerLattice:
     """Saturated basis of C(X,Y) = {T : TX = YT}.
 
-    Split pairs go through the eigenblock construction; anything else
-    through the kernel of the n^2-dimensional difference map.  The
-    basis always consists of exact intertwiners and spans every
-    integral one.
+    Split pairs go through the eigenblock construction, which also sets
+    the aligned intertwiner; anything else through the kernel of the
+    n^2-dimensional difference map.  The basis always consists of exact
+    intertwiners and spans every integral one.
     """
     if not (x.is_square and y.is_square and x.nrows == y.nrows):
         raise ValueError("intertwiner lattice needs square matrices of equal size")
-    basis = None
     try:
         spx = split_spectrum(x)
         spy = split_spectrum(y)
     except NotSplit:
-        spx = spy = None
-    if spx is not None:
-        basis = _eigenblock_basis(x, y, spx, spy)
-    else:
-        basis = _sylvester_basis(x, y)
-    return IntertwinerLattice(n=x.nrows, basis=tuple(basis), source=x, target=y)
+        basis = tuple(_sylvester_basis(x, y))
+        return IntertwinerLattice(n=x.nrows, basis=basis, source=x, target=y)
+    return _eigenblock_basis(x, y, spx, spy)
 
 
 def verify_conjugator(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> bool:
@@ -297,8 +313,7 @@ def local_test(
         return np.tensordot(np.array(coeffs, dtype=dtype), stack, axes=1)
 
     def certify(coeffs, method):
-        t = IntMatrix(combine(coeffs).tolist())
-        assert verify_conjugator(t, x, y, prime=p)
+        t = _certified(IntMatrix(combine(coeffs).tolist()), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
     # quick phase first: basis elements, prefix sums, close pairs, then
@@ -502,44 +517,6 @@ def _enumerate_short(vectors, r2, skip_below, budget):
             yield c
 
 
-def _eigenbasis_conjugator(x: IntMatrix, y: IntMatrix):
-    """Conjugator mapping eigenlattice bases onto each other, when that works.
-
-    With B and C stacking the saturated eigenlattice bases of X and Y
-    in matching spectrum order, T = C B^{-1} intertwines whenever it is
-    integral, and is unimodular iff |det B| = |det C|.  This settles
-    every pair in the GL_n(Z)-orbit of a diagonal matrix instantly; on
-    failure the caller falls back to lattice search.
-    """
-    try:
-        spx = split_spectrum(x)
-        spy = split_spectrum(y)
-    except NotSplit:
-        return None
-    if spx.eigenvalues != spy.eigenvalues:
-        return None
-    if spx.multiplicities != spy.multiplicities:
-        return None
-    b_rows = []
-    c_rows = []
-    for a in spx.eigenvalues:
-        b_rows.extend(_eigenlattice_basis(x, a))
-        c_rows.extend(_eigenlattice_basis(y, a))
-    b_mat = IntMatrix(b_rows).transpose()
-    c_mat = IntMatrix(c_rows).transpose()
-    d = det(b_mat)
-    if abs(d) != abs(det(c_mat)):
-        return None
-    w = _scaled_inverse(b_mat, d)  # B w = d I
-    prod = c_mat * w
-    if any(v % d for row in prod.rows for v in row):
-        return None
-    t = IntMatrix([[v // d for v in row] for row in prod.rows])
-    if verify_conjugator(t, x, y):
-        return t
-    return None
-
-
 def conjugator_search(
     lattice: IntertwinerLattice, budget: int = 1000000, seed: int = 0
 ):
@@ -547,11 +524,13 @@ def conjugator_search(
 
     Tries, in order: the identity when source equals target, a
     permutation conjugator when both endpoints are adjacency matrices,
-    the eigenbasis-aligned conjugator for split pairs, single basis
+    the lattice's aligned intertwiner (built with the lattice of a
+    split pair, so this stage costs one verification), single basis
     elements before and after LLL reduction, then short-vector
     enumeration over the reduced basis in growing-radius rounds, and
     finally seeded random combinations until the budget runs out.  Any
-    hit is verified before being returned.
+    hit is verified before being returned; a hit that fails raises
+    CertificateError.
     """
     x, y = lattice.source, lattice.target
     n = lattice.n
@@ -566,20 +545,14 @@ def conjugator_search(
             rows = [[0] * n for _ in range(n)]
             for u in range(n):
                 rows[perm[u]][u] = 1
-            t = IntMatrix(rows)
-            assert verify_conjugator(t, x, y)
-            return t
-    t = _eigenbasis_conjugator(x, y)
-    if t is not None:
-        return t
+            return _certified(IntMatrix(rows), x, y)
+    if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
+        return lattice.aligned
 
     spent = 0
 
     def check(t: IntMatrix):
-        if _unit_det(t):
-            assert verify_conjugator(t, x, y)
-            return t
-        return None
+        return _certified(t, x, y) if _unit_det(t) else None
 
     for b in lattice.basis:
         spent += 1
@@ -727,10 +700,10 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
         for r in range(n):
             a[r][j] += mu * a[r][i]
     lifted = IntMatrix(a)
-    assert det(lifted) == 1
-    assert all(
-        (lifted[i, j] - m[i, j]) % q == 0 for i in range(n) for j in range(n)
-    )
+    if det(lifted) != 1 or any(
+        (lifted[i, j] - m[i, j]) % q for i in range(n) for j in range(n)
+    ):
+        raise CertificateError("lift is not in SL_n(Z) or does not reduce to m")
     return lifted
 
 
@@ -804,11 +777,10 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
         b1 = lattice.basis[0]
         d = det(b1)
         if abs(d) == 1:
-            assert verify_conjugator(b1, x, y)
             return Verdict(
                 status="CONJUGATE",
                 reason="explicit-conjugator",
-                conjugator=b1,
+                conjugator=_certified(b1, x, y),
                 local=tuple(locals_),
                 assumption=assumption,
             )
@@ -833,8 +805,7 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
         rep = bqf_represents_unit(form)
         if rep.represents:
             xc, yc = rep.witness
-            t = lattice.basis[0] * xc + lattice.basis[1] * yc
-            assert verify_conjugator(t, x, y)
+            t = _certified(lattice.basis[0] * xc + lattice.basis[1] * yc, x, y)
             return Verdict(
                 status="CONJUGATE",
                 reason="explicit-conjugator",
@@ -872,19 +843,6 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
     )
 
 
-def _swap_local(v: LocalVerdict) -> LocalVerdict:
-    """Convert a certificate for (Y,X) into one for (X,Y) via the adjugate."""
-    if v.certificate is None:
-        return v
-    t = v.certificate
-    d = det(t)
-    adj = _scaled_inverse(t, d)  # T adj = det I, so adj intertwines back
-    out = LocalVerdict(
-        prime=v.prime, status=v.status, certificate=adj, method=v.method
-    )
-    return out
-
-
 def decide(
     x: IntMatrix,
     y: IntMatrix,
@@ -897,10 +855,18 @@ def decide(
 
     Pipeline: identical inputs; characteristic polynomial comparison;
     split-spectrum analysis with the exponent assumption checked on x
-    and then y; local tests at every relevant prime; the local-global
-    theorem when the assumption holds and all locals pass; the exact
-    quadratic-form endgame for n = 2; explicit conjugator search
-    otherwise.  UNKNOWN verdicts name what blocked the decision.
+    and then y; local tests at every relevant prime, always on C(x,y);
+    the local-global theorem when the assumption holds and all locals
+    pass; the exact quadratic-form endgame for n = 2; explicit
+    conjugator search otherwise.  UNKNOWN verdicts name what blocked
+    the decision.
+
+    swapped marks that the assumption holds for y but not for x.  Local
+    conjugacy is symmetric (T in C(x,y) has unit determinant mod p iff
+    adj T in C(y,x) does), so the tests need no swap.  The (scale,
+    exponent, rank) triples are conjugation invariants, so a swapped
+    pair is never conjugate.  Every returned certificate has been
+    re-verified; a failed re-check raises CertificateError.
     """
     if not (x.is_square and y.is_square and x.nrows == y.nrows):
         raise ValueError("conjugacy needs square matrices of equal size")
@@ -936,59 +902,39 @@ def decide(
         if rep_y.holds:
             rep = rep_y
             swapped = True
-    wx, wy = (y, x) if swapped else (x, y)
-    lattice = intertwiner_lattice(wx, wy)
-    primes = relevant_primes(spx)
-    locals_ = [
-        local_test(wx, wy, p, budget=budget, seed=seed, lattice=lattice)
-        for p in primes
-    ]
-    out_locals = tuple(_swap_local(v) for v in locals_) if swapped else tuple(locals_)
+    lattice = intertwiner_lattice(x, y)
+    locals_ = tuple(
+        local_test(x, y, p, budget=budget, seed=seed, lattice=lattice)
+        for p in relevant_primes(spx)
+    )
     if any(v.status == "FAIL" for v in locals_):
         return Verdict(
             status="NOT_CONJUGATE",
             reason="local-obstruction",
-            local=out_locals,
+            local=locals_,
             assumption=rep,
             swapped=swapped,
         )
-    all_pass = all(v.status == "PASS" for v in locals_)
-    if rep.holds and all_pass:
-        conj = None
-        if n <= search_dim_cap:
-            conj = conjugator_search(lattice, budget=search_budget, seed=seed)
-        if conj is not None:
-            if swapped:
-                conj = _scaled_inverse(conj, det(conj))
-            assert verify_conjugator(conj, x, y)
-            return Verdict(
-                status="CONJUGATE",
-                reason="explicit-conjugator",
-                conjugator=conj,
-                local=out_locals,
-                assumption=rep,
-                swapped=swapped,
-            )
-        return Verdict(
-            status="CONJUGATE",
-            reason="theorem+local-passes",
-            local=out_locals,
-            assumption=rep,
-            swapped=swapped,
-        )
-    if n == 2:
-        fwd = lattice if not swapped else intertwiner_lattice(x, y)
-        return _decide_bqf(x, y, fwd, locals_=out_locals, assumption=rep)
-    conj = conjugator_search(lattice, budget=search_budget, seed=seed)
+    theorem = rep.holds and all(v.status == "PASS" for v in locals_)
+    if n == 2 and not theorem:
+        return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep)
+    conj = None
+    if n <= search_dim_cap or not theorem:
+        conj = conjugator_search(lattice, budget=search_budget, seed=seed)
     if conj is not None:
-        if swapped:
-            conj = _scaled_inverse(conj, det(conj))
-        assert verify_conjugator(conj, x, y)
         return Verdict(
             status="CONJUGATE",
             reason="explicit-conjugator",
-            conjugator=conj,
-            local=out_locals,
+            conjugator=_certified(conj, x, y),
+            local=locals_,
+            assumption=rep,
+            swapped=swapped,
+        )
+    if theorem:
+        return Verdict(
+            status="CONJUGATE",
+            reason="theorem+local-passes",
+            local=locals_,
             assumption=rep,
             swapped=swapped,
         )
@@ -996,14 +942,14 @@ def decide(
         return Verdict(
             status="UNKNOWN",
             reason="assumption-unverified",
-            local=out_locals,
+            local=locals_,
             assumption=rep,
             swapped=swapped,
         )
     return Verdict(
         status="UNKNOWN",
         reason="local-undecided",
-        local=out_locals,
+        local=locals_,
         assumption=rep,
         swapped=swapped,
         note="some local test exhausted its budget without a verdict",

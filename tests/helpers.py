@@ -7,11 +7,22 @@ share their bugs.
 """
 
 import itertools
+import os
 from math import gcd
+from pathlib import Path
 
 from zconj.linalg import hnf
 from zconj.matrix import IntMatrix
 from zconj.modular import prime_factors, unit_scaling
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env():
+    """Environment in which a child python imports zconj from this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
 
 
 def det_small(rows) -> int:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import subprocess_env
 
 from zconj.graphs import field_build, paley_adjacency, peisert_adjacency
 from zconj.linalg import det
@@ -13,7 +14,10 @@ from zconj.matrix import IntMatrix
 
 def run(*args):
     return subprocess.run(
-        [sys.executable, "-m", "zconj.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "zconj.cli", *args],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
     )
 
 

@@ -1,9 +1,17 @@
 """Conjugacy decisions: lattices, local tests, search, certificates."""
 
 import random
+import subprocess
+import sys
 
 import pytest
-from helpers import random_sl, random_split_conjugate, same_span, unimodular_inverse
+from helpers import (
+    random_sl,
+    random_split_conjugate,
+    same_span,
+    subprocess_env,
+    unimodular_inverse,
+)
 
 from zconj.conjugacy import (
     DetNotOne,
@@ -22,7 +30,7 @@ from zconj.conjugacy import (
 )
 from zconj.linalg import det, snf_invariants
 from zconj.matrix import IntMatrix
-from zconj.spectral import NotSplit, split_spectrum
+from zconj.spectral import NotSplit, check_assumption, split_spectrum
 
 X1 = IntMatrix([[0, 2], [-3, 0]])
 Y1 = IntMatrix([[0, 1], [-6, 0]])
@@ -77,10 +85,13 @@ def test_eigenblock_matches_sylvester():
             spx, spy = split_spectrum(x), split_spectrum(y)
         except NotSplit:
             continue
-        eb = _eigenblock_basis(x, y, spx, spy)
+        lattice = _eigenblock_basis(x, y, spx, spy)
+        eb = list(lattice.basis)
         sv = _sylvester_basis(x, y)
         assert len(eb) == len(sv)
         assert same_span(eb, sv)
+        if lattice.aligned is not None:
+            assert verify_conjugator(lattice.aligned, x, y)
 
 
 def test_verify_conjugator_frozen():
@@ -210,6 +221,43 @@ def test_decide_conjugate_pairs_explicit():
         assert v.status == "CONJUGATE"
         assert v.conjugator is not None
         assert verify_conjugator(v.conjugator, x, y)
+
+
+def test_decide_swapped_route():
+    # only Y meets the exponent condition, so the pair cannot be conjugate
+    x = IntMatrix([[-3, 2], [0, 3]])
+    y = IntMatrix.diagonal([-3, 3])
+    assert check_assumption(x).per_index != check_assumption(y).per_index
+    v = decide(x, y)
+    assert v.swapped and v.to_json_obj()["swapped"] is True
+    assert v.status == "NOT_CONJUGATE"
+    assert v.reason == "local-obstruction"
+    by_prime = {lv.prime: lv for lv in v.local}
+    assert by_prime[2].status == "PASS"
+    assert verify_conjugator(by_prime[2].certificate, x, y, prime=2)
+    assert by_prime[3].status == "FAIL"
+
+
+def test_certificate_checks_survive_optimize():
+    # under python -O a failed re-check must still raise, not be skipped
+    code = (
+        "import zconj.conjugacy as c\n"
+        "from zconj.matrix import IntMatrix\n"
+        "assert False, 'asserts are live'\n"
+        "c.verify_conjugator = lambda *args, **kwargs: False\n"
+        "try:\n"
+        "    c.decide(IntMatrix([[1, 2], [0, 3]]), IntMatrix.diagonal([1, 3]))\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "CertificateError\n"
 
 
 def test_conjugator_search_adjacency_route():
