@@ -8,7 +8,11 @@ with machine-checkable certificates (local conjugators, an explicit
 global conjugator, or a binary quadratic form that represents no
 unit).  Graph generators, a Smith-invariant lemma checker and
 truncated p-adic Jacobi sum arithmetic cover the Paley/Peisert
-application; everything is exact integer or rational arithmetic.
+application.  Everything is exact integer arithmetic: rational
+quantities are carried fraction-free through one Gauss-Jordan kernel
+(linalg.fraction_free_rref, int64 while the squared Hadamard bound
+stays below 2^62, Python ints otherwise) and LLL keeps integral
+Gram determinants.
 """
 
 from .conjugacy import (

@@ -9,7 +9,9 @@ Output is deterministic for fixed inputs and seeds.  Integers inside
 JSON are decimal strings throughout.  Exit codes: 0 success, 1
 malformed input, 2 unsupported input class, 3 negative verdict
 (NOT_CONJUGATE, assumption fails, lemma or valuation mismatch,
-fixture failure), 4 undecided.
+fixture failure), 4 undecided, 5 internal error (a computed
+certificate or identity failed its exact re-check, reported as
+"error: internal: ..."; a bug, never a verdict).
 """
 
 import argparse
@@ -27,7 +29,7 @@ from .graphs import (
     verify_smith_lemma,
 )
 from .linalg import snf
-from .matrix import IntMatrix, MatrixFormatError
+from .matrix import CertificateError, IntMatrix, MatrixFormatError
 from .padic import TruncatedUnramifiedRing, _character_table, digit_sum, jacobi_sum
 from .spectral import NotSplit, check_assumption, split_spectrum
 
@@ -36,6 +38,7 @@ EXIT_MALFORMED = 1
 EXIT_UNSUPPORTED = 2
 EXIT_NEGATIVE = 3
 EXIT_UNKNOWN = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,6 +335,9 @@ def main(argv=None) -> int:
         # remaining precondition failures: non-square input, composite p
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except CertificateError as exc:
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

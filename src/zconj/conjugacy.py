@@ -24,14 +24,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
 from .forms import BinaryQuadraticForm, UnitRepresentation, bqf_represents_unit
-from .linalg import charpoly, det, kernel_basis, lll_reduce
-from .matrix import IntMatrix, int_dtype
+from .linalg import charpoly, det, fraction_free_rref, kernel_basis, lll_reduce
+from .matrix import CertificateError, IntMatrix, int_dtype
 from .modular import det_mod, inv_mod, prime_factors, residues, solve_congruence_lattice
 from .spectral import NotSplit, SplitSpectrum, check_assumption, split_spectrum
 
@@ -45,13 +44,6 @@ class RankMismatch(ValueError):
 
 class DetNotOne(ValueError):
     """Input to sl_lift has determinant != 1 modulo q."""
-
-
-class CertificateError(AssertionError):
-    """A computed certificate or lattice basis failed its exact re-check.
-
-    Raised explicitly, so every check still runs under python -O.
-    """
 
 
 def _certified(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> IntMatrix:
@@ -83,34 +75,20 @@ class IntertwinerLattice:
 
 
 def _scaled_inverse(m: IntMatrix, scale: int) -> IntMatrix:
-    """Integer matrix D with M D = scale I, via exact rational elimination.
+    """Integer matrix D with M D = scale I, read off the fraction-free
+    RREF d [I | scale M^{-1}] of [M | scale I].
 
     Exists iff scale M^{-1} is integral; raises CertificateError otherwise.
     """
     n = m.nrows
-    a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
-    inv = [
-        [Fraction(scale) if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise CertificateError("matrix is singular")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-        f = a[c][c]
-        a[c] = [v / f for v in a[c]]
-        inv[c] = [v / f for v in inv[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                g = a[i][c]
-                a[i] = [v - g * w for v, w in zip(a[i], a[c])]
-                inv[i] = [v - g * w for v, w in zip(inv[i], inv[c])]
-    if any(v.denominator != 1 for row in inv for v in row):
+    r, pivots, d, _ = fraction_free_rref(
+        [list(row) + [scale if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
+    )
+    if pivots != list(range(n)):
+        raise CertificateError("matrix is singular")
+    if (r[:, n:] % d).any():
         raise CertificateError("scaled inverse is not integral")
-    return IntMatrix([[int(v) for v in row] for row in inv])
+    return IntMatrix((r[:, n:] // d).tolist())
 
 
 def _eigenbases(m: IntMatrix, sp: SplitSpectrum):
@@ -293,13 +271,16 @@ def local_test(
 
     PASS certificates re-verify exactly.  FAIL is only reported after
     every class of C(X,Y)/p has been evaluated, which is attempted when
-    p^rank <= 2^20; mismatched characteristic polynomials also FAIL,
-    because any nonsingular intertwiner would force equality.  The
-    determinant of T + pS is det(T) mod p, so classes mod p decide.
+    p^rank <= 2^20.  The determinant of T + pS is det(T) mod p, so
+    classes mod p decide.  Characteristic polynomials are compared only
+    when no lattice is given and it is built here: a mismatch FAILs at
+    once, because any nonsingular intertwiner would force equality.  A
+    given lattice must be C(x, y), and decide passes one only after the
+    characteristic polynomials have matched.
     """
-    if charpoly(x) != charpoly(y):
-        return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
     if lattice is None:
+        if charpoly(x) != charpoly(y):
+            return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
         lattice = intertwiner_lattice(x, y)
     m = lattice.rank
     if m == 0:
@@ -902,7 +883,7 @@ def decide(
         if rep_y.holds:
             rep = rep_y
             swapped = True
-    lattice = intertwiner_lattice(x, y)
+    lattice = _eigenblock_basis(x, y, spx, spy)
     locals_ = tuple(
         local_test(x, y, p, budget=budget, seed=seed, lattice=lattice)
         for p in relevant_primes(spx)

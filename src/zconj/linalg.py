@@ -1,9 +1,12 @@
 """Exact normal forms and lattice utilities over the integers.
 
-Everything here is computed with arbitrary-precision integer (or exact
-rational) arithmetic.  Transformation matrices are unimodular by
-construction: they are accumulated as products of elementary row and
-column operations, never recovered by solving.
+Everything here is computed with exact integer arithmetic.  Rational
+data is carried fraction-free: fraction_free_rref is the one elimination
+behind det, the RREF kernel route, the scaled inverse in conjugacy and
+the minimal polynomial in spectral, and LLL keeps integral Gram-Schmidt
+data.  Transformation matrices are unimodular by construction: they
+are accumulated as products of elementary row and column operations,
+never recovered by solving.
 
 Conventions:
 
@@ -19,10 +22,11 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, prod
 
-from .matrix import IntMatrix
+import numpy as np
+
+from .matrix import CertificateError, IntMatrix, int_dtype
 
 
 def xgcd(a: int, b: int):
@@ -253,7 +257,8 @@ def snf_invariants(matrix: IntMatrix) -> tuple:
         rows = len(m)
         if _is_diagonal(m, rows, cols):
             break
-    assert rows == rank
+    if rows != rank:
+        raise CertificateError("Smith diagonal size differs from the rank")
     diag = [m[i][i] for i in range(rows)]
     # divisibility chain via gcd/lcm on the multiset of pivots
     for i in range(len(diag)):
@@ -272,7 +277,48 @@ def smith_group(matrix: IntMatrix) -> SmithGroup:
     return SmithGroup(snf_invariants(matrix))
 
 
-# -- kernels, determinant, rank -----------------------------------------
+# -- fraction-free elimination ------------------------------------------
+
+
+def fraction_free_rref(rows):
+    """Integer-preserving Gauss-Jordan elimination of an integer matrix A.
+
+    Returns (R, pivots, d, sign): the integer array R = d * RREF(A),
+    whose zero rows follow its len(pivots) pivot rows; the pivot columns
+    in increasing order; d, the determinant of A's pivot rows and
+    columns after the row swaps (1 at rank 0); and sign = (-1)^swaps.
+    Each step keeps the pivot row and replaces every other row by
+    (p row - a_ic pivot_row) / d_prev, an exact division (Bareiss).
+    Every stored entry is a minor of A and every intermediate a product
+    of two minors, so all stay within H^2, the square of the Hadamard
+    bound H (the smaller of the products of max(1, norm) over rows and
+    over columns); H^2 picks the dtype.
+    """
+    a = np.array(rows, dtype=object)
+    sq = a * a
+    h2 = min(prod(max(1, v) for v in sq.sum(axis=axis)) for axis in (0, 1))
+    a = a.astype(int_dtype(h2))
+    nrows, ncols = a.shape
+    pivots, d, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+            sign = -sign
+        p, pivot_row = a[r, c], a[r].copy()
+        a = (p * a - np.outer(a[:, c], pivot_row)) // d
+        a[r] = pivot_row
+        pivots.append(c)
+        d = int(p)
+    return a, pivots, d, sign
+
+
+# -- kernels, determinant ------------------------------------------------
 
 
 def kernel_basis(matrix: IntMatrix):
@@ -281,9 +327,9 @@ def kernel_basis(matrix: IntMatrix):
     Small systems go through the row HNF of the transpose: rows of the
     transform matching zero rows of the HNF form a basis, and because
     the transform is unimodular the basis is automatically saturated.
-    Bigger systems switch to rational elimination, where entry growth
-    stays bounded by minor sizes instead of compounding through gcd
-    folds.
+    Bigger systems switch to fraction-free elimination, where entry
+    growth stays bounded by minor sizes instead of compounding through
+    gcd folds.
     """
     if matrix.nrows > 16 or matrix.ncols > 16:
         return _kernel_basis_rref(matrix)
@@ -297,103 +343,44 @@ def kernel_basis(matrix: IntMatrix):
 
 
 def _kernel_basis_rref(matrix: IntMatrix):
-    """Saturated kernel via RREF over Q plus one congruence solve.
+    """Saturated kernel via the fraction-free RREF plus one congruence solve.
 
-    In the reduced echelon form with pivot columns p_i and free
-    columns f_j, every rational kernel vector is determined by its
-    free coordinates c, with pivot coordinates -N c for the rational
-    block N = R[:, free].  Integrality of the pivot coordinates is the
-    congruence (d N) c = 0 mod d for the common denominator d, so the
-    saturated kernel is the image of that solution lattice.
+    With R = d RREF(A), pivot columns p_i and free columns f_j, every
+    rational kernel vector is determined by its free coordinates c,
+    with pivot coordinates -N c for the block N = R[:, free] / d.  Its
+    common denominator is den = |d| / gcd(d, R[:, free]), and
+    integrality of the pivot coordinates is the congruence (den N) c =
+    0 mod den, so the saturated kernel is the image of that solution
+    lattice.
     """
-    rows, cols = matrix.nrows, matrix.ncols
-    m = [[Fraction(v) for v in row] for row in matrix.rows]
-    pivcols = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        inv = pr[c]
-        for j in range(c, cols):
-            pr[j] /= inv
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mi = m[i]
-                for j in range(c, cols):
-                    mi[j] -= f * pr[j]
-        pivcols.append(c)
-        r += 1
-        if r == rows:
-            break
-    pivset = set(pivcols)
-    free = [c for c in range(cols) if c not in pivset]
+    r_mat, pivots, d, _ = fraction_free_rref(matrix.rows)
+    free = [c for c in range(matrix.ncols) if c not in pivots]
     if not free:
         return []
-    d = 1
-    for i in range(r):
-        for c in free:
-            d = lcm(d, m[i][c].denominator)
-    scaled = [[int(m[i][c] * d) for c in free] for i in range(r)]
+    num = r_mat[: len(pivots), free].astype(object)
+    den = abs(d) // gcd(d, *num.flat)
     # deferred to avoid a module cycle: modular pulls xgcd from here
     from .modular import solve_congruence_lattice
 
-    coeffs = solve_congruence_lattice(scaled, len(free), d)
-    basis = []
-    for srow in coeffs:
-        v = [Fraction(0)] * cols
-        for j, c in enumerate(free):
-            s = srow[j]
-            if s:
-                v[c] += s
-                for i in range(r):
-                    v[pivcols[i]] -= s * m[i][c]
-        out = []
-        for x in v:
-            assert x.denominator == 1
-            out.append(int(x))
-        for row in matrix.rows:
-            assert sum(a * b for a, b in zip(row, out)) == 0
-        basis.append(tuple(out))
-    return basis
+    coeffs = solve_congruence_lattice((num // (d // den)).tolist(), len(free), den)
+    coeffs = np.array(coeffs, dtype=object).reshape(-1, len(free))
+    pivot_part = num @ coeffs.T
+    if (pivot_part % d).any():
+        raise CertificateError("kernel vector is not integral")
+    basis = np.zeros((len(coeffs), matrix.ncols), dtype=object)
+    basis[:, free] = coeffs
+    basis[:, pivots] = -(pivot_part // d).T
+    if (np.array(matrix.rows, dtype=object) @ basis.T).any():
+        raise CertificateError("kernel vector is not annihilated")
+    return [tuple(v) for v in basis.tolist()]
 
 
 def det(matrix: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: sign * d of the fraction-free elimination at full rank."""
     if not matrix.is_square:
         raise ValueError("determinant needs a square matrix")
-    n = matrix.nrows
-    m = matrix.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+    _, pivots, d, sign = fraction_free_rref(matrix.rows)
+    return sign * d if len(pivots) == matrix.nrows else 0
 
 
 def charpoly(matrix: IntMatrix):
@@ -410,7 +397,8 @@ def charpoly(matrix: IntMatrix):
     for k in range(1, n + 1):
         m = matrix * m
         c = -m.trace()
-        assert c % k == 0
+        if c % k:
+            raise CertificateError("Faddeev-LeVerrier division is not exact")
         c //= k
         coeffs.append(c)
         if k < n:
@@ -421,52 +409,56 @@ def charpoly(matrix: IntMatrix):
 # -- lattice reduction ---------------------------------------------------
 
 
-def lll_reduce(basis, delta=Fraction(99, 100)):
-    """LLL-reduce integer row vectors with exact rational Gram-Schmidt.
+def lll_reduce(basis, delta=None):
+    """LLL-reduce integer row vectors with integral Gram-Schmidt data.
 
     Returns a new list of vectors spanning the same lattice.  delta is
-    the Lovasz parameter, 1/4 < delta <= 1.
+    the Lovasz parameter, an exact rational 1/4 < delta <= 1 given as
+    any number with as_integer_ratio() (default 99/100).  In place of
+    the rational mu_ij and |b_i*|^2 the loop keeps de Weger's integers
+    (Cohen, Alg. 2.6.7): d_i, the Gram determinant of the independent
+    vectors among b_0..b_i, and lam_ij = d_j mu_ij.  A vector that
+    depends on its predecessors has b_i* = 0, so mu_ji = 0 and d_i =
+    d_(i-1).
     """
     b = [list(v) for v in basis]
     n = len(b)
-    if n <= 1:
-        return [tuple(v) for v in b]
-    dim = len(b[0])
-    if any(len(v) != dim for v in b):
+    if any(len(v) != len(b[0]) for v in b):
         raise ValueError("basis vectors must share a dimension")
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    # mu[i][j] for j < i, norms[i] = |b_i*|^2 as exact Fractions
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = [Fraction(0)] * n
+    num, den = (99, 100) if delta is None else delta.as_integer_ratio()
+    d = [1] * (n + 1)  # d[i + 1] belongs to b_i, d[0] = 1
+    lam = [[0] * n for _ in range(n)]
+    zero = [False] * n  # b_i* = 0
 
     def update_gs(start):
         for i in range(start, n):
-            star = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu_ij = Fraction(dot(b[i], b[j]))
+            for j in range(i + 1):
+                u = sum(x * y for x, y in zip(b[i], b[j]))
                 for l in range(j):
-                    mu_ij -= mu[j][l] * mu[i][l] * norms[l]
-                mu_ij = mu_ij / norms[j] if norms[j] else Fraction(0)
-                mu[i][j] = mu_ij
-            nrm = Fraction(dot(b[i], b[i]))
-            for j in range(i):
-                nrm -= mu[i][j] ** 2 * norms[j]
-            norms[i] = nrm
+                    if not zero[l]:
+                        u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+                if j < i:
+                    lam[i][j] = 0 if zero[j] else u
+                else:
+                    zero[i] = u == 0
+                    d[i + 1] = d[i] if zero[i] else u
 
     update_gs(0)
     k = 1
     while k < n:
-        # size reduction of b_k against b_j for j < k
+        # size reduction of b_k against b_j for j < k: |mu_kj| > 1/2,
+        # rounded half away from zero
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            if q * 2 > 1 or q * 2 < -1:
-                r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
+            l2, dj = 2 * lam[k][j], d[j + 1]
+            if abs(l2) > dj:
+                r = (l2 + dj) // (2 * dj) if l2 > 0 else -((dj - l2) // (2 * dj))
                 b[k] = [a - r * c for a, c in zip(b[k], b[j])]
-                update_gs(k)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lam[k][j] -= r * dj
+                for l in range(j):
+                    lam[k][l] -= r * lam[j][l]
+        # Lovasz: |b_k*|^2 >= (delta - mu^2) |b_(k-1)*|^2, times den d_(k-1) d_(k-2)
+        lk, dk = lam[k][k - 1], 0 if zero[k] else d[k + 1]
+        if zero[k - 1] or den * (dk * d[k - 1] + lk * lk) >= num * d[k] * d[k]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -23,6 +23,13 @@ class MatrixFormatError(ValueError):
     """Raised when matrix text or JSON input is malformed."""
 
 
+class CertificateError(AssertionError):
+    """A computed certificate, basis or identity failed its exact re-check.
+
+    Raised explicitly, so every check still runs under python -O.
+    """
+
+
 _INT64_LIMIT = 1 << 62
 
 

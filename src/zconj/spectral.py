@@ -13,11 +13,10 @@ Polynomials are tuples of integer coefficients in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import snf_invariants
-from .matrix import IntMatrix, int_from_json
+from .linalg import fraction_free_rref, snf_invariants
+from .matrix import CertificateError, IntMatrix, int_from_json
 from .modular import NotScaledIdempotent, scaled_idempotent_invariants
 
 
@@ -61,34 +60,27 @@ def _matvec(m: IntMatrix, v):
 
 
 def _local_minimal_polynomial(x: IntMatrix, w):
-    """Monic minimal polynomial of x acting on the vector w (w != 0)."""
-    n = x.nrows
-    echelon = []  # (reduced vector, pivot position, combination coefficients)
-    kry = list(w)
-    k = 0
+    """Monic minimal polynomial of x acting on the vector w (w != 0).
+
+    The Krylov vectors w, xw, x^2 w, ... are the columns of K.  The
+    first non-pivot column k of K's fraction-free RREF writes x^k w in
+    the earlier columns, which gives the polynomial; it divides the
+    monic integer minimal polynomial, so its coefficients are integers.
+    Columns come in doubling batches, so entries grow only to about
+    twice the degree needed.
+    """
+    kry = [list(w)]
+    size = 2
     while True:
-        vec = [Fraction(a) for a in kry]
-        comb = [Fraction(0)] * k + [Fraction(1)]
-        for evec, pos, ecomb in echelon:
-            f = vec[pos]
-            if f:
-                for j in range(n):
-                    vec[j] -= f * evec[j]
-                for j, c in enumerate(ecomb):
-                    comb[j] -= f * c
-        pos = next((j for j in range(n) if vec[j]), None)
-        if pos is None:
-            # comb is monic of degree k; it divides the monic integer
-            # minimal polynomial, hence has integer coefficients
-            assert all(c.denominator == 1 for c in comb)
-            return tuple(int(c) for c in comb)
-        piv = vec[pos]
-        vec = [a / piv for a in vec]
-        comb = [c / piv for c in comb]
-        echelon.append((vec, pos, comb))
-        kry = _matvec(x, kry)
-        k += 1
-        assert k <= n, "dependency must appear within n steps"
+        while len(kry) < size:
+            kry.append(_matvec(x, kry[-1]))
+        r, pivots, d, _ = fraction_free_rref(list(zip(*kry)))
+        k = len(pivots)
+        if k < size:
+            if (r[:k, k] % d).any():
+                raise CertificateError("Krylov dependency is not integral")
+            return tuple(-int(v) // d for v in r[:k, k]) + (1,)
+        size = min(2 * size, x.nrows + 1)
 
 
 def minimal_polynomial(x: IntMatrix):
@@ -112,55 +104,74 @@ def minimal_polynomial(x: IntMatrix):
         mu_at_x = poly_eval_matrix(nu, x) * mu_at_x
         if mu_at_x.is_zero():
             break
-    assert len(mu) >= 2
     return mu
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _derivative(poly):
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def _squarefree_part(f):
+    """f / gcd(f, f') for monic f, by primitive pseudo-remainders over Z."""
+    a, b = list(f), _derivative(f)
+    while b:
+        g = gcd(*b)
+        b = [v // g for v in b]
+        while len(a) >= len(b):
+            c, shift = a[-1], len(a) - len(b)
+            a = [b[-1] * v for v in a]
+            for i, v in enumerate(b):
+                a[i + shift] -= c * v
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    # the primitive gcd divides the monic f, so by Gauss's lemma its
+    # leading coefficient is +-1; divide f by the monic associate h
+    h = [v * a[-1] for v in a]
+    q, r = [0] * (len(f) - len(h) + 1), list(f)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(h) - 1]
+        for j, v in enumerate(h):
+            r[i + j] -= q[i] * v
+    return q
 
 
 def _integer_roots(poly):
     """All integer roots of a monic integer polynomial, with multiplicity.
 
     Returns (roots, fully_split) where fully_split means the polynomial
-    is a product of the returned linear factors and nothing else.
+    is a product of the returned linear factors and nothing else; roots
+    are ordered by absolute value, positive first.  No coefficient is
+    factored: the roots of the squarefree part g modulo the least m >= 2
+    at which g' is a unit at every one of them are lifted by Newton's
+    iteration past twice the Cauchy bound (Hensel), and the lifts that
+    are exact roots are kept.
     """
+    f = list(poly)
+    g = _squarefree_part(f)
+    dg = _derivative(g)
+    bound = 1 + max((abs(c) for c in f[:-1]), default=0)
+    m = 1
+    while True:
+        m += 1
+        mods = [r for r in range(m) if poly_eval_int(g, r) % m == 0]
+        if all(gcd(poly_eval_int(dg, r), m) == 1 for r in mods):
+            break
     roots = []
-    p = list(poly)
-    while len(p) > 1:
-        if p[0] == 0:
-            root = 0
-        else:
-            root = None
-            for d in _divisors(p[0]):
-                for cand in (d, -d):
-                    if poly_eval_int(p, cand) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is None:
-                return roots, False
-        roots.append(root)
-        # synthetic division by (t - root), exact since root is a root
-        q = [0] * (len(p) - 1)
-        acc = 0
-        for i in range(len(p) - 1, 0, -1):
-            acc = acc * root + p[i]
-            q[i - 1] = acc
-        assert acc * root + p[0] == 0
-        p = q
-    return roots, True
+    for r in mods:
+        mod = m
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - poly_eval_int(g, r) * pow(poly_eval_int(dg, r), -1, mod)) % mod
+        if r > mod // 2:
+            r -= mod
+        # the multiplicity of r: how many derivatives of f vanish there
+        h = f
+        while poly_eval_int(h, r) == 0:
+            roots.append(r)
+            h = _derivative(h)
+    roots.sort(key=lambda r: (abs(r), r < 0))
+    return roots, len(roots) == len(f) - 1
 
 
 # -- split spectra -----------------------------------------------------------
@@ -211,7 +222,8 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
         sign = 1 if den > 0 else -1
         e = IntMatrix([[v * sign // g for v in row] for row in num.rows])
         tr = e.trace()
-        assert tr % q == 0 and tr >= 0
+        if tr % q or tr < 0:
+            raise CertificateError("idempotent trace is not a multiple of its scale")
         idempotents.append(e)
         scales.append(q)
         multiplicities.append(tr // q)
@@ -226,20 +238,17 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
 
 
 def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
+    """E_i E_i = q_i E_i, X E_i = a_i E_i, E_i E_j = 0, sum (L/q_i) E_i = L I."""
     n = x.nrows
-    assert sum(mults) == n
-    total = IntMatrix.zeros(n, n)
     big = lcm(*scales)
-    for i, e in enumerate(idempotents):
-        q = scales[i]
-        a = eigenvalues[i]
-        assert e * e == e * q
-        assert x * e == e * a
+    total = IntMatrix.zeros(n, n)
+    ok = sum(mults) == n
+    for i, (e, q, a) in enumerate(zip(idempotents, scales, eigenvalues)):
+        ok = ok and e * e == e * q and x * e == e * a
+        ok = ok and all((e * f).is_zero() for f in idempotents[i + 1 :])
         total = total + e * (big // q)
-        for j in range(i + 1, len(idempotents)):
-            prod = e * idempotents[j]
-            assert prod.is_zero()
-    assert total == IntMatrix.identity(n) * big
+    if not (ok and total == IntMatrix.identity(n) * big):
+        raise CertificateError("scaled idempotents fail the projector identities")
 
 
 # -- the two-clause hypothesis on Smith exponents ----------------------------

@@ -1,19 +1,21 @@
 """Independent oracles and random constructors shared by the tests.
 
 Everything here is deliberately naive: Laplace determinants, gcds of
-enumerated minors, adjugate inverses.  Slow but obviously correct, so
-the production routines are checked against arithmetic that cannot
-share their bugs.
+enumerated minors, adjugate inverses, eliminations and Gram-Schmidt
+over Fraction, integer roots by trying divisors.  Slow but obviously
+correct, so the production routines are checked against arithmetic
+that cannot share their bugs.
 """
 
 import itertools
 import os
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from zconj.linalg import hnf
-from zconj.matrix import IntMatrix
-from zconj.modular import prime_factors, unit_scaling
+from zconj.matrix import CertificateError, IntMatrix
+from zconj.modular import prime_factors, solve_congruence_lattice, unit_scaling
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -188,3 +190,155 @@ def howell_py(gens, m: int, q: int):
                 for j in range(col + 1, m):
                     bi[j] %= q
     return [tuple(row) for row in basis]
+
+
+# -- exact rational eliminations (oracles for the fraction-free kernel) -----
+
+
+def scaled_inverse_fraction(m: IntMatrix, scale: int) -> IntMatrix:
+    """scale * m^-1 by Gauss-Jordan over Fraction; CertificateError unless integral."""
+    n = m.nrows
+    a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(scale if i == j else 0) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise CertificateError("matrix is singular")
+        a[c], a[piv] = a[piv], a[c]
+        inv[c], inv[piv] = inv[piv], inv[c]
+        f = a[c][c]
+        a[c] = [v / f for v in a[c]]
+        inv[c] = [v / f for v in inv[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                g = a[i][c]
+                a[i] = [v - g * w for v, w in zip(a[i], a[c])]
+                inv[i] = [v - g * w for v, w in zip(inv[i], inv[c])]
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise CertificateError("scaled inverse is not integral")
+    return IntMatrix([[int(v) for v in row] for row in inv])
+
+
+def rref_fraction(rows):
+    """(RREF over Fraction, pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivcols = []
+    for c in range(len(m[0])):
+        r = len(pivcols)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivcols.append(c)
+        if len(pivcols) == len(m):
+            break
+    return m, pivcols
+
+
+def kernel_basis_fraction(matrix: IntMatrix):
+    """Saturated kernel from the rational RREF plus one congruence solve."""
+    m, pivcols = rref_fraction(matrix.rows)
+    free = [c for c in range(matrix.ncols) if c not in pivcols]
+    if not free:
+        return []
+    r = len(pivcols)
+    d = lcm(1, *(m[i][c].denominator for i in range(r) for c in free))
+    scaled = [[int(m[i][c] * d) for c in free] for i in range(r)]
+    basis = []
+    for srow in solve_congruence_lattice(scaled, len(free), d):
+        v = [Fraction(0)] * matrix.ncols
+        for j, c in enumerate(free):
+            v[c] += srow[j]
+            for i in range(r):
+                v[pivcols[i]] -= srow[j] * m[i][c]
+        assert all(x.denominator == 1 for x in v)
+        basis.append(tuple(int(x) for x in v))
+    return basis
+
+
+def local_minimal_polynomial_fraction(x: IntMatrix, w):
+    """Monic minimal polynomial of x on w by incremental rational echelon."""
+    n = x.nrows
+    echelon = []  # (reduced vector, pivot position, combination coefficients)
+    kry = list(w)
+    k = 0
+    while True:
+        vec = [Fraction(a) for a in kry]
+        comb = [Fraction(0)] * k + [Fraction(1)]
+        for evec, pos, ecomb in echelon:
+            f = vec[pos]
+            if f:
+                vec = [a - f * e for a, e in zip(vec, evec)]
+                for j, c in enumerate(ecomb):
+                    comb[j] -= f * c
+        pos = next((j for j in range(n) if vec[j]), None)
+        if pos is None:
+            assert all(c.denominator == 1 for c in comb)
+            return tuple(int(c) for c in comb)
+        piv = vec[pos]
+        echelon.append(([a / piv for a in vec], pos, [c / piv for c in comb]))
+        kry = [sum(a * b for a, b in zip(row, kry)) for row in x.rows]
+        k += 1
+
+
+def lll_fraction(basis, delta=Fraction(99, 100)):
+    """LLL with exact rational Gram-Schmidt, recomputed after every change."""
+    b = [list(v) for v in basis]
+    n = len(b)
+    if n <= 1:
+        return [tuple(v) for v in b]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
+
+    def update_gs(start):
+        for i in range(start, n):
+            for j in range(i):
+                mu_ij = Fraction(dot(b[i], b[j]))
+                for l in range(j):
+                    mu_ij -= mu[j][l] * mu[i][l] * norms[l]
+                mu[i][j] = mu_ij / norms[j] if norms[j] else Fraction(0)
+            norms[i] = dot(b[i], b[i]) - sum(mu[i][j] ** 2 * norms[j] for j in range(i))
+
+    update_gs(0)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            if q * 2 > 1 or q * 2 < -1:
+                r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
+                b[k] = [a - r * c for a, c in zip(b[k], b[j])]
+                update_gs(k)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            update_gs(k - 1)
+            k = max(k - 1, 1)
+    return [tuple(v) for v in b]
+
+
+def integer_roots_divisors(poly):
+    """(roots, fully_split) of a monic polynomial by trying divisors of its constant term."""
+    roots, p = [], list(poly)
+    while len(p) > 1:
+        c = abs(p[0])
+        cands = [0] if c == 0 else [s * e for e in range(1, c + 1) if c % e == 0 for s in (1, -1)]
+        root = next((r for r in cands if sum(a * r**i for i, a in enumerate(p)) == 0), None)
+        if root is None:
+            return roots, False
+        roots.append(root)
+        q, acc = [0] * (len(p) - 1), 0
+        for i in range(len(p) - 1, 0, -1):
+            acc = acc * root + p[i]
+            q[i - 1] = acc
+        p = q
+    return roots, True

@@ -182,3 +182,25 @@ def test_help_exits_zero():
     r = run("--help")
     assert r.returncode == 0
     assert "decide" in r.stdout
+
+
+def test_internal_error_exits_five(matfile):
+    # a failed certificate re-check is a bug, not malformed input
+    x = matfile("x.txt", [[1, 2], [0, 3]])
+    y = matfile("y.txt", [[1, 0], [0, 3]])
+    code = (
+        "import sys\n"
+        "import zconj.cli as cli\n"
+        "import zconj.conjugacy as c\n"
+        "c.verify_conjugator = lambda *args, **kwargs: False\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, "decide", x, y],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert r.returncode == 5
+    assert r.stderr.startswith("error: internal: ")
+    assert r.stdout == ""

@@ -1,23 +1,28 @@
 """Conjugacy decisions: lattices, local tests, search, certificates."""
 
+import json
 import random
 import subprocess
 import sys
 
 import pytest
 from helpers import (
+    det_small,
     random_sl,
     random_split_conjugate,
     same_span,
+    scaled_inverse_fraction,
     subprocess_env,
     unimodular_inverse,
 )
 
 from zconj.conjugacy import (
+    CertificateError,
     DetNotOne,
     IntertwinerLattice,
     RankMismatch,
     _eigenblock_basis,
+    _scaled_inverse,
     _sylvester_basis,
     bqf_from_lattice,
     conjugator_search,
@@ -242,11 +247,17 @@ def test_certificate_checks_survive_optimize():
     # under python -O a failed re-check must still raise, not be skipped
     code = (
         "import zconj.conjugacy as c\n"
+        "import zconj.spectral as s\n"
         "from zconj.matrix import IntMatrix\n"
         "assert False, 'asserts are live'\n"
+        "x = IntMatrix.diagonal([1, 3])\n"
+        "try:\n"
+        "    s._check_projector_identities(x, (1, 3), (x, x), (1, 1), (1, 1))\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
         "c.verify_conjugator = lambda *args, **kwargs: False\n"
         "try:\n"
-        "    c.decide(IntMatrix([[1, 2], [0, 3]]), IntMatrix.diagonal([1, 3]))\n"
+        "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
     )
@@ -257,7 +268,7 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "CertificateError\n"
+    assert r.stdout == "CertificateError\nCertificateError\n"
 
 
 def test_conjugator_search_adjacency_route():
@@ -283,3 +294,47 @@ def test_conjugator_search_adjacency_route():
 def test_decide_non_square_rejected():
     with pytest.raises(ValueError):
         decide(IntMatrix([[1, 2]]), IntMatrix([[1], [2]]))
+
+
+def test_scaled_inverse_matches_fraction_oracle():
+    # entries and scales past 2^62 included; singular and non-integral
+    # inputs raise the same CertificateError
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        bound = rng.choice((3, 50, 2**31, 2**62, 2**70))
+        m = IntMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        scale = rng.choice((1, 6, 2**63, abs(det_small(m.to_lists())) or 1))
+        try:
+            expected = scaled_inverse_fraction(m, scale)
+        except CertificateError as exc:
+            with pytest.raises(CertificateError, match=str(exc)):
+                _scaled_inverse(m, scale)
+            continue
+        assert _scaled_inverse(m, scale) == expected
+        assert m * expected == IntMatrix.identity(n) * scale
+
+
+def test_decide_huge_eigenvalue_gap_without_trial_division():
+    # the constant term of the minimal polynomial is 0 and its other
+    # coefficient 3^40: the root search must not enumerate divisors
+    code = (
+        "import json\n"
+        "from zconj import IntMatrix, decide\n"
+        "v = decide(IntMatrix([[0, 5], [0, 3**40]]), IntMatrix.diagonal([0, 3**40]))\n"
+        "print(json.dumps(v.to_json_obj()))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    verdict = json.loads(r.stdout)
+    assert verdict["status"] == "NOT_CONJUGATE"
+    assert verdict["reason"] == "local-obstruction"
+    assert verdict["certificates"]["local"] == [
+        {"p": "3", "status": "FAIL", "method": "exhaustive"}
+    ]

@@ -1,13 +1,25 @@
 """Exact linear algebra: HNF, SNF, kernels, determinants, LLL."""
 
+import ast
 import random
 from fractions import Fraction
 
-from helpers import det_small, gcd_minor_invariants, lattice_hnf, same_span
+from helpers import (
+    SRC,
+    det_small,
+    gcd_minor_invariants,
+    kernel_basis_fraction,
+    lattice_hnf,
+    lll_fraction,
+    rref_fraction,
+    same_span,
+)
 
 from zconj.linalg import (
+    _kernel_basis_rref,
     charpoly,
     det,
+    fraction_free_rref,
     hnf,
     kernel_basis,
     lll_reduce,
@@ -17,11 +29,23 @@ from zconj.linalg import (
 )
 from zconj.matrix import IntMatrix
 
+# entry sizes on both sides of the int64 switch (H^2 < 2^62) and far past it
+BOUNDS = (1, 4, 2**15, 2**15 + 9, 2**31, 2**62, 2**80)
+
 
 def random_matrix(rng, nrows, ncols, bound=5):
     return IntMatrix(
         [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
     )
+
+
+def rank_deficient(rng, m: IntMatrix) -> IntMatrix:
+    """m with its last row replaced by a combination of two others."""
+    rows = m.to_lists()
+    if len(rows) > 1:
+        a, b = rng.randrange(len(rows) - 1), rng.randrange(len(rows) - 1)
+        rows[-1] = [x - 2 * y for x, y in zip(rows[a], rows[b])]
+    return IntMatrix(rows)
 
 
 def test_hnf_shape_and_transform():
@@ -98,6 +122,13 @@ def test_det_against_laplace():
     for _ in range(200):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
+        assert det(m) == det_small(m.to_lists())
+    # entries across the int64 switch and past 2^62, singular ones included
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, rng.choice(BOUNDS))
+        if rng.random() < 0.2:
+            m = rank_deficient(rng, m)
         assert det(m) == det_small(m.to_lists())
 
 
@@ -181,3 +212,79 @@ def test_lll_shortens():
 def test_lll_accepts_fraction_delta():
     basis = [[3, 1], [1, 2]]
     assert lll_reduce(basis, delta=Fraction(3, 4)) is not None
+
+
+def test_fraction_free_rref_is_scaled_rational_rref():
+    rng = random.Random(11)
+    for _ in range(200):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), rng.choice(BOUNDS))
+        if rng.random() < 0.4:
+            m = rank_deficient(rng, m)
+        r, pivots, d, sign = fraction_free_rref(m.rows)
+        rref, pivcols = rref_fraction(m.rows)
+        assert pivots == pivcols
+        assert [[Fraction(int(v), d) for v in row] for row in r.tolist()] == rref
+        if len(pivots) == m.nrows == m.ncols:
+            assert sign * d == det_small(m.to_lists())
+
+
+def test_kernel_basis_matches_fraction_oracle():
+    # both sides of the 16 cutoff for the RREF route, the public
+    # dispatch above it; equality of the vectors, not only of the span
+    rng = random.Random(12)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 25), rng.randint(1, 25)
+        m = random_matrix(rng, nrows, ncols, rng.choice(BOUNDS))
+        if rng.random() < 0.5:
+            m = rank_deficient(rng, m)
+        expected = kernel_basis_fraction(m)
+        assert _kernel_basis_rref(m) == expected
+        if nrows > 16 or ncols > 16:
+            assert kernel_basis(m) == expected
+        else:
+            assert same_span(
+                [IntMatrix([v]) for v in kernel_basis(m)], [IntMatrix([v]) for v in expected]
+            )
+
+
+def test_lll_matches_fraction_oracle():
+    # same vectors as rational Gram-Schmidt; small entries give rounding
+    # ties, and dependent rows (integral, half-integral, zero) give zero
+    # Gram-Schmidt vectors anywhere in the basis
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        dim = rng.randint(n, 8)
+        bound = rng.choice((2, 3, 9, 100, 2**62, 2**70))
+        basis = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(n)]
+        kind = rng.random()
+        if kind < 0.2:
+            basis[-1] = [x + 2 * y for x, y in zip(basis[0], basis[1])]
+        elif kind < 0.5:
+            basis[0], basis[1] = [2 * x for x in basis[0]], [2 * x for x in basis[1]]
+            half = [(x + y) // 2 for x, y in zip(basis[0], basis[1])]
+            basis.insert(rng.randrange(len(basis) + 1), half)
+        elif kind < 0.6:
+            basis[0] = [0] * dim
+        delta = rng.choice((Fraction(99, 100), Fraction(3, 4), 1))
+        expected = lll_fraction(basis, delta)
+        assert lll_reduce(basis, delta) == expected
+        if delta == Fraction(99, 100):
+            assert lll_reduce(basis) == expected
+    # a zero Gram-Schmidt vector at k - 1 must pass the Lovasz test, or
+    # these two swap forever
+    for basis in ([[0, 0], [3, 3], [6, 6]], [[4, 0, 4], [2, 2, 1], [0, 4, -2], [-2, 0, -2]]):
+        assert lll_reduce(basis) == lll_fraction(basis)
+
+
+def test_no_module_imports_fractions():
+    # exact rational work is fraction-free: integer minors over one denominator
+    for path in sorted((SRC / "zconj").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "fractions" not in names, path.name

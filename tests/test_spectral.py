@@ -3,14 +3,23 @@
 import random
 
 import pytest
-from helpers import random_sl, unimodular_inverse
+from helpers import (
+    integer_roots_divisors,
+    local_minimal_polynomial_fraction,
+    random_sl,
+    unimodular_inverse,
+)
 
+import zconj.spectral as spectral
 from zconj.matrix import IntMatrix
 from zconj.spectral import (
     AssumptionReport,
     NotSplit,
+    _integer_roots,
+    _local_minimal_polynomial,
     check_assumption,
     minimal_polynomial,
+    poly_mul,
     quotient_invariants,
     split_spectrum,
 )
@@ -108,3 +117,45 @@ def test_quotient_invariants():
     assert quotient_invariants(IntMatrix([[0, 2], [0, 5]]), 5) == (5,)
     assert quotient_invariants(IntMatrix.diagonal([1, 3, 3, 9]), 9) == (9, 3, 3, 1)
     assert quotient_invariants(IntMatrix.identity(3), 1) == (1, 1, 1)
+
+
+def test_minimal_polynomial_matches_fraction_oracle(monkeypatch):
+    # each Krylov dependency, then the whole polynomial against the
+    # same loop run on the rational oracle
+    rng = random.Random(31)
+    cases = []
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            diag = [rng.randint(-3, 3) for _ in range(n)]
+            u = random_sl(n, rng)
+            x = u * IntMatrix.diagonal(diag) * unimodular_inverse(u)
+        else:
+            bound = rng.choice((2, 2**40))
+            x = IntMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        w = [rng.randint(-3, 3) for _ in range(n)]
+        w[rng.randrange(n)] = 1
+        assert _local_minimal_polynomial(x, w) == local_minimal_polynomial_fraction(x, w)
+        cases.append((x, minimal_polynomial(x)))
+    monkeypatch.setattr(spectral, "_local_minimal_polynomial", local_minimal_polynomial_fraction)
+    for x, mu in cases:
+        assert minimal_polynomial(x) == mu
+
+
+def test_integer_roots_match_divisor_oracle():
+    # repeated roots, the root 0 and factors without integer roots
+    rng = random.Random(32)
+    for _ in range(600):
+        f = (1,)
+        for _ in range(rng.randint(0, 5)):
+            f = poly_mul(f, (-rng.randint(-12, 12), 1))
+        for _ in range(rng.randint(0, 2)):
+            f = poly_mul(f, tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3))) + (1,))
+        if abs(f[0]) > 10**6:
+            continue
+        assert _integer_roots(f) == integer_roots_divisors(f), f
+    # constant terms whose divisors trial division could not enumerate
+    big = 3**40
+    assert _integer_roots((0, -big, 1)) == ([0, big], True)
+    assert _integer_roots(poly_mul((-big, 1), (1, 0, 1))) == ([big], False)
+    assert _integer_roots(poly_mul((big * 7, 1), (-big, 1))) == ([big, -7 * big], True)
