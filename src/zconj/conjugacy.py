@@ -21,7 +21,6 @@ difference map.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -31,11 +30,28 @@ import numpy as np
 from .forms import BinaryQuadraticForm, UnitRepresentation, bqf_represents_unit
 from .linalg import charpoly, det, fraction_free_rref, kernel_basis, lll_reduce
 from .matrix import CertificateError, IntMatrix, int_dtype
-from .modular import det_mod, inv_mod, prime_factors, residues, solve_congruence_lattice
+from .modular import (
+    FactorizationBudget,
+    det_mod,
+    inv_mod,
+    prime_factors,
+    residues,
+    solve_congruence_lattice,
+)
 from .spectral import NotSplit, SplitSpectrum, check_assumption, split_spectrum
 
 _DET_FILTER_PRIME = (1 << 31) - 1
 _EXHAUSTIVE_LIMIT = 1 << 20
+_CHUNK_ENTRIES = 1 << 14  # largest candidate stack local_test evaluates at once
+
+
+def _chunks(total: int, cap: int):
+    """(lo, hi) spans covering range(total), of sizes 1, 2, 4, ... up to cap."""
+    lo, size = 0, 1
+    while lo < total:
+        hi = min(total, lo + size)
+        yield lo, hi
+        lo, size = hi, min(2 * size, cap)
 
 
 class RankMismatch(ValueError):
@@ -231,13 +247,21 @@ def relevant_primes(spectrum: SplitSpectrum):
     Away from these, equal characteristic polynomials already force
     local conjugacy (the order generated by the matrix localizes to a
     maximal order with free eigenlattices), so local tests only need to
-    run here.
+    run here.  When some difference cannot be factored within
+    prime_factors' budget, FactorizationBudget is raised with every
+    prime found.
     """
-    out = set()
+    out, stuck = set(), []
     eig = spectrum.eigenvalues
     for i in range(len(eig)):
         for j in range(i + 1, len(eig)):
-            out.update(prime_factors(eig[i] - eig[j]))
+            try:
+                out.update(prime_factors(eig[i] - eig[j]))
+            except FactorizationBudget as exc:
+                out.update(exc.primes)
+                stuck.append(str(exc))
+    if stuck:
+        raise FactorizationBudget("; ".join(stuck), sorted(out))
     return sorted(out)
 
 
@@ -276,7 +300,9 @@ def local_test(
     when no lattice is given and it is built here: a mismatch FAILs at
     once, because any nonsingular intertwiner would force equality.  A
     given lattice must be C(x, y), and decide passes one only after the
-    characteristic polynomials have matched.
+    characteristic polynomials have matched.  Candidates are evaluated
+    as stacks of residues mod p; their order, the random draws and the
+    budget accounting are those of a loop over one candidate at a time.
     """
     if lattice is None:
         if charpoly(x) != charpoly(y):
@@ -285,62 +311,82 @@ def local_test(
     m = lattice.rank
     if m == 0:
         return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
-    # candidates are combinations with coefficients in [0, p)
+    n = lattice.n
+    # candidates are combinations with coefficients in [0, p); the exact
+    # stack is only combined for the hit, everything else runs on residues
     max_entry = max(abs(v) for b in lattice.basis for row in b.rows for v in row)
-    dtype = int_dtype(max_entry, p, p * max_entry * m)
-    stack = np.array([b.rows for b in lattice.basis], dtype=dtype)
+    stack = np.array(
+        [b.rows for b in lattice.basis], dtype=int_dtype(max_entry, p * max_entry * m)
+    ).reshape(m, n * n)
+    res = residues(stack, p)
+    cap = max(1, _CHUNK_ENTRIES // max(n * n, m))
 
-    def combine(coeffs):
-        return np.tensordot(np.array(coeffs, dtype=dtype), stack, axes=1)
+    def first_unit(cands):
+        """Index of the first candidate (a row of cands) with unit det mod p."""
+        hits = np.flatnonzero(det_mod(cands.reshape(-1, n, n), p))
+        return int(hits[0]) if len(hits) else None
 
     def certify(coeffs, method):
-        t = _certified(IntMatrix(combine(coeffs).tolist()), x, y, prime=p)
+        t = np.asarray(coeffs).astype(stack.dtype) @ stack
+        t = _certified(IntMatrix(t.reshape(n, n).tolist()), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
-    # quick phase first: basis elements, prefix sums, close pairs, then
-    # random draws; most passing pairs certify within a few evaluations
-    spent = 0
+    # candidates in a fixed order: basis elements, prefix sums, close
+    # pairs, random draws, then every class when that is affordable.  The
+    # zero combination has determinant 0, so it needs no skipping.  Each
+    # phase runs in chunks that grow from 1 to cap candidates, so an
+    # early hit stays cheap and memory stays flat.
     exhaustible = p ** m <= _EXHAUSTIVE_LIMIT
-    deterministic = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        deterministic.append(e)
-    run = [0] * m
-    for i in range(min(m, 24)):
-        run = list(run)
-        run[i] = 1
-        deterministic.append(list(run))
-    for i in range(min(m, 40)):
-        for j in range(i + 1, min(m, 40)):
-            e = [0] * m
-            e[i] = 1
-            e[j] = 1
-            deterministic.append(e)
-    for coeffs in deterministic:
-        if spent >= budget:
-            break
-        spent += 1
-        if det_mod(combine(coeffs), p):
-            return certify(coeffs, "sampled")
+    # deterministic candidates: e_i, the prefix sums e_0 + ... + e_i for
+    # i < 24 and e_i + e_j for i < j < 40.  Each is the sum of rows first
+    # and second of [basis; prefix sums; 0], whose coefficients are the
+    # same rows of coeff_rows.  Two row additions per candidate are much
+    # cheaper than a row of the product used below when the rank is large
+    # (3-4x per local test on the 49-vertex pair).
+    k = min(m, 24)
+    rows = np.concatenate([res, np.cumsum(res[:k], axis=0) % p, np.zeros_like(res[:1])])
+    coeff_rows = np.concatenate(
+        [np.eye(m, dtype=np.int8), np.tri(k, m, dtype=np.int8), np.zeros((1, m), np.int8)]
+    )
+    pi, pj = np.triu_indices(min(m, 40), 1)
+    first = np.concatenate([np.arange(m + k), pi])
+    second = np.concatenate([np.full(m + k, m + k), pj])
+    spent = max(0, min(len(first), budget))
+    for lo, hi in _chunks(spent, cap):
+        hit = first_unit(rows[first[lo:hi]] + rows[second[lo:hi]])
+        if hit is not None:
+            h = lo + hit
+            return certify(coeff_rows[first[h]] + coeff_rows[second[h]], "sampled")
+
+    # the other candidates come from one (K x m) @ (m x n^2) product per
+    # chunk, in float64 while p^2 m < 2^53, where every partial sum is exact
+    dtype = np.float64 if p * p * m < 1 << 53 else int_dtype(p * p * m)
+    basis = res.astype(dtype)
+
+    def combinations(coeffs):
+        """Residue rows of the combinations of the basis given as rows of coeffs."""
+        return ((coeffs.astype(dtype) @ basis) % p).astype(res.dtype)
+
     rng = random.Random(seed)
     quick = budget
     if exhaustible:
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
-    while spent < quick:
-        spent += 1
-        coeffs = [rng.randrange(p) for _ in range(m)]
-        if not any(coeffs):
-            continue
-        if det_mod(combine(coeffs), p):
-            return certify(coeffs, "sampled")
+    for lo, hi in _chunks(quick - spent, cap):
+        draws = [rng.randrange(p) for _ in range((hi - lo) * m)]
+        coeffs = np.array(draws, dtype=res.dtype).reshape(-1, m)
+        hit = first_unit(combinations(coeffs))
+        if hit is not None:
+            return certify(coeffs[hit], "sampled")
     if exhaustible:
-        # FAIL demands that every class of C(X,Y)/p has been evaluated
-        for coeffs in itertools.product(range(p), repeat=m):
-            if not any(coeffs):
-                continue
-            if det_mod(combine(coeffs), p):
-                return certify(coeffs, "exhaustive")
+        # FAIL demands that every class of C(X,Y)/p has been evaluated;
+        # class t has the base-p digits of t as coefficients, the last
+        # one fastest (itertools.product order)
+        powers = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        for lo, hi in _chunks(p ** m, cap):
+            coeffs = np.arange(lo, hi, dtype=np.int64)[:, None] // powers % p
+            hit = first_unit(combinations(coeffs))
+            if hit is not None:
+                return certify(coeffs[hit], "exhaustive")
         return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
     return LocalVerdict(prime=p, status="UNDECIDED")
 
@@ -836,11 +882,14 @@ def decide(
 
     Pipeline: identical inputs; characteristic polynomial comparison;
     split-spectrum analysis with the exponent assumption checked on x
-    and then y; local tests at every relevant prime, always on C(x,y);
+    and then y; local tests at the relevant primes in increasing order,
+    always on C(x,y), stopping at the first FAIL (so local ends there);
     the local-global theorem when the assumption holds and all locals
     pass; the exact quadratic-form endgame for n = 2; explicit
     conjugator search otherwise.  UNKNOWN verdicts name what blocked
-    the decision.
+    the decision, factorization-budget when an eigenvalue difference
+    could not be factored within prime_factors' step budget and the
+    primes found, the 2x2 endgame and the search did not decide.
 
     swapped marks that the assumption holds for y but not for x.  Local
     conjugacy is symmetric (T in C(x,y) has unit determinant mod p iff
@@ -874,8 +923,8 @@ def decide(
             note="minimal polynomial is not split with distinct integer roots",
         )
     # equal characteristic polynomials force equal spectra
-    assert spx.eigenvalues == spy.eigenvalues
-    assert spx.multiplicities == spy.multiplicities
+    if spx.eigenvalues != spy.eigenvalues or spx.multiplicities != spy.multiplicities:
+        raise CertificateError("equal characteristic polynomials gave unequal spectra")
     rep = check_assumption(x, spectrum=spx)
     swapped = False
     if not rep.holds:
@@ -883,12 +932,21 @@ def decide(
         if rep_y.holds:
             rep = rep_y
             swapped = True
+    # without every relevant prime the theorem cannot apply, but the
+    # primes found can still give an obstruction
+    try:
+        primes, unfactored = relevant_primes(spx), None
+    except FactorizationBudget as exc:
+        primes, unfactored = exc.primes, exc
     lattice = _eigenblock_basis(x, y, spx, spy)
-    locals_ = tuple(
-        local_test(x, y, p, budget=budget, seed=seed, lattice=lattice)
-        for p in relevant_primes(spx)
-    )
-    if any(v.status == "FAIL" for v in locals_):
+    # primes in order, stopping at the first FAIL: one obstruction decides
+    locals_ = []
+    for p in primes:
+        locals_.append(local_test(x, y, p, budget=budget, seed=seed, lattice=lattice))
+        if locals_[-1].status == "FAIL":
+            break
+    locals_ = tuple(locals_)
+    if locals_ and locals_[-1].status == "FAIL":
         return Verdict(
             status="NOT_CONJUGATE",
             reason="local-obstruction",
@@ -896,7 +954,7 @@ def decide(
             assumption=rep,
             swapped=swapped,
         )
-    theorem = rep.holds and all(v.status == "PASS" for v in locals_)
+    theorem = rep.holds and unfactored is None and all(v.status == "PASS" for v in locals_)
     if n == 2 and not theorem:
         return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep)
     conj = None
@@ -926,6 +984,15 @@ def decide(
             local=locals_,
             assumption=rep,
             swapped=swapped,
+        )
+    if unfactored is not None:
+        return Verdict(
+            status="UNKNOWN",
+            reason="factorization-budget",
+            local=locals_,
+            assumption=rep,
+            swapped=swapped,
+            note=str(unfactored),
         )
     return Verdict(
         status="UNKNOWN",

@@ -18,7 +18,7 @@ reductions that vanish mod L standing for invariant factors equal to L.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -53,20 +53,132 @@ def unit_scaling(a: int, q: int):
     return g, u % q
 
 
+class FactorizationBudget(ValueError):
+    """Some cofactor was neither proven prime nor split within the step
+    budget.  primes holds the prime factors that were found.
+    """
+
+    def __init__(self, message: str, primes=()):
+        super().__init__(message)
+        self.primes = list(primes)
+
+
+def _primes_below(n: int):
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, isqrt(n) + 1):
+        sieve[d * d :: d] = False
+    return tuple(np.flatnonzero(sieve).tolist())
+
+
+_SMALL_PRIMES = _primes_below(1000)
+# Miller-Rabin with the first 13 prime bases (2 to 41) is a proof below
+# this bound, the least strong pseudoprime to all of them
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_PROOF_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 20
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on an odd n > 41 with the bases _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int, steps: int):
+    """(d, steps left): a proper factor d of the odd composite n by
+    Pollard-Brent rho within a budget of steps, or d = None once the
+    budget runs out.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            steps -= r
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(128, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                steps -= batch
+                if steps < 0:
+                    return None, steps
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot the collision: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
+    return None, steps
+
+
 def prime_factors(n: int):
-    """Sorted distinct prime factors by trial division."""
+    """Sorted distinct prime factors of n.
+
+    Trial division by the primes below 1000, then Miller-Rabin on each
+    cofactor and Pollard-Brent rho to split the composite ones, under a
+    fixed step budget.  A probable prime is never taken as prime: when a
+    cofactor is neither proven prime nor split within the budget, the
+    other cofactors are still factored and FactorizationBudget is raised
+    with the primes found.
+    """
     n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
+    if n < 2:
+        return []
+    out = set()
+    for d in _SMALL_PRIMES:
+        if d * d > n:
+            break
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    pending = [n] if n > 1 else []
+    stuck = []
+    steps = _RHO_STEPS
+    while pending:
+        c = pending.pop()
+        if c < 1000 * 1000:
+            out.add(c)  # it has no factor below min(1000, sqrt(c))
+        elif _strong_probable_prime(c):
+            if c < _MR_PROOF_LIMIT:
+                out.add(c)
+            else:
+                stuck.append(c)  # a probable prime with no proof
+        else:
+            d, steps = _brent_factor(c, steps)
+            if d is None:
+                stuck.append(c)
+            else:
+                pending += [d, c // d]
+    if stuck:
+        raise FactorizationBudget(
+            "cannot factor %s within the step budget" % ", ".join(map(str, sorted(stuck))),
+            sorted(out),
+        )
+    return sorted(out)
 
 
 def residues(rows, q: int):
@@ -82,29 +194,56 @@ def residues(rows, q: int):
     return (rows % q).astype(dtype, copy=False)
 
 
-def det_mod(rows, p: int) -> int:
-    """Determinant of rows (int lists or an integer array) modulo a prime p.
+def _inverses_mod(v, p: int):
+    """Inverses modulo a prime p of the residues v (0 maps to 0).
 
-    Gaussian elimination over Z/p.
+    Fermat, v^(p-2), by square-and-multiply over the whole array: about
+    2 log2(p) array operations, whatever the length of v.  When v has
+    fewer entries than that, one Python pow per entry is cheaper.
+    """
+    e = p - 2
+    if len(v) < 2 * e.bit_length():
+        return np.array([pow(u, -1, p) if u else 0 for u in v.tolist()], dtype=v.dtype)
+    out = np.ones_like(v)
+    base = v.copy()
+    while e:
+        if e & 1:
+            out = (out * base) % p
+        base = (base * base) % p
+        e >>= 1
+    return out
+
+
+def det_mod(rows, p: int):
+    """Determinant modulo a prime p of one matrix or of a (K, n, n) stack.
+
+    rows: int lists or an integer array.  Returns an int for a matrix and
+    an array of K residues for a stack.  One Gaussian elimination over
+    Z/p runs on every matrix at once, a single matrix being the K = 1
+    stack.  A zero diagonal entry gets the first row below it with a
+    nonzero entry in that column added, which keeps the determinant and
+    needs no sign; with no such row the determinant is 0.  The
+    elimination stops once every determinant is known to be 0.
     """
     a = residues(rows, p)
-    n = a.shape[0]
-    result = 1
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    k, n = a.shape[0], a.shape[-1]
+    result = np.ones(k, dtype=a.dtype)
     for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if len(nz) == 0:
-            return 0
-        piv = int(nz[0]) + c
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            result = -result
-        pv = int(a[c, c])
+        if not a[:, c, c].all():
+            zero = np.flatnonzero(a[:, c, c] == 0)
+            piv = c + np.argmax(a[zero, c:, c] != 0, axis=1)
+            a[zero, c] = (a[zero, c] + a[zero, piv]) % p
+        pv = a[:, c, c]
         result = (result * pv) % p
-        below = a[c + 1 :, c]
-        if below.any():
-            f = (below * pow(pv, -1, p)) % p
-            a[c + 1 :, c:] = (a[c + 1 :, c:] - np.outer(f, a[c, c:])) % p
-    return result % p
+        if not result.any():
+            break
+        if c + 1 < n:
+            f = (a[:, c + 1 :, c] * _inverses_mod(pv, p)[:, None]) % p
+            a[:, c + 1 :, c:] = (a[:, c + 1 :, c:] - f[:, :, None] * a[:, None, c, c:]) % p
+    return int(result[0]) if single else result
 
 
 # -- diagonalization over Z/q --------------------------------------------

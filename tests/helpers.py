@@ -9,6 +9,7 @@ that cannot share their bugs.
 
 import itertools
 import os
+import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -133,6 +134,18 @@ def factor_powers(n: int):
             e += 1
         out.append((p, e))
     return out
+
+
+def prime_factors_trial_division(n: int):
+    """Sorted distinct prime factors of n > 0 by trying every divisor."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
 
 
 def howell_py(gens, m: int, q: int):
@@ -342,3 +355,80 @@ def integer_roots_divisors(poly):
             q[i - 1] = acc
         p = q
     return roots, True
+
+
+def det_mod_list(rows, p: int) -> int:
+    """Determinant modulo a prime p by Gaussian elimination on lists."""
+    a = [[v % p for v in row] for row in rows]
+    n = len(a)
+    out = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            out = -out
+        out = out * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(u - f * v) % p for u, v in zip(a[i], a[c])]
+    return out % p
+
+
+def local_test_sequential(lattice, p: int, budget: int = 100000, seed: int = 0):
+    """The local test one candidate at a time: (status, T, method, phase).
+
+    Candidate order, random draws and budget accounting as in
+    zconj.conjugacy.local_test: basis elements, the first 24 prefix
+    sums, pairs among the first 40, random draws, then every class of
+    C(X,Y)/p in itertools.product order when p^rank <= 2^20.  phase
+    names where the hit came from (deterministic, random, exhaustive).
+    """
+    basis = [flat(b) for b in lattice.basis]
+    m, n = len(basis), lattice.n
+    if m == 0:
+        return "FAIL", None, "exhaustive", None
+
+    def combine(coeffs):
+        vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n * n)]
+        return [vec[r * n : (r + 1) * n] for r in range(n)]
+
+    def unit(coeffs):
+        return det_mod_list(combine(coeffs), p) != 0
+
+    def hit(coeffs, method, phase):
+        return "PASS", IntMatrix(combine(coeffs)), method, phase
+
+    deterministic = [[int(i == j) for i in range(m)] for j in range(m)]
+    deterministic += [[int(i <= j) for i in range(m)] for j in range(min(m, 24))]
+    deterministic += [
+        [int(t in (i, j)) for t in range(m)]
+        for i in range(min(m, 40))
+        for j in range(i + 1, min(m, 40))
+    ]
+    spent = 0
+    for coeffs in deterministic:
+        if spent >= budget:
+            break
+        spent += 1
+        if unit(coeffs):
+            return hit(coeffs, "sampled", "deterministic")
+    exhaustible = p**m <= 1 << 20
+    rng = random.Random(seed)
+    quick = budget
+    if exhaustible:
+        quick = 0 if p**m <= 4096 else min(budget, 4096)
+    while spent < quick:
+        spent += 1
+        coeffs = [rng.randrange(p) for _ in range(m)]
+        if any(coeffs) and unit(coeffs):
+            return hit(coeffs, "sampled", "random")
+    if exhaustible:
+        for coeffs in itertools.product(range(p), repeat=m):
+            if any(coeffs) and unit(coeffs):
+                return hit(coeffs, "exhaustive", "exhaustive")
+        return "FAIL", None, "exhaustive", None
+    return "UNDECIDED", None, None, None

@@ -8,6 +8,7 @@ import sys
 import pytest
 from helpers import (
     det_small,
+    local_test_sequential,
     random_sl,
     random_split_conjugate,
     same_span,
@@ -124,6 +125,76 @@ def test_local_test_finds_certificates():
         v = local_test(x, y, p)
         assert v.status == "PASS"
         assert verify_conjugator(v.certificate, x, y, prime=p)
+
+
+def elementary(n, i, j, s=1):
+    return [[s if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
+
+
+def zero_pair_lattice(mats):
+    """Matrices spanning part of C(0, 0), where every T intertwines."""
+    n = len(mats[0])
+    zero = IntMatrix.zeros(n, n)
+    basis = tuple(IntMatrix(m) for m in mats)
+    return IntertwinerLattice(n=n, basis=basis, source=zero, target=zero)
+
+
+def glue_pair(rng):
+    """Hidden [[aI_2, N], [0, bI_2]] against a hidden copy or diag(a, a, b, b)."""
+    a = rng.randint(-3, 3)
+    b = a + rng.choice((2, 3, 4, 6))
+    nb = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+    x = IntMatrix([[a, 0] + nb[0], [0, a] + nb[1], [0, 0, b, 0], [0, 0, 0, b]])
+    y = x if rng.random() < 0.5 else IntMatrix.diagonal([a, a, b, b])
+    u = random_sl(4, rng)
+    return x, u * y * unimodular_inverse(u)
+
+
+def test_local_test_matches_sequential_oracle():
+    # 3x3 rank-1 pieces: singles, pairs and the prefix sums E11, E11+E22,
+    # E22, E22+E33, E33, 0, E12, 0 are singular; a combination is a unit
+    # mod p iff (c0 - c2)(c1 - c4)(c3 - c5) is
+    pieces = ((0, 0, 1), (1, 1, 1), (0, 0, -1), (2, 2, 1), (1, 1, -1), (2, 2, -1), (0, 1, 1), (0, 1, -1))
+    glued = [elementary(3, i, j, s) for i, j, s in pieces]
+    # first-row matrices: every combination is singular
+    first_row = [elementary(3, 0, j % 3, 1 + j // 3) for j in range(9)]
+    # entries -1, -2, -3 are residues near p: sums of three products near p^2
+    negated = [elementary(3, 0, j % 3, -1 - j // 3) for j in range(9)]
+    cases = [
+        (zero_pair_lattice(glued), 3, 100000),  # random draws, float64 product
+        (zero_pair_lattice(glued), 100000007, 100000),  # int64 product, p^2 m >= 2^53
+        (zero_pair_lattice(glued), 2**31 - 1, 100000),  # object product
+        (zero_pair_lattice(glued), 2**61 - 1, 100000),  # object residues
+        (zero_pair_lattice(glued[:5]), 3, 100000),  # 3^5 <= 4096: straight to every class
+        (zero_pair_lattice(first_row[:6]), 3, 100000),  # exhaustive FAIL
+        (zero_pair_lattice(first_row), 3, 100000),  # random draws, then exhaustive FAIL
+        (zero_pair_lattice(first_row[:4]), 101, 7),  # budget ends the deterministic phase
+        (zero_pair_lattice(glued), 100000007, 30),  # ... and before any draw
+        (zero_pair_lattice(glued), 100000007, 50),  # six draws left
+        (zero_pair_lattice(first_row[:4]), 101, 500),  # budget ends the draws
+        (zero_pair_lattice(negated), 2**31 - 1, 200),  # products past 2^63
+    ]
+    assert 100000007**2 * 8 >= 2**53 and 100000007**2 * 8 < 2**62
+    rng = random.Random(31)
+    for _ in range(12):
+        x, y = glue_pair(rng)
+        lattice = intertwiner_lattice(x, y)
+        cases += [(lattice, p, 100000) for p in relevant_primes(split_spectrum(x))]
+    seen = set()
+    for lattice, p, budget in cases:
+        for seed in (0, 1):
+            x, y = lattice.source, lattice.target
+            v = local_test(x, y, p, budget=budget, seed=seed, lattice=lattice)
+            status, t, method, phase = local_test_sequential(lattice, p, budget=budget, seed=seed)
+            assert (v.status, v.certificate, v.method) == (status, t, method)
+            seen.add((status, phase))
+    assert seen == {
+        ("PASS", "deterministic"),
+        ("PASS", "random"),
+        ("PASS", "exhaustive"),
+        ("FAIL", None),
+        ("UNDECIDED", None),
+    }
 
 
 def test_local_test_fail_is_exhaustive():
@@ -246,6 +317,7 @@ def test_decide_swapped_route():
 def test_certificate_checks_survive_optimize():
     # under python -O a failed re-check must still raise, not be skipped
     code = (
+        "import dataclasses\n"
         "import zconj.conjugacy as c\n"
         "import zconj.spectral as s\n"
         "from zconj.matrix import IntMatrix\n"
@@ -255,6 +327,21 @@ def test_certificate_checks_survive_optimize():
         "    s._check_projector_identities(x, (1, 3), (x, x), (1, 1), (1, 1))\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
+        # y's spectrum listed in the other order: a consistent spectrum,
+        # so only the explicit comparison in decide can object
+        "split = c.split_spectrum\n"
+        "def reordered(m):\n"
+        "    sp = split(m)\n"
+        "    if m != x:\n"
+        "        return sp\n"
+        "    fields = ('eigenvalues', 'multiplicities', 'idempotents', 'scales')\n"
+        "    return dataclasses.replace(sp, **{f: getattr(sp, f)[::-1] for f in fields})\n"
+        "c.split_spectrum = reordered\n"
+        "try:\n"
+        "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "c.split_spectrum = split\n"
         "c.verify_conjugator = lambda *args, **kwargs: False\n"
         "try:\n"
         "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
@@ -268,7 +355,7 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "CertificateError\nCertificateError\n"
+    assert r.stdout == "CertificateError\n" * 3
 
 
 def test_conjugator_search_adjacency_route():
@@ -338,3 +425,71 @@ def test_decide_huge_eigenvalue_gap_without_trial_division():
     assert verdict["certificates"]["local"] == [
         {"p": "3", "status": "FAIL", "method": "exhaustive"}
     ]
+
+
+def test_decide_stops_at_first_local_fail():
+    # eigenvalue gap a - 1 = 2 * 131 * 521 * 73259; p = 2 already FAILs
+    a = 10**10 + 19
+    v = decide(IntMatrix([[1, 1], [0, a]]), IntMatrix.diagonal([1, a]))
+    assert v.status == "NOT_CONJUGATE"
+    assert v.reason == "local-obstruction"
+    assert [(lv.prime, lv.status, lv.method) for lv in v.local] == [(2, "FAIL", "exhaustive")]
+
+
+def decide_in_subprocess(x, y, timeout, **kwargs):
+    """Verdict JSON of decide on the integer rows x and y, run in a new
+    interpreter under a timeout.
+    """
+    code = (
+        "import json\n"
+        "from zconj import IntMatrix, decide\n"
+        "v = decide(IntMatrix(%r), IntMatrix(%r), **%r)\n"
+        "print(json.dumps(v.to_json_obj()))\n" % (x, y, kwargs)
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=timeout,
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+def test_decide_factors_large_eigenvalue_gaps():
+    # the gap (2^31 - 1)(2^61 - 1) is out of reach of trial division
+    n = (2**31 - 1) * (2**61 - 1)
+    verdict = decide_in_subprocess([[0, 1], [0, n]], [[0, 0], [0, n]], timeout=10)
+    assert verdict["status"] == "NOT_CONJUGATE"
+    assert [lv["p"] for lv in verdict["certificates"]["local"]] == [str(2**31 - 1), str(2**61 - 1)]
+
+
+# two primes near 2^60: their product is beyond prime_factors' rho budget
+HARD_SEMIPRIME = 1152921504606846883 * 1152921504606847009
+
+
+def test_decide_past_factorization_budget():
+    s = HARD_SEMIPRIME
+
+    def run(x, y, **kwargs):
+        v = decide_in_subprocess(x, y, timeout=30, **kwargs)
+        local = [(lv["p"], lv["status"]) for lv in v["certificates"].get("local", [])]
+        return v["status"], v["reason"], local
+
+    # 2x2 pairs need no primes: the quadratic-form endgame decides
+    assert run([[0, 1], [0, s]], [[0, 0], [0, s]]) == ("NOT_CONJUGATE", "bqf-certificate", [])
+    # a prime that was found still gives an obstruction
+    assert run([[0, 1], [0, 2 * s]], [[0, 0], [0, 2 * s]]) == (
+        "NOT_CONJUGATE",
+        "local-obstruction",
+        [("2", "FAIL")],
+    )
+    # the theorem needs every relevant prime; the search finds a
+    # conjugator when there is one, and UNKNOWN names the blocker when not
+    y = [[0, 0, 0], [0, s, 0], [0, 0, -1]]
+    status, reason, local = run([[0, s, 0], [0, s, 0], [0, 0, -1]], y, search_budget=1000)
+    assert (status, reason) == ("CONJUGATE", "explicit-conjugator")
+    status, reason, local = run([[0, 1, 0], [0, s, 0], [0, 0, -1]], y, search_budget=1000)
+    assert (status, reason) == ("UNKNOWN", "factorization-budget")
+    assert local and all(st == "PASS" for _, st in local)

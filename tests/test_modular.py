@@ -5,11 +5,13 @@ import random
 from math import gcd
 
 import numpy as np
-from helpers import adjugate, det_small, howell_py
+import pytest
+from helpers import adjugate, det_small, howell_py, prime_factors_trial_division
 
 from zconj.linalg import snf_invariants
 from zconj.matrix import IntMatrix
 from zconj.modular import (
+    FactorizationBudget,
     det_mod,
     inv_mod,
     prime_factors,
@@ -47,6 +49,34 @@ def test_prime_factors():
     assert prime_factors(12) == [2, 3]
     assert prime_factors(97) == [97]
     assert prime_factors(588) == [2, 3, 7]
+
+
+def test_prime_factors_past_trial_division():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randrange(1, 10**9) * rng.choice((1, 997, 1009**2))
+        assert prime_factors(n) == prime_factors(-n) == prime_factors_trial_division(n)
+    assert prime_factors(0) == []
+    # Pollard-Brent splits the semiprime, Miller-Rabin proves both parts
+    assert prime_factors(6 * (2**31 - 1) * (2**61 - 1)) == [2, 3, 2**31 - 1, 2**61 - 1]
+    # a prime power above 10^6 is split by rho too
+    assert prime_factors((10**6 + 3) ** 3) == [10**6 + 3]
+    # the least strong pseudoprime to the bases 2 to 37 is caught by 41
+    assert prime_factors(318665857834031151167461) == [399165290221, 798330580441]
+
+
+def test_prime_factors_gives_up_instead_of_guessing():
+    # 2^89 - 1 is prime, but above the bound where Miller-Rabin with 13
+    # bases is a proof; two primes near 2^60 are beyond the rho budget
+    hard = 1152921504606846883 * 1152921504606847009
+    for n in (2**89 - 1, hard):
+        with pytest.raises(FactorizationBudget) as exc:
+            prime_factors(n)
+        assert exc.value.primes == []
+    # the primes that were found come with the exception
+    with pytest.raises(FactorizationBudget) as exc:
+        prime_factors(12 * 1000003 * hard)
+    assert exc.value.primes == [2, 3, 1000003]
 
 
 def brute_solutions(rows, m, q):
@@ -195,3 +225,34 @@ def test_solve_congruence_lattice_at_dtype_boundary():
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
             assert index * count == q**m
+
+
+def test_det_mod_on_stacks():
+    # one kernel for a matrix and for a (K, n, n) stack, on both sides of
+    # the int64 bound; zero and singular matrices included
+    rng = random.Random(29)
+    for p in (2, 7) + BOUNDARY_PRIMES:
+        for n in range(1, 7):
+            stack = [[[0] * n for _ in range(n)]]
+            for _ in range(12):
+                rows = [[rng.randrange(-2 * p, 2 * p) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.4:
+                    # a row that is a combination of the others mod p
+                    i = rng.randrange(n)
+                    others = rows[:i] + rows[i + 1 :]
+                    coeffs = [rng.randrange(3) for _ in others]
+                    rows[i] = [
+                        sum(c * r[j] for c, r in zip(coeffs, others)) + p * rng.randrange(-2, 3)
+                        for j in range(n)
+                    ]
+                if rng.random() < 0.3:
+                    # a zero diagonal entry that needs a row from below
+                    rows[0][0] = p * rng.randrange(-1, 2)
+                stack.append(rows)
+            expected = [det_small(rows) % p for rows in stack]
+            got = det_mod(stack, p)
+            assert got.shape == (len(stack),)
+            assert [int(v) for v in got] == expected
+            assert [det_mod(rows, p) for rows in stack] == expected
+            if 4 * p < 2**62:
+                assert [int(v) for v in det_mod(np.array(stack, dtype=np.int64), p)] == expected
