@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 
 import numpy as np
 
-from .forms import BinaryQuadraticForm, UnitRepresentation, bqf_represents_unit
+from .forms import BinaryQuadraticForm, FormBudget, UnitRepresentation, bqf_represents_unit
 from .linalg import charpoly, det, fraction_free_rref, kernel_basis, lll_reduce
 from .matrix import CertificateError, IntMatrix, int_dtype
 from .modular import (
     FactorizationBudget,
+    _diagonalize_mod,
     det_mod,
     inv_mod,
     prime_factors,
@@ -52,6 +54,35 @@ def _chunks(total: int, cap: int):
         hi = min(total, lo + size)
         yield lo, hi
         lo, size = hi, min(2 * size, cap)
+
+
+class _Randranges:
+    """rng.randrange(p) drawn in bulk: the same values in the same order.
+
+    randrange(p) draws getrandbits(k), k = p.bit_length(), until the
+    result is below p; getrandbits(k) takes ceil(k/32) 32-bit words of
+    the generator, least significant first, keeping the top bits of the
+    last, and getrandbits(32 N) the next N words in the same order.  So
+    draws are assembled from one buffer of words and the accepted ones
+    kept until asked for; nothing else may draw from rng meanwhile.
+    """
+
+    def __init__(self, rng: random.Random, p: int):
+        self.rng, self.p, self.k = rng, p, p.bit_length()
+        self.w = -(-self.k // 32)
+        self.kept = np.zeros(0, dtype=np.uint64 if self.k <= 64 else object)
+
+    def take(self, count: int):
+        while len(self.kept) < count:
+            draws = 2 * (count - len(self.kept)) + 8  # at least half are accepted
+            words = self.rng.getrandbits(32 * self.w * draws).to_bytes(4 * self.w * draws, "little")
+            words = np.frombuffer(words, "<u4").reshape(draws, self.w).astype(self.kept.dtype)
+            vals = words[:, -1] >> (32 * self.w - self.k)
+            for i in range(self.w - 2, -1, -1):
+                vals = (vals << 32) | words[:, i]
+            self.kept = np.concatenate([self.kept, vals[vals < self.p]])
+        out, self.kept = self.kept[:count], self.kept[count:]
+        return out
 
 
 class RankMismatch(ValueError):
@@ -76,7 +107,8 @@ class IntertwinerLattice:
     aligned is the eigenbasis-aligned intertwiner C B^{-1} (B and C
     stacking the eigenlattice bases of source and target), set when
     both spectra agree and it is integral; it is unimodular exactly
-    when |det B| = |det C|.
+    when |det B| = |det C|.  closed_form, C D = q C B^{-1}, is set when
+    both spectra agree; its determinant is det C q^n / det B.
     """
 
     n: int
@@ -84,6 +116,7 @@ class IntertwinerLattice:
     source: IntMatrix
     target: IntMatrix
     aligned: IntMatrix | None = None
+    closed_form: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -134,8 +167,12 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     spectra) through T B_a = C_a S_a; with D = q B^{-1} (integral
     because q Z^n lies inside the sum of the X-eigenlattices), T =
     (1/q) sum_a C_a S_a D_a, and integrality of T is the congruence
-    sum_a C_a S_a D_a = 0 (mod q) solved over Z/q.  When the spectra
-    agree, C D / q is the aligned intertwiner.
+    sum_a C_a S_a D_a = 0 (mod q) solved over Z/q.  It is solved with D
+    replaced by D V, V the column transform of D's diagonalization mod
+    q: V is invertible mod q, so the solutions stay, and D V is nonzero
+    mod q only in the columns of B's invariant factors other than 1,
+    the only ones kept.  With equal spectra C D intertwines X and Y
+    (closed_form), and C D / q is the aligned intertwiner if integral.
     """
     n = x.nrows
     b_mat, bx = _eigenbases(x, spx)
@@ -144,20 +181,27 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     d_mat = _scaled_inverse(b_mat, q)
     if b_mat * d_mat != IntMatrix.identity(n) * q:
         raise CertificateError("B D is not q I")
-    aligned = None
+    closed_form = aligned = None
     if spx.eigenvalues == spy.eigenvalues and spx.multiplicities == spy.multiplicities:
-        cd = c_mat * d_mat
-        if all(v % q == 0 for row in cd.rows for v in row):
-            aligned = IntMatrix([[v // q for v in row] for row in cd.rows])
+        closed_form = c_mat * d_mat
+        if all(v % q == 0 for row in closed_form.rows for v in row):
+            aligned = IntMatrix([[v // q for v in row] for row in closed_form.rows])
     common = [a for a in spx.eigenvalues if a in cy]
     if not common:
-        return IntertwinerLattice(n=n, basis=(), source=x, target=y, aligned=aligned)
-    # congruence rows: entry (r,c) of sum_a C_a S_a D_a, coefficient of
-    # S_a[u,v] is C_a[r,u] * D_a[v,c]; as a block this is kron(C_a, D_a^t)
+        return IntertwinerLattice(
+            n=n, basis=(), source=x, target=y, aligned=aligned, closed_form=closed_form
+        )
     c = np.array(c_mat.rows, dtype=object)
     d = np.array(d_mat.rows, dtype=object)
+    diag, v = _diagonalize_mod(d, q)
+    keep = [j for j, dj in enumerate(diag) if dj != q]
+    wide = int_dtype(n * q * q)
+    dv = residues(d, q).astype(wide) @ v[:, keep].astype(wide) % q
+    # congruence rows: entry (r,c) of sum_a C_a S_a (D V)_a, coefficient
+    # of S_a[u,v] is C_a[r,u] * (D V)_a[v,c]; as a block this is
+    # kron(C_a, (D V)_a^t)
     eq = np.concatenate(
-        [np.kron(residues(c[:, cy[a]], q), residues(d[bx[a]], q).T) % q for a in common],
+        [np.kron(residues(c[:, cy[a]], q), residues(dv[bx[a]], q).T) % q for a in common],
         axis=1,
     )
     m = eq.shape[1]
@@ -183,7 +227,9 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     ):
         raise CertificateError("lattice element does not intertwine")
     basis = tuple(IntMatrix(b) for b in t.tolist())
-    return IntertwinerLattice(n=n, basis=basis, source=x, target=y, aligned=aligned)
+    return IntertwinerLattice(
+        n=n, basis=basis, source=x, target=y, aligned=aligned, closed_form=closed_form
+    )
 
 
 def _sylvester_basis(x: IntMatrix, y: IntMatrix):
@@ -252,14 +298,12 @@ def relevant_primes(spectrum: SplitSpectrum):
     prime found.
     """
     out, stuck = set(), []
-    eig = spectrum.eigenvalues
-    for i in range(len(eig)):
-        for j in range(i + 1, len(eig)):
-            try:
-                out.update(prime_factors(eig[i] - eig[j]))
-            except FactorizationBudget as exc:
-                out.update(exc.primes)
-                stuck.append(str(exc))
+    for a, b in combinations(spectrum.eigenvalues, 2):
+        try:
+            out.update(prime_factors(a - b))
+        except FactorizationBudget as exc:
+            out.update(exc.primes)
+            stuck.append(str(exc))
     if stuck:
         raise FactorizationBudget("; ".join(stuck), sorted(out))
     return sorted(out)
@@ -272,7 +316,7 @@ class LocalVerdict:
     prime: int
     status: str  # PASS | FAIL | UNDECIDED
     certificate: IntMatrix | None = None
-    method: str | None = None  # sampled | exhaustive | supplied
+    method: str | None = None  # closed-form | sampled | exhaustive
 
     def to_json_obj(self):
         obj = {"p": str(self.prime), "status": self.status}
@@ -367,13 +411,12 @@ def local_test(
         """Residue rows of the combinations of the basis given as rows of coeffs."""
         return ((coeffs.astype(dtype) @ basis) % p).astype(res.dtype)
 
-    rng = random.Random(seed)
+    draws = _Randranges(random.Random(seed), p)
     quick = budget
     if exhaustible:
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
     for lo, hi in _chunks(quick - spent, cap):
-        draws = [rng.randrange(p) for _ in range((hi - lo) * m)]
-        coeffs = np.array(draws, dtype=res.dtype).reshape(-1, m)
+        coeffs = draws.take((hi - lo) * m).astype(res.dtype).reshape(-1, m)
         hit = first_unit(combinations(coeffs))
         if hit is not None:
             return certify(coeffs[hit], "sampled")
@@ -696,7 +739,8 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
                         break
                 if best and best[0] == 1:
                     break
-            assert best is not None and best[0] < g0, "unit pivot must be reachable"
+            if best is None or best[0] >= g0:
+                raise CertificateError("no unit pivot is reachable")
             shear(c, best[1], best[2])
         uinv = inv_mod(w[c][c], q)
         for i in range(n):
@@ -715,8 +759,8 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
         shear(c, c + 1, z)
         shear(c + 1, c, (q - u) % q)
         shear(c, c + 1, z)
-        assert w[c][c] == 1
-    assert w == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if w != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
+        raise CertificateError("shears did not reduce the matrix to the identity")
     # m = (E_r ... E_1)^{-1} = E_1^{-1} ... E_r^{-1} mod q; lift each
     # inverse shear with a balanced representative and multiply
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -791,83 +835,40 @@ class Verdict:
 
 def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
     """Exact 2x2 endgame through the determinant form of C(X,Y)."""
+
+    def verdict(status, reason, **kw):
+        return Verdict(status=status, reason=reason, local=tuple(locals_), assumption=assumption, **kw)
+
     r = lattice.rank
     if r == 0:
-        return Verdict(
-            status="NOT_CONJUGATE",
-            reason="bqf-certificate",
-            local=tuple(locals_),
-            assumption=assumption,
-            note="intertwiner lattice is zero",
-        )
+        return verdict("NOT_CONJUGATE", "bqf-certificate", note="intertwiner lattice is zero")
     if r == 1:
         b1 = lattice.basis[0]
         d = det(b1)
         if abs(d) == 1:
-            return Verdict(
-                status="CONJUGATE",
-                reason="explicit-conjugator",
-                conjugator=_certified(b1, x, y),
-                local=tuple(locals_),
-                assumption=assumption,
-            )
-        return Verdict(
-            status="NOT_CONJUGATE",
-            reason="bqf-certificate",
-            local=tuple(locals_),
-            assumption=assumption,
-            note="rank-1 lattice with |det| = %d" % abs(d),
-        )
+            return verdict("CONJUGATE", "explicit-conjugator", conjugator=_certified(b1, x, y))
+        return verdict("NOT_CONJUGATE", "bqf-certificate", note="rank-1 lattice with |det| = %d" % abs(d))
     if r == 2:
         form = bqf_from_lattice(lattice)
         if form.is_zero:
-            return Verdict(
-                status="NOT_CONJUGATE",
-                reason="bqf-certificate",
-                bqf=form,
-                local=tuple(locals_),
-                assumption=assumption,
-                note="determinant form vanishes identically",
+            return verdict(
+                "NOT_CONJUGATE", "bqf-certificate", bqf=form, note="determinant form vanishes identically"
             )
-        rep = bqf_represents_unit(form)
+        try:
+            rep = bqf_represents_unit(form)
+        except FormBudget as exc:
+            return verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
         if rep.represents:
             xc, yc = rep.witness
             t = _certified(lattice.basis[0] * xc + lattice.basis[1] * yc, x, y)
-            return Verdict(
-                status="CONJUGATE",
-                reason="explicit-conjugator",
-                conjugator=t,
-                bqf=form,
-                bqf_proof=rep,
-                local=tuple(locals_),
-                assumption=assumption,
-            )
-        return Verdict(
-            status="NOT_CONJUGATE",
-            reason="bqf-certificate",
-            bqf=form,
-            bqf_proof=rep,
-            local=tuple(locals_),
-            assumption=assumption,
-        )
+            return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
+        return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
     # rank 3 cannot occur for 2x2; rank 4 means both scalar (equal was
     # handled); decide by direct search as a safety net
     t = conjugator_search(lattice)
     if t is not None:
-        return Verdict(
-            status="CONJUGATE",
-            reason="explicit-conjugator",
-            conjugator=t,
-            local=tuple(locals_),
-            assumption=assumption,
-        )
-    return Verdict(
-        status="UNKNOWN",
-        reason="unsupported",
-        local=tuple(locals_),
-        assumption=assumption,
-        note="degenerate high-rank 2x2 lattice",
-    )
+        return verdict("CONJUGATE", "explicit-conjugator", conjugator=t)
+    return verdict("UNKNOWN", "unsupported", note="degenerate high-rank 2x2 lattice")
 
 
 def decide(
@@ -883,13 +884,15 @@ def decide(
     Pipeline: identical inputs; characteristic polynomial comparison;
     split-spectrum analysis with the exponent assumption checked on x
     and then y; local tests at the relevant primes in increasing order,
-    always on C(x,y), stopping at the first FAIL (so local ends there);
-    the local-global theorem when the assumption holds and all locals
-    pass; the exact quadratic-form endgame for n = 2; explicit
-    conjugator search otherwise.  UNKNOWN verdicts name what blocked
-    the decision, factorization-budget when an eigenvalue difference
-    could not be factored within prime_factors' step budget and the
-    primes found, the 2x2 endgame and the search did not decide.
+    always on C(x,y), stopping at the first FAIL (so local ends there),
+    each a closed-form PASS when the lattice's C D verifies there and a
+    local_test otherwise; the local-global theorem when the assumption
+    holds and all locals pass; the exact quadratic-form endgame for n =
+    2; explicit conjugator search otherwise.  UNKNOWN verdicts name what
+    blocked the decision: factorization-budget when an eigenvalue
+    difference could not be factored within prime_factors' step budget
+    and the primes found, the 2x2 endgame and the search did not
+    decide; form-budget when the form endgame passed its step cap.
 
     swapped marks that the assumption holds for y but not for x.  Local
     conjugacy is symmetric (T in C(x,y) has unit determinant mod p iff
@@ -902,10 +905,7 @@ def decide(
         raise ValueError("conjugacy needs square matrices of equal size")
     n = x.nrows
     if x == y:
-        ident = IntMatrix.identity(n)
-        return Verdict(
-            status="CONJUGATE", reason="explicit-conjugator", conjugator=ident
-        )
+        return Verdict(status="CONJUGATE", reason="explicit-conjugator", conjugator=IntMatrix.identity(n))
     if charpoly(x) != charpoly(y):
         return Verdict(status="NOT_CONJUGATE", reason="charpoly-mismatch")
     try:
@@ -939,21 +939,24 @@ def decide(
     except FactorizationBudget as exc:
         primes, unfactored = exc.primes, exc
     lattice = _eigenblock_basis(x, y, spx, spy)
-    # primes in order, stopping at the first FAIL: one obstruction decides
+    # primes in order, stopping at the first FAIL: one obstruction decides.
+    # The lattice's closed form C D is offered first at each prime
+    cd = lattice.closed_form
     locals_ = []
     for p in primes:
+        if verify_conjugator(cd, x, y, prime=p):
+            locals_.append(LocalVerdict(prime=p, status="PASS", certificate=cd, method="closed-form"))
+            continue
         locals_.append(local_test(x, y, p, budget=budget, seed=seed, lattice=lattice))
         if locals_[-1].status == "FAIL":
             break
     locals_ = tuple(locals_)
+
+    def verdict(status, reason, **kw):
+        return Verdict(status=status, reason=reason, local=locals_, assumption=rep, swapped=swapped, **kw)
+
     if locals_ and locals_[-1].status == "FAIL":
-        return Verdict(
-            status="NOT_CONJUGATE",
-            reason="local-obstruction",
-            local=locals_,
-            assumption=rep,
-            swapped=swapped,
-        )
+        return verdict("NOT_CONJUGATE", "local-obstruction")
     theorem = rep.holds and unfactored is None and all(v.status == "PASS" for v in locals_)
     if n == 2 and not theorem:
         return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep)
@@ -961,44 +964,13 @@ def decide(
     if n <= search_dim_cap or not theorem:
         conj = conjugator_search(lattice, budget=search_budget, seed=seed)
     if conj is not None:
-        return Verdict(
-            status="CONJUGATE",
-            reason="explicit-conjugator",
-            conjugator=_certified(conj, x, y),
-            local=locals_,
-            assumption=rep,
-            swapped=swapped,
-        )
+        return verdict("CONJUGATE", "explicit-conjugator", conjugator=_certified(conj, x, y))
     if theorem:
-        return Verdict(
-            status="CONJUGATE",
-            reason="theorem+local-passes",
-            local=locals_,
-            assumption=rep,
-            swapped=swapped,
-        )
+        return verdict("CONJUGATE", "theorem+local-passes")
     if not rep.holds:
-        return Verdict(
-            status="UNKNOWN",
-            reason="assumption-unverified",
-            local=locals_,
-            assumption=rep,
-            swapped=swapped,
-        )
+        return verdict("UNKNOWN", "assumption-unverified")
     if unfactored is not None:
-        return Verdict(
-            status="UNKNOWN",
-            reason="factorization-budget",
-            local=locals_,
-            assumption=rep,
-            swapped=swapped,
-            note=str(unfactored),
-        )
-    return Verdict(
-        status="UNKNOWN",
-        reason="local-undecided",
-        local=locals_,
-        assumption=rep,
-        swapped=swapped,
-        note="some local test exhausted its budget without a verdict",
+        return verdict("UNKNOWN", "factorization-budget", note=str(unfactored))
+    return verdict(
+        "UNKNOWN", "local-undecided", note="some local test exhausted its budget without a verdict"
     )

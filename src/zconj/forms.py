@@ -20,7 +20,17 @@ pulled back to the original variables and re-verified by evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
+
+from .linalg import xgcd
+from .matrix import CertificateError
+
+_REDUCTION_STEPS = 10000
+_CYCLE_STEPS = 200000
+
+
+class FormBudget(RuntimeError):
+    """The rho reduction or cycle walk passed its step cap."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,8 @@ def _mat_mul(m1, m2):
 
 def _witness(form, x, y):
     v = form.evaluate(x, y)
-    assert v in (1, -1)
+    if v not in (1, -1):
+        raise CertificateError("witness does not represent a unit")
     return UnitRepresentation(represents=True, witness=(x, y), value=v)
 
 
@@ -117,21 +128,10 @@ def _solve_linear(a: int, b: int, t: int):
     """One integer solution (x, y) of a x + b y = t, or None."""
     if a == 0 and b == 0:
         return (0, 0) if t == 0 else None
-    g = gcd(a, b)
+    g, x, y = xgcd(a, b)
     if t % g:
         return None
-    # extended euclid on (a, b)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t2 = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t2 = t2, old_t - quo * t2
-    scale = t // g
-    sign = 1 if old_r > 0 else -1
-    return (old_s * scale * sign, old_t * scale * sign)
+    return (x * (t // g), y * (t // g))
 
 
 def _unit_by_factor_system(form: BinaryQuadraticForm):
@@ -143,7 +143,8 @@ def _unit_by_factor_system(form: BinaryQuadraticForm):
     a, b, c = form.a, form.b, form.c
     d = form.discriminant
     e = isqrt(d) if d >= 0 else -1
-    assert d >= 0 and e * e == d, "factor system needs a square discriminant"
+    if d < 0 or e * e != d:
+        raise ValueError("factor system needs a square discriminant")
     no = UnitRepresentation(represents=False, proof="factor-system")
     if a == 0:
         # f = y (b x + c y); a unit forces y = ±1 and the factor = ±1
@@ -186,7 +187,8 @@ def _unit_by_factor_system(form: BinaryQuadraticForm):
 
 
 def _signed_divisors(n: int):
-    assert n > 0
+    if n <= 0:
+        raise ValueError("divisors of a positive integer only")
     out = []
     d = 1
     while d * d <= n:
@@ -230,10 +232,10 @@ def _unit_by_cycle(form: BinaryQuadraticForm):
     """
     disc = form.discriminant
     e = isqrt(disc)
-    assert disc > 4 and e * e != disc
-    a, b, c = form.a, form.b, form.c
+    if disc <= 4 or e * e == disc:
+        raise ValueError("cycle walk needs a non-square discriminant above 4")
     # a = 0 or c = 0 would force a square discriminant b^2
-    assert a != 0 and c != 0
+    a, b, c = form.a, form.b, form.c
     m = ((1, 0), (0, 1))
     steps = 0
     while not _is_reduced_indefinite(a, b, e):
@@ -241,7 +243,8 @@ def _unit_by_cycle(form: BinaryQuadraticForm):
         m = _mat_mul(m, ((0, -1), (1, s)))
         a, b, c = aa, r, cc
         steps += 1
-        assert steps < 10000, "reduction failed to terminate"
+        if steps >= _REDUCTION_STEPS:
+            raise FormBudget("reduction took %d steps" % steps)
     start = (a, b, c)
     while True:
         if a in (1, -1):
@@ -251,7 +254,8 @@ def _unit_by_cycle(form: BinaryQuadraticForm):
         m = _mat_mul(m, ((0, -1), (1, s)))
         a, b, c = aa, r, cc
         steps += 1
-        assert steps < 200000, "cycle walk failed to terminate"
+        if steps >= _CYCLE_STEPS:
+            raise FormBudget("cycle walk took %d steps" % steps)
         if (a, b, c) == start:
             return UnitRepresentation(represents=False, proof="cycle-exclusion")
 

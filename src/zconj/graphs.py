@@ -26,17 +26,6 @@ class NotThreeModFour(ValueError):
     """The construction needs a prime p with p = 3 mod 4."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # polynomials over Z/p: tuples of coefficients, constant first,
 # trailing zeros trimmed
 
@@ -197,7 +186,7 @@ def field_build(p: int, degree: int) -> FieldSpec:
     coefficients compared first) and takes the first irreducible one
     whose canonical root generates the multiplicative group.
     """
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError("p must be prime, got %d" % p)
     if p % 4 != 3:
         raise NotThreeModFour("p must be 3 mod 4, got %d" % p)

@@ -27,6 +27,7 @@ from math import gcd, prod
 import numpy as np
 
 from .matrix import CertificateError, IntMatrix, int_dtype
+from .modular import solve_congruence_lattice
 
 
 def xgcd(a: int, b: int):
@@ -359,9 +360,6 @@ def _kernel_basis_rref(matrix: IntMatrix):
         return []
     num = r_mat[: len(pivots), free].astype(object)
     den = abs(d) // gcd(d, *num.flat)
-    # deferred to avoid a module cycle: modular pulls xgcd from here
-    from .modular import solve_congruence_lattice
-
     coeffs = solve_congruence_lattice((num // (d // den)).tolist(), len(free), den)
     coeffs = np.array(coeffs, dtype=object).reshape(-1, len(free))
     pivot_part = num @ coeffs.T

@@ -1,36 +1,37 @@
 """Linear algebra over Z/q and lattices defined by congruences.
 
 The central object is the solution lattice {s in Z^m : A s = 0 (mod q)}.
-It always contains q Z^m, so a triangular basis can be maintained with
-all intermediate entries reduced mod q.  Every kernel here keeps its
-residues in [0, q), so no intermediate exceeds q^2 + q in magnitude;
-that bound picks the numpy dtype (int64 for small q, Python ints
-otherwise) and the same code runs for every modulus.
+It always contains q Z^m, so its Hermite normal form can be built with
+all entries reduced mod q.  A is diagonalized by a chain-ring
+eliminator: q splits into coprime prime powers p^k, over Z/p^k every
+entry is p^l times a unit and pivots go by level l, and the Chinese
+remainder theorem joins the pieces.  Every kernel keeps its residues in
+[0, q), so no intermediate exceeds q^2 + q in magnitude; that bound
+picks the numpy dtype (int64 for small q, Python ints otherwise) and
+the same code runs for every modulus.
 
 Also here: the invariant-factor shortcut for scaled idempotents.  If
 E * E = L * E exactly, every invariant factor of E divides L (for v in
 the saturation of the column space, c v = E w gives c E v = L c v, so
 L v lies in the column space), the matrix is semisimple with spectrum
 in {0, L}, and rank(E) = trace(E) / L.  The invariant factors are then
-read off from a Smith chain over Z/L, with rank many in total and the
-reductions that vanish mod L standing for invariant factors equal to L.
+read off the diagonalization over Z/L, with rank many in total and the
+entries that vanish mod L standing for invariant factors equal to L.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, isqrt
 
 import numpy as np
 
-from .linalg import xgcd
 from .matrix import IntMatrix, int_dtype
 
 
 def inv_mod(a: int, q: int) -> int:
-    g, x, _ = xgcd(a % q, q)
-    if g != 1:
-        raise ValueError("%d is not a unit modulo %d" % (a, q))
-    return x % q
+    """Inverse of a modulo q; ValueError when a is not a unit."""
+    return pow(a, -1, q)
 
 
 def unit_scaling(a: int, q: int):
@@ -134,6 +135,23 @@ def _brent_factor(n: int, steps: int):
     return None, steps
 
 
+def _trial_division(n: int):
+    """([(p, k)] for the primes p below 1000 with p^k exactly dividing n,
+    cofactor); the loop stops at p^2 > n, so a cofactor below 10^6 is 1
+    or prime."""
+    out = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+    return out, n
+
+
 def prime_factors(n: int):
     """Sorted distinct prime factors of n.
 
@@ -144,17 +162,10 @@ def prime_factors(n: int):
     other cofactors are still factored and FactorizationBudget is raised
     with the primes found.
     """
-    n = abs(n)
-    if n < 2:
+    if abs(n) < 2:
         return []
-    out = set()
-    for d in _SMALL_PRIMES:
-        if d * d > n:
-            break
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
+    small, n = _trial_division(abs(n))
+    out = {p for p, _ in small}
     pending = [n] if n > 1 else []
     stuck = []
     steps = _RHO_STEPS
@@ -249,58 +260,108 @@ def det_mod(rows, p: int):
 # -- diagonalization over Z/q --------------------------------------------
 
 
+class _ZeroDivisor(ArithmeticError):
+    """A base taken for a prime has a proper factor, args[0]."""
+
+
+def _local_moduli(q: int):
+    """Pairwise coprime [(b, k)] with q = prod b^k: the primes below 1000,
+    and the cofactor as one base taken for a prime until an entry shows
+    otherwise, so no modulus needs a full factorization."""
+    small, rest = _trial_division(q)
+    return small + [(rest, 1)] if rest > 1 else small
+
+
+def _refine(b: int, g: int):
+    """Pairwise coprime [(c, f)] with b = prod c^f, given a proper factor g of b."""
+    parts = Counter([g, b // g])
+    while True:
+        pair = next(((x, y) for x in parts for y in parts if x < y and gcd(x, y) > 1), None)
+        if pair is None:
+            return sorted(parts.items())
+        x, y = pair
+        d, fx, fy = gcd(x, y), parts.pop(x), parts.pop(y)
+        for c, f in ((d, fx + fy), (x // d, fx), (y // d, fy)):
+            if c > 1:
+                parts[c] += f
+
+
+def _eliminate_chain(a, b: int, k: int):
+    """Diagonalize the residues a modulo b^k in place; (levels, V).
+
+    At level l every entry of the residual block is divisible by b^l,
+    and a pivot is any entry that b^(l+1) does not divide, found by
+    scanning one row; a row without one moves below the candidates,
+    where this level's row operations keep it divisible by b^(l+1).
+    Row operations clear the pivot's column, after which clearing its
+    row only changes V.  levels[j] is the level of the j-th pivot.  A
+    base b that is not prime raises _ZeroDivisor with a proper factor
+    when a pivot is not b^l times a unit.
+    """
+    n_mod = b**k
+    nrows, ncols = a.shape
+    v = np.eye(ncols, dtype=a.dtype)
+    levels = []
+    t = 0
+    for level in range(k):
+        low, high = b**level, b ** (level + 1)
+        end = nrows  # rows t..end-1 may still hold a pivot of this level
+        while t < min(end, ncols):
+            hits = np.flatnonzero(a[t, t:] % high)
+            if not len(hits):
+                end -= 1
+                a[[t, end]] = a[[end, t]]
+                continue
+            j = t + int(hits[0])
+            a[:, [t, j]] = a[:, [j, t]]
+            v[:, [t, j]] = v[:, [j, t]]
+            unit = int(a[t, t]) // low
+            if gcd(unit, b) != 1:
+                raise _ZeroDivisor(gcd(unit, b))
+            inv = pow(unit, -1, n_mod // low)
+            below = t + 1 + np.flatnonzero(a[t + 1 :, t])
+            if len(below):
+                f = (a[below, t] // low) * inv % n_mod
+                a[below, t:] = (a[below, t:] - f[:, None] * a[t, t:]) % n_mod
+            right = t + 1 + np.flatnonzero(a[t, t + 1 :])
+            if len(right):
+                f = (a[t, right] // low) * inv % n_mod
+                cols = np.ix_(np.flatnonzero(v[:, t]), right)
+                v[cols] = (v[cols] - v[cols[0], t] * f) % n_mod
+                a[t, right] = 0
+            levels.append(level)
+            t += 1
+    return levels, v
+
+
 def _diagonalize_mod(rows, q: int):
     """Diagonalize rows over Z/q; returns (diag, V).
 
-    Row and column operations invertible mod q only; V collects the
-    column side so that the solution lattice can be reconstructed.
-    Each pivot is an entry of least gcd with q in the residual block;
-    when it fails to divide its row or column, the sweep repeats with
-    the smaller gcd it leaves behind.
+    U A V = D (mod q) for some U invertible mod q; diag lists, for each
+    of the m columns, the divisor gcd(D_jj, q) of q, each dividing the
+    next.  q is split into coprime prime powers, each diagonalized by
+    _eliminate_chain, and the pieces are put together by the Chinese
+    remainder theorem: diagonal entries multiply, V is the combination
+    of the local transforms.
     """
     a = residues(rows, q)
-    nrows, ncols = a.shape
-    v = np.eye(ncols, dtype=a.dtype)
-    steps = min(nrows, ncols)
-    t = 0
-    while t < steps:
-        block = a[t:, t:]
-        nz = block != 0
-        if not nz.any():
-            break
-        while True:
-            block = a[t:, t:]
-            nz = block != 0
-            gs = np.gcd(block, q)
-            gs[~nz] = q + 1
-            i, j = np.unravel_index(int(np.argmin(gs)), gs.shape)
-            i += t
-            j += t
-            if i != t:
-                a[[t, i], :] = a[[i, t], :]
-            if j != t:
-                a[:, [t, j]] = a[:, [j, t]]
-                v[:, [t, j]] = v[:, [j, t]]
-            g, u = unit_scaling(int(a[t, t]), q)
-            if u != 1:
-                a[t, t:] = (a[t, t:] * u) % q
-            piv = g
-            col = a[t + 1 :, t]
-            if col.any():
-                f = col // piv
-                a[t + 1 :, t:] = (a[t + 1 :, t:] - np.outer(f, a[t, t:])) % q
-                if a[t + 1 :, t].any():
-                    continue
-            row = a[t, t + 1 :]
-            if row.any():
-                f = row // piv
-                a[:, t + 1 :] = (a[:, t + 1 :] - np.outer(a[:, t], f)) % q
-                v[:, t + 1 :] = (v[:, t + 1 :] - np.outer(v[:, t], f)) % q
-                if a[t, t + 1 :].any() or a[t + 1 :, t].any():
-                    continue
-            break
-        t += 1
-    diag = [int(a[i, i]) for i in range(t)]
+    m = a.shape[1]
+    diag = [1] * m
+    v = np.zeros((m, m), dtype=a.dtype)
+    pending = _local_moduli(q)
+    while pending:
+        b, k = pending.pop()
+        try:
+            levels, vb = _eliminate_chain(residues(a, b**k), b, k)
+        except _ZeroDivisor as exc:
+            pending += [(c, f * k) for c, f in _refine(b, exc.args[0])]
+            continue
+        n_mod = b**k
+        for j in range(m):
+            diag[j] *= b ** levels[j] if j < len(levels) else n_mod
+        # times the idempotent that is 1 mod b^k and 0 mod the rest of q
+        rest = q // n_mod
+        v = (v + residues(vb, q) * (rest * inv_mod(rest, n_mod) % q)) % q
     return diag, v
 
 
@@ -308,78 +369,60 @@ def _diagonalize_mod(rows, q: int):
 
 
 def _kernel_gens(diag, v, q: int):
-    """Generators (q / gcd(d_j, q)) V e_j of the solution lattice, as rows."""
-    m = v.shape[1]
-    d = list(diag) + [0] * (m - len(diag))
-    mults = np.array([q // gcd(x, q) for x in d], dtype=v.dtype)
+    """Generators (q / d_j) V e_j of the solution lattice, as rows."""
+    mults = np.array([q // d for d in diag], dtype=v.dtype)
     gens = ((v * mults) % q).T
     return gens[(gens != 0).any(axis=1)]
 
 
-def _howell(gens, m: int, q: int):
-    pool = residues(gens, q)
+def triangular_lattice_basis(gens, m: int, q: int):
+    """Hermite normal form of the lattice spanned by gens and q Z^m.
+
+    Row j has its pivot at column j, the pivot divides q, and a column no
+    generator reaches gets the plain q e_j row.  Column by column, the
+    pool row whose entry has the least gcd g with q is scaled to g and
+    clears the column in the other rows; when g fails to divide some
+    entry (composite q) the step repeats with the smaller gcd left
+    behind.  The pivot row then leaves the pool and its multiple by q/g,
+    which vanishes in the column, takes its slot, so the pool never
+    grows and every row is zero left of the column.
+    """
+    pool = residues(gens if len(gens) else [[0] * m], q)
     out = {}
     for col in range(m):
         while True:
-            mask = pool[:, col] != 0
-            if not mask.any():
+            active = np.flatnonzero(pool[:, col])
+            if not len(active):
                 break
-            active = np.nonzero(mask)[0]
-            vals = pool[active, col]
-            gs = np.gcd(vals, q)
-            kbest = active[int(np.argmin(gs))]
+            kbest = active[int(np.argmin(np.gcd(pool[active, col], q)))]
             g, u = unit_scaling(int(pool[kbest, col]), q)
             if u != 1:
-                pool[kbest] = (pool[kbest] * u) % q
+                pool[kbest, col:] = (pool[kbest, col:] * u) % q
             pivrow = pool[kbest].copy()
             others = active[active != kbest]
             if len(others):
                 f = pool[others, col] // g
-                pool[others] = (pool[others] - np.outer(f, pivrow)) % q
-            pool[kbest] = 0
-            if not (pool[:, col] != 0).any():
-                out[col] = pivrow
-                ann = q // gcd(g, q)
-                if ann > 1:
-                    annrow = (pivrow * ann) % q
-                    if annrow.any():
-                        pool = np.vstack([pool, annrow[None, :]])
-                break
-            pool = np.vstack([pool, pivrow[None, :]])
-    basis = []
-    for col in range(m):
-        if col in out:
-            row = out[col].copy()
-            row[col] = gcd(int(row[col]), q)
-            basis.append(row)
-        else:
-            row = np.zeros(m, dtype=pool.dtype)
-            row[col] = q
-            basis.append(row)
-    basis = np.array(basis, dtype=pool.dtype)
+                pool[others, col:] = (pool[others, col:] - np.outer(f, pivrow[col:])) % q
+                if pool[others, col].any():
+                    continue
+            out[col] = pivrow
+            pool[kbest] = (pivrow * (q // g)) % q
+            break
+    basis = np.eye(m, dtype=pool.dtype) * q
+    for col, row in out.items():
+        basis[col] = row
+        basis[col, col] = gcd(int(row[col]), q)
     # reduce entries above each pivot; reducing mod q afterwards only
     # adds q e_j rows, which lie in the lattice, and never touches the
     # pivots sitting strictly left of the current column
     for col in range(m):
         d = int(basis[col, col])
-        above = basis[:col, col]
-        f = above // d
-        if f.any():
-            basis[:col, col:] = basis[:col, col:] - np.outer(f, basis[col, col:])
-            basis[:col, col + 1 :] %= q
-    return [tuple(int(x) for x in row) for row in basis]
-
-
-def triangular_lattice_basis(gens, m: int, q: int):
-    """Triangular basis of the lattice generated by gens together with qZ^m.
-
-    Rows of the result form a basis: row j has its pivot at column j,
-    the pivot divides q, and a column no generator reaches gets the
-    plain q e_j row.
-    """
-    if len(gens) == 0:
-        gens = [[0] * m]
-    return _howell(gens, m, q)
+        rows = np.flatnonzero(basis[:col, col] >= d)
+        if len(rows):
+            f = basis[rows, col] // d
+            basis[rows, col:] = basis[rows, col:] - np.outer(f, basis[col, col:])
+            basis[rows, col + 1 :] %= q
+    return [tuple(row) for row in basis.tolist()]
 
 
 def solve_congruence_lattice(rows, m: int, q: int):
@@ -387,13 +430,12 @@ def solve_congruence_lattice(rows, m: int, q: int):
 
     Diagonalize A over Z/q as U A V = D; with t = V^-1 s the system
     becomes d_j t_j = 0 (mod q), so the solutions are generated by
-    (q / gcd(d_j, q)) V e_j together with q Z^m.
+    (q / gcd(d_j, q)) V e_j together with q Z^m.  The result is the
+    Hermite normal form, so it does not depend on how D was found.
     """
     if q <= 1:
         return [tuple(q if i == j else 0 for i in range(m)) for j in range(m)] if q else []
-    if len(rows) == 0:
-        rows = [[0] * m]
-    diag, v = _diagonalize_mod(rows, q)
+    diag, v = _diagonalize_mod(rows if len(rows) else [[0] * m], q)
     return triangular_lattice_basis(_kernel_gens(diag, v, q), m, q)
 
 
@@ -408,8 +450,9 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     """Invariant factors of a matrix E satisfying E*E = scale*E exactly.
 
     Verifies the identity, derives rank = trace/scale, and reads the
-    invariant factors from a Smith chain over Z/scale; a diagonal entry
-    that vanishes mod scale is an invariant factor equal to scale.
+    invariant factors from the diagonalization over Z/scale, whose
+    divisors form a chain; a diagonal entry that vanishes mod scale is
+    an invariant factor equal to scale.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -424,16 +467,8 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     if scale == 1:
         return (1,) * r
     diag, _ = _diagonalize_mod(e.rows, scale)
-    vals = [gcd(d, scale) for d in diag if d]
-    # Smith chain over divisors of the scale
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            a, b = vals[i], vals[j]
-            if b % a:
-                g = gcd(a, b)
-                vals[i], vals[j] = g, a // g * b
-    # an entry equal to the scale vanishes mod the scale
-    vals = sorted(x for x in vals if x != scale)
+    # a divisor chain already; an entry equal to the scale vanishes mod it
+    vals = [d for d in diag if d != scale]
     if len(vals) > r:
         raise NotScaledIdempotent("more invariant factors than the rank allows")
     return tuple(vals) + (scale,) * (r - len(vals))

@@ -205,6 +205,93 @@ def howell_py(gens, m: int, q: int):
     return [tuple(row) for row in basis]
 
 
+def diagonalize_mod_gcd_sweep(rows, q: int):
+    """(diag, V) over Z/q by the gcd sweep, on lists of Python ints.
+
+    Row and column operations invertible mod q; each pivot is an entry
+    of least gcd with q in the residual block (first in row-major order
+    among ties), and the sweep repeats while the pivot fails to divide
+    its column or row.  diag holds the raw pivots, V the column side.
+    """
+    a = [[x % q for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    t = 0
+    while t < min(nrows, ncols):
+        if not any(a[i][j] for i in range(t, nrows) for j in range(t, ncols)):
+            break
+        while True:
+            _, i, j = min(
+                (gcd(a[i][j], q), i, j)
+                for i in range(t, nrows)
+                for j in range(t, ncols)
+                if a[i][j]
+            )
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            piv, u = unit_scaling(a[t][t], q)
+            a[t] = [x * u % q for x in a[t]]
+            for r in range(t + 1, nrows):
+                f = a[r][t] // piv
+                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[t])]
+            if any(a[r][t] for r in range(t + 1, nrows)):
+                continue
+            f = [a[t][c] // piv for c in range(ncols)]
+            for row in a + v:
+                for c in range(t + 1, ncols):
+                    row[c] = (row[c] - row[t] * f[c]) % q
+            if any(a[t][t + 1 :]) or any(a[r][t] for r in range(t + 1, nrows)):
+                continue
+            break
+        t += 1
+    return [a[i][i] for i in range(t)], v
+
+
+def solve_congruence_lattice_full(rows, m: int, q: int):
+    """Triangular basis of {s : A s = 0 (mod q)}: the gcd sweep, the
+    generators (q / gcd(d_j, q)) V e_j, then howell_py."""
+    diag, v = diagonalize_mod_gcd_sweep(rows, q)
+    diag = list(diag) + [0] * (m - len(diag))
+    gens = [[v[i][j] * (q // gcd(diag[j], q)) % q for i in range(m)] for j in range(m)]
+    gens = [g for g in gens if any(g)] or [[0] * m]
+    return howell_py(gens, m, q)
+
+
+def eigenblock_basis_full(x: IntMatrix, y: IntMatrix, spx, spy):
+    """Basis of C(X,Y) for split X, Y from the uncompressed system.
+
+    With B, C the stacked eigenlattice bases and D = q B^-1, T = (1/q)
+    sum_a C_a S_a D_a; integrality is the n^2-row congruence system
+    sum_a C_a S_a D_a = 0 (mod q), one row per entry of T and one
+    column per entry of the blocks S_a, solved by
+    solve_congruence_lattice_full.  Each element is assembled and
+    checked with IntMatrix arithmetic.
+    """
+    from zconj.conjugacy import _eigenbases, _scaled_inverse
+
+    n = x.nrows
+    b_mat, bx = _eigenbases(x, spx)
+    c_mat, cy = _eigenbases(y, spy)
+    q = lcm(*spx.scales)
+    d_mat = _scaled_inverse(b_mat, q)
+    common = [a for a in spx.eigenvalues if a in cy]
+    cols = []  # (a, u, v): the entry S_a[u, v]
+    for a in common:
+        cols += [(a, u, w) for u in range(cy[a].start, cy[a].stop) for w in range(bx[a].start, bx[a].stop)]
+    if not cols:
+        return ()
+    rows = [[c_mat[r, u] * d_mat[w, c] for _, u, w in cols] for r in range(n) for c in range(n)]
+    basis = []
+    for s in solve_congruence_lattice_full(rows, len(cols), q):
+        total = [[sum(sv * c_mat[r, u] * d_mat[w, c] for sv, (_, u, w) in zip(s, cols)) for c in range(n)] for r in range(n)]
+        assert all(v % q == 0 for row in total for v in row)
+        t = IntMatrix([[v // q for v in row] for row in total])
+        assert t * x == y * t
+        basis.append(t)
+    return tuple(basis)
+
+
 # -- exact rational eliminations (oracles for the fraction-free kernel) -----
 
 

@@ -4,10 +4,12 @@ import json
 import random
 import subprocess
 import sys
+from math import lcm
 
 import pytest
 from helpers import (
     det_small,
+    eigenblock_basis_full,
     local_test_sequential,
     random_sl,
     random_split_conjugate,
@@ -17,12 +19,14 @@ from helpers import (
     unimodular_inverse,
 )
 
+from zconj import forms
 from zconj.conjugacy import (
     CertificateError,
     DetNotOne,
     IntertwinerLattice,
     RankMismatch,
     _eigenblock_basis,
+    _Randranges,
     _scaled_inverse,
     _sylvester_basis,
     bqf_from_lattice,
@@ -98,6 +102,53 @@ def test_eigenblock_matches_sylvester():
         assert same_span(eb, sv)
         if lattice.aligned is not None:
             assert verify_conjugator(lattice.aligned, x, y)
+
+
+def hidden_glue(rng, gap: int, k: int) -> IntMatrix:
+    """[[aI_k, N], [0, (a + gap)I_k]] with an entry 1 in N, so that the
+    scale of both idempotents is gap, hidden by a random conjugation."""
+    a = rng.randint(-3, 3)
+    nb = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+    nb[0][0] = 1
+    rows = [[a if i == j else 0 for j in range(k)] + nb[i] for i in range(k)]
+    rows += [[0] * k + [a + gap if i == j else 0 for j in range(k)] for i in range(k)]
+    u = random_sl(2 * k, rng)
+    return u * IntMatrix(rows) * unimodular_inverse(u)
+
+
+def test_eigenblock_basis_matches_full_system_oracle():
+    # the column-reduced system and the chain-ring eliminator give the
+    # very basis of the uncompressed system solved by the gcd sweep:
+    # q prime, p^2, p^3, composite, and past the int64 bound
+    rng = random.Random(47)
+    for q in (2, 5, 7, 4, 9, 25, 8, 27, 6, 12, 36, 225, 3037000493):
+        for _ in range(3):
+            k = rng.randint(1, 3)
+            x = hidden_glue(rng, q, k)
+            y = hidden_glue(rng, q, k)
+            y = y - IntMatrix.identity(2 * k) * ((y.trace() - x.trace()) // (2 * k))
+            spx, spy = split_spectrum(x), split_spectrum(y)
+            assert lcm(*spx.scales) == q
+            assert _eigenblock_basis(x, y, spx, spy).basis == eigenblock_basis_full(x, y, spx, spy)
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        x = random_split_conjugate(n, rng)
+        u = random_sl(n, rng)
+        y = u * x * unimodular_inverse(u)
+        spx, spy = split_spectrum(x), split_spectrum(y)
+        assert _eigenblock_basis(x, y, spx, spy).basis == eigenblock_basis_full(x, y, spx, spy)
+
+
+def test_closed_form_is_an_intertwiner():
+    rng = random.Random(53)
+    for _ in range(10):
+        x = hidden_glue(rng, rng.choice((2, 6, 9)), 2)
+        u = random_sl(4, rng)
+        y = u * x * unimodular_inverse(u)
+        lattice = _eigenblock_basis(x, y, split_spectrum(x), split_spectrum(y))
+        cd = lattice.closed_form
+        assert cd * x == y * cd
+        assert det(cd) != 0
 
 
 def test_verify_conjugator_frozen():
@@ -195,6 +246,15 @@ def test_local_test_matches_sequential_oracle():
         ("FAIL", None),
         ("UNDECIDED", None),
     }
+
+
+def test_randranges_match_randrange():
+    for p in (2, 3, 5, 2**31 - 1, 2**32 + 15, 2**61 - 1):
+        for seed in (0, 1, 2):
+            draws = _Randranges(random.Random(seed), p)
+            got = [int(v) for count in (1, 0, 7, 100, 3, 2000) for v in draws.take(count)]
+            rng = random.Random(seed)
+            assert got == [rng.randrange(p) for _ in got]
 
 
 def test_local_test_fail_is_exhaustive():
@@ -347,6 +407,22 @@ def test_certificate_checks_survive_optimize():
         "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
+        # sl_lift with a wrong inverse never reaches the identity
+        "c.inv_mod = lambda a, q: 1\n"
+        "try:\n"
+        "    c.sl_lift(IntMatrix([[2, 0], [0, 3]]), 5)\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        # a witness that does not evaluate to a unit
+        "import zconj.forms as f\n"
+        "try:\n"
+        "    f._witness(f.BinaryQuadraticForm(2, 0, 3), 1, 0)\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "try:\n"
+        "    f._unit_by_cycle(f.BinaryQuadraticForm(1, 0, -4))\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
     )
     r = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -355,7 +431,22 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "CertificateError\n" * 3
+    assert r.stdout == "CertificateError\n" * 5 + "ValueError\n"
+
+
+def test_decide_form_budget(monkeypatch):
+    # an indefinite determinant form: the cycle walk decides it, and past
+    # its step cap decide answers UNKNOWN form-budget, not an error
+    x, y = IntMatrix([[0, 1], [6, 0]]), IntMatrix([[0, 2], [3, 0]])
+    assert decide(x, y).reason in ("bqf-certificate", "explicit-conjugator")
+    monkeypatch.setattr(forms, "_CYCLE_STEPS", 1)
+    v = decide(x, y)
+    assert (v.status, v.reason) == ("UNKNOWN", "form-budget")
+    assert v.bqf is not None and "cycle walk" in v.note
+    monkeypatch.setattr(forms, "_REDUCTION_STEPS", 0)
+    assert decide(x, y).reason == "form-budget"
+    with pytest.raises(forms.FormBudget):
+        forms.bqf_represents_unit(forms.BinaryQuadraticForm(7, 1, -11))
 
 
 def test_conjugator_search_adjacency_route():

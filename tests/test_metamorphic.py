@@ -1,0 +1,121 @@
+"""Metamorphic relations of decide.
+
+Each relation rewrites a pair into one that is conjugate exactly when
+the original is: swapping the two sides, transposing both, shifting
+both by kI, negating both, and conjugating either side by a random
+element of SL_n(Z).  The rewritten pair must get the same status, and
+every certificate it gets must verify for the rewritten matrices.  The
+pairs have nontrivial glue: [[aI_k, N], [0, bI_k]] hidden by a random
+conjugation, against a hidden copy or against a glue block of another
+Smith type modulo every prime power of b - a, which no conjugation can
+reach.
+"""
+
+import random
+from math import gcd
+
+from helpers import gcd_minor_invariants, random_sl, unimodular_inverse
+
+from zconj.conjugacy import decide, verify_conjugator
+from zconj.matrix import IntMatrix
+
+GAPS = (2, 3, 4, 6, 9, 25)
+
+
+def prime_powers(d: int):
+    out, p = [], 2
+    while d > 1:
+        if d % p == 0:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            out.append(q)
+        p += 1
+    return out
+
+
+def smith_type(block, q: int):
+    inv = list(gcd_minor_invariants(IntMatrix(block)))
+    inv += [0] * (len(block) - len(inv))
+    return tuple(gcd(d, q) for d in inv)
+
+
+def glued(a: int, b: int, block) -> IntMatrix:
+    k = len(block)
+    top = [[a if i == j else 0 for j in range(k)] + list(block[i]) for i in range(k)]
+    bottom = [[0] * k + [b if i == j else 0 for j in range(k)] for i in range(k)]
+    return IntMatrix(top + bottom)
+
+
+def hide(m: IntMatrix, rng) -> IntMatrix:
+    u = random_sl(m.nrows, rng)
+    return u * m * unimodular_inverse(u)
+
+
+def block_pairs(rng, k: int):
+    """(x, y, conjugate) for each gap: a hidden copy and a pair of
+    different Smith types."""
+    out = []
+    for gap in GAPS:
+        a = rng.randint(-3, 3)
+
+        def block():
+            return [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+
+        n_block = block()
+        x = glued(a, a + gap, n_block)
+        out.append((hide(x, rng), hide(x, rng), True))
+        while True:
+            m_block = block()
+            if all(smith_type(m_block, q) != smith_type(n_block, q) for q in prime_powers(gap)):
+                break
+        out.append((hide(x, rng), hide(glued(a, a + gap, m_block), rng), False))
+    return out
+
+
+def relations(x: IntMatrix, y: IntMatrix, rng):
+    n = x.nrows
+    shift = IntMatrix.identity(n) * rng.choice((-5, -1, 2, 7))
+    return {
+        "swap": (y, x),
+        "transpose": (x.transpose(), y.transpose()),
+        "shift": (x + shift, y + shift),
+        "negate": (-x, -y),
+        "conjugate-x": (hide(x, rng), y),
+        "conjugate-y": (x, hide(y, rng)),
+    }
+
+
+def check_certificates(v, x: IntMatrix, y: IntMatrix):
+    if v.conjugator is not None:
+        assert verify_conjugator(v.conjugator, x, y)
+    for lv in v.local:
+        if lv.certificate is not None:
+            assert lv.status == "PASS"
+            assert verify_conjugator(lv.certificate, x, y, prime=lv.prime)
+    if v.bqf_proof is not None and v.bqf_proof.represents:
+        assert v.bqf.evaluate(*v.bqf_proof.witness) in (1, -1)
+
+
+def test_metamorphic_relations_keep_status_and_certificates():
+    rng = random.Random(41)
+    routes, methods = set(), set()
+    for k in (1, 2):
+        for x, y, conjugate in block_pairs(rng, k):
+            base = decide(x, y, search_dim_cap=0)
+            check_certificates(base, x, y)
+            if conjugate:
+                assert base.status != "NOT_CONJUGATE"
+            else:
+                assert base.status == "NOT_CONJUGATE"
+            for name, (x2, y2) in relations(x, y, rng).items():
+                v = decide(x2, y2, search_dim_cap=0)
+                assert v.status == base.status, (name, k, base.reason, v.reason)
+                check_certificates(v, x2, y2)
+                routes.add(v.reason)
+                methods.update(lv.method for lv in v.local if lv.status == "PASS")
+            routes.add(base.reason)
+            methods.update(lv.method for lv in base.local if lv.status == "PASS")
+    assert {"theorem+local-passes", "local-obstruction"} <= routes
+    assert {"closed-form", "sampled"} <= methods

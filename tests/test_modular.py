@@ -2,16 +2,25 @@
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
-from helpers import adjugate, det_small, howell_py, prime_factors_trial_division
+from helpers import (
+    adjugate,
+    det_small,
+    howell_py,
+    prime_factors_trial_division,
+    random_sl,
+    solve_congruence_lattice_full,
+)
 
 from zconj.linalg import snf_invariants
 from zconj.matrix import IntMatrix
 from zconj.modular import (
     FactorizationBudget,
+    _diagonalize_mod,
+    _refine,
     det_mod,
     inv_mod,
     prime_factors,
@@ -256,3 +265,77 @@ def test_det_mod_on_stacks():
             assert [det_mod(rows, p) for rows in stack] == expected
             if 4 * p < 2**62:
                 assert [int(v) for v in det_mod(np.array(stack, dtype=np.int64), p)] == expected
+
+
+# two primes near 2^60: trial division leaves their product as one base
+P60, Q60 = 1152921504606846883, 1152921504606847009
+
+
+def test_solve_congruence_lattice_matches_gcd_sweep_oracle():
+    # the chain-ring eliminator against the parent's gcd sweep plus
+    # howell_py: prime powers, composite moduli, moduli past the int64
+    # bound, and an unfactored base that only an entry splits
+    rng = random.Random(37)
+    moduli = (2, 7, 8, 49, 243, 6, 12, 36, 225, 360, 1009**2, 2**31 + 11, P60 * Q60, 6 * P60**2 * Q60)
+    for q in moduli:
+        for _ in range(12):
+            m = rng.randint(1, 6)
+            rows = [
+                [rng.randrange(q) * rng.choice((1, 1, 2, 3, 5, 1009, P60)) for _ in range(m)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            expected = [tuple(r) for r in solve_congruence_lattice_full(rows, m, q)]
+            assert solve_congruence_lattice(rows, m, q) == expected
+
+
+def test_diagonalize_mod_gives_a_divisor_chain():
+    rng = random.Random(41)
+    for q in (12, 36, 225, 1009**2, P60 * Q60, P60**2 * Q60):
+        for _ in range(8):
+            m = rng.randint(1, 5)
+            rows = [[rng.randrange(q) * rng.choice((1, 2, 3, 1009, P60)) for _ in range(m)] for _ in range(m)]
+            diag, v = _diagonalize_mod(rows, q)
+            assert len(diag) == m and all(q % d == 0 for d in diag)
+            assert all(diag[j + 1] % diag[j] == 0 for j in range(m - 1))
+            # the solutions count prod d_j mod q, as many as A's Smith
+            # invariants give
+            d = snf_invariants(IntMatrix(rows))
+            count = 1
+            for j in range(m):
+                count *= gcd(d[j], q) if j < len(d) else q
+            assert count == prod(diag)
+            # V is invertible mod q: unit determinant mod every prime of q
+            for p in (2, 3, 5, 1009, P60, Q60):
+                if q % p == 0:
+                    assert det_mod(v.tolist(), p) != 0
+
+
+def test_refine_gives_coprime_bases():
+    for b, g in ((P60 * Q60, P60), (P60**2 * Q60, P60), (P60**3, P60), (12, 2), (36, 6), (360, 12)):
+        parts = _refine(b, g)
+        assert all(c > 1 and f >= 1 for c, f in parts)
+        assert prod(c**f for c, f in parts) == b
+        assert all(gcd(c, d) == 1 for (c, _), (d, _) in itertools.combinations(parts, 2))
+
+
+def test_scaled_idempotent_invariants_composite_scales():
+    # E = M P adj(M) with det M = +-scale: E^2 = det(M) E, invariants
+    # against the plain SNF
+    rng = random.Random(43)
+    for scale in (6, 12, 30, 36, 60, 225, 360):
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            r = rng.randint(0, n)
+            split = [1] * n
+            left = scale
+            for i in range(n - 1):
+                g = rng.choice([d for d in range(1, left + 1) if left % d == 0])
+                split[i], left = g, left // g
+            split[-1] = left
+            rows = (random_sl(n, rng) * IntMatrix.diagonal(split) * random_sl(n, rng)).to_lists()
+            proj = [[1 if (i == j and i < r) else 0 for j in range(n)] for i in range(n)]
+            e = IntMatrix(rows) * IntMatrix(proj) * IntMatrix(adjugate(rows))
+            if det_small(rows) < 0:
+                e = -e
+            assert e * e == e * scale
+            assert scaled_idempotent_invariants(e, scale) == snf_invariants(e)
