@@ -25,12 +25,7 @@ from .conjugacy import (
     verify_conjugator,
 )
 from .corpus import load_corpus
-from .graphs import (
-    field_build,
-    paley_adjacency,
-    peisert_adjacency,
-    verify_smith_lemma,
-)
+from .graphs import field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
 from .linalg import snf, snf_invariants
 from .matrix import IntMatrix
 from .padic import TruncatedUnramifiedRing, jacobi_sum, teichmuller

@@ -21,13 +21,7 @@ from pathlib import Path
 
 from .conjugacy import DetNotOne, decide, sl_lift
 from .corpus import FixtureError, load_corpus
-from .graphs import (
-    NotThreeModFour,
-    field_build,
-    paley_adjacency,
-    peisert_adjacency,
-    verify_smith_lemma,
-)
+from .graphs import NotThreeModFour, field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
 from .linalg import snf
 from .matrix import CertificateError, IntMatrix, MatrixFormatError
 from .padic import TruncatedUnramifiedRing, _character_table, digit_sum, jacobi_sum
@@ -120,13 +114,7 @@ def _cmd_assume(args) -> int:
 def _cmd_decide(args) -> int:
     x = _read_matrix(args.x)
     y = _read_matrix(args.y)
-    verdict = decide(
-        x,
-        y,
-        budget=args.budget,
-        search_budget=args.search_budget,
-        seed=args.seed,
-    )
+    verdict = decide(x, y, budget=args.budget, search_budget=args.search_budget, seed=args.seed)
     _print_json(verdict.to_json_obj())
     if verdict.status == "CONJUGATE":
         return EXIT_OK
@@ -190,13 +178,7 @@ def _cmd_jacobi(args) -> int:
         for row in rows:
             _print(
                 "%s %s %s %s %s"
-                % (
-                    row["j"],
-                    row["s"],
-                    row["c"],
-                    row["valuation"],
-                    "yes" if row["match"] else "no",
-                )
+                % (row["j"], row["s"], row["c"], row["valuation"], "yes" if row["match"] else "no")
             )
     return EXIT_OK if all_match else EXIT_NEGATIVE
 
@@ -277,9 +259,7 @@ def _build_parser() -> _Parser:
     ):
         p_graph = sub.add_parser(name, help=helptext)
         p_graph.add_argument("p", type=int, help="prime congruent to 3 mod 4")
-        p_graph.add_argument(
-            "--t", type=int, default=1, help="field degree is 2t (default 1)"
-        )
+        p_graph.add_argument("--t", type=int, default=1, help="field degree is 2t (default 1)")
         p_graph.add_argument("--out", metavar="FILE", help="write here instead of stdout")
         p_graph.set_defaults(func=func)
 
@@ -290,16 +270,10 @@ def _build_parser() -> _Parser:
     p_lemma.add_argument("p", type=int, help="prime congruent to 3 mod 4")
     p_lemma.set_defaults(func=_cmd_verify_lemma)
 
-    p_jacobi = sub.add_parser(
-        "jacobi", help="Jacobi sum valuations versus the carry formula"
-    )
+    p_jacobi = sub.add_parser("jacobi", help="Jacobi sum valuations versus the carry formula")
     p_jacobi.add_argument("p", type=int, help="prime congruent to 3 mod 4")
-    p_jacobi.add_argument(
-        "--precision", type=int, default=4, help="p-adic precision (default 4)"
-    )
-    p_jacobi.add_argument(
-        "--json", action="store_true", help="emit JSON instead of the text table"
-    )
+    p_jacobi.add_argument("--precision", type=int, default=4, help="p-adic precision (default 4)")
+    p_jacobi.add_argument("--json", action="store_true", help="emit JSON instead of the text table")
     p_jacobi.set_defaults(func=_cmd_jacobi)
 
     p_lift = sub.add_parser(
@@ -309,9 +283,7 @@ def _build_parser() -> _Parser:
     p_lift.add_argument("q", type=int, help="modulus")
     p_lift.set_defaults(func=_cmd_lift_sl)
 
-    p_fix = sub.add_parser(
-        "fixtures", help="re-run the decision procedure on the bundled corpus"
-    )
+    p_fix = sub.add_parser("fixtures", help="re-run the decision procedure on the bundled corpus")
     p_fix.set_defaults(func=_cmd_fixtures)
 
     return parser

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, count, islice
 from math import gcd, lcm
 
 import numpy as np
@@ -36,6 +37,7 @@ from .modular import (
     _diagonalize_mod,
     det_mod,
     inv_mod,
+    matmul_mod,
     prime_factors,
     residues,
     solve_congruence_lattice,
@@ -100,49 +102,90 @@ def _certified(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> IntMatri
     return t
 
 
-@dataclass(frozen=True)
-class IntertwinerLattice:
-    """Saturated Z-basis of {T : T source = target T}.
+def _max_abs(a) -> int:
+    return int(np.abs(a).max()) if a.size else 0
 
-    aligned is the eigenbasis-aligned intertwiner C B^{-1} (B and C
-    stacking the eigenlattice bases of source and target), set when
+
+class IntertwinerLattice:
+    """Saturated Z-basis of {T : T source = target T}, in block coordinates.
+
+    Basis element i is T = (1/q) C blockdiag(S_a) D: row i of coords
+    holds its blocks S_a side by side, each row-major with sizes[a] =
+    (rows, cols); c has the matching eigenlattice bases of the target
+    as columns, d the matching rows of D = q B^-1 for the source's
+    bases B, so T B_a = C_a S_a; det_b and det_c are det B and det C.
+    blocks gives (coords, c, d, sizes, q, det_b, det_c); a basis given
+    instead is one n x n block with B = C = I and q = 1.  The elements
+    as an (m, n, n) array (stack) and as IntMatrix (basis) are
+    assembled on first use; rank needs neither.
+
+    aligned is the eigenbasis-aligned intertwiner C B^{-1}, set when
     both spectra agree and it is integral; it is unimodular exactly
     when |det B| = |det C|.  closed_form, C D = q C B^{-1}, is set when
     both spectra agree; its determinant is det C q^n / det B.
     """
 
-    n: int
-    basis: tuple
-    source: IntMatrix
-    target: IntMatrix
-    aligned: IntMatrix | None = None
-    closed_form: IntMatrix | None = None
+    def __init__(
+        self, n, basis=(), source=None, target=None, aligned=None, closed_form=None, blocks=None
+    ):
+        self.n, self.source, self.target = n, source, target
+        self.aligned, self.closed_form = aligned, closed_form
+        if blocks is None:
+            flat = [v for b in basis for row in b.rows for v in row]
+            coords = np.array(flat, dtype=int_dtype(max(map(abs, flat), default=0)))
+            eye = np.eye(n, dtype=np.int64)
+            blocks = coords.reshape(len(basis), n * n), eye, eye, ((n, n),), 1, 1, 1
+        self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.coords)
+
+    def elements(self, coords):
+        """The elements with the given rows of block coordinates, as a
+        (K, n, n) integer array; CertificateError unless each is integral."""
+        dtype = int_dtype(_max_abs(self.c) * _max_abs(self.d) * _max_abs(coords) * coords.shape[1])
+        c, d, s = self.c.astype(dtype), self.d.astype(dtype), coords.astype(dtype)
+        total = np.zeros((len(s), self.n, self.n), dtype=dtype)
+        off = row = col = 0
+        for my, mx in self.sizes:
+            s_a = s[:, off : off + my * mx].reshape(-1, my, mx)
+            total += c[:, row : row + my] @ s_a @ d[col : col + mx]
+            off, row, col = off + my * mx, row + my, col + mx
+        if (total % self.q).any():
+            raise CertificateError("lattice element is not divisible by q")
+        return total // self.q
+
+    @cached_property
+    def stack(self):
+        return self.elements(self.coords)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(IntMatrix(t) for t in self.stack.tolist())
 
 
-def _scaled_inverse(m: IntMatrix, scale: int) -> IntMatrix:
-    """Integer matrix D with M D = scale I, read off the fraction-free
-    RREF d [I | scale M^{-1}] of [M | scale I].
+def _scaled_inverse(m: IntMatrix, scale: int):
+    """(D, det M) for the integer matrix D with M D = scale I, read off
+    the fraction-free RREF d [I | scale M^{-1}] of [M | scale I].
 
     Exists iff scale M^{-1} is integral; raises CertificateError otherwise.
     """
     n = m.nrows
-    r, pivots, d, _ = fraction_free_rref(
+    r, pivots, d, sign = fraction_free_rref(
         [list(row) + [scale if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
     )
     if pivots != list(range(n)):
         raise CertificateError("matrix is singular")
     if (r[:, n:] % d).any():
         raise CertificateError("scaled inverse is not integral")
-    return IntMatrix((r[:, n:] // d).tolist())
+    return IntMatrix((r[:, n:] // d).tolist()), sign * d
 
 
 def _eigenbases(m: IntMatrix, sp: SplitSpectrum):
     """Saturated eigenlattice bases of m stacked as columns, in spectrum
-    order, and the slice of columns that belongs to each eigenvalue."""
+    order, and the range of columns that belongs to each eigenvalue;
+    CertificateError unless m maps each column to its eigenvalue times it."""
     n = m.nrows
     cols = []
     blocks = {}
@@ -150,13 +193,12 @@ def _eigenbases(m: IntMatrix, sp: SplitSpectrum):
         rows = kernel_basis(m - IntMatrix.identity(n) * a)
         if len(rows) != mult:
             raise CertificateError("eigenlattice rank differs from multiplicity")
-        blocks[a] = slice(len(cols), len(cols) + mult)
+        blocks[a] = range(len(cols), len(cols) + mult)
         cols.extend(rows)
-    return IntMatrix(cols).transpose(), blocks
-
-
-def _max_abs(m: IntMatrix) -> int:
-    return max(abs(v) for row in m.rows for v in row)
+    basis = IntMatrix(cols).transpose()
+    if m * basis != basis * IntMatrix.diagonal([a for a, r in blocks.items() for _ in r]):
+        raise CertificateError("eigenlattice basis is not made of eigenvectors")
+    return basis, blocks
 
 
 def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
@@ -171,14 +213,18 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     replaced by D V, V the column transform of D's diagonalization mod
     q: V is invertible mod q, so the solutions stay, and D V is nonzero
     mod q only in the columns of B's invariant factors other than 1,
-    the only ones kept.  With equal spectra C D intertwines X and Y
-    (closed_form), and C D / q is the aligned intertwiner if integral.
+    the only ones kept.  Both facts are checked, and so is every
+    solution against the kept congruences; with X B = B diag(a) and Y C
+    = C diag(a) that makes every element an integral intertwiner.  The
+    lattice stays in these block coordinates.  With equal spectra C D
+    intertwines X and Y (closed_form), and C D / q is the aligned
+    intertwiner if integral.
     """
     n = x.nrows
     b_mat, bx = _eigenbases(x, spx)
     c_mat, cy = _eigenbases(y, spy)
     q = lcm(*spx.scales)
-    d_mat = _scaled_inverse(b_mat, q)
+    d_mat, det_b = _scaled_inverse(b_mat, q)
     if b_mat * d_mat != IntMatrix.identity(n) * q:
         raise CertificateError("B D is not q I")
     closed_form = aligned = None
@@ -187,63 +233,36 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
         if all(v % q == 0 for row in closed_form.rows for v in row):
             aligned = IntMatrix([[v // q for v in row] for row in closed_form.rows])
     common = [a for a in spx.eigenvalues if a in cy]
-    if not common:
-        return IntertwinerLattice(
-            n=n, basis=(), source=x, target=y, aligned=aligned, closed_form=closed_form
-        )
     c = np.array(c_mat.rows, dtype=object)
     d = np.array(d_mat.rows, dtype=object)
-    diag, v = _diagonalize_mod(d, q)
-    keep = [j for j, dj in enumerate(diag) if dj != q]
-    wide = int_dtype(n * q * q)
-    dv = residues(d, q).astype(wide) @ v[:, keep].astype(wide) % q
-    # congruence rows: entry (r,c) of sum_a C_a S_a (D V)_a, coefficient
-    # of S_a[u,v] is C_a[r,u] * (D V)_a[v,c]; as a block this is
-    # kron(C_a, (D V)_a^t)
-    eq = np.concatenate(
-        [np.kron(residues(c[:, cy[a]], q), residues(dv[bx[a]], q).T) % q for a in common],
-        axis=1,
-    )
-    m = eq.shape[1]
-    sols = solve_congruence_lattice(eq, m, q)
-    # solution entries lie in [0, q], so |C S D| <= max|C| q max|D| m in
-    # the assembly and |T X| <= max|C| max|D| m max|X, Y| n in the check
-    bound = _max_abs(c_mat) * _max_abs(d_mat) * m
-    dtype = int_dtype(bound * q, bound * max(_max_abs(x), _max_abs(y)) * n)
-    c, d, s = c.astype(dtype), d.astype(dtype), np.array(sols, dtype=dtype)
-    # every basis element at once: S_a is the next my x mx slice of each row
-    total = np.zeros((len(s), n, n), dtype=dtype)
-    off = 0
-    for a in common:
-        ca, da = c[:, cy[a]], d[bx[a]]
-        my, mx = ca.shape[1], da.shape[0]
-        total += ca @ s[:, off : off + my * mx].reshape(-1, my, mx) @ da
-        off += my * mx
-    if (total % q).any():
-        raise CertificateError("lattice element is not divisible by q")
-    t = total // q
-    if not np.array_equal(
-        t @ np.array(x.rows, dtype=dtype), np.array(y.rows, dtype=dtype) @ t
-    ):
-        raise CertificateError("lattice element does not intertwine")
-    basis = tuple(IntMatrix(b) for b in t.tolist())
-    return IntertwinerLattice(
-        n=n, basis=basis, source=x, target=y, aligned=aligned, closed_form=closed_form
-    )
+    sols = np.zeros((0, 0), dtype=np.int64)
+    if common:
+        diag, v = _diagonalize_mod(d, q)
+        keep = [j for j, dj in enumerate(diag) if dj != q]
+        dv = matmul_mod(residues(d, q), v, q)
+        if gcd(det(IntMatrix(v.tolist())), q) != 1 or np.delete(dv, keep, axis=1).any():
+            raise CertificateError("column transform of D is not invertible mod q")
+        # congruence rows: entry (r,c) of sum_a C_a S_a (D V)_a, coefficient
+        # of S_a[u,v] is C_a[r,u] * (D V)_a[v,c]; as a block this is
+        # kron(C_a, (D V)_a^t)
+        eq = np.concatenate(
+            [np.kron(residues(c[:, cy[a]], q), dv[bx[a]][:, keep].T) % q for a in common], axis=1
+        )
+        sols = np.array(solve_congruence_lattice(eq, eq.shape[1], q), dtype=int_dtype(q))
+        if matmul_mod(eq, sols.T, q).any():
+            raise CertificateError("block coordinates do not satisfy the congruences")
+    c, d = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
+    sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
+    blocks = sols, c, d, sizes, q, det_b, det(c_mat)
+    return IntertwinerLattice(n, (), x, y, aligned, closed_form, blocks)
 
 
 def _sylvester_basis(x: IntMatrix, y: IntMatrix):
     """Saturated kernel of T -> TX - YT, flattened row-major."""
     n = x.nrows
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            row = [0] * (n * n)
-            for u in range(n):
-                row[r * n + u] += x[u, c]
-                row[u * n + c] -= y[r, u]
-            rows.append(row)
-    ker = kernel_basis(IntMatrix(rows))
+    eye, xa, ya = np.eye(n, dtype=object), np.array(x.rows, dtype=object), np.array(y.rows, dtype=object)
+    # row-major vec(T X - Y T) = (I kron X^t - Y kron I) vec(T)
+    ker = kernel_basis(IntMatrix((np.kron(eye, xa.T) - np.kron(ya, eye)).tolist()))
     basis = []
     for flat in ker:
         t = IntMatrix([[flat[r * n + c] for c in range(n)] for r in range(n)])
@@ -253,23 +272,24 @@ def _sylvester_basis(x: IntMatrix, y: IntMatrix):
     return basis
 
 
-def intertwiner_lattice(x: IntMatrix, y: IntMatrix) -> IntertwinerLattice:
+def intertwiner_lattice(x: IntMatrix, y: IntMatrix, spectra=None) -> IntertwinerLattice:
     """Saturated basis of C(X,Y) = {T : TX = YT}.
 
     Split pairs go through the eigenblock construction, which also sets
-    the aligned intertwiner; anything else through the kernel of the
-    n^2-dimensional difference map.  The basis always consists of exact
-    intertwiners and spans every integral one.
+    the aligned intertwiner; spectra, the pair (split_spectrum(x),
+    split_spectrum(y)), saves recomputing them.  Anything else goes
+    through the kernel of the n^2-dimensional difference map.  The
+    basis always consists of exact intertwiners and spans every
+    integral one.
     """
     if not (x.is_square and y.is_square and x.nrows == y.nrows):
         raise ValueError("intertwiner lattice needs square matrices of equal size")
-    try:
-        spx = split_spectrum(x)
-        spy = split_spectrum(y)
-    except NotSplit:
-        basis = tuple(_sylvester_basis(x, y))
-        return IntertwinerLattice(n=x.nrows, basis=basis, source=x, target=y)
-    return _eigenblock_basis(x, y, spx, spy)
+    if spectra is None:
+        try:
+            spectra = split_spectrum(x), split_spectrum(y)
+        except NotSplit:
+            return IntertwinerLattice(x.nrows, _sylvester_basis(x, y), x, y)
+    return _eigenblock_basis(x, y, *spectra)
 
 
 def verify_conjugator(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> bool:
@@ -344,49 +364,61 @@ def local_test(
     when no lattice is given and it is built here: a mismatch FAILs at
     once, because any nonsingular intertwiner would force equality.  A
     given lattice must be C(x, y), and decide passes one only after the
-    characteristic polynomials have matched.  Candidates are evaluated
-    as stacks of residues mod p; their order, the random draws and the
-    budget accounting are those of a loop over one candidate at a time.
+    characteristic polynomials have matched.
+
+    Candidates are evaluated in the lattice's block coordinates: T B =
+    C blockdiag(S_a) gives det T det B = det C prod_a det S_a, so when
+    v_p(det B) = v_p(det C) a candidate has a unit determinant mod p
+    exactly when every det S_a has.  Otherwise no element has one, nor
+    when the blocks are not square or miss an eigenvalue (every element
+    is then singular), and the verdict evaluating every candidate would
+    give is returned at once.  Candidates are stacks of residues mod p;
+    their order, the random draws and the budget accounting are those
+    of a loop over one candidate at a time, and only the hit is
+    assembled as an n x n matrix.
     """
     if lattice is None:
         if charpoly(x) != charpoly(y):
             return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
         lattice = intertwiner_lattice(x, y)
-    m = lattice.rank
-    if m == 0:
-        return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
-    n = lattice.n
-    # candidates are combinations with coefficients in [0, p); the exact
-    # stack is only combined for the hit, everything else runs on residues
-    max_entry = max(abs(v) for b in lattice.basis for row in b.rows for v in row)
-    stack = np.array(
-        [b.rows for b in lattice.basis], dtype=int_dtype(max_entry, p * max_entry * m)
-    ).reshape(m, n * n)
-    res = residues(stack, p)
-    cap = max(1, _CHUNK_ENTRIES // max(n * n, m))
+    m, sizes = lattice.rank, lattice.sizes
+    exhaustible = p ** m <= _EXHAUSTIVE_LIMIT
+    # the verdict once every candidate has been evaluated without a hit
+    fail = LocalVerdict(p, "FAIL", method="exhaustive")
+    exhausted = fail if exhaustible else LocalVerdict(p, "UNDECIDED")
+    square = all(r == c for r, c in sizes) and sum(c for _, c in sizes) == lattice.n
+    if m == 0 or not square or _valuation(lattice.det_b, p) != _valuation(lattice.det_c, p):
+        return exhausted
+    res = residues(lattice.coords, p)
+    cap = max(1, _CHUNK_ENTRIES // max(res.shape[1], m))
+    offsets = np.cumsum([0] + [k * k for k, _ in sizes])
+    by_size = sorted(zip(offsets, (k for k, _ in sizes)), key=lambda b: b[1])
 
     def first_unit(cands):
-        """Index of the first candidate (a row of cands) with unit det mod p."""
-        hits = np.flatnonzero(det_mod(cands.reshape(-1, n, n), p))
-        return int(hits[0]) if len(hits) else None
+        """Index of the first candidate (a row of block coordinates mod p)
+        whose blocks all have a unit determinant mod p; small blocks first."""
+        alive = np.arange(len(cands))
+        for off, k in by_size:
+            alive = alive[det_mod(cands[alive, off : off + k * k].reshape(-1, k, k), p) != 0]
+            if not len(alive):
+                return None
+        return int(alive[0])
 
     def certify(coeffs, method):
-        t = np.asarray(coeffs).astype(stack.dtype) @ stack
-        t = _certified(IntMatrix(t.reshape(n, n).tolist()), x, y, prime=p)
+        dtype = int_dtype(p * _max_abs(lattice.coords) * m)
+        s = coeffs.astype(dtype) @ lattice.coords.astype(dtype)
+        t = _certified(IntMatrix(lattice.elements(s[None])[0].tolist()), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
     # candidates in a fixed order: basis elements, prefix sums, close
     # pairs, random draws, then every class when that is affordable.  The
     # zero combination has determinant 0, so it needs no skipping.  Each
     # phase runs in chunks that grow from 1 to cap candidates, so an
-    # early hit stays cheap and memory stays flat.
-    exhaustible = p ** m <= _EXHAUSTIVE_LIMIT
-    # deterministic candidates: e_i, the prefix sums e_0 + ... + e_i for
-    # i < 24 and e_i + e_j for i < j < 40.  Each is the sum of rows first
-    # and second of [basis; prefix sums; 0], whose coefficients are the
-    # same rows of coeff_rows.  Two row additions per candidate are much
-    # cheaper than a row of the product used below when the rank is large
-    # (3-4x per local test on the 49-vertex pair).
+    # early hit stays cheap and memory stays flat.  The deterministic
+    # ones, e_i, e_0 + ... + e_i for i < 24 and e_i + e_j for i < j < 40,
+    # are each the sum of rows first and second of [basis; prefix sums;
+    # 0], with the same rows of coeff_rows as coefficients: two row
+    # additions per candidate, much cheaper than a row of a product.
     k = min(m, 24)
     rows = np.concatenate([res, np.cumsum(res[:k], axis=0) % p, np.zeros_like(res[:1])])
     coeff_rows = np.concatenate(
@@ -402,22 +434,14 @@ def local_test(
             h = lo + hit
             return certify(coeff_rows[first[h]] + coeff_rows[second[h]], "sampled")
 
-    # the other candidates come from one (K x m) @ (m x n^2) product per
-    # chunk, in float64 while p^2 m < 2^53, where every partial sum is exact
-    dtype = np.float64 if p * p * m < 1 << 53 else int_dtype(p * p * m)
-    basis = res.astype(dtype)
-
-    def combinations(coeffs):
-        """Residue rows of the combinations of the basis given as rows of coeffs."""
-        return ((coeffs.astype(dtype) @ basis) % p).astype(res.dtype)
-
+    # the other candidates come from one (K x m) @ (m x w) product per chunk
     draws = _Randranges(random.Random(seed), p)
     quick = budget
     if exhaustible:
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
     for lo, hi in _chunks(quick - spent, cap):
         coeffs = draws.take((hi - lo) * m).astype(res.dtype).reshape(-1, m)
-        hit = first_unit(combinations(coeffs))
+        hit = first_unit(matmul_mod(coeffs, res, p))
         if hit is not None:
             return certify(coeffs[hit], "sampled")
     if exhaustible:
@@ -427,27 +451,23 @@ def local_test(
         powers = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
         for lo, hi in _chunks(p ** m, cap):
             coeffs = np.arange(lo, hi, dtype=np.int64)[:, None] // powers % p
-            hit = first_unit(combinations(coeffs))
+            hit = first_unit(matmul_mod(coeffs, res, p))
             if hit is not None:
                 return certify(coeffs[hit], "exhaustive")
-        return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
-    return LocalVerdict(prime=p, status="UNDECIDED")
+    return exhausted
+
+
+def _valuation(v: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer v."""
+    return next(e for e in count() if v % p ** (e + 1))
 
 
 # -- explicit conjugator search ---------------------------------------------
 
 
 def _is_adjacency(m: IntMatrix) -> bool:
-    if not m.is_square:
-        return False
-    n = m.nrows
-    for i in range(n):
-        if m[i, i] != 0:
-            return False
-        for j in range(n):
-            if m[i, j] not in (0, 1) or m[i, j] != m[j, i]:
-                return False
-    return True
+    a = np.array(m.rows, dtype=object)
+    return m.is_square and ((a == 0) | (a == 1)).all() and (a == a.T).all() and not a.diagonal().any()
 
 
 class _BudgetExceeded(Exception):
@@ -504,13 +524,6 @@ def _graph_isomorphism(x: IntMatrix, y: IntMatrix, budget: int):
     except _BudgetExceeded:
         return None
     return mapping if found else None
-
-
-def _unit_det(t: IntMatrix) -> bool:
-    d = det_mod(t.rows, _DET_FILTER_PRIME)
-    if d != 1 and d != _DET_FILTER_PRIME - 1:
-        return False
-    return abs(det(t)) == 1
 
 
 def _gram_schmidt(vectors):
@@ -587,9 +600,7 @@ def _enumerate_short(vectors, r2, skip_below, budget):
             yield c
 
 
-def conjugator_search(
-    lattice: IntertwinerLattice, budget: int = 1000000, seed: int = 0
-):
+def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: int = 0):
     """Look for a unimodular element of the lattice; None if not found.
 
     Tries, in order: the identity when source equals target, a
@@ -619,68 +630,62 @@ def conjugator_search(
     if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
         return lattice.aligned
 
-    spent = 0
+    def first_unimodular(ts):
+        """The first of the (K, n, n) exact candidates ts with determinant
+        +-1, filtered as one stack mod 2^31 - 1; None if there is none."""
+        dets = det_mod(ts, _DET_FILTER_PRIME)
+        for i in np.flatnonzero((dets == 1) | (dets == _DET_FILTER_PRIME - 1)):
+            t = IntMatrix(ts[i].tolist())
+            if abs(det(t)) == 1:
+                return _certified(t, x, y)
+        return None
 
-    def check(t: IntMatrix):
-        return _certified(t, x, y) if _unit_det(t) else None
-
-    for b in lattice.basis:
-        spent += 1
-        hit = check(b)
-        if hit is not None:
-            return hit
-        if spent >= budget:
-            return None
-    vectors = [tuple(v for row in b.rows for v in row) for b in lattice.basis]
+    # single basis elements, then single reduced ones; spent counts the
+    # candidates, and at least one is evaluated
+    hit = first_unimodular(lattice.stack[: max(1, budget)])
+    if hit is not None or m >= budget:
+        return hit
+    vectors = [tuple(v) for v in lattice.stack.reshape(m, n * n).tolist()]
     if m <= 64:
         vectors = lll_reduce(vectors)
-    mats = [
-        IntMatrix([[v[r * n + c] for c in range(n)] for r in range(n)])
-        for v in vectors
-    ]
-    for t in mats:
-        spent += 1
-        hit = check(t)
-        if hit is not None:
-            return hit
-        if spent >= budget:
-            return None
-    # determinant filter on each combination before it is assembled exactly
     max_entry = max(abs(v) for w in vectors for v in w)
-    stack = np.array([t.rows for t in mats], dtype=int_dtype(max_entry))
+    reduced = np.array(vectors, dtype=int_dtype(max_entry)).reshape(m, n, n)
+    hit = first_unimodular(reduced[: budget - m])
+    spent = 2 * m
+    if hit is not None or spent >= budget:
+        return hit
+    cap = max(1, _CHUNK_ENTRIES // max(n * n, m))
 
-    def check_coeffs(coeffs):
-        cmax = max(abs(c) for c in coeffs)
+    def first_combination(coeffs):
+        """first_unimodular over the combinations of the reduced basis
+        with the rows of coeffs as coefficients."""
+        cmax = max(1, _max_abs(coeffs))
         dtype = int_dtype(max_entry, cmax, max_entry * cmax * m)
-        t = np.tensordot(np.array(coeffs, dtype=dtype), stack, axes=1)
-        if det_mod(t, _DET_FILTER_PRIME) not in (1, _DET_FILTER_PRIME - 1):
-            return None
-        return check(IntMatrix(t.tolist()))
+        return first_unimodular(np.tensordot(coeffs.astype(dtype), reduced.astype(dtype), axes=1))
 
-    # growing-radius short-vector rounds over the reduced basis
+    # growing-radius short-vector rounds over the reduced basis, in chunks
     if m <= 64:
-        base = max(sum(v * v for v in w) for w in vectors)
-        r2 = float(base) * 1.1
-        prev = 0.0
+        r2, prev = float(max(sum(v * v for v in w) for w in vectors)) * 1.1, 0.0
         for _ in range(10):
             if spent >= budget:
                 break
-            for coeffs in _enumerate_short(vectors, r2, prev, budget - spent):
-                spent += 1
-                hit = check_coeffs(coeffs)
+            short = _enumerate_short(vectors, r2, prev, budget - spent)
+            for lo, hi in _chunks(budget - spent, cap):
+                batch = list(islice(short, hi - lo))
+                if not batch:
+                    break
+                spent += len(batch)
+                hit = first_combination(np.array(batch, dtype=object))
                 if hit is not None:
                     return hit
-                if spent >= budget:
-                    break
             prev = r2
             r2 *= 2.0
-    rng = random.Random(seed)
-    while spent < budget:
-        spent += 1
-        coeffs = [rng.randint(-3, 3) for _ in range(m)]
-        if not any(coeffs):
-            continue
-        hit = check_coeffs(coeffs)
+    # seeded random coefficients in [-3, 3]: rng.randint(-3, 3) is
+    # -3 + rng.randrange(7), drawn in bulk
+    draws = _Randranges(random.Random(seed), 7)
+    for lo, hi in _chunks(budget - spent, cap):
+        coeffs = draws.take((hi - lo) * m).astype(np.int64).reshape(-1, m) - 3
+        hit = first_combination(coeffs)
         if hit is not None:
             return hit
     return None
@@ -771,9 +776,7 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
         for r in range(n):
             a[r][j] += mu * a[r][i]
     lifted = IntMatrix(a)
-    if det(lifted) != 1 or any(
-        (lifted[i, j] - m[i, j]) % q for i in range(n) for j in range(n)
-    ):
+    if det(lifted) != 1 or any((lifted[i, j] - m[i, j]) % q for i in range(n) for j in range(n)):
         raise CertificateError("lift is not in SL_n(Z) or does not reduce to m")
     return lifted
 
@@ -938,7 +941,7 @@ def decide(
         primes, unfactored = relevant_primes(spx), None
     except FactorizationBudget as exc:
         primes, unfactored = exc.primes, exc
-    lattice = _eigenblock_basis(x, y, spx, spy)
+    lattice = intertwiner_lattice(x, y, spectra=(spx, spy))
     # primes in order, stopping at the first FAIL: one obstruction decides.
     # The lattice's closed form C D is offered first at each prime
     cd = lattice.closed_form

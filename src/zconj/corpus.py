@@ -61,9 +61,7 @@ def _verify(fx: Fixture):
         raise FixtureError("%s: unknown status %r" % (fx.name, fx.status))
     for cert in fx.local_certificates:
         if not verify_conjugator(cert.t, fx.x, fx.y, prime=cert.prime):
-            raise FixtureError(
-                "%s: local certificate at p=%d failed" % (fx.name, cert.prime)
-            )
+            raise FixtureError("%s: local certificate at p=%d failed" % (fx.name, cert.prime))
     if fx.conjugator is not None:
         if not verify_conjugator(fx.conjugator, fx.x, fx.y):
             raise FixtureError("%s: global conjugator failed" % fx.name)
@@ -81,11 +79,7 @@ def _verify(fx: Fixture):
 def _parse(obj) -> Fixture:
     certs = []
     for cert in obj.get("local_certificates", ()):
-        certs.append(
-            LocalCertificate(
-                prime=int(cert["p"]), t=IntMatrix.from_json_obj(cert["t"])
-            )
-        )
+        certs.append(LocalCertificate(prime=int(cert["p"]), t=IntMatrix.from_json_obj(cert["t"])))
     conj = obj.get("conjugator")
     bqf = obj.get("bqf")
     return Fixture(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .matrix import IntMatrix
+from .matrix import CertificateError, IntMatrix
 from .modular import prime_factors, scaled_idempotent_invariants
 
 
@@ -143,10 +143,10 @@ class FieldSpec:
         for _ in range(self.q - 1):
             exp.append(self._index(cur))
             cur = _poly_mul_mod(cur, (0, 1), self.modulus, p)
-        assert self._index(cur) == 1, "root is not primitive"
         self.exp = exp
         self.log = {idx: i for i, idx in enumerate(exp)}
-        assert len(self.log) == self.q - 1
+        if self._index(cur) != 1 or len(self.log) != self.q - 1:
+            raise ValueError("root of the modulus is not primitive")
 
     def _index(self, coeffs) -> int:
         total = 0
@@ -216,19 +216,18 @@ def quarter_cosets(field: FieldSpec):
     Lists of element indices, each sorted ascending; together they
     partition the nonzero elements.
     """
-    q = field.q
-    assert (q - 1) % 4 == 0
+    if (field.q - 1) % 4:
+        raise ValueError("the field order must be 1 mod 4")
     cosets = [[], [], [], []]
     for i, idx in enumerate(field.exp):
         cosets[i % 4].append(idx)
-    out = [sorted(c) for c in cosets]
-    assert all(len(c) == (q - 1) // 4 for c in out)
-    return out
+    return [sorted(c) for c in cosets]
 
 
 def _difference_graph(field: FieldSpec, connection) -> IntMatrix:
     conn = set(connection)
-    assert 0 not in conn
+    if 0 in conn:
+        raise ValueError("connection set must not contain 0")
     q = field.q
     rows = []
     for i in range(q):
@@ -238,9 +237,10 @@ def _difference_graph(field: FieldSpec, connection) -> IntMatrix:
                 row[j] = 1
         rows.append(row)
     m = IntMatrix(rows)
-    assert m.transpose() == m, "connection set must be symmetric"
-    deg = len(conn)
-    assert all(sum(r) == deg for r in m.rows)
+    if m.transpose() != m:
+        raise ValueError("connection set must be symmetric")
+    if any(sum(r) != len(conn) for r in m.rows):
+        raise CertificateError("difference graph is not regular of degree |connection set|")
     return m
 
 
@@ -296,14 +296,13 @@ def _projector_triple(a: IntMatrix, p: int, k: int, r: int, s: int):
     e2 = j * s + a * p - ident * (p * s)
     e3 = j * r - a * p + ident * (p * r)
     scale = p * p
-    for e in (e1, e2, e3):
-        assert e * e == e * scale, "projector identity failed"
-    for u, v in ((e1, e2), (e1, e3), (e2, e3)):
-        assert (u * v).is_zero(), "projectors must annihilate each other"
-    assert e1 + e2 + e3 == ident * scale
-    assert e1.trace() == scale
-    assert e2.trace() == scale * k
-    assert e3.trace() == scale * k
+    if not (
+        all(e * e == e * scale for e in (e1, e2, e3))
+        and all((u * v).is_zero() for u, v in ((e1, e2), (e1, e3), (e2, e3)))
+        and e1 + e2 + e3 == ident * scale
+        and (e1.trace(), e2.trace(), e3.trace()) == (scale, scale * k, scale * k)
+    ):
+        raise CertificateError("projector identities failed")
     return e1, e2, e3
 
 
@@ -348,11 +347,7 @@ class LemmaEntry:
     ok: bool
 
     def to_json_obj(self):
-        return {
-            "name": self.name,
-            "invariants": [str(v) for v in self.invariants],
-            "ok": self.ok,
-        }
+        return {"name": self.name, "invariants": [str(v) for v in self.invariants], "ok": self.ok}
 
 
 @dataclass(frozen=True)

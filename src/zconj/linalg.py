@@ -417,7 +417,8 @@ def lll_reduce(basis, delta=None):
     (Cohen, Alg. 2.6.7): d_i, the Gram determinant of the independent
     vectors among b_0..b_i, and lam_ij = d_j mu_ij.  A vector that
     depends on its predecessors has b_i* = 0, so mu_ji = 0 and d_i =
-    d_(i-1).
+    d_(i-1).  A swap updates these in place, as SWAPI does for
+    independent vectors and MLLL (Alg. 2.6.8) when b_k* = 0.
     """
     b = [list(v) for v in basis]
     n = len(b)
@@ -428,20 +429,48 @@ def lll_reduce(basis, delta=None):
     lam = [[0] * n for _ in range(n)]
     zero = [False] * n  # b_i* = 0
 
-    def update_gs(start):
-        for i in range(start, n):
-            for j in range(i + 1):
-                u = sum(x * y for x, y in zip(b[i], b[j]))
-                for l in range(j):
-                    if not zero[l]:
-                        u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
-                if j < i:
-                    lam[i][j] = 0 if zero[j] else u
-                else:
-                    zero[i] = u == 0
-                    d[i + 1] = d[i] if zero[i] else u
+    def swap(k):
+        # b_(k-1)* != 0; below, d[k - 1], d[k] and d[k + 1] belong to
+        # b_(k-2), b_(k-1) and b_k before the swap
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk, dk = lam[k][k - 1], d[k]
+        if not zero[k]:
+            big = (d[k - 1] * d[k + 1] + lk * lk) // dk
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // dk
+                lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = big
+        elif lk == 0:
+            # the new b_(k-1) depends on b_0..b_(k-2); the new b_k* is the old b_(k-1)*
+            zero[k - 1], zero[k], d[k] = True, False, d[k - 1]
+            for i in range(k + 1, n):
+                lam[i][k], lam[i][k - 1] = lam[i][k - 1], 0
+        else:
+            # the new b_(k-1)* is mu b_(k-1)*, the new b_k depends: every
+            # d_j from k - 1 on is multiplied by mu^2 = lk^2 / dk^2
+            big = lk * lk // dk
+            for i in range(k + 1, n):
+                lam[i][k - 1] = lk * lam[i][k - 1] // dk
+                for j in range(k + 1, i):
+                    lam[i][j] = lam[i][j] * big // dk
+            for j in range(k + 1, n + 1):
+                d[j] = d[j] * big // dk
+            d[k] = big
 
-    update_gs(0)
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                if not zero[l]:
+                    u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = 0 if zero[j] else u
+            else:
+                zero[i] = u == 0
+                d[i + 1] = d[i] if zero[i] else u
     k = 1
     while k < n:
         # size reduction of b_k against b_j for j < k: |mu_kj| > 1/2,
@@ -459,7 +488,6 @@ def lll_reduce(basis, delta=None):
         if zero[k - 1] or den * (dk * d[k - 1] + lk * lk) >= num * d[k] * d[k]:
             k += 1
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            update_gs(k - 1)
+            swap(k)
             k = max(k - 1, 1)
     return [tuple(v) for v in b]

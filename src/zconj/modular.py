@@ -205,6 +205,18 @@ def residues(rows, q: int):
     return (rows % q).astype(dtype, copy=False)
 
 
+def matmul_mod(a, b, q: int):
+    """a @ b mod q for arrays of residues in [0, q], with residues' dtype.
+
+    In float64 while q^2 times the inner dimension stays below 2^53,
+    where every partial sum is exact, otherwise in the integer dtype
+    that bound picks.
+    """
+    bound = q * q * max(1, a.shape[-1])
+    dtype = np.float64 if bound < 1 << 53 else int_dtype(bound)
+    return ((a.astype(dtype) @ b.astype(dtype)) % q).astype(int_dtype(q * q + q))
+
+
 def _inverses_mod(v, p: int):
     """Inverses modulo a prime p of the residues v (0 maps to 0).
 

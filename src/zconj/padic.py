@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import FieldSpec, field_build
+from .matrix import CertificateError
 
 
 class ZeroInput(ValueError):
@@ -34,16 +35,15 @@ class TruncatedUnramifiedRing:
     def __init__(self, p: int, precision: int = 4, field: FieldSpec | None = None):
         if field is None:
             field = field_build(p, 2)
-        assert field.p == p and field.degree == 2
+        if field.p != p or field.degree != 2 or field.modulus[2] != 1:
+            raise ValueError("the field must be F_(p^2) with a monic modulus")
         self.p = p
         self.precision = precision
         self.pn = p**precision
         self.field = field
         self.q = field.q
         # verbatim lift: mod-p coefficients reread in [0, p^N)
-        c0, c1, lead = field.modulus
-        assert lead == 1
-        self.modulus = (c0, c1, 1)
+        self.modulus = tuple(field.modulus)
 
     @property
     def one(self):
@@ -115,9 +115,8 @@ def teichmuller(x: int, ring: TruncatedUnramifiedRing):
         if nz == z:
             break
         z = nz
-    assert ring.pow(z, ring.q) == z, "iteration failed to stabilize"
-    assert ring.pow(z, ring.q - 1) == ring.one
-    assert ring.reduce_mod_p(z) == x % ring.q
+    if ring.pow(z, ring.q - 1) != ring.one or ring.reduce_mod_p(z) != x % ring.q:
+        raise CertificateError("Teichmuller lift is not a root of unity above x")
     return z
 
 
@@ -180,10 +179,7 @@ def jacobi_sum(j: int, ring: TruncatedUnramifiedRing, table=None) -> JacobiSumRe
         lx = field.log[x]
         onemx = field.sub(1, x)
         lo = field.log[onemx]
-        term = ring.mul(
-            table[(-j * lx) % (q - 1)],
-            table[(k * lo) % (q - 1)],
-        )
+        term = ring.mul(table[(-j * lx) % (q - 1)], table[(k * lo) % (q - 1)])
         total = ring.add(total, term)
     val = ring.valuation(total)
     cj = c_of_j(j, ring.p) if 1 <= j <= k - 1 else None
@@ -203,7 +199,8 @@ def c_of_j(j: int, p: int) -> int:
         raise ValueError("index must lie in 1..k-1")
     num = digit_sum(j, p) + digit_sum(k, p) - digit_sum(j + k, p)
     c, rem = divmod(num, p - 1)
-    assert rem == 0 and c in (0, 1), (j, p, num)
+    if rem or c not in (0, 1):
+        raise CertificateError("carry count %d at j = %d is not 0 or p - 1" % (num, j))
     return c
 
 
@@ -211,6 +208,4 @@ def count_cases(p: int):
     """Tally of c(j) = 0 versus c(j) = 1 over 1 <= j <= k-1."""
     k = (p * p - 1) // 2
     c1 = sum(c_of_j(j, p) for j in range(1, k))
-    c0 = (k - 1) - c1
-    assert c0 + c1 == k - 1
-    return c0, c1
+    return (k - 1) - c1, c1

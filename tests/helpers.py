@@ -7,6 +7,7 @@ correct, so the production routines are checked against arithmetic
 that cannot share their bugs.
 """
 
+import functools
 import itertools
 import os
 import random
@@ -274,7 +275,7 @@ def eigenblock_basis_full(x: IntMatrix, y: IntMatrix, spx, spy):
     b_mat, bx = _eigenbases(x, spx)
     c_mat, cy = _eigenbases(y, spy)
     q = lcm(*spx.scales)
-    d_mat = _scaled_inverse(b_mat, q)
+    d_mat, _ = _scaled_inverse(b_mat, q)
     common = [a for a in spx.eigenvalues if a in cy]
     cols = []  # (a, u, v): the entry S_a[u, v]
     for a in common:
@@ -519,3 +520,61 @@ def local_test_sequential(lattice, p: int, budget: int = 100000, seed: int = 0):
                 return hit(coeffs, "exhaustive", "exhaustive")
         return "FAIL", None, "exhaustive", None
     return "UNDECIDED", None, None, None
+
+
+@functools.lru_cache(maxsize=64)
+def _lll_fraction_of(vectors):
+    return lll_fraction(vectors)
+
+
+def conjugator_search_sequential(lattice, budget: int, seed: int = 0):
+    """(T, stage): the stages of conjugator_search after the aligned
+    intertwiner, one candidate at a time.
+
+    Basis elements, then the LLL-reduced ones (lll_fraction), then the
+    growing-radius enumeration over the reduced basis, then seeded
+    rng.randint(-3, 3) combinations, each candidate counted against the
+    budget and accepted when its Laplace determinant is +-1.
+    """
+    from zconj.conjugacy import _enumerate_short
+
+    n = lattice.n
+    vectors = [flat(b) for b in lattice.basis]
+    m = len(vectors)
+    reduced = _lll_fraction_of(tuple(map(tuple, vectors))) if m <= 64 else vectors
+    spent = 0
+
+    def unimodular(coeffs, basis):
+        vec = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(n * n)]
+        rows = [vec[r * n : (r + 1) * n] for r in range(n)]
+        return IntMatrix(rows) if abs(det_small(rows)) == 1 else None
+
+    for stage, basis in (("basis", vectors), ("reduced", reduced)):
+        for i in range(m):
+            spent += 1
+            t = unimodular([int(j == i) for j in range(m)], basis)
+            if t is not None:
+                return t, stage
+            if spent >= budget:
+                return None, None
+    if m <= 64:
+        r2, prev = float(max(sum(v * v for v in w) for w in reduced)) * 1.1, 0.0
+        for _ in range(10):
+            if spent >= budget:
+                break
+            for coeffs in _enumerate_short(reduced, r2, prev, budget - spent):
+                spent += 1
+                t = unimodular(coeffs, reduced)
+                if t is not None:
+                    return t, "enumeration"
+                if spent >= budget:
+                    break
+            prev, r2 = r2, r2 * 2.0
+    rng = random.Random(seed)
+    while spent < budget:
+        spent += 1
+        coeffs = [rng.randint(-3, 3) for _ in range(m)]
+        t = unimodular(coeffs, reduced) if any(coeffs) else None
+        if t is not None:
+            return t, "random"
+    return None, None

@@ -8,6 +8,7 @@ from math import lcm
 
 import pytest
 from helpers import (
+    conjugator_search_sequential,
     det_small,
     eigenblock_basis_full,
     local_test_sequential,
@@ -19,7 +20,7 @@ from helpers import (
     unimodular_inverse,
 )
 
-from zconj import forms
+from zconj import conjugacy, forms
 from zconj.conjugacy import (
     CertificateError,
     DetNotOne,
@@ -29,6 +30,7 @@ from zconj.conjugacy import (
     _Randranges,
     _scaled_inverse,
     _sylvester_basis,
+    _valuation,
     bqf_from_lattice,
     conjugator_search,
     decide,
@@ -39,8 +41,10 @@ from zconj.conjugacy import (
     verify_conjugator,
 )
 from zconj.linalg import det, snf_invariants
+from zconj.modular import det_mod
 from zconj.matrix import IntMatrix
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
+from zconj.graphs import field_build, paley_adjacency, peisert_adjacency
 
 X1 = IntMatrix([[0, 2], [-3, 0]])
 Y1 = IntMatrix([[0, 1], [-6, 0]])
@@ -248,6 +252,130 @@ def test_local_test_matches_sequential_oracle():
     }
 
 
+def glued_against_split(rng, k: int, gap: int):
+    """Hidden [[aI_k, I_k], [0, (a + gap)I_k]] against hidden diag(aI_k, (a + gap)I_k):
+    det B = gap^k and det C = 1, so every prime of gap is a valuation mismatch."""
+    a = rng.randint(-3, 3)
+    rows = [
+        [a * (i == j) + (j == i + k) + gap * (i == j >= k) for j in range(2 * k)] for i in range(2 * k)
+    ]
+    u, v = random_sl(2 * k, rng), random_sl(2 * k, rng)
+    x = u * IntMatrix(rows) * unimodular_inverse(u)
+    y = v * IntMatrix.diagonal([a] * k + [a + gap] * k) * unimodular_inverse(v)
+    return x, y
+
+
+def test_local_test_valuation_mismatch_matches_sequential_oracle(monkeypatch):
+    # no element has a unit determinant mod p: FAIL at once when p^rank
+    # <= 2^20, UNDECIDED otherwise, whatever the budget, as the
+    # one-at-a-time oracle finds after evaluating every candidate
+    rng = random.Random(61)
+    evaluated = []
+    monkeypatch.setattr(conjugacy, "det_mod", lambda *a: evaluated.append(a) or det_mod(*a))
+    cases = [(1, 2, 2, 100000), (1, 6, 3, 100000), (2, 2, 2, 100000), (2, 2, 2, 7), (2, 4, 2, 30)]
+    cases += [(2, 7, 7, 60), (2, 7, 7, 200), (3, 3, 3, 150)]  # 7^8 and 3^18 exceed 2^20
+    seen = set()
+    for k, gap, p, budget in cases:
+        x, y = glued_against_split(rng, k, gap)
+        lattice = intertwiner_lattice(x, y)
+        assert lattice.rank == 2 * k * k
+        assert _valuation(lattice.det_b, p) != _valuation(lattice.det_c, p)
+        for seed in (0, 1):
+            v = local_test(x, y, p, budget=budget, seed=seed, lattice=lattice)
+            status, t, method, _ = local_test_sequential(lattice, p, budget=budget, seed=seed)
+            assert (v.status, v.certificate, v.method) == (status, t, method)
+            seen.add(status)
+    assert seen == {"FAIL", "UNDECIDED"}
+    assert evaluated == []
+
+
+def test_local_test_non_split_matches_sequential_oracle():
+    # the Sylvester lattice is one n x n block with det B = det C = 1
+    companion = IntMatrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # t^3 - 2
+    rng = random.Random(67)
+    pairs = [(X1, Y1), (IntMatrix([[0, 1], [-6, 0]]), IntMatrix([[0, 3], [-2, 0]]))]
+    pairs.append((IntMatrix([[0, 1], [8, 0]]), IntMatrix([[0, 2], [4, 0]])))  # FAILs at 2
+    for _ in range(3):
+        u = random_sl(3, rng)
+        pairs.append((companion, u * companion * unimodular_inverse(u)))
+    seen = set()
+    for x, y in pairs:
+        lattice = intertwiner_lattice(x, y)
+        assert lattice.sizes == ((x.nrows, x.nrows),) and lattice.q == 1
+        for p, budget in ((2, 100000), (3, 100000), (5, 100000), (3, 2), (101, 20)):
+            v = local_test(x, y, p, budget=budget, lattice=lattice)
+            status, t, method, _ = local_test_sequential(lattice, p, budget=budget)
+            assert (v.status, v.certificate, v.method) == (status, t, method)
+            seen.add(status)
+    assert seen == {"PASS", "FAIL"}
+
+
+def test_lattice_basis_is_built_on_first_use():
+    rng = random.Random(71)
+    for _ in range(6):
+        x = hidden_glue(rng, rng.choice((2, 4, 6)), 2)
+        u = random_sl(4, rng)
+        y = u * x * unimodular_inverse(u)
+        spx, spy = split_spectrum(x), split_spectrum(y)
+        lattice = intertwiner_lattice(x, y, spectra=(spx, spy))
+        assert lattice.rank == 8
+        assert "stack" not in vars(lattice) and "basis" not in vars(lattice)
+        assert lattice.basis == eigenblock_basis_full(x, y, spx, spy)
+        assert lattice.stack.tolist() == [[list(r) for r in t.rows] for t in lattice.basis]
+
+
+def test_block_coordinate_checks_catch_corruption(monkeypatch):
+    rng = random.Random(73)
+    x = hidden_glue(rng, 6, 2)
+    u = random_sl(4, rng)
+    y = u * x * unimodular_inverse(u)
+    intertwiner_lattice(x, y)
+    solve = conjugacy.solve_congruence_lattice
+
+    def corrupted(eq, m, q):
+        # one solution moved by e_j, j a column the congruences see
+        sols = solve(eq, m, q)
+        j = next(j for j in range(m) if (eq[:, j] % q).any())
+        return [tuple(v + (i == j) for i, v in enumerate(sols[0]))] + sols[1:]
+
+    monkeypatch.setattr(conjugacy, "solve_congruence_lattice", corrupted)
+    with pytest.raises(CertificateError, match="congruences"):
+        intertwiner_lattice(x, y)
+    monkeypatch.setattr(conjugacy, "solve_congruence_lattice", solve)
+    diagonalize = conjugacy._diagonalize_mod
+
+    def singular(d, q):
+        diag, v = diagonalize(d, q)
+        v = v.copy()
+        v[:, 0] = 0
+        return diag, v
+
+    monkeypatch.setattr(conjugacy, "_diagonalize_mod", singular)
+    with pytest.raises(CertificateError, match="not invertible"):
+        intertwiner_lattice(x, y)
+    monkeypatch.setattr(conjugacy, "_diagonalize_mod", diagonalize)
+    # eigenvectors of another eigenvalue
+    monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: [(1, 0)] if m[0, 0] else [(1, 1)])
+    with pytest.raises(CertificateError, match="eigenvectors"):
+        intertwiner_lattice(IntMatrix.diagonal([1, 2]), IntMatrix.diagonal([1, 2]))
+
+
+def test_decide_above_search_cap_never_builds_the_basis(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the basis was materialized")
+
+    monkeypatch.setattr(IntertwinerLattice, "stack", property(refuse))
+    monkeypatch.setattr(IntertwinerLattice, "basis", property(refuse))
+    f9 = field_build(3, 2)
+    x, y = paley_adjacency(f9), peisert_adjacency(f9)
+    v = decide(x, y, search_dim_cap=8)
+    assert (v.status, v.reason) == ("CONJUGATE", "theorem+local-passes")
+    # p = 3 is a local_test hit, assembled from its block coordinates alone
+    assert [(lv.prime, lv.method) for lv in v.local] == [(2, "closed-form"), (3, "sampled")]
+    for lv in v.local:
+        assert verify_conjugator(lv.certificate, x, y, prime=lv.prime)
+
+
 def test_randranges_match_randrange():
     for p in (2, 3, 5, 2**31 - 1, 2**32 + 15, 2**61 - 1):
         for seed in (0, 1, 2):
@@ -423,6 +551,38 @@ def test_certificate_checks_survive_optimize():
         "    f._unit_by_cycle(f.BinaryQuadraticForm(1, 0, -4))\n"
         "except ValueError:\n"
         "    print('ValueError')\n"
+        # graphs: projectors that are not idempotent, inputs out of range
+        "import zconj.graphs as g\n"
+        "try:\n"
+        "    g._projector_triple(IntMatrix.identity(4), 3, 1, 1, -2)\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "for bad in (\n"
+        "    lambda: g.FieldSpec(3, 1, (1, 0, 1)),\n"
+        "    lambda: g.quarter_cosets(g.FieldSpec(2, 1, (1, 1, 1))),\n"
+        "    lambda: g._difference_graph(g.field_build(3, 2), [1]),\n"
+        "):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+        # padic: a ring whose powers are wrong, a wrong digit sum, a wrong field
+        "import zconj.padic as pa\n"
+        "ring = pa.TruncatedUnramifiedRing(3)\n"
+        "ring.pow = lambda z, e: ring.zero\n"
+        "try:\n"
+        "    pa.teichmuller(1, ring)\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "pa.digit_sum = lambda j, p: 1\n"
+        "try:\n"
+        "    pa.c_of_j(1, 3)\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "try:\n"
+        "    pa.TruncatedUnramifiedRing(7, field=g.field_build(3, 2))\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
     )
     r = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -431,7 +591,10 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "CertificateError\n" * 5 + "ValueError\n"
+    expected = ["CertificateError"] * 5 + ["ValueError"]
+    expected += ["CertificateError"] + ["ValueError"] * 3  # graphs
+    expected += ["CertificateError"] * 2 + ["ValueError"]  # padic
+    assert r.stdout.split() == expected
 
 
 def test_decide_form_budget(monkeypatch):
@@ -469,6 +632,28 @@ def test_conjugator_search_adjacency_route():
     assert all(v in (0, 1) for row in t.rows for v in row)
 
 
+def test_conjugator_search_matches_sequential_oracle():
+    # the stacked filters against one candidate at a time, at budget cuts
+    # inside each stage; without an aligned intertwiner every stage runs.
+    # A repeated element gives a zero Gram-Schmidt vector, which skips the
+    # enumeration; a conjugator put first is a hit of the basis scan
+    rng = random.Random(79)
+    seen = set()
+    for _ in range(10):
+        x, y = glue_pair(rng)
+        basis = intertwiner_lattice(x, y).basis
+        lattices = [IntertwinerLattice(4, b, x, y) for b in (basis, basis + basis[:1])]
+        found = conjugator_search(lattices[0], budget=300)
+        if found is not None:
+            lattices.append(IntertwinerLattice(4, (found,) + basis, x, y))
+        for lattice in lattices:
+            for budget, seed in ((1, 0), (8, 0), (9, 1), (17, 0), (300, 0), (300, 1)):
+                t, stage = conjugator_search_sequential(lattice, budget, seed)
+                assert conjugator_search(lattice, budget, seed) == t
+                seen.add(stage)
+    assert seen == {None, "basis", "reduced", "enumeration", "random"}
+
+
 def test_decide_non_square_rejected():
     with pytest.raises(ValueError):
         decide(IntMatrix([[1, 2]]), IntMatrix([[1], [2]]))
@@ -489,7 +674,7 @@ def test_scaled_inverse_matches_fraction_oracle():
             with pytest.raises(CertificateError, match=str(exc)):
                 _scaled_inverse(m, scale)
             continue
-        assert _scaled_inverse(m, scale) == expected
+        assert _scaled_inverse(m, scale) == (expected, det_small(m.to_lists()))
         assert m * expected == IntMatrix.identity(n) * scale
 
 

@@ -277,6 +277,22 @@ def test_lll_matches_fraction_oracle():
         assert lll_reduce(basis) == lll_fraction(basis)
 
 
+def test_lll_swaps_with_dependent_rows_match_fraction_oracle():
+    # several dependent rows among up to 7 short ones: swaps that move a
+    # zero Gram-Schmidt vector down (mu = 0) and swaps past one (mu != 0),
+    # where every later Gram determinant changes, both happen often
+    rng = random.Random(15)
+    for _ in range(200):
+        n, dim = rng.randint(2, 7), rng.randint(1, 5)
+        bound = rng.choice((1, 2, 5, 30))
+        basis = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            ci, cj = rng.randint(-3, 3), rng.randint(-3, 3)
+            basis[rng.randrange(n)] = [ci * x + cj * y for x, y in zip(basis[i], basis[j])]
+        assert lll_reduce(basis) == lll_fraction(basis)
+
+
 def test_no_module_imports_fractions():
     # exact rational work is fraction-free: integer minors over one denominator
     for path in sorted((SRC / "zconj").glob("*.py")):
