@@ -22,7 +22,7 @@ from pathlib import Path
 from .conjugacy import DetNotOne, decide, sl_lift
 from .corpus import FixtureError, load_corpus
 from .graphs import NotThreeModFour, field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
-from .linalg import snf
+from .linalg import snf, snf_invariants
 from .matrix import CertificateError, IntMatrix, MatrixFormatError
 from .padic import TruncatedUnramifiedRing, _character_table, digit_sum, jacobi_sum
 from .spectral import NotSplit, check_assumption, split_spectrum
@@ -74,14 +74,17 @@ def _write_matrix(matrix: IntMatrix, path):
 
 def _cmd_snf(args) -> int:
     m = _read_matrix(args.matrix)
-    dec = snf(m)
     if args.transforms:
+        dec = snf(m)
         out = Path(args.transforms)
         out.mkdir(parents=True, exist_ok=True)
         _write_matrix(dec.u, out / "U.txt")
         _write_matrix(dec.d, out / "D.txt")
         _write_matrix(dec.v, out / "V.txt")
-    _print(" ".join(str(d) for d in dec.invariants))
+        invariants = dec.invariants
+    else:
+        invariants = snf_invariants(m)
+    _print(" ".join(str(d) for d in invariants))
     return EXIT_OK
 
 

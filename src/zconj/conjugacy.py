@@ -866,12 +866,9 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
             t = _certified(lattice.basis[0] * xc + lattice.basis[1] * yc, x, y)
             return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
         return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
-    # rank 3 cannot occur for 2x2; rank 4 means both scalar (equal was
-    # handled); decide by direct search as a safety net
-    t = conjugator_search(lattice)
-    if t is not None:
-        return verdict("CONJUGATE", "explicit-conjugator", conjugator=t)
-    return verdict("UNKNOWN", "unsupported", note="degenerate high-rank 2x2 lattice")
+    # with equal characteristic polynomials C(X,Y) has rank 0, 1, 2 or 4,
+    # and rank 4 only for X = Y = aI, which decide answers first
+    raise CertificateError("2x2 intertwiner lattice of rank %d" % r)
 
 
 def decide(

@@ -207,7 +207,7 @@ def field_build(p: int, degree: int) -> FieldSpec:
         if not _root_is_primitive(coeffs, p, q):
             continue
         return FieldSpec(p, degree // 2, coeffs)
-    raise AssertionError("no primitive polynomial found")
+    raise CertificateError("no primitive polynomial found")
 
 
 def quarter_cosets(field: FieldSpec):

@@ -4,9 +4,13 @@ Everything here is computed with exact integer arithmetic.  Rational
 data is carried fraction-free: fraction_free_rref is the one elimination
 behind det, the RREF kernel route, the scaled inverse in conjugacy and
 the minimal polynomial in spectral, and LLL keeps integral Gram-Schmidt
-data.  Transformation matrices are unimodular by construction: they
-are accumulated as products of elementary row and column operations,
-never recovered by solving.
+data.  Invariant factors come from one kernel, the divisor chain of
+modular._diagonalize_mod taken modulo a nonzero maximal minor that
+fraction_free_rref supplies (Domich, Kannan and Trotter 1987), so their
+cost is polynomial in the bit size of the input.  Hermite and Smith
+forms with transforms come from gcd row operations; their unimodular
+transforms are accumulated as products of elementary row and column
+operations, never recovered by solving.
 
 Conventions:
 
@@ -14,7 +18,8 @@ Conventions:
   (positive pivots, entries above a pivot reduced into [0, pivot),
   zero rows last)
 * snf returns U * A * V = D with D = diag(d_1, ..., d_r, 0, ..., 0),
-  d_i > 0 and d_1 | d_2 | ... | d_r
+  d_i > 0 and d_1 | d_2 | ... | d_r; snf_invariants returns the same
+  d_1, ..., d_r without transforms
 * kernel_basis returns a basis of the saturated integer kernel
   {v : A v = 0}, so the basis extends to a basis of Z^ncols
 """
@@ -27,7 +32,7 @@ from math import gcd, prod
 import numpy as np
 
 from .matrix import CertificateError, IntMatrix, int_dtype
-from .modular import solve_congruence_lattice
+from .modular import _diagonalize_mod, solve_congruence_lattice
 
 
 def xgcd(a: int, b: int):
@@ -60,8 +65,7 @@ def _hnf_inplace(m, rows, cols, transform):
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            if transform is not None:
-                transform[r], transform[pivot] = transform[pivot], transform[r]
+            transform[r], transform[pivot] = transform[pivot], transform[r]
         # fold every lower row into the pivot row with a unimodular 2x2 step
         for i in range(r + 1, rows):
             if not m[i][c]:
@@ -74,16 +78,14 @@ def _hnf_inplace(m, rows, cols, transform):
                 u, v = rr[j], ri[j]
                 rr[j] = x * u + y * v
                 ri[j] = ag * v - bg * u
-            if transform is not None:
-                ti, tr = transform[i], transform[r]
-                for j in range(len(tr)):
-                    u, v = tr[j], ti[j]
-                    tr[j] = x * u + y * v
-                    ti[j] = ag * v - bg * u
+            ti, tr = transform[i], transform[r]
+            for j in range(len(tr)):
+                u, v = tr[j], ti[j]
+                tr[j] = x * u + y * v
+                ti[j] = ag * v - bg * u
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
-            if transform is not None:
-                transform[r] = [-a for a in transform[r]]
+            transform[r] = [-a for a in transform[r]]
         piv = m[r][c]
         # reduce the rows above the pivot into [0, piv)
         for i in range(r):
@@ -92,14 +94,12 @@ def _hnf_inplace(m, rows, cols, transform):
                 mi, mr = m[i], m[r]
                 for j in range(c, cols):
                     mi[j] -= q * mr[j]
-                if transform is not None:
-                    ti, tr = transform[i], transform[r]
-                    for j in range(len(tr)):
-                        ti[j] -= q * tr[j]
+                ti, tr = transform[i], transform[r]
+                for j in range(len(tr)):
+                    ti[j] -= q * tr[j]
         r += 1
         if r == rows:
             break
-    return r
 
 
 def hnf(matrix: IntMatrix):
@@ -123,34 +123,8 @@ class SnfDecomposition:
     v: IntMatrix
     invariants: tuple
 
-    @property
-    def exponent(self) -> int:
-        return self.invariants[-1] if self.invariants else 1
-
     def check(self, matrix: IntMatrix) -> bool:
         return self.u * matrix * self.v == self.d
-
-
-@dataclass(frozen=True)
-class SmithGroup:
-    """Invariant factors d_1 | d_2 | ... of the cokernel torsion."""
-
-    invariants: tuple
-
-    @property
-    def exponent(self) -> int:
-        return self.invariants[-1] if self.invariants else 1
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.invariants:
-            n *= d
-        return n
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.exponent == 1
 
 
 def _transpose_lists(m):
@@ -172,7 +146,7 @@ def _snf_core(m, rows, cols, u, vt):
             m[i] = m2[i]
         if _is_diagonal(m, rows, cols):
             return
-    raise AssertionError("diagonalization did not converge")
+    raise CertificateError("diagonalization did not converge")
 
 
 def _is_diagonal(m, rows, cols):
@@ -184,7 +158,13 @@ def _is_diagonal(m, rows, cols):
 
 
 def snf(matrix: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transforms on both sides."""
+    """Smith normal form with unimodular transforms on both sides.
+
+    Alternating row and column HNF passes, then 2x2 gcd steps for the
+    divisibility chain; every diagonal entry stays positive, as HNF
+    pivots are and as the gcd step's g and (a/g) b are.  Entry growth
+    can make this slow on large matrices; snf_invariants alone is not.
+    """
     rows, cols = matrix.nrows, matrix.ncols
     m = matrix.to_lists()
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
@@ -223,59 +203,27 @@ def snf(matrix: IntMatrix) -> SnfDecomposition:
                 for k in range(cols):
                     vtj[k] -= yb * vti[k]
                 m[i][i], m[j][j] = g, ag * b
-    # normalize signs
-    for i in range(r):
-        if m[i][i] < 0:
-            m[i][i] = -m[i][i]
-            for k in range(cols):
-                vt[i][k] = -vt[i][k]
     invariants = tuple(m[i][i] for i in range(r) if m[i][i])
     v = _transpose_lists(vt)
     return SnfDecomposition(IntMatrix(u), IntMatrix(m), IntMatrix(v), invariants)
 
 
 def snf_invariants(matrix: IntMatrix) -> tuple:
-    """Invariant factors only, skipping transform bookkeeping.
+    """Invariant factors d_1 | ... | d_r of a matrix of rank r.
 
-    Same elimination as snf, run without accumulating U and V; for large
-    matrices this saves a constant factor but nothing semantic.
+    fraction_free_rref gives r and d, a nonzero r x r minor.  The product
+    d_1 ... d_r divides every r x r minor, so each d_i divides |d| and the
+    divisor chain of the diagonalization over Z/|d| lists them first,
+    followed by |d| for each of the remaining columns.
     """
-    rows, cols = matrix.nrows, matrix.ncols
-    m = matrix.to_lists()
-    rank = _hnf_inplace(m, rows, cols, None)
-    m = [row for row in m if any(row)]
-    if not m:
+    _, pivots, d, _ = fraction_free_rref(matrix.rows)
+    r, d = len(pivots), abs(d)
+    if not r:
         return ()
-    # column pass on the nonzero rows, then alternate on the square core
-    rows = len(m)
-    while True:
-        mt = _transpose_lists(m)
-        _hnf_inplace(mt, cols, rows, None)
-        m = [list(r) for r in _transpose_lists(mt) if any(r)]
-        rows = len(m)
-        _hnf_inplace(m, rows, cols, None)
-        m = [row for row in m if any(row)]
-        rows = len(m)
-        if _is_diagonal(m, rows, cols):
-            break
-    if rows != rank:
-        raise CertificateError("Smith diagonal size differs from the rank")
-    diag = [m[i][i] for i in range(rows)]
-    # divisibility chain via gcd/lcm on the multiset of pivots
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            if b % a:
-                g = gcd(a, b)
-                diag[i], diag[j] = g, a // g * b
-    diag = [abs(d) for d in diag]
-    diag.sort()
-    return tuple(diag)
-
-
-def smith_group(matrix: IntMatrix) -> SmithGroup:
-    """Torsion of the cokernel Z^nrows / (matrix * Z^ncols)."""
-    return SmithGroup(snf_invariants(matrix))
+    diag, _ = _diagonalize_mod(matrix.rows, d)
+    if any(x != d for x in diag[r:]):
+        raise CertificateError("Smith chain has more invariants than the rank")
+    return tuple(diag[:r])
 
 
 # -- fraction-free elimination ------------------------------------------

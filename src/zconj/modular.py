@@ -15,8 +15,8 @@ E * E = L * E exactly, every invariant factor of E divides L (for v in
 the saturation of the column space, c v = E w gives c E v = L c v, so
 L v lies in the column space), the matrix is semisimple with spectrum
 in {0, L}, and rank(E) = trace(E) / L.  The invariant factors are then
-read off the diagonalization over Z/L, with rank many in total and the
-entries that vanish mod L standing for invariant factors equal to L.
+the first rank(E) entries of the divisor chain over Z/L, the way
+linalg.snf_invariants reads them modulo a maximal minor.
 """
 
 from __future__ import annotations
@@ -461,10 +461,9 @@ class NotScaledIdempotent(ValueError):
 def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     """Invariant factors of a matrix E satisfying E*E = scale*E exactly.
 
-    Verifies the identity, derives rank = trace/scale, and reads the
-    invariant factors from the diagonalization over Z/scale, whose
-    divisors form a chain; a diagonal entry that vanishes mod scale is
-    an invariant factor equal to scale.
+    Verifies the identity, derives rank r = trace/scale, and reads the
+    invariant factors as the first r entries of the divisor chain over
+    Z/scale; every later entry must be the scale itself.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -476,11 +475,7 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     r = tr // scale
     if r < 0 or r > e.nrows:
         raise NotScaledIdempotent("trace out of range")
-    if scale == 1:
-        return (1,) * r
     diag, _ = _diagonalize_mod(e.rows, scale)
-    # a divisor chain already; an entry equal to the scale vanishes mod it
-    vals = [d for d in diag if d != scale]
-    if len(vals) > r:
+    if any(d != scale for d in diag[r:]):
         raise NotScaledIdempotent("more invariant factors than the rank allows")
-    return tuple(vals) + (scale,) * (r - len(vals))
+    return tuple(diag[:r])

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from .linalg import fraction_free_rref, snf_invariants
 from .matrix import CertificateError, IntMatrix, int_from_json
-from .modular import NotScaledIdempotent, scaled_idempotent_invariants
+from .modular import scaled_idempotent_invariants
 
 
 class NotSplit(ValueError):
@@ -351,12 +351,10 @@ def quotient_invariants(e: IntMatrix, scale: int):
     or DivisibilityViolation is raised.  Values come out in descending
     order because the d_j ascend.
     """
-    try:
-        invs = scaled_idempotent_invariants(e, scale)
-    except NotScaledIdempotent:
-        invs = snf_invariants(e)
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     out = []
-    for d in invs:
+    for d in snf_invariants(e):
         if scale % d:
             raise DivisibilityViolation(
                 "invariant %d does not divide the scale %d" % (d, scale)

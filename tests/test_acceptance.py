@@ -31,7 +31,7 @@ from zconj.graphs import (
     peisert_adjacency,
     verify_smith_lemma,
 )
-from zconj.linalg import det, kernel_basis, snf, snf_invariants
+from zconj.linalg import det, kernel_basis, snf
 from zconj.matrix import IntMatrix
 from zconj.padic import TruncatedUnramifiedRing, _character_table, c_of_j, jacobi_sum
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
@@ -231,7 +231,7 @@ def test_criterion_8_quotient_invariants_consistent(corpus):
         for e, q, mult in zip(
             spectrum.idempotents, spectrum.scales, spectrum.multiplicities
         ):
-            divisors = snf_invariants(e)
+            divisors = snf(e).invariants
             quotients = quotient_invariants(e, q)
             assert len(divisors) == len(quotients) == mult
             for d, m in zip(divisors, quotients):

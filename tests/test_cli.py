@@ -1,14 +1,18 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
+from math import prod
 
 import pytest
 from helpers import subprocess_env
 
+import zconj.cli as cli
+import zconj.graphs as graphs
 from zconj.graphs import field_build, paley_adjacency, peisert_adjacency
-from zconj.linalg import det
+from zconj.linalg import det, snf_invariants
 from zconj.matrix import IntMatrix
 
 
@@ -48,6 +52,23 @@ def test_snf_transforms(matfile, tmp_path):
     x = IntMatrix([[2, 4, 4], [-6, 6, 12]])
     assert u * x * v == d
     assert abs(det(u)) == 1 and abs(det(v)) == 1
+
+
+def test_snf_without_transforms_is_fast(matfile):
+    # a 40 x 40 matrix the transform elimination does not finish in 300 s
+    rng = random.Random(7)
+    rows = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    r = subprocess.run(
+        [sys.executable, "-m", "zconj.cli", "snf", matfile("big.txt", rows)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert r.returncode == 0
+    inv = tuple(int(v) for v in r.stdout.split())
+    assert inv == snf_invariants(IntMatrix(rows))
+    assert prod(inv) == abs(det(IntMatrix(rows)))
 
 
 def test_graph_generation(tmp_path):
@@ -184,7 +205,7 @@ def test_help_exits_zero():
     assert "decide" in r.stdout
 
 
-def test_internal_error_exits_five(matfile):
+def test_internal_error_exits_five(matfile, monkeypatch, capsys):
     # a failed certificate re-check is a bug, not malformed input
     x = matfile("x.txt", [[1, 2], [0, 3]])
     y = matfile("y.txt", [[1, 0], [0, 3]])
@@ -204,3 +225,7 @@ def test_internal_error_exits_five(matfile):
     assert r.returncode == 5
     assert r.stderr.startswith("error: internal: ")
     assert r.stdout == ""
+    # so is a field with no primitive polynomial
+    monkeypatch.setattr(graphs, "_is_irreducible", lambda *args: False)
+    assert cli.main(["paley", "3"]) == 5
+    assert capsys.readouterr().err.startswith("error: internal: ")

@@ -3,6 +3,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import prod
 
 from helpers import (
     SRC,
@@ -23,7 +24,6 @@ from zconj.linalg import (
     hnf,
     kernel_basis,
     lll_reduce,
-    smith_group,
     snf,
     snf_invariants,
 )
@@ -94,13 +94,26 @@ def test_snf_against_minor_gcds():
         for a, b in zip(dec.invariants, dec.invariants[1:]):
             assert b % a == 0
         assert dec.invariants == snf_invariants(m)
+    # snf_invariants reads the chain mod a maximal minor; the transform
+    # elimination is its independent reference: rank-deficient and
+    # non-square shapes, zero matrices, entries past int64, multiples
+    cases = [IntMatrix([[0] * c for _ in range(r)]) for r, c in ((1, 1), (2, 3), (4, 2))]
+    for bound in BOUNDS:
+        for _ in range(6):
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bound)
+            cases += [m, rank_deficient(rng, m), m * rng.choice((2, 12, 2**61 - 1))]
+    for m in cases:
+        assert snf_invariants(m) == snf(m).invariants
+    # a 40 x 40 matrix, far past what the transform elimination finishes
+    m = random_matrix(random.Random(5), 40, 40, 9)
+    inv = snf_invariants(m)
+    assert len(inv) == 40 and all(b % a == 0 for a, b in zip(inv, inv[1:]))
+    assert prod(inv) == abs(det(m))
 
 
 def test_smith_group():
-    g = smith_group(IntMatrix.diagonal([4, 6]))
-    assert g.invariants == (2, 12)
-    assert g.order == 24 and g.exponent == 12
-    assert smith_group(IntMatrix.identity(2)).is_trivial
+    assert snf_invariants(IntMatrix.diagonal([4, 6])) == (2, 12)
+    assert snf_invariants(IntMatrix.identity(2)) == (1, 1)
 
 
 def test_charpoly_descending_coefficients():

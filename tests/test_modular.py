@@ -15,7 +15,7 @@ from helpers import (
     solve_congruence_lattice_full,
 )
 
-from zconj.linalg import snf_invariants
+from zconj.linalg import snf
 from zconj.matrix import IntMatrix
 from zconj.modular import (
     FactorizationBudget,
@@ -186,14 +186,14 @@ def test_scaled_idempotent_invariants_match_snf():
             e = -e
         scale = abs(d)
         assert e * e == e * scale
-        assert scaled_idempotent_invariants(e, scale) == snf_invariants(e)
+        assert scaled_idempotent_invariants(e, scale) == snf(e).invariants
         good += 1
     # over a composite scale the Smith chain can reach the scale itself:
     # for this Y the diagonal (2, 3) mod 6 chains to (1, 6)
     y = IntMatrix([[9, -8], [9, -9]])
     spectrum = split_spectrum(y)
     for e, scale in zip(spectrum.idempotents, spectrum.scales):
-        assert scaled_idempotent_invariants(e, scale) == snf_invariants(e)
+        assert scaled_idempotent_invariants(e, scale) == snf(e).invariants
     assert isinstance(check_assumption(y), AssumptionReport)
 
 
@@ -229,7 +229,7 @@ def test_solve_congruence_lattice_at_dtype_boundary():
                     assert sum(r[j] * b[j] for j in range(m)) % q == 0
             # solutions mod q number prod gcd(d_j, q) over the m Smith
             # invariants of A, counting each missing one as 0
-            d = snf_invariants(IntMatrix(rows))
+            d = snf(IntMatrix(rows)).invariants
             count = 1
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
@@ -299,7 +299,7 @@ def test_diagonalize_mod_gives_a_divisor_chain():
             assert all(diag[j + 1] % diag[j] == 0 for j in range(m - 1))
             # the solutions count prod d_j mod q, as many as A's Smith
             # invariants give
-            d = snf_invariants(IntMatrix(rows))
+            d = snf(IntMatrix(rows)).invariants
             count = 1
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
@@ -338,4 +338,4 @@ def test_scaled_idempotent_invariants_composite_scales():
             if det_small(rows) < 0:
                 e = -e
             assert e * e == e * scale
-            assert scaled_idempotent_invariants(e, scale) == snf_invariants(e)
+            assert scaled_idempotent_invariants(e, scale) == snf(e).invariants
