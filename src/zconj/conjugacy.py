@@ -364,7 +364,7 @@ def local_test(
     when no lattice is given and it is built here: a mismatch FAILs at
     once, because any nonsingular intertwiner would force equality.  A
     given lattice must be C(x, y), and decide passes one only after the
-    characteristic polynomials have matched.
+    spectra, and so the characteristic polynomials, have matched.
 
     Candidates are evaluated in the lattice's block coordinates: T B =
     C blockdiag(S_a) gives det T det B = det C prod_a det S_a, so when
@@ -881,9 +881,11 @@ def decide(
 ) -> Verdict:
     """Decide GL_n(Z)-conjugacy of x and y with certificates.
 
-    Pipeline: identical inputs; characteristic polynomial comparison;
-    split-spectrum analysis with the exponent assumption checked on x
-    and then y; local tests at the relevant primes in increasing order,
+    Pipeline: identical inputs; split spectra of x and y, compared as
+    eigenvalues with multiplicities, which for split matrices is the
+    characteristic polynomial comparison (charpoly runs only when one
+    is not split); the exponent assumption checked on x and then y;
+    local tests at the relevant primes in increasing order,
     always on C(x,y), stopping at the first FAIL (so local ends there),
     each a closed-form PASS when the lattice's C D verifies there and a
     local_test otherwise; the local-global theorem when the assumption
@@ -906,25 +908,25 @@ def decide(
     n = x.nrows
     if x == y:
         return Verdict(status="CONJUGATE", reason="explicit-conjugator", conjugator=IntMatrix.identity(n))
-    if charpoly(x) != charpoly(y):
-        return Verdict(status="NOT_CONJUGATE", reason="charpoly-mismatch")
+    mismatch = Verdict(status="NOT_CONJUGATE", reason="charpoly-mismatch")
     try:
-        spx = split_spectrum(x)
-        spy = split_spectrum(y)
+        spx, spy = split_spectrum(x), split_spectrum(y)
     except NotSplit:
-        spx = spy = None
-    if spx is None:
+        if charpoly(x) != charpoly(y):
+            return mismatch
         if n == 2:
-            lattice = intertwiner_lattice(x, y)
-            return _decide_bqf(x, y, lattice)
+            return _decide_bqf(x, y, intertwiner_lattice(x, y))
         return Verdict(
             status="UNKNOWN",
             reason="unsupported",
             note="minimal polynomial is not split with distinct integer roots",
         )
-    # equal characteristic polynomials force equal spectra
+    # charpoly = prod (t - a)^mult(a): equal exactly when sorted spectra are
+    for sp in (spx, spy):
+        if list(sp.eigenvalues) != sorted(set(sp.eigenvalues)) or sum(sp.multiplicities) != n:
+            raise CertificateError("split spectrum is not in canonical form")
     if spx.eigenvalues != spy.eigenvalues or spx.multiplicities != spy.multiplicities:
-        raise CertificateError("equal characteristic polynomials gave unequal spectra")
+        return mismatch
     rep = check_assumption(x, spectrum=spx)
     swapped = False
     if not rep.holds:

@@ -129,8 +129,8 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ma = max(abs(x) for row in self._rows for x in row)
-        mb = max(abs(x) for row in other._rows for x in row)
+        ma = max(max(map(max, self._rows)), -min(map(min, self._rows)))
+        mb = max(max(map(max, other._rows)), -min(map(min, other._rows)))
         dtype = int_dtype(ma, mb, ma * mb * self.ncols)
         prod = np.array(self._rows, dtype=dtype) @ np.array(other._rows, dtype=dtype)
         return IntMatrix(prod.tolist())

@@ -1,14 +1,15 @@
 """Linear algebra over Z/q and lattices defined by congruences.
 
 The central object is the solution lattice {s in Z^m : A s = 0 (mod q)}.
-It always contains q Z^m, so its Hermite normal form can be built with
-all entries reduced mod q.  A is diagonalized by a chain-ring
-eliminator: q splits into coprime prime powers p^k, over Z/p^k every
-entry is p^l times a unit and pivots go by level l, and the Chinese
-remainder theorem joins the pieces.  Every kernel keeps its residues in
-[0, q), so no intermediate exceeds q^2 + q in magnitude; that bound
-picks the numpy dtype (int64 for small q, Python ints otherwise) and
-the same code runs for every modulus.
+It always contains q Z^m, so its Hermite normal form has all entries
+reduced mod q, and it is read off the Howell form of A over Z/q in one
+pass (Storjohann and Mulders, ESA 1998).  Diagonalization over Z/q is a
+chain-ring eliminator: q splits into coprime prime powers p^k, over
+Z/p^k every entry is p^l times a unit and pivots go by level l, and the
+Chinese remainder theorem joins the pieces.  Every kernel keeps its
+residues in [0, q), so no intermediate exceeds q^2 + q in magnitude;
+that bound picks the numpy dtype (int64 for small q, Python ints
+otherwise) and the same code runs for every modulus.
 
 Also here: the invariant-factor shortcut for scaled idempotents.  If
 E * E = L * E exactly, every invariant factor of E divides L (for v in
@@ -26,7 +27,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .matrix import IntMatrix, int_dtype
+from .matrix import CertificateError, IntMatrix, int_dtype
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -377,78 +378,68 @@ def _diagonalize_mod(rows, q: int):
     return diag, v
 
 
-# -- Howell-style triangular bases ----------------------------------------
+# -- congruence lattices ---------------------------------------------------
 
 
-def _kernel_gens(diag, v, q: int):
-    """Generators (q / d_j) V e_j of the solution lattice, as rows."""
-    mults = np.array([q // d for d in diag], dtype=v.dtype)
-    gens = ((v * mults) % q).T
-    return gens[(gens != 0).any(axis=1)]
+def _howell_rows(a, q: int):
+    """Howell form of the row span of the residues a over Z/q; {c: E_c}.
 
-
-def triangular_lattice_basis(gens, m: int, q: int):
-    """Hermite normal form of the lattice spanned by gens and q Z^m.
-
-    Row j has its pivot at column j, the pivot divides q, and a column no
-    generator reaches gets the plain q e_j row.  Column by column, the
-    pool row whose entry has the least gcd g with q is scaled to g and
-    clears the column in the other rows; when g fails to divide some
-    entry (composite q) the step repeats with the smaller gcd left
-    behind.  The pivot row then leaves the pool and its multiple by q/g,
-    which vanishes in the column, takes its slot, so the pool never
-    grows and every row is zero left of the column.
+    Columns go right to left, in place on a.  E_c is columns 0..c of a
+    row with pivot g_c | q at column c and zeros right of it.  The pool
+    row of least gcd with q in the column is scaled to that gcd g and
+    clears the column in the others; if g fails to divide some entry
+    (composite q) the step repeats.  The pivot row then leaves the pool
+    and its multiple by q/g takes its slot, which gives the Howell
+    property: a vector of the row span that vanishes from column c on
+    is a combination of the E_j with j < c.
     """
-    pool = residues(gens if len(gens) else [[0] * m], q)
     out = {}
-    for col in range(m):
+    for col in range(a.shape[1] - 1, -1, -1):
         while True:
-            active = np.flatnonzero(pool[:, col])
+            active = np.flatnonzero(a[:, col])
             if not len(active):
                 break
-            kbest = active[int(np.argmin(np.gcd(pool[active, col], q)))]
-            g, u = unit_scaling(int(pool[kbest, col]), q)
+            kbest = active[int(np.argmin(np.gcd(a[active, col], q)))]
+            g, u = unit_scaling(int(a[kbest, col]), q)
             if u != 1:
-                pool[kbest, col:] = (pool[kbest, col:] * u) % q
-            pivrow = pool[kbest].copy()
+                a[kbest, : col + 1] = (a[kbest, : col + 1] * u) % q
+            pivrow = a[kbest, : col + 1].copy()
             others = active[active != kbest]
             if len(others):
-                f = pool[others, col] // g
-                pool[others, col:] = (pool[others, col:] - np.outer(f, pivrow[col:])) % q
-                if pool[others, col].any():
+                f = a[others, col] // g
+                a[others, : col + 1] = (a[others, : col + 1] - np.outer(f, pivrow)) % q
+                if a[others, col].any():
                     continue
             out[col] = pivrow
-            pool[kbest] = (pivrow * (q // g)) % q
+            a[kbest, : col + 1] = (pivrow * (q // g)) % q
             break
-    basis = np.eye(m, dtype=pool.dtype) * q
-    for col, row in out.items():
-        basis[col] = row
-        basis[col, col] = gcd(int(row[col]), q)
-    # reduce entries above each pivot; reducing mod q afterwards only
-    # adds q e_j rows, which lie in the lattice, and never touches the
-    # pivots sitting strictly left of the current column
-    for col in range(m):
-        d = int(basis[col, col])
-        rows = np.flatnonzero(basis[:col, col] >= d)
-        if len(rows):
-            f = basis[rows, col] // d
-            basis[rows, col:] = basis[rows, col:] - np.outer(f, basis[col, col:])
-            basis[rows, col + 1 :] %= q
-    return [tuple(row) for row in basis.tolist()]
+    return out
 
 
 def solve_congruence_lattice(rows, m: int, q: int):
-    """Basis of {s in Z^m : A s = 0 (mod q)} for A given by rows.
+    """Hermite normal form of {s in Z^m : A s = 0 (mod q)}, A given by rows.
 
-    Diagonalize A over Z/q as U A V = D; with t = V^-1 s the system
-    becomes d_j t_j = 0 (mod q), so the solutions are generated by
-    (q / gcd(d_j, q)) V e_j together with q Z^m.  The result is the
-    Hermite normal form, so it does not depend on how D was found.
+    Read off the Howell form of A (_howell_rows: rows E_c, pivots g_c)
+    in one pass.  Row c of the basis S has q / g_c on the diagonal (1
+    at a non-pivot column), zeros left of it and at non-pivot columns,
+    and at each pivot column c' > c the entry -(sum_{j<c'} E_c'j S_cj) /
+    g_c' mod q / g_c' that solves E_c'.  The division is exact, and
+    checked: (q / g_c') E_c' vanishes from c' on, so it is a combination
+    of the E_j (j < c') that S_c already solves.  det S = prod q / g_c is
+    the order of A's row span, the index of the lattice, so S is a basis;
+    its entries are reduced below the pivots, so S is the unique HNF.
     """
     if q <= 1:
         return [tuple(q if i == j else 0 for i in range(m)) for j in range(m)] if q else []
-    diag, v = _diagonalize_mod(rows if len(rows) else [[0] * m], q)
-    return triangular_lattice_basis(_kernel_gens(diag, v, q), m, q)
+    a = residues(rows, q).reshape(len(rows), m)
+    s = np.eye(m, dtype=a.dtype)
+    for c, e in sorted(_howell_rows(a, q).items()):
+        g = int(e[c])
+        x = matmul_mod(s[:c, :c], e[:c, None], q)[:, 0]
+        if (x % g).any():
+            raise CertificateError("Howell rows do not give an exact division")
+        s[:c, c], s[c, c] = -(x // g) % (q // g), q // g
+    return [tuple(row) for row in s.tolist()]
 
 
 # -- invariant factors of scaled idempotents -------------------------------

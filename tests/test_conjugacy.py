@@ -468,6 +468,51 @@ def test_decide_charpoly_mismatch():
     assert v.reason == "charpoly-mismatch"
 
 
+def test_decide_compares_split_spectra_without_charpoly(monkeypatch):
+    calls = []
+    charpoly = conjugacy.charpoly
+    monkeypatch.setattr(conjugacy, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    # unequal eigenvalues, and equal eigenvalues with unequal multiplicities
+    mismatched = [
+        (IntMatrix([[1, 1], [0, 2]]), IntMatrix.diagonal([1, 3])),
+        (IntMatrix.diagonal([1, 1, 2]), IntMatrix.diagonal([1, 2, 2])),
+        (IntMatrix([[0, 1, 0], [0, 1, 0], [0, 0, 1]]), IntMatrix([[0, 0, 0], [0, 0, 0], [1, 0, 1]])),
+    ]
+    for x, y in mismatched:
+        for a, b in ((x, y), (y, x)):
+            assert decide(a, b).to_json_obj() == {
+                "status": "NOT_CONJUGATE",
+                "reason": "charpoly-mismatch",
+                "certificates": {},
+            }
+    rng = random.Random(5)
+    for _ in range(6):
+        x = random_split_conjugate(rng.randint(2, 4), rng)
+        u = random_sl(x.nrows, rng)
+        assert decide(x, u * x * unimodular_inverse(u)).status == "CONJUGATE"
+    assert calls == []
+    # a split matrix against a non-split one with the same characteristic
+    # polynomial: charpoly runs, and the verdict is the one of the
+    # non-split route
+    jordan2 = IntMatrix([[1, 1], [0, 1]])
+    jordan3 = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    for x, y in ((IntMatrix.identity(2), jordan2), (IntMatrix.diagonal([1, 1, 2]), jordan3)):
+        for a, b in ((x, y), (y, x)):
+            calls.clear()
+            v = decide(a, b)
+            assert len(calls) == 2
+            if a.nrows == 2:
+                assert (v.status, v.reason, v.note) == (
+                    "NOT_CONJUGATE",
+                    "bqf-certificate",
+                    "determinant form vanishes identically",
+                )
+            else:
+                assert (v.status, v.reason) == ("UNKNOWN", "unsupported")
+    # non-split on both sides with unequal characteristic polynomials
+    assert decide(jordan2, IntMatrix([[1, 1], [0, 2]])).reason == "charpoly-mismatch"
+
+
 def test_decide_identical_input():
     v = decide(X1, X1)
     assert v.status == "CONJUGATE"

@@ -9,14 +9,14 @@ import pytest
 from helpers import (
     adjugate,
     det_small,
-    howell_py,
     prime_factors_trial_division,
     random_sl,
     solve_congruence_lattice_full,
 )
 
+from zconj import modular
 from zconj.linalg import snf
-from zconj.matrix import IntMatrix
+from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import (
     FactorizationBudget,
     _diagonalize_mod,
@@ -26,7 +26,6 @@ from zconj.modular import (
     prime_factors,
     scaled_idempotent_invariants,
     solve_congruence_lattice,
-    triangular_lattice_basis,
     unit_scaling,
 )
 from zconj.spectral import AssumptionReport, check_assumption, split_spectrum
@@ -156,16 +155,27 @@ def test_solve_congruence_lattice_composite_modulus():
                 assert in_lattice(s, basis, m)
 
 
-def test_triangular_basis_matches_pure_python():
+def test_solve_congruence_lattice_matches_pure_python():
+    # the numpy one-pass solver against the list oracle (gcd sweep plus
+    # howell_py) on small systems
     rng = random.Random(11)
     for _ in range(60):
         m = rng.randint(1, 5)
         q = rng.choice([4, 6, 9, 12, 30])
         k = rng.randint(1, 4)
-        gens = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
-        bn = triangular_lattice_basis([list(g) for g in gens], m, q)
-        bp = howell_py([list(g) for g in gens], m, q)
-        assert bn == [tuple(r) for r in bp]
+        rows = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
+        expected = [tuple(r) for r in solve_congruence_lattice_full(rows, m, q)]
+        assert solve_congruence_lattice(rows, m, q) == expected
+
+
+def test_solve_congruence_lattice_checks_its_divisions(monkeypatch):
+    # mod 4 the row (1, 2) alone is an echelon form without the Howell
+    # property: the annihilator row (2, 0) is missing, and the entry of
+    # column 1 would need 1 / 2
+    assert solve_congruence_lattice([[1, 2]], 2, 4) == [(2, 1), (0, 2)]
+    monkeypatch.setattr(modular, "_howell_rows", lambda a, q: {1: np.array([1, 2])})
+    with pytest.raises(CertificateError):
+        solve_congruence_lattice([[1, 2]], 2, 4)
 
 
 def test_scaled_idempotent_invariants_match_snf():
@@ -286,6 +296,21 @@ def test_solve_congruence_lattice_matches_gcd_sweep_oracle():
             ]
             expected = [tuple(r) for r in solve_congruence_lattice_full(rows, m, q)]
             assert solve_congruence_lattice(rows, m, q) == expected
+    # composite moduli, prime powers and moduli past the int64 bound,
+    # where the residues are Python ints; empty systems, and fewer or
+    # more rows than columns, up to 12 columns
+    moduli = (6, 12, 30, 36, 60, 225, 8, 27, 49, 125, 3037000493, (2**31 - 1) ** 2)
+    for q in moduli:
+        for shape in ("empty", "wide", "tall") * 2:
+            m = rng.randint(1, 12)
+            k = {"empty": 0, "wide": rng.randint(1, m), "tall": rng.randint(m + 1, m + 4)}[shape]
+            rows = [[rng.randrange(q) * rng.choice((1, 1, 2, 3, 7)) for _ in range(m)] for _ in range(k)]
+            if shape == "tall":
+                rows.append([sum(col) for col in zip(*rows)])
+            expected = [tuple(r) for r in solve_congruence_lattice_full(rows or [[0] * m], m, q)]
+            assert solve_congruence_lattice(rows, m, q) == expected
+            if not rows:
+                assert expected == [tuple(int(i == j) for j in range(m)) for i in range(m)]
 
 
 def test_diagonalize_mod_gives_a_divisor_chain():
