@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count, islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .linalg import charpoly, det, fraction_free_rref, kernel_basis, lll_reduce
 from .matrix import CertificateError, IntMatrix, int_dtype
 from .modular import (
     FactorizationBudget,
-    _diagonalize_mod,
+    _howell_rows,
     det_mod,
     inv_mod,
     matmul_mod,
@@ -209,16 +209,17 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     spectra) through T B_a = C_a S_a; with D = q B^{-1} (integral
     because q Z^n lies inside the sum of the X-eigenlattices), T =
     (1/q) sum_a C_a S_a D_a, and integrality of T is the congruence
-    sum_a C_a S_a D_a = 0 (mod q) solved over Z/q.  It is solved with D
-    replaced by D V, V the column transform of D's diagonalization mod
-    q: V is invertible mod q, so the solutions stay, and D V is nonzero
-    mod q only in the columns of B's invariant factors other than 1,
-    the only ones kept.  Both facts are checked, and so is every
-    solution against the kept congruences; with X B = B diag(a) and Y C
-    = C diag(a) that makes every element an integral intertwiner.  The
-    lattice stays in these block coordinates.  With equal spectra C D
-    intertwines X and Y (closed_form), and C D / q is the aligned
-    intertwiner if integral.
+    sum_a C_a S_a D_a = 0 (mod q) solved over Z/q.  The congruence
+    only sees the span of D's columns mod q, so D is replaced by the
+    rows H of that span's Howell form, with pivots g_c.  Two checks
+    make the spans equal: B H^t = 0 (mod q), which puts every row of H
+    in D's span because B D = q I, and prod_c q / g_c = |det B|, the
+    order of D's span mod q, which a triangular set with pivots g_c
+    spans at least.  Every solution is checked against the congruences;
+    with X B = B diag(a) and Y C = C diag(a) that makes every element
+    an integral intertwiner.  The lattice stays in these block
+    coordinates.  With equal spectra C D intertwines X and Y
+    (closed_form), and C D / q is the aligned intertwiner if integral.
     """
     n = x.nrows
     b_mat, bx = _eigenbases(x, spx)
@@ -237,17 +238,18 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     d = np.array(d_mat.rows, dtype=object)
     sols = np.zeros((0, 0), dtype=np.int64)
     if common:
-        diag, v = _diagonalize_mod(d, q)
-        keep = [j for j, dj in enumerate(diag) if dj != q]
-        dv = matmul_mod(residues(d, q), v, q)
-        if gcd(det(IntMatrix(v.tolist())), q) != 1 or np.delete(dv, keep, axis=1).any():
-            raise CertificateError("column transform of D is not invertible mod q")
-        # congruence rows: entry (r,c) of sum_a C_a S_a (D V)_a, coefficient
-        # of S_a[u,v] is C_a[r,u] * (D V)_a[v,c]; as a block this is
-        # kron(C_a, (D V)_a^t)
-        eq = np.concatenate(
-            [np.kron(residues(c[:, cy[a]], q), dv[bx[a]][:, keep].T) % q for a in common], axis=1
-        )
+        howell = _howell_rows(residues(d.T, q), q)
+        h = np.zeros((len(howell), n), dtype=int_dtype(q * q + q))
+        for i, (col, e) in enumerate(sorted(howell.items())):
+            h[i, : col + 1] = e
+        if matmul_mod(residues(b_mat.rows, q), h.T, q).any():
+            raise CertificateError("Howell rows lie outside the span of D mod q")
+        if prod(q // int(e[col]) for col, e in howell.items()) != abs(det_b):
+            raise CertificateError("Howell rows do not span a group of order |det B|")
+        # congruence rows: entry (r,c) of sum_a C_a S_a H_a^t, coefficient
+        # of S_a[u,v] is C_a[r,u] * H[c,v] over B_a's columns v; as a
+        # block this is kron(C_a, H_a)
+        eq = np.concatenate([np.kron(residues(c[:, cy[a]], q), h[:, bx[a]]) % q for a in common], axis=1)
         sols = np.array(solve_congruence_lattice(eq, eq.shape[1], q), dtype=int_dtype(q))
         if matmul_mod(eq, sols.T, q).any():
             raise CertificateError("block coordinates do not satisfy the congruences")
@@ -842,33 +844,25 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
     def verdict(status, reason, **kw):
         return Verdict(status=status, reason=reason, local=tuple(locals_), assumption=assumption, **kw)
 
-    r = lattice.rank
-    if r == 0:
-        return verdict("NOT_CONJUGATE", "bqf-certificate", note="intertwiner lattice is zero")
-    if r == 1:
-        b1 = lattice.basis[0]
-        d = det(b1)
-        if abs(d) == 1:
-            return verdict("CONJUGATE", "explicit-conjugator", conjugator=_certified(b1, x, y))
-        return verdict("NOT_CONJUGATE", "bqf-certificate", note="rank-1 lattice with |det| = %d" % abs(d))
-    if r == 2:
-        form = bqf_from_lattice(lattice)
-        if form.is_zero:
-            return verdict(
-                "NOT_CONJUGATE", "bqf-certificate", bqf=form, note="determinant form vanishes identically"
-            )
-        try:
-            rep = bqf_represents_unit(form)
-        except FormBudget as exc:
-            return verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
-        if rep.represents:
-            xc, yc = rep.witness
-            t = _certified(lattice.basis[0] * xc + lattice.basis[1] * yc, x, y)
-            return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
-        return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
-    # with equal characteristic polynomials C(X,Y) has rank 0, 1, 2 or 4,
-    # and rank 4 only for X = Y = aI, which decide answers first
-    raise CertificateError("2x2 intertwiner lattice of rank %d" % r)
+    # with equal characteristic polynomials C(X,Y) has rank 2 (a scalar
+    # X = aI and a Y with Y - aI of rank 1 included), and rank 4 only for
+    # X = Y = aI, which decide answers first
+    if lattice.rank != 2:
+        raise CertificateError("2x2 intertwiner lattice of rank %d" % lattice.rank)
+    form = bqf_from_lattice(lattice)
+    if form.is_zero:
+        return verdict(
+            "NOT_CONJUGATE", "bqf-certificate", bqf=form, note="determinant form vanishes identically"
+        )
+    try:
+        rep = bqf_represents_unit(form)
+    except FormBudget as exc:
+        return verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
+    if rep.represents:
+        xc, yc = rep.witness
+        t = _certified(lattice.basis[0] * xc + lattice.basis[1] * yc, x, y)
+        return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
+    return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
 
 
 def decide(

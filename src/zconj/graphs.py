@@ -67,52 +67,10 @@ def _poly_pow_mod(base, e, modulus, p):
     return result
 
 
-def _poly_gcd(a, b, p):
-    a = list(_poly_trim(a))
-    b = list(_poly_trim(b))
-    while b:
-        # a mod b with b made monic
-        inv = pow(b[-1], -1, p)
-        b_monic = [(v * inv) % p for v in b]
-        r = list(a)
-        while len(r) >= len(b_monic) and any(r):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            f = r[-1]
-            off = len(r) - len(b_monic)
-            for j in range(len(b_monic)):
-                r[off + j] = (r[off + j] - f * b_monic[j]) % p
-            r.pop()
-        a, b = b, list(_poly_trim(r))
-    return _poly_trim(a)
-
-
-def _is_irreducible(modulus, p: int) -> bool:
-    """Irreducibility of a monic polynomial over Z/p (Rabin's test)."""
-    d = len(modulus) - 1
-    if d < 1:
-        return False
-    x = (0, 1)
-    # x^(p^d) = x mod f
-    acc = x
-    for _ in range(d):
-        acc = _poly_pow_mod(acc, p, modulus, p)
-    if acc != x:
-        return False
-    for r in prime_factors(d):
-        acc = x
-        for _ in range(d // r):
-            acc = _poly_pow_mod(acc, p, modulus, p)
-        diff = list(acc) + [0] * max(0, 2 - len(acc))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(diff, modulus, p)
-        if len(g) > 1:
-            return False
-    return True
-
-
 def _root_is_primitive(modulus, p: int, q: int) -> bool:
+    """Whether x has order q - 1 = p^d - 1 modulo the monic f of degree
+    d; then f is irreducible, as a reducible f leaves fewer than q - 1
+    units in F_p[x]/(f)."""
     x = (0, 1)
     if _poly_pow_mod(x, q - 1, modulus, p) != (1,):
         return False
@@ -183,8 +141,9 @@ def field_build(p: int, degree: int) -> FieldSpec:
     """Deterministic field of order p^degree for prime p = 3 mod 4.
 
     Scans monic polynomials in lexicographic order (high-degree
-    coefficients compared first) and takes the first irreducible one
-    whose canonical root generates the multiplicative group.
+    coefficients compared first) and takes the first one whose
+    canonical root generates the multiplicative group, which makes it
+    irreducible.
     """
     if prime_factors(p) != [p]:
         raise ValueError("p must be prime, got %d" % p)
@@ -202,11 +161,8 @@ def field_build(p: int, degree: int) -> FieldSpec:
             v //= p
         # rest[0] is a_{d-1} (compared first), rest[-1] is a_0
         coeffs = tuple(reversed(rest)) + (1,)
-        if not _is_irreducible(coeffs, p):
-            continue
-        if not _root_is_primitive(coeffs, p, q):
-            continue
-        return FieldSpec(p, degree // 2, coeffs)
+        if _root_is_primitive(coeffs, p, q):
+            return FieldSpec(p, degree // 2, coeffs)
     raise CertificateError("no primitive polynomial found")
 
 

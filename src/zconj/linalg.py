@@ -220,7 +220,7 @@ def snf_invariants(matrix: IntMatrix) -> tuple:
     r, d = len(pivots), abs(d)
     if not r:
         return ()
-    diag, _ = _diagonalize_mod(matrix.rows, d)
+    diag = _diagonalize_mod(matrix.rows, d)
     if any(x != d for x in diag[r:]):
         raise CertificateError("Smith chain has more invariants than the rank")
     return tuple(diag[:r])

@@ -3,13 +3,14 @@
 The central object is the solution lattice {s in Z^m : A s = 0 (mod q)}.
 It always contains q Z^m, so its Hermite normal form has all entries
 reduced mod q, and it is read off the Howell form of A over Z/q in one
-pass (Storjohann and Mulders, ESA 1998).  Diagonalization over Z/q is a
-chain-ring eliminator: q splits into coprime prime powers p^k, over
-Z/p^k every entry is p^l times a unit and pivots go by level l, and the
-Chinese remainder theorem joins the pieces.  Every kernel keeps its
-residues in [0, q), so no intermediate exceeds q^2 + q in magnitude;
-that bound picks the numpy dtype (int64 for small q, Python ints
-otherwise) and the same code runs for every modulus.
+pass (Storjohann and Mulders, ESA 1998).  The divisor chain of a
+diagonalization over Z/q comes from a chain-ring eliminator: q splits
+into coprime prime powers p^k, over Z/p^k every entry is p^l times a
+unit and pivots go by level l, and the chain of q multiplies the
+chains of the pieces.  Every kernel keeps its residues in [0, q), so
+no intermediate exceeds q^2 + q in magnitude; that bound picks the
+numpy dtype (int64 for small q, Python ints otherwise) and the same
+code runs for every modulus.
 
 Also here: the invariant-factor shortcut for scaled idempotents.  If
 E * E = L * E exactly, every invariant factor of E divides L (for v in
@@ -300,20 +301,19 @@ def _refine(b: int, g: int):
 
 
 def _eliminate_chain(a, b: int, k: int):
-    """Diagonalize the residues a modulo b^k in place; (levels, V).
+    """Levels of the diagonalization of the residues a modulo b^k, in place.
 
     At level l every entry of the residual block is divisible by b^l,
     and a pivot is any entry that b^(l+1) does not divide, found by
     scanning one row; a row without one moves below the candidates,
     where this level's row operations keep it divisible by b^(l+1).
-    Row operations clear the pivot's column, after which clearing its
-    row only changes V.  levels[j] is the level of the j-th pivot.  A
-    base b that is not prime raises _ZeroDivisor with a proper factor
+    Row operations clear the pivot's column, and the pivot row is never
+    read again.  Returns levels, levels[j] the level of the j-th pivot.
+    A base b that is not prime raises _ZeroDivisor with a proper factor
     when a pivot is not b^l times a unit.
     """
     n_mod = b**k
     nrows, ncols = a.shape
-    v = np.eye(ncols, dtype=a.dtype)
     levels = []
     t = 0
     for level in range(k):
@@ -327,55 +327,41 @@ def _eliminate_chain(a, b: int, k: int):
                 continue
             j = t + int(hits[0])
             a[:, [t, j]] = a[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
             unit = int(a[t, t]) // low
             if gcd(unit, b) != 1:
                 raise _ZeroDivisor(gcd(unit, b))
-            inv = pow(unit, -1, n_mod // low)
             below = t + 1 + np.flatnonzero(a[t + 1 :, t])
             if len(below):
-                f = (a[below, t] // low) * inv % n_mod
+                f = (a[below, t] // low) * pow(unit, -1, n_mod // low) % n_mod
                 a[below, t:] = (a[below, t:] - f[:, None] * a[t, t:]) % n_mod
-            right = t + 1 + np.flatnonzero(a[t, t + 1 :])
-            if len(right):
-                f = (a[t, right] // low) * inv % n_mod
-                cols = np.ix_(np.flatnonzero(v[:, t]), right)
-                v[cols] = (v[cols] - v[cols[0], t] * f) % n_mod
-                a[t, right] = 0
             levels.append(level)
             t += 1
-    return levels, v
+    return levels
 
 
 def _diagonalize_mod(rows, q: int):
-    """Diagonalize rows over Z/q; returns (diag, V).
+    """Divisor chain of rows over Z/q.
 
-    U A V = D (mod q) for some U invertible mod q; diag lists, for each
-    of the m columns, the divisor gcd(D_jj, q) of q, each dividing the
-    next.  q is split into coprime prime powers, each diagonalized by
-    _eliminate_chain, and the pieces are put together by the Chinese
-    remainder theorem: diagonal entries multiply, V is the combination
-    of the local transforms.
+    U A V = D (mod q) for some U and V invertible mod q; the result
+    lists, for each of the m columns, the divisor gcd(D_jj, q) of q,
+    each dividing the next.  q is split into coprime prime powers, each
+    diagonalized by _eliminate_chain, and by the Chinese remainder
+    theorem the diagonal entries of the pieces multiply.
     """
     a = residues(rows, q)
     m = a.shape[1]
     diag = [1] * m
-    v = np.zeros((m, m), dtype=a.dtype)
     pending = _local_moduli(q)
     while pending:
         b, k = pending.pop()
         try:
-            levels, vb = _eliminate_chain(residues(a, b**k), b, k)
+            levels = _eliminate_chain(residues(a, b**k), b, k)
         except _ZeroDivisor as exc:
             pending += [(c, f * k) for c, f in _refine(b, exc.args[0])]
             continue
-        n_mod = b**k
         for j in range(m):
-            diag[j] *= b ** levels[j] if j < len(levels) else n_mod
-        # times the idempotent that is 1 mod b^k and 0 mod the rest of q
-        rest = q // n_mod
-        v = (v + residues(vb, q) * (rest * inv_mod(rest, n_mod) % q)) % q
-    return diag, v
+            diag[j] *= b ** levels[j] if j < len(levels) else b**k
+    return diag
 
 
 # -- congruence lattices ---------------------------------------------------
@@ -466,7 +452,7 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     r = tr // scale
     if r < 0 or r > e.nrows:
         raise NotScaledIdempotent("trace out of range")
-    diag, _ = _diagonalize_mod(e.rows, scale)
+    diag = _diagonalize_mod(e.rows, scale)
     if any(d != scale for d in diag[r:]):
         raise NotScaledIdempotent("more invariant factors than the rank allows")
     return tuple(diag[:r])

@@ -226,6 +226,6 @@ def test_internal_error_exits_five(matfile, monkeypatch, capsys):
     assert r.stderr.startswith("error: internal: ")
     assert r.stdout == ""
     # so is a field with no primitive polynomial
-    monkeypatch.setattr(graphs, "_is_irreducible", lambda *args: False)
+    monkeypatch.setattr(graphs, "_root_is_primitive", lambda *args: False)
     assert cli.main(["paley", "3"]) == 5
     assert capsys.readouterr().err.startswith("error: internal: ")

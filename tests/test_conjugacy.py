@@ -40,7 +40,7 @@ from zconj.conjugacy import (
     sl_lift,
     verify_conjugator,
 )
-from zconj.linalg import det, snf_invariants
+from zconj.linalg import charpoly, det, snf_invariants
 from zconj.modular import det_mod
 from zconj.matrix import IntMatrix
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
@@ -342,18 +342,16 @@ def test_block_coordinate_checks_catch_corruption(monkeypatch):
     with pytest.raises(CertificateError, match="congruences"):
         intertwiner_lattice(x, y)
     monkeypatch.setattr(conjugacy, "solve_congruence_lattice", solve)
-    diagonalize = conjugacy._diagonalize_mod
-
-    def singular(d, q):
-        diag, v = diagonalize(d, q)
-        v = v.copy()
-        v[:, 0] = 0
-        return diag, v
-
-    monkeypatch.setattr(conjugacy, "_diagonalize_mod", singular)
-    with pytest.raises(CertificateError, match="not invertible"):
+    howell = conjugacy._howell_rows
+    # a Howell row of D's column span dropped: the rest span too few classes
+    monkeypatch.setattr(conjugacy, "_howell_rows", lambda a, q: dict(sorted(howell(a, q).items())[1:]))
+    with pytest.raises(CertificateError, match="order"):
         intertwiner_lattice(x, y)
-    monkeypatch.setattr(conjugacy, "_diagonalize_mod", diagonalize)
+    # e_0 added: B e_0, a column of B, is not 0 mod q, so e_0 is not in the span
+    monkeypatch.setattr(conjugacy, "_howell_rows", lambda a, q: {0: [1], **howell(a, q)})
+    with pytest.raises(CertificateError, match="outside"):
+        intertwiner_lattice(x, y)
+    monkeypatch.setattr(conjugacy, "_howell_rows", howell)
     # eigenvectors of another eigenvalue
     monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: [(1, 0)] if m[0, 0] else [(1, 1)])
     with pytest.raises(CertificateError, match="eigenvectors"):
@@ -580,6 +578,12 @@ def test_certificate_checks_survive_optimize():
         "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
+        # D's column span mod q without its one Howell row
+        "c._howell_rows = lambda a, q: {}\n"
+        "try:\n"
+        "    c.intertwiner_lattice(IntMatrix([[1, 1], [0, 3]]), IntMatrix([[1, 1], [0, 3]]))\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
         # sl_lift with a wrong inverse never reaches the identity
         "c.inv_mod = lambda a, q: 1\n"
         "try:\n"
@@ -636,10 +640,32 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    expected = ["CertificateError"] * 5 + ["ValueError"]
+    expected = ["CertificateError"] * 6 + ["ValueError"]
     expected += ["CertificateError"] + ["ValueError"] * 3  # graphs
     expected += ["CertificateError"] * 2 + ["ValueError"]  # padic
     assert r.stdout.split() == expected
+
+
+def test_two_by_two_lattices_with_equal_charpoly_have_rank_two():
+    # the only rank the 2x2 endgame accepts: split pairs, irreducible
+    # non-split pairs, and a scalar aI against a conjugate of a Jordan block
+    rng = random.Random(83)
+    pairs = []
+    for _ in range(8):
+        u = random_sl(2, rng)
+        a, b = rng.sample(range(-6, 7), 2)
+        x = IntMatrix([[a, rng.randint(-6, 6)], [0, b]])
+        pairs.append((x, u * IntMatrix([[b, rng.randint(-6, 6)], [0, a]]) * unimodular_inverse(u)))
+        ac, t = rng.randint(1, 12), rng.randint(-6, 6)
+        ac *= t * t // (4 * ac) + 1  # t^2 < 4 ac: no real root
+        d = rng.choice([d for d in range(1, ac + 1) if ac % d == 0])
+        pairs.append((IntMatrix([[0, d], [-(ac // d), t]]), IntMatrix([[0, 1], [-ac, t]])))
+        jordan = u * IntMatrix([[a, rng.choice((-3, -1, 1, 2))], [0, a]]) * unimodular_inverse(u)
+        pairs += [(IntMatrix.diagonal([a, a]), jordan), (jordan, IntMatrix.diagonal([a, a]))]
+    for x, y in pairs:
+        assert charpoly(x) == charpoly(y)
+        assert intertwiner_lattice(x, y).rank == 2
+        assert decide(x, y).status in ("CONJUGATE", "NOT_CONJUGATE", "UNKNOWN")
 
 
 def test_decide_form_budget(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from zconj.conjugacy import decide, intertwiner_lattice, verify_conjugator
 from zconj.graphs import (
     NotThreeModFour,
-    _is_irreducible,
     _projector_triple,
     _root_is_primitive,
     expected_invariant_counts,
@@ -34,7 +33,6 @@ def test_field_build_deterministic_modulus():
 def test_modulus_root_must_be_primitive():
     # t^2 + 1 is irreducible over Z/3 but its root has order 4, so the
     # scan must pass it over
-    assert _is_irreducible((1, 0, 1), 3)
     assert not _root_is_primitive((1, 0, 1), 3, 9)
 
 

@@ -319,7 +319,7 @@ def test_diagonalize_mod_gives_a_divisor_chain():
         for _ in range(8):
             m = rng.randint(1, 5)
             rows = [[rng.randrange(q) * rng.choice((1, 2, 3, 1009, P60)) for _ in range(m)] for _ in range(m)]
-            diag, v = _diagonalize_mod(rows, q)
+            diag = _diagonalize_mod(rows, q)
             assert len(diag) == m and all(q % d == 0 for d in diag)
             assert all(diag[j + 1] % diag[j] == 0 for j in range(m - 1))
             # the solutions count prod d_j mod q, as many as A's Smith
@@ -329,10 +329,6 @@ def test_diagonalize_mod_gives_a_divisor_chain():
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
             assert count == prod(diag)
-            # V is invertible mod q: unit determinant mod every prime of q
-            for p in (2, 3, 5, 1009, P60, Q60):
-                if q % p == 0:
-                    assert det_mod(v.tolist(), p) != 0
 
 
 def test_refine_gives_coprime_bases():
