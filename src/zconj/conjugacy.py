@@ -131,10 +131,9 @@ class IntertwinerLattice:
         self.n, self.source, self.target = n, source, target
         self.aligned, self.closed_form = aligned, closed_form
         if blocks is None:
-            flat = [v for b in basis for row in b.rows for v in row]
-            coords = np.array(flat, dtype=int_dtype(max(map(abs, flat), default=0)))
+            coords = np.array([b.array.ravel() for b in basis], dtype=object).reshape(len(basis), n * n)
             eye = np.eye(n, dtype=np.int64)
-            blocks = coords.reshape(len(basis), n * n), eye, eye, ((n, n),), 1, 1, 1
+            blocks = coords.astype(int_dtype(_max_abs(coords))), eye, eye, ((n, n),), 1, 1, 1
         self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
@@ -162,7 +161,7 @@ class IntertwinerLattice:
 
     @cached_property
     def basis(self) -> tuple:
-        return tuple(IntMatrix(t) for t in self.stack.tolist())
+        return tuple(IntMatrix(t) for t in self.stack)
 
 
 def _scaled_inverse(m: IntMatrix, scale: int):
@@ -172,14 +171,12 @@ def _scaled_inverse(m: IntMatrix, scale: int):
     Exists iff scale M^{-1} is integral; raises CertificateError otherwise.
     """
     n = m.nrows
-    r, pivots, d, sign = fraction_free_rref(
-        [list(row) + [scale if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
-    )
+    r, pivots, d, sign = fraction_free_rref(np.hstack([m.array, np.eye(n, dtype=object) * scale]))
     if pivots != list(range(n)):
         raise CertificateError("matrix is singular")
     if (r[:, n:] % d).any():
         raise CertificateError("scaled inverse is not integral")
-    return IntMatrix((r[:, n:] // d).tolist()), sign * d
+    return IntMatrix(r[:, n:] // d), sign * d
 
 
 def _eigenbases(m: IntMatrix, sp: SplitSpectrum):
@@ -231,18 +228,19 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     closed_form = aligned = None
     if spx.eigenvalues == spy.eigenvalues and spx.multiplicities == spy.multiplicities:
         closed_form = c_mat * d_mat
-        if all(v % q == 0 for row in closed_form.rows for v in row):
-            aligned = IntMatrix([[v // q for v in row] for row in closed_form.rows])
+        if not residues(closed_form.array, q).any():
+            # C D is nonsingular, so some entry is a nonzero multiple of q
+            # and the array's dtype holds q
+            aligned = IntMatrix(closed_form.array // q)
     common = [a for a in spx.eigenvalues if a in cy]
-    c = np.array(c_mat.rows, dtype=object)
-    d = np.array(d_mat.rows, dtype=object)
+    c, d = c_mat.array, d_mat.array
     sols = np.zeros((0, 0), dtype=np.int64)
     if common:
         howell = _howell_rows(residues(d.T, q), q)
         h = np.zeros((len(howell), n), dtype=int_dtype(q * q + q))
         for i, (col, e) in enumerate(sorted(howell.items())):
             h[i, : col + 1] = e
-        if matmul_mod(residues(b_mat.rows, q), h.T, q).any():
+        if matmul_mod(residues(b_mat.array, q), h.T, q).any():
             raise CertificateError("Howell rows lie outside the span of D mod q")
         if prod(q // int(e[col]) for col, e in howell.items()) != abs(det_b):
             raise CertificateError("Howell rows do not span a group of order |det B|")
@@ -250,7 +248,7 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
         # of S_a[u,v] is C_a[r,u] * H[c,v] over B_a's columns v; as a
         # block this is kron(C_a, H_a)
         eq = np.concatenate([np.kron(residues(c[:, cy[a]], q), h[:, bx[a]]) % q for a in common], axis=1)
-        sols = np.array(solve_congruence_lattice(eq, eq.shape[1], q), dtype=int_dtype(q))
+        sols = solve_congruence_lattice(eq, eq.shape[1], q)
         if matmul_mod(eq, sols.T, q).any():
             raise CertificateError("block coordinates do not satisfy the congruences")
     c, d = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
@@ -262,12 +260,12 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
 def _sylvester_basis(x: IntMatrix, y: IntMatrix):
     """Saturated kernel of T -> TX - YT, flattened row-major."""
     n = x.nrows
-    eye, xa, ya = np.eye(n, dtype=object), np.array(x.rows, dtype=object), np.array(y.rows, dtype=object)
+    eye = np.eye(n, dtype=object)
     # row-major vec(T X - Y T) = (I kron X^t - Y kron I) vec(T)
-    ker = kernel_basis(IntMatrix((np.kron(eye, xa.T) - np.kron(ya, eye)).tolist()))
+    ker = kernel_basis(IntMatrix(np.kron(eye, x.array.T) - np.kron(y.array, eye)))
     basis = []
     for flat in ker:
-        t = IntMatrix([[flat[r * n + c] for c in range(n)] for r in range(n)])
+        t = IntMatrix(np.array(flat, dtype=object).reshape(n, n))
         if t * x != y * t:
             raise CertificateError("lattice element does not intertwine")
         basis.append(t)
@@ -306,7 +304,7 @@ def verify_conjugator(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> b
         return False
     if prime is None:
         return abs(det(t)) == 1
-    return det_mod(t.rows, prime) != 0
+    return det_mod(t.array, prime) != 0
 
 
 def relevant_primes(spectrum: SplitSpectrum):
@@ -409,7 +407,7 @@ def local_test(
     def certify(coeffs, method):
         dtype = int_dtype(p * _max_abs(lattice.coords) * m)
         s = coeffs.astype(dtype) @ lattice.coords.astype(dtype)
-        t = _certified(IntMatrix(lattice.elements(s[None])[0].tolist()), x, y, prime=p)
+        t = _certified(IntMatrix(lattice.elements(s[None])[0]), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
     # candidates in a fixed order: basis elements, prefix sums, close
@@ -468,7 +466,7 @@ def _valuation(v: int, p: int) -> int:
 
 
 def _is_adjacency(m: IntMatrix) -> bool:
-    a = np.array(m.rows, dtype=object)
+    a = m.array
     return m.is_square and ((a == 0) | (a == 1)).all() and (a == a.T).all() and not a.diagonal().any()
 
 
@@ -479,8 +477,8 @@ class _BudgetExceeded(Exception):
 def _graph_isomorphism(x: IntMatrix, y: IntMatrix, budget: int):
     """Vertex bijection with X[u,v] = Y[pi(u), pi(v)], by backtracking."""
     n = x.nrows
-    ax = x.rows
-    ay = y.rows
+    ax = x.to_lists()
+    ay = y.to_lists()
     deg_x = [sum(r) for r in ax]
     deg_y = [sum(r) for r in ay]
     if sorted(deg_x) != sorted(deg_y):
@@ -625,9 +623,8 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     if _is_adjacency(x) and _is_adjacency(y):
         perm = _graph_isomorphism(x, y, budget)
         if perm is not None:
-            rows = [[0] * n for _ in range(n)]
-            for u in range(n):
-                rows[perm[u]][u] = 1
+            rows = np.zeros((n, n), dtype=np.int64)
+            rows[perm, range(n)] = 1
             return _certified(IntMatrix(rows), x, y)
     if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
         return lattice.aligned
@@ -637,7 +634,7 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
         +-1, filtered as one stack mod 2^31 - 1; None if there is none."""
         dets = det_mod(ts, _DET_FILTER_PRIME)
         for i in np.flatnonzero((dets == 1) | (dets == _DET_FILTER_PRIME - 1)):
-            t = IntMatrix(ts[i].tolist())
+            t = IntMatrix(ts[i])
             if abs(det(t)) == 1:
                 return _certified(t, x, y)
         return None
@@ -719,7 +716,7 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
     n = m.nrows
     if det(m) % q != 1 % q:
         raise DetNotOne("determinant is not 1 modulo %d" % q)
-    w = [[v % q for v in row] for row in m.rows]
+    w = residues(m.array, q).tolist()
     ops = []
 
     def shear(i: int, j: int, lam: int):
@@ -770,15 +767,11 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
         raise CertificateError("shears did not reduce the matrix to the identity")
     # m = (E_r ... E_1)^{-1} = E_1^{-1} ... E_r^{-1} mod q; lift each
     # inverse shear with a balanced representative and multiply
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = np.eye(n, dtype=object)
     for i, j, lam in ops:
-        mu = _balanced(-lam, q)
-        if mu == 0:
-            continue
-        for r in range(n):
-            a[r][j] += mu * a[r][i]
+        a[:, j] += _balanced(-lam, q) * a[:, i]
     lifted = IntMatrix(a)
-    if det(lifted) != 1 or any((lifted[i, j] - m[i, j]) % q for i in range(n) for j in range(n)):
+    if det(lifted) != 1 or residues((lifted - m).array, q).any():
         raise CertificateError("lift is not in SL_n(Z) or does not reduce to m")
     return lifted
 

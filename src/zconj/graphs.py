@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .matrix import CertificateError, IntMatrix
 from .modular import prime_factors, scaled_idempotent_invariants
 
@@ -181,23 +183,18 @@ def quarter_cosets(field: FieldSpec):
 
 
 def _difference_graph(field: FieldSpec, connection) -> IntMatrix:
+    """Adjacency joining i and j when i - j, whose base-p digits are the
+    differences of theirs mod p, lies in the connection set."""
     conn = set(connection)
     if 0 in conn:
         raise ValueError("connection set must not contain 0")
-    q = field.q
-    rows = []
-    for i in range(q):
-        row = [0] * q
-        for j in range(q):
-            if i != j and field.sub(i, j) in conn:
-                row[j] = 1
-        rows.append(row)
-    m = IntMatrix(rows)
-    if m.transpose() != m:
+    p, digits = field.p, np.array([field.coeffs(i) for i in range(field.q)])
+    adj = np.isin((digits[:, None] - digits[None]) % p @ p ** np.arange(field.degree), list(conn))
+    if (adj != adj.T).any():
         raise ValueError("connection set must be symmetric")
-    if any(sum(r) != len(conn) for r in m.rows):
+    if (adj.sum(axis=1) != len(conn)).any():
         raise CertificateError("difference graph is not regular of degree |connection set|")
-    return m
+    return IntMatrix(adj)
 
 
 def paley_adjacency(field: FieldSpec) -> IntMatrix:
@@ -246,7 +243,7 @@ class PaleyPeisertData:
 
 def _projector_triple(a: IntMatrix, p: int, k: int, r: int, s: int):
     q = a.nrows
-    j = IntMatrix([[1] * q for _ in range(q)])
+    j = IntMatrix(np.ones((q, q), dtype=np.int64))
     ident = IntMatrix.identity(q)
     e1 = j
     e2 = j * s + a * p - ident * (p * s)

@@ -216,11 +216,11 @@ def snf_invariants(matrix: IntMatrix) -> tuple:
     divisor chain of the diagonalization over Z/|d| lists them first,
     followed by |d| for each of the remaining columns.
     """
-    _, pivots, d, _ = fraction_free_rref(matrix.rows)
+    _, pivots, d, _ = fraction_free_rref(matrix.array)
     r, d = len(pivots), abs(d)
     if not r:
         return ()
-    diag = _diagonalize_mod(matrix.rows, d)
+    diag = _diagonalize_mod(matrix.array, d)
     if any(x != d for x in diag[r:]):
         raise CertificateError("Smith chain has more invariants than the rank")
     return tuple(diag[:r])
@@ -282,13 +282,8 @@ def kernel_basis(matrix: IntMatrix):
     """
     if matrix.nrows > 16 or matrix.ncols > 16:
         return _kernel_basis_rref(matrix)
-    at = matrix.transpose()
-    h, u = hnf(at)
-    basis = []
-    for i in range(h.nrows):
-        if all(a == 0 for a in h.row(i)):
-            basis.append(tuple(u.row(i)))
-    return basis
+    h, u = hnf(matrix.transpose())
+    return [tuple(v) for v in u.array[~h.array.any(axis=1)].tolist()]
 
 
 def _kernel_basis_rref(matrix: IntMatrix):
@@ -302,21 +297,20 @@ def _kernel_basis_rref(matrix: IntMatrix):
     0 mod den, so the saturated kernel is the image of that solution
     lattice.
     """
-    r_mat, pivots, d, _ = fraction_free_rref(matrix.rows)
+    r_mat, pivots, d, _ = fraction_free_rref(matrix.array)
     free = [c for c in range(matrix.ncols) if c not in pivots]
     if not free:
         return []
     num = r_mat[: len(pivots), free].astype(object)
     den = abs(d) // gcd(d, *num.flat)
-    coeffs = solve_congruence_lattice((num // (d // den)).tolist(), len(free), den)
-    coeffs = np.array(coeffs, dtype=object).reshape(-1, len(free))
+    coeffs = solve_congruence_lattice(num // (d // den), len(free), den)
     pivot_part = num @ coeffs.T
     if (pivot_part % d).any():
         raise CertificateError("kernel vector is not integral")
     basis = np.zeros((len(coeffs), matrix.ncols), dtype=object)
     basis[:, free] = coeffs
     basis[:, pivots] = -(pivot_part // d).T
-    if (np.array(matrix.rows, dtype=object) @ basis.T).any():
+    if (matrix.array @ basis.T).any():
         raise CertificateError("kernel vector is not annihilated")
     return [tuple(v) for v in basis.tolist()]
 
@@ -325,7 +319,7 @@ def det(matrix: IntMatrix) -> int:
     """Determinant: sign * d of the fraction-free elimination at full rank."""
     if not matrix.is_square:
         raise ValueError("determinant needs a square matrix")
-    _, pivots, d, sign = fraction_free_rref(matrix.rows)
+    _, pivots, d, sign = fraction_free_rref(matrix.array)
     return sign * d if len(pivots) == matrix.nrows else 0
 
 

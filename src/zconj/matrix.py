@@ -1,8 +1,12 @@
 """Exact integer matrices with arbitrary-precision entries.
 
-Entries are Python ints, so nothing here ever overflows or rounds.  The
-class is deliberately small: algorithms that need to mutate rows work on
-plain lists of lists and wrap the result at the end.
+An IntMatrix holds one read-only 2-D numpy array and the largest
+magnitude of its entries.  The dtype is int_dtype of that bound: int64
+below 2^62, object (Python ints) from there on, so it follows from the
+values and equal matrices hold equal arrays.  Every operation picks the
+dtype of its result's computation from the operands' bounds, so nothing
+here ever overflows or rounds.  Callers read the entries as .array and
+pass it on; algorithms that mutate entries work on a copy.
 
 Serialization formats:
 
@@ -13,8 +17,6 @@ Serialization formats:
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 import numpy as np
 
@@ -43,47 +45,74 @@ def int_dtype(*bounds):
     return np.int64 if max(bounds) < _INT64_LIMIT else object
 
 
+def _entries(rows):
+    """rows (nested sequences or an array) as a 2-D array of integers:
+    a copy of an integer or boolean array, else an object array of ints."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
+        a = rows.copy()
+    else:
+        a = np.array(rows, dtype=object)  # ragged rows: a 1-D array of rows
+    if a.ndim != 2 or not a.size:
+        raise MatrixFormatError("matrix needs at least one row and column and rows of equal length")
+    if a.dtype == object:
+        kinds = set(map(type, a.flat))
+        if not all(issubclass(k, (int, np.integer)) for k in kinds):
+            raise MatrixFormatError("non-integer matrix entry")
+        if not kinds <= {int}:
+            a = np.frompyfunc(int, 1, 1)(a)
+    return a
+
+
 class IntMatrix:
-    __slots__ = ("_rows",)
+    __slots__ = ("_a", "_bound")
 
     def __init__(self, rows):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise MatrixFormatError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise MatrixFormatError("ragged rows in matrix")
-        self._rows = data
+        self._set(_entries(rows))
+
+    def _set(self, a, bound=None):
+        if bound is None:
+            bound = max(int(a.max()), -int(a.min()))
+        a = a.astype(int_dtype(bound), copy=False)
+        a.flags.writeable = False
+        self._a, self._bound = a, bound
+
+    @classmethod
+    def _of(cls, a, bound=None):
+        """IntMatrix on the integer array a, int64 or object holding
+        Python ints, that no other code writes to; bound, when given, is
+        its largest entry magnitude."""
+        m = cls.__new__(cls)
+        m._set(a, bound)
+        return m
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls(np.zeros((nrows, ncols), dtype=np.int64))
 
     @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(np.diag(np.array(list(entries), dtype=object)))
 
     # -- shape and access ---------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return self._a.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0])
+        return self._a.shape[1]
 
     @property
-    def rows(self):
-        return self._rows
+    def array(self):
+        """The entries as a read-only 2-D array of dtype int_dtype(max |entry|)."""
+        return self._a
 
     @property
     def is_square(self) -> bool:
@@ -91,49 +120,38 @@ class IntMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self._rows[i][j]
-
-    def row(self, i):
-        return self._rows[i]
+        return int(self._a[i, j])
 
     def to_lists(self):
-        return [list(r) for r in self._rows]
+        return self._a.tolist()
 
     # -- arithmetic ----------------------------------------------------
+    # each result is computed in the dtype its operands' bounds allow
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+        if self._a.shape != other._a.shape:
+            raise ValueError("shape mismatch")
+        dtype = int_dtype(self._bound + other._bound)
+        return IntMatrix._of(self._a.astype(dtype, copy=False) + other._a.astype(dtype, copy=False))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+        return self + -other
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self._rows])
+        return IntMatrix._of(-self._a, self._bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[a * other for a in row] for row in self._rows])
+            # the bound alone covers a zero factor of an object array
+            dtype = int_dtype(abs(other), self._bound, self._bound * abs(other))
+            return IntMatrix._of(self._a.astype(dtype, copy=False) * other)
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ma = max(max(map(max, self._rows)), -min(map(min, self._rows)))
-        mb = max(max(map(max, other._rows)), -min(map(min, other._rows)))
+        ma, mb = self._bound, other._bound
         dtype = int_dtype(ma, mb, ma * mb * self.ncols)
-        prod = np.array(self._rows, dtype=dtype) @ np.array(other._rows, dtype=dtype)
-        return IntMatrix(prod.tolist())
+        return IntMatrix._of(self._a.astype(dtype, copy=False) @ other._a.astype(dtype, copy=False))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -141,44 +159,41 @@ class IntMatrix:
         return NotImplemented
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self._rows)))
+        return IntMatrix._of(self._a.T, self._bound)
 
     def trace(self) -> int:
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
-        return sum(self._rows[i][i] for i in range(self.nrows))
+        return sum(self._a.diagonal().tolist())
 
     def content(self) -> int:
         """gcd of all entries (0 for the zero matrix)."""
-        g = 0
-        for row in self._rows:
-            for a in row:
-                g = gcd(g, a)
-        return g
+        return int(np.gcd.reduce(self._a, axis=None))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self._rows for a in row)
+        return self._bound == 0
 
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self._rows == other._rows
+        return (
+            isinstance(other, IntMatrix)
+            and self._bound == other._bound
+            and self._a.shape == other._a.shape
+            and bool((self._a == other._a).all())
+        )
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(tuple(map(tuple, self._a.tolist())))
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.to_lists(),)
-
-    def _check_same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
 
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
         lines = ["%d %d" % (self.nrows, self.ncols)]
-        lines.extend(" ".join(str(a) for a in row) for row in self._rows)
+        lines.extend(" ".join(map(str, row)) for row in self.to_lists())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -201,15 +216,13 @@ class IntMatrix:
             entries = [int(t) for t in body]
         except ValueError as exc:
             raise MatrixFormatError("non-integer matrix entry") from exc
-        return cls(
-            [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-        )
+        return cls(np.array(entries, dtype=object).reshape(nrows, ncols))
 
     def to_json_obj(self):
         return {
             "rows": str(self.nrows),
             "cols": str(self.ncols),
-            "entries": [[str(a) for a in row] for row in self._rows],
+            "entries": [[str(a) for a in row] for row in self.to_lists()],
         }
 
     @classmethod

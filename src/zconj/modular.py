@@ -403,7 +403,9 @@ def _howell_rows(a, q: int):
 
 
 def solve_congruence_lattice(rows, m: int, q: int):
-    """Hermite normal form of {s in Z^m : A s = 0 (mod q)}, A given by rows.
+    """Hermite normal form of {s in Z^m : A s = 0 (mod q)}, A given by rows,
+    as an m x m integer array in the mod-q kernels' dtype (q I for q <= 1,
+    no rows for q = 0).
 
     Read off the Howell form of A (_howell_rows: rows E_c, pivots g_c)
     in one pass.  Row c of the basis S has q / g_c on the diagonal (1
@@ -416,7 +418,7 @@ def solve_congruence_lattice(rows, m: int, q: int):
     its entries are reduced below the pivots, so S is the unique HNF.
     """
     if q <= 1:
-        return [tuple(q if i == j else 0 for i in range(m)) for j in range(m)] if q else []
+        return np.eye(m if q else 0, m, dtype=int_dtype(abs(q))) * q
     a = residues(rows, q).reshape(len(rows), m)
     s = np.eye(m, dtype=a.dtype)
     for c, e in sorted(_howell_rows(a, q).items()):
@@ -425,7 +427,7 @@ def solve_congruence_lattice(rows, m: int, q: int):
         if (x % g).any():
             raise CertificateError("Howell rows do not give an exact division")
         s[:c, c], s[c, c] = -(x // g) % (q // g), q // g
-    return [tuple(row) for row in s.tolist()]
+    return s
 
 
 # -- invariant factors of scaled idempotents -------------------------------
@@ -452,7 +454,7 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     r = tr // scale
     if r < 0 or r > e.nrows:
         raise NotScaledIdempotent("trace out of range")
-    diag = _diagonalize_mod(e.rows, scale)
+    diag = _diagonalize_mod(e.array, scale)
     if any(d != scale for d in diag[r:]):
         raise NotScaledIdempotent("more invariant factors than the rank allows")
     return tuple(diag[:r])

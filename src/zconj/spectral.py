@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+import numpy as np
+
 from .linalg import fraction_free_rref, snf_invariants
 from .matrix import CertificateError, IntMatrix, int_from_json
 from .modular import scaled_idempotent_invariants
@@ -55,10 +57,6 @@ def poly_eval_matrix(poly, m: IntMatrix) -> IntMatrix:
     return acc
 
 
-def _matvec(m: IntMatrix, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in m.rows]
-
-
 def _local_minimal_polynomial(x: IntMatrix, w):
     """Monic minimal polynomial of x acting on the vector w (w != 0).
 
@@ -69,12 +67,12 @@ def _local_minimal_polynomial(x: IntMatrix, w):
     Columns come in doubling batches, so entries grow only to about
     twice the degree needed.
     """
-    kry = [list(w)]
+    kry = [np.array(w, dtype=object)]
     size = 2
     while True:
         while len(kry) < size:
-            kry.append(_matvec(x, kry[-1]))
-        r, pivots, d, _ = fraction_free_rref(list(zip(*kry)))
+            kry.append(x.array @ kry[-1])
+        r, pivots, d, _ = fraction_free_rref(np.stack(kry, axis=1))
         k = len(pivots)
         if k < size:
             if (r[:k, k] % d).any():
@@ -96,7 +94,7 @@ def minimal_polynomial(x: IntMatrix):
     mu = (1,)
     mu_at_x = IntMatrix.identity(n)
     for col in range(n):
-        w = [mu_at_x[i, col] for i in range(n)]
+        w = mu_at_x.array[:, col].tolist()
         if not any(w):
             continue
         nu = _local_minimal_polynomial(x, w)
@@ -220,7 +218,9 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
         g = gcd(num.content(), abs(den))
         q = abs(den) // g
         sign = 1 if den > 0 else -1
-        e = IntMatrix([[v * sign // g for v in row] for row in num.rows])
+        # num is not zero (it has fewer factors than the minimal
+        # polynomial) and g divides its entries, so their dtype holds g
+        e = IntMatrix(num.array // (sign * g))
         tr = e.trace()
         if tr % q or tr < 0:
             raise CertificateError("idempotent trace is not a multiple of its scale")

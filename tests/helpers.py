@@ -109,7 +109,7 @@ def gcd_minor_invariants(matrix: IntMatrix):
 
 
 def flat(m: IntMatrix):
-    return [v for row in m.rows for v in row]
+    return [v for row in m.to_lists() for v in row]
 
 
 def lattice_hnf(basis):
@@ -117,7 +117,7 @@ def lattice_hnf(basis):
     if not basis:
         return None
     h, _ = hnf(IntMatrix([flat(b) for b in basis]))
-    return tuple(tuple(r) for r in h.rows if any(r))
+    return tuple(tuple(r) for r in h.to_lists() if any(r))
 
 
 def same_span(basis_a, basis_b) -> bool:
@@ -343,7 +343,7 @@ def rref_fraction(rows):
 
 def kernel_basis_fraction(matrix: IntMatrix):
     """Saturated kernel from the rational RREF plus one congruence solve."""
-    m, pivcols = rref_fraction(matrix.rows)
+    m, pivcols = rref_fraction(matrix.to_lists())
     free = [c for c in range(matrix.ncols) if c not in pivcols]
     if not free:
         return []
@@ -351,7 +351,7 @@ def kernel_basis_fraction(matrix: IntMatrix):
     d = lcm(1, *(m[i][c].denominator for i in range(r) for c in free))
     scaled = [[int(m[i][c] * d) for c in free] for i in range(r)]
     basis = []
-    for srow in solve_congruence_lattice(scaled, len(free), d):
+    for srow in solve_congruence_lattice(scaled, len(free), d).tolist():
         v = [Fraction(0)] * matrix.ncols
         for j, c in enumerate(free):
             v[c] += srow[j]
@@ -383,7 +383,7 @@ def local_minimal_polynomial_fraction(x: IntMatrix, w):
             return tuple(int(c) for c in comb)
         piv = vec[pos]
         echelon.append(([a / piv for a in vec], pos, [c / piv for c in comb]))
-        kry = [sum(a * b for a, b in zip(row, kry)) for row in x.rows]
+        kry = [sum(a * b for a, b in zip(row, kry)) for row in x.to_lists()]
         k += 1
 
 

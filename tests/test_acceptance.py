@@ -103,7 +103,7 @@ def test_criterion_3_nine_vertex_pair_explicit_conjugator():
     assert verify_conjugator(t, x9, xs9)
     assert t * x9 == xs9 * t and abs(det(t)) == 1
     # the search lands on a vertex relabeling
-    assert all(sorted(row) == [0] * 8 + [1] for row in t.rows)
+    assert all(sorted(row) == [0] * 8 + [1] for row in t.to_lists())
     assert time.monotonic() - t0 < 10.0
 
 

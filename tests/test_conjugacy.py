@@ -53,7 +53,7 @@ Y2 = IntMatrix([[1, 1], [0, 6]])
 
 
 def flatten(basis):
-    return [[v for row in b.rows for v in row] for b in basis]
+    return [[v for row in b.to_lists() for v in row] for b in basis]
 
 
 def test_intertwiner_lattice_frozen():
@@ -321,7 +321,7 @@ def test_lattice_basis_is_built_on_first_use():
         assert lattice.rank == 8
         assert "stack" not in vars(lattice) and "basis" not in vars(lattice)
         assert lattice.basis == eigenblock_basis_full(x, y, spx, spy)
-        assert lattice.stack.tolist() == [[list(r) for r in t.rows] for t in lattice.basis]
+        assert lattice.stack.tolist() == [t.to_lists() for t in lattice.basis]
 
 
 def test_block_coordinate_checks_catch_corruption(monkeypatch):
@@ -334,9 +334,10 @@ def test_block_coordinate_checks_catch_corruption(monkeypatch):
 
     def corrupted(eq, m, q):
         # one solution moved by e_j, j a column the congruences see
-        sols = solve(eq, m, q)
+        sols = solve(eq, m, q).copy()
         j = next(j for j in range(m) if (eq[:, j] % q).any())
-        return [tuple(v + (i == j) for i, v in enumerate(sols[0]))] + sols[1:]
+        sols[0, j] += 1
+        return sols
 
     monkeypatch.setattr(conjugacy, "solve_congruence_lattice", corrupted)
     with pytest.raises(CertificateError, match="congruences"):
@@ -700,7 +701,7 @@ def test_conjugator_search_adjacency_route():
     t = conjugator_search(intertwiner_lattice(x, y))
     assert t is not None
     assert verify_conjugator(t, x, y)
-    assert all(v in (0, 1) for row in t.rows for v in row)
+    assert all(v in (0, 1) for row in t.to_lists() for v in row)
 
 
 def test_conjugator_search_matches_sequential_oracle():

@@ -65,7 +65,7 @@ def test_quarter_cosets():
 def test_paley_adjacency_spectrum():
     x9 = paley_adjacency(field_build(3, 2))
     assert x9.nrows == 9
-    assert all(sum(r) == 4 for r in x9.rows)
+    assert all(sum(r) == 4 for r in x9.to_lists())
     sp = split_spectrum(x9)
     assert sp.eigenvalues == (-2, 1, 4)
     assert sp.multiplicities == (4, 4, 1)
@@ -74,7 +74,7 @@ def test_paley_adjacency_spectrum():
 def test_peisert_cospectral_not_equal():
     f3 = field_build(3, 2)
     x9, xs9 = paley_adjacency(f3), peisert_adjacency(f3)
-    assert all(sum(r) == 4 for r in xs9.rows)
+    assert all(sum(r) == 4 for r in xs9.to_lists())
     assert x9 != xs9
     assert charpoly(x9) == charpoly(xs9)
 
@@ -123,8 +123,8 @@ def test_decide_nine_vertex_pair():
 def test_degree_four_field_graphs():
     f81 = field_build(3, 4)
     assert f81.q == 81
-    assert all(sum(r) == 40 for r in paley_adjacency(f81).rows)
-    assert all(sum(r) == 40 for r in peisert_adjacency(f81).rows)
+    assert all(sum(r) == 40 for r in paley_adjacency(f81).to_lists())
+    assert all(sum(r) == 40 for r in peisert_adjacency(f81).to_lists())
 
 
 def test_peisert_beta_choice():

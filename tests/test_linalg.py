@@ -58,9 +58,9 @@ def test_hnf_shape_and_transform():
         # row echelon with positive pivots and reduced entries above
         last = -1
         for i in range(h.nrows):
-            row = list(h.row(i))
+            row = h.to_lists()[i]
             if not any(row):
-                assert not any(any(h.row(k)) for k in range(i, h.nrows))
+                assert not any(any(r) for r in h.to_lists()[i:])
                 break
             piv = next(j for j, v in enumerate(row) if v)
             assert piv > last
@@ -157,7 +157,7 @@ def test_kernel_basis_saturated():
                 sum(m[i, j] * v[j] for j in range(ncols)) == 0 for i in range(nrows)
             )
         expected_rank = ncols - len(
-            [r for r in hnf(IntMatrix(list(zip(*m.to_lists()))))[0].rows if any(r)]
+            [r for r in hnf(IntMatrix(list(zip(*m.to_lists()))))[0].to_lists() if any(r)]
         )
         assert len(basis) == expected_rank
         if basis:
@@ -233,8 +233,8 @@ def test_fraction_free_rref_is_scaled_rational_rref():
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), rng.choice(BOUNDS))
         if rng.random() < 0.4:
             m = rank_deficient(rng, m)
-        r, pivots, d, sign = fraction_free_rref(m.rows)
-        rref, pivcols = rref_fraction(m.rows)
+        r, pivots, d, sign = fraction_free_rref(m.array)
+        rref, pivcols = rref_fraction(m.to_lists())
         assert pivots == pivcols
         assert [[Fraction(int(v), d) for v in row] for row in r.tolist()] == rref
         if len(pivots) == m.nrows == m.ncols:

@@ -116,7 +116,7 @@ def test_solve_congruence_lattice_brute_force():
         q = rng.choice([2, 3, 4, 6, 8, 9, 12, 15, 16, 18, 24])
         k = rng.randint(0, 3)
         rows = [[rng.randrange(-q, q) for _ in range(m)] for _ in range(k)]
-        basis = solve_congruence_lattice(rows, m, q)
+        basis = solve_congruence_lattice(rows, m, q).tolist()
         assert len(basis) == m
         detl = 1
         for i in range(m):
@@ -144,7 +144,7 @@ def test_solve_congruence_lattice_composite_modulus():
         m = rng.randint(1, 3)
         q = rng.choice([6, 12, 30, 36, 60])
         rows = [[rng.randrange(q) for _ in range(m)] for _ in range(rng.randint(1, 2))]
-        basis = solve_congruence_lattice(rows, m, q)
+        basis = solve_congruence_lattice(rows, m, q).tolist()
         detl = 1
         for i in range(m):
             detl *= basis[i][i]
@@ -164,15 +164,15 @@ def test_solve_congruence_lattice_matches_pure_python():
         q = rng.choice([4, 6, 9, 12, 30])
         k = rng.randint(1, 4)
         rows = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
-        expected = [tuple(r) for r in solve_congruence_lattice_full(rows, m, q)]
-        assert solve_congruence_lattice(rows, m, q) == expected
+        expected = [list(r) for r in solve_congruence_lattice_full(rows, m, q)]
+        assert solve_congruence_lattice(rows, m, q).tolist() == expected
 
 
 def test_solve_congruence_lattice_checks_its_divisions(monkeypatch):
     # mod 4 the row (1, 2) alone is an echelon form without the Howell
     # property: the annihilator row (2, 0) is missing, and the entry of
     # column 1 would need 1 / 2
-    assert solve_congruence_lattice([[1, 2]], 2, 4) == [(2, 1), (0, 2)]
+    assert solve_congruence_lattice([[1, 2]], 2, 4).tolist() == [[2, 1], [0, 2]]
     monkeypatch.setattr(modular, "_howell_rows", lambda a, q: {1: np.array([1, 2])})
     with pytest.raises(CertificateError):
         solve_congruence_lattice([[1, 2]], 2, 4)
@@ -230,7 +230,7 @@ def test_solve_congruence_lattice_at_dtype_boundary():
                 for _ in range(rng.randint(1, 3))
             ]
             rows.append([sum(col) for col in zip(*rows)])
-            basis = solve_congruence_lattice(rows, m, q)
+            basis = solve_congruence_lattice(rows, m, q).tolist()
             index = 1
             for i, b in enumerate(basis):
                 assert all(b[j] == 0 for j in range(i)) and q % b[i] == 0
@@ -294,8 +294,8 @@ def test_solve_congruence_lattice_matches_gcd_sweep_oracle():
                 [rng.randrange(q) * rng.choice((1, 1, 2, 3, 5, 1009, P60)) for _ in range(m)]
                 for _ in range(rng.randint(1, 5))
             ]
-            expected = [tuple(r) for r in solve_congruence_lattice_full(rows, m, q)]
-            assert solve_congruence_lattice(rows, m, q) == expected
+            expected = [list(r) for r in solve_congruence_lattice_full(rows, m, q)]
+            assert solve_congruence_lattice(rows, m, q).tolist() == expected
     # composite moduli, prime powers and moduli past the int64 bound,
     # where the residues are Python ints; empty systems, and fewer or
     # more rows than columns, up to 12 columns
@@ -307,10 +307,10 @@ def test_solve_congruence_lattice_matches_gcd_sweep_oracle():
             rows = [[rng.randrange(q) * rng.choice((1, 1, 2, 3, 7)) for _ in range(m)] for _ in range(k)]
             if shape == "tall":
                 rows.append([sum(col) for col in zip(*rows)])
-            expected = [tuple(r) for r in solve_congruence_lattice_full(rows or [[0] * m], m, q)]
-            assert solve_congruence_lattice(rows, m, q) == expected
+            expected = [list(r) for r in solve_congruence_lattice_full(rows or [[0] * m], m, q)]
+            assert solve_congruence_lattice(rows, m, q).tolist() == expected
             if not rows:
-                assert expected == [tuple(int(i == j) for j in range(m)) for i in range(m)]
+                assert expected == [[int(i == j) for j in range(m)] for i in range(m)]
 
 
 def test_diagonalize_mod_gives_a_divisor_chain():
