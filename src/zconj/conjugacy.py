@@ -31,7 +31,7 @@ import numpy as np
 
 from .forms import BinaryQuadraticForm, FormBudget, UnitRepresentation, bqf_represents_unit
 from .linalg import charpoly, det, fraction_free_rref, kernel_basis, lll_reduce
-from .matrix import CertificateError, IntMatrix, int_dtype
+from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
 from .modular import (
     FactorizationBudget,
     _howell_rows,
@@ -102,10 +102,6 @@ def _certified(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> IntMatri
     return t
 
 
-def _max_abs(a) -> int:
-    return int(np.abs(a).max()) if a.size else 0
-
-
 class IntertwinerLattice:
     """Saturated Z-basis of {T : T source = target T}, in block coordinates.
 
@@ -133,7 +129,7 @@ class IntertwinerLattice:
         if blocks is None:
             coords = np.array([b.array.ravel() for b in basis], dtype=object).reshape(len(basis), n * n)
             eye = np.eye(n, dtype=np.int64)
-            blocks = coords.astype(int_dtype(_max_abs(coords))), eye, eye, ((n, n),), 1, 1, 1
+            blocks = coords.astype(int_dtype(max_abs(coords))), eye, eye, ((n, n),), 1, 1, 1
         self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
@@ -143,13 +139,14 @@ class IntertwinerLattice:
     def elements(self, coords):
         """The elements with the given rows of block coordinates, as a
         (K, n, n) integer array; CertificateError unless each is integral."""
-        dtype = int_dtype(_max_abs(self.c) * _max_abs(self.d) * _max_abs(coords) * coords.shape[1])
-        c, d, s = self.c.astype(dtype), self.d.astype(dtype), coords.astype(dtype)
-        total = np.zeros((len(s), self.n, self.n), dtype=dtype)
+        # one bound for every block's two products and for their sum
+        mc, md, ms = max_abs(self.c), max_abs(self.d), max_abs(coords)
+        bound = max(mc, md, ms, mc * md * ms * coords.shape[1])
+        total = np.zeros((len(coords), self.n, self.n), dtype=int_dtype(bound))
         off = row = col = 0
         for my, mx in self.sizes:
-            s_a = s[:, off : off + my * mx].reshape(-1, my, mx)
-            total += c[:, row : row + my] @ s_a @ d[col : col + mx]
+            s_a = coords[:, off : off + my * mx].reshape(-1, my, mx)
+            total += matmul(matmul(self.c[:, row : row + my], s_a, bound), self.d[col : col + mx], bound)
             off, row, col = off + my * mx, row + my, col + mx
         if (total % self.q).any():
             raise CertificateError("lattice element is not divisible by q")
@@ -405,8 +402,7 @@ def local_test(
         return int(alive[0])
 
     def certify(coeffs, method):
-        dtype = int_dtype(p * _max_abs(lattice.coords) * m)
-        s = coeffs.astype(dtype) @ lattice.coords.astype(dtype)
+        s = matmul(coeffs, lattice.coords, p * max_abs(lattice.coords) * m)
         t = _certified(IntMatrix(lattice.elements(s[None])[0]), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
@@ -648,8 +644,8 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     if m <= 64:
         vectors = lll_reduce(vectors)
     max_entry = max(abs(v) for w in vectors for v in w)
-    reduced = np.array(vectors, dtype=int_dtype(max_entry)).reshape(m, n, n)
-    hit = first_unimodular(reduced[: budget - m])
+    reduced = np.array(vectors, dtype=int_dtype(max_entry))
+    hit = first_unimodular(reduced[: budget - m].reshape(-1, n, n))
     spent = 2 * m
     if hit is not None or spent >= budget:
         return hit
@@ -658,9 +654,9 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     def first_combination(coeffs):
         """first_unimodular over the combinations of the reduced basis
         with the rows of coeffs as coefficients."""
-        cmax = max(1, _max_abs(coeffs))
-        dtype = int_dtype(max_entry, cmax, max_entry * cmax * m)
-        return first_unimodular(np.tensordot(coeffs.astype(dtype), reduced.astype(dtype), axes=1))
+        cmax = max_abs(coeffs)
+        bound = max(max_entry, cmax, max_entry * cmax * m)
+        return first_unimodular(matmul(coeffs, reduced, bound).reshape(-1, n, n))
 
     # growing-radius short-vector rounds over the reduced basis, in chunks
     if m <= 64:

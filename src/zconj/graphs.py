@@ -16,11 +16,12 @@ groups the lemma checker compares against the closed-form multiset
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
-from .matrix import CertificateError, IntMatrix
+from .matrix import CertificateError, IntMatrix, matmul
 from .modular import prime_factors, scaled_idempotent_invariants
 
 
@@ -109,22 +110,21 @@ class FieldSpec:
             raise ValueError("root of the modulus is not primitive")
 
     def _index(self, coeffs) -> int:
-        total = 0
-        for i, c in enumerate(coeffs):
-            total += c * self.p ** i
-        return total
+        return sum(c * self.p**i for i, c in enumerate(coeffs))
 
     def coeffs(self, idx: int):
-        out = []
-        for _ in range(self.degree):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
+        return tuple(idx // self.p**i % self.p for i in range(self.degree))
 
-    def sub(self, a: int, b: int) -> int:
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        return self._index(tuple((x - y) % self.p for x, y in zip(ca, cb)))
+    @cached_property
+    def digits(self):
+        """The q x degree array whose row i is coeffs(i)."""
+        return np.arange(self.q)[:, None] // self.p ** np.arange(self.degree) % self.p
+
+    def indices(self, digits):
+        """Indices of the elements whose digits, read mod p, run along the
+        last axis of digits: a sum or difference of elements is the sum or
+        difference of their rows of self.digits."""
+        return matmul(digits % self.p, self.p ** np.arange(self.degree), self.q)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -133,9 +133,7 @@ class FieldSpec:
 
     def power(self, a: int, e: int) -> int:
         if a == 0:
-            if e == 0:
-                return 1
-            return 0
+            return int(e == 0)
         return self.exp[(self.log[a] * e) % (self.q - 1)]
 
 
@@ -183,13 +181,12 @@ def quarter_cosets(field: FieldSpec):
 
 
 def _difference_graph(field: FieldSpec, connection) -> IntMatrix:
-    """Adjacency joining i and j when i - j, whose base-p digits are the
-    differences of theirs mod p, lies in the connection set."""
+    """Adjacency joining i and j when i - j lies in the connection set."""
     conn = set(connection)
     if 0 in conn:
         raise ValueError("connection set must not contain 0")
-    p, digits = field.p, np.array([field.coeffs(i) for i in range(field.q)])
-    adj = np.isin((digits[:, None] - digits[None]) % p @ p ** np.arange(field.degree), list(conn))
+    digits = field.digits
+    adj = np.isin(field.indices(digits[:, None] - digits[None]), list(conn))
     if (adj != adj.T).any():
         raise ValueError("connection set must be symmetric")
     if (adj.sum(axis=1) != len(conn)).any():

@@ -31,7 +31,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .matrix import CertificateError, IntMatrix, int_dtype
+from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
 from .modular import _diagonalize_mod, solve_congruence_lattice
 
 
@@ -304,13 +304,15 @@ def _kernel_basis_rref(matrix: IntMatrix):
     num = r_mat[: len(pivots), free].astype(object)
     den = abs(d) // gcd(d, *num.flat)
     coeffs = solve_congruence_lattice(num // (d // den), len(free), den)
-    pivot_part = num @ coeffs.T
+    # coeffs are reduced mod den <= |d|; the bound covers d, which
+    # divides the product next
+    pivot_part = matmul(num, coeffs.T, max(abs(d), max_abs(num) * den * len(free)))
     if (pivot_part % d).any():
         raise CertificateError("kernel vector is not integral")
     basis = np.zeros((len(coeffs), matrix.ncols), dtype=object)
     basis[:, free] = coeffs
     basis[:, pivots] = -(pivot_part // d).T
-    if (matrix.array @ basis.T).any():
+    if not (matrix * IntMatrix(basis.T)).is_zero():
         raise CertificateError("kernel vector is not annihilated")
     return [tuple(v) for v in basis.tolist()]
 

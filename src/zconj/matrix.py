@@ -8,6 +8,12 @@ dtype of its result's computation from the operands' bounds, so nothing
 here ever overflows or rounds.  Callers read the entries as .array and
 pass it on; algorithms that mutate entries work on a copy.
 
+Every exact integer product in the package is matmul(a, b, bound), with
+bound covering the operands' entries and every partial sum of a @ b:
+float64 through BLAS while bound < 2^53, where every partial sum and
+fused multiply-add is an integer double, exact in any summation order;
+int64 while bound < 2^62; object (Python ints) from there on.
+
 Serialization formats:
 
 * text: first line "rows cols", then one whitespace-separated row per line
@@ -33,6 +39,7 @@ class CertificateError(AssertionError):
 
 
 _INT64_LIMIT = 1 << 62
+_FLOAT64_EXACT = 1 << 53
 
 
 def int_dtype(*bounds):
@@ -43,6 +50,21 @@ def int_dtype(*bounds):
     which runs the same numpy code on Python ints.
     """
     return np.int64 if max(bounds) < _INT64_LIMIT else object
+
+
+def max_abs(a) -> int:
+    """Largest magnitude of the entries of the integer array a (0 if empty)."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def matmul(a, b, bound):
+    """a @ b of integer arrays, stacked as numpy's @ allows, exactly and
+    with dtype int_dtype(bound) (rule above); bound >= every |entry| of a
+    and b and max |a| * max |b| * inner dimension."""
+    if bound < _FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    dtype = int_dtype(bound)
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def _entries(rows):
@@ -150,8 +172,7 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         ma, mb = self._bound, other._bound
-        dtype = int_dtype(ma, mb, ma * mb * self.ncols)
-        return IntMatrix._of(self._a.astype(dtype, copy=False) @ other._a.astype(dtype, copy=False))
+        return IntMatrix._of(matmul(self._a, other._a, max(ma, mb, ma * mb * self.ncols)))
 
     def __rmul__(self, other):
         if isinstance(other, int):

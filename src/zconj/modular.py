@@ -28,7 +28,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .matrix import CertificateError, IntMatrix, int_dtype
+from .matrix import CertificateError, IntMatrix, int_dtype, matmul
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -208,15 +208,9 @@ def residues(rows, q: int):
 
 
 def matmul_mod(a, b, q: int):
-    """a @ b mod q for arrays of residues in [0, q], with residues' dtype.
-
-    In float64 while q^2 times the inner dimension stays below 2^53,
-    where every partial sum is exact, otherwise in the integer dtype
-    that bound picks.
-    """
-    bound = q * q * max(1, a.shape[-1])
-    dtype = np.float64 if bound < 1 << 53 else int_dtype(bound)
-    return ((a.astype(dtype) @ b.astype(dtype)) % q).astype(int_dtype(q * q + q))
+    """a @ b mod q for arrays of residues in [0, q], with residues' dtype;
+    the product is matmul's, with bound q^2 times the inner dimension."""
+    return (matmul(a, b, q * q * max(1, a.shape[-1])) % q).astype(int_dtype(q * q + q), copy=False)
 
 
 def _inverses_mod(v, p: int):

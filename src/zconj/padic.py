@@ -11,6 +11,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import FieldSpec, field_build
 from .matrix import CertificateError
@@ -32,6 +33,8 @@ class TruncatedUnramifiedRing:
     comfortably above the valuations (at most 2) the Jacobi sums take.
     """
 
+    one, zero = (1, 0), (0, 0)
+
     def __init__(self, p: int, precision: int = 4, field: FieldSpec | None = None):
         if field is None:
             field = field_build(p, 2)
@@ -45,13 +48,13 @@ class TruncatedUnramifiedRing:
         # verbatim lift: mod-p coefficients reread in [0, p^N)
         self.modulus = tuple(field.modulus)
 
-    @property
-    def one(self):
-        return (1, 0)
-
-    @property
-    def zero(self):
-        return (0, 0)
+    @cached_property
+    def jacobi_logs(self):
+        """(log x, k log(1 - x) mod q - 1) for x = 2..q-1, k = (q - 1)/2:
+        the part of every Jacobi sum that does not depend on j."""
+        field, q = self.field, self.q
+        onemx = field.indices(field.digits[1] - field.digits).tolist()
+        return [(field.log[x], (q - 1) // 2 * field.log[onemx[x]] % (q - 1)) for x in range(2, q)]
 
     def element(self, a: int, b: int):
         return (a % self.pn, b % self.pn)
@@ -173,14 +176,9 @@ def jacobi_sum(j: int, ring: TruncatedUnramifiedRing, table=None) -> JacobiSumRe
         raise ValueError("index must lie in 1..2k-1")
     if table is None:
         table = _character_table(ring)
-    field = ring.field
     total = ring.zero
-    for x in range(2, q):
-        lx = field.log[x]
-        onemx = field.sub(1, x)
-        lo = field.log[onemx]
-        term = ring.mul(table[(-j * lx) % (q - 1)], table[(k * lo) % (q - 1)])
-        total = ring.add(total, term)
+    for lx, lo in ring.jacobi_logs:
+        total = ring.add(total, ring.mul(table[-j * lx % (q - 1)], table[lo]))
     val = ring.valuation(total)
     cj = c_of_j(j, ring.p) if 1 <= j <= k - 1 else None
     return JacobiSumRecord(j=j, alpha=total, valuation=val, c_j=cj)

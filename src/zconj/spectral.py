@@ -18,7 +18,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .linalg import fraction_free_rref, snf_invariants
-from .matrix import CertificateError, IntMatrix, int_from_json
+from .matrix import CertificateError, IntMatrix, int_from_json, matmul, max_abs
 from .modular import scaled_idempotent_invariants
 
 
@@ -67,11 +67,13 @@ def _local_minimal_polynomial(x: IntMatrix, w):
     Columns come in doubling batches, so entries grow only to about
     twice the degree needed.
     """
-    kry = [np.array(w, dtype=object)]
-    size = 2
+    kry, size = [np.array(w, dtype=object)], 2
+    mx, bound = max_abs(x.array), max(map(abs, w))
     while True:
         while len(kry) < size:
-            kry.append(x.array @ kry[-1])
+            # entries of x^k w stay within (mx n)^k max |w|
+            bound = max(mx, bound, mx * bound * x.nrows)
+            kry.append(matmul(x.array, kry[-1], bound))
         r, pivots, d, _ = fraction_free_rref(np.stack(kry, axis=1))
         k = len(pivots)
         if k < size:

@@ -578,3 +578,16 @@ def conjugator_search_sequential(lattice, budget: int, seed: int = 0):
         if t is not None:
             return t, "random"
     return None, None
+
+
+def jacobi_sum_per_x(j: int, ring, table):
+    """alpha_j and its valuation by the direct sum over x = 2..q-1, with
+    log x and 1 - x looked up afresh for every x."""
+    field, q = ring.field, ring.q
+    k = (q - 1) // 2
+    total = ring.zero
+    for x in range(2, q):
+        onemx = field._index(tuple((a - b) % field.p for a, b in zip(field.coeffs(1), field.coeffs(x))))
+        term = ring.mul(table[(-j * field.log[x]) % (q - 1)], table[(k * field.log[onemx]) % (q - 1)])
+        total = ring.add(total, term)
+    return total, ring.valuation(total)

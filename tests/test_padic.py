@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import jacobi_sum_per_x
 from zconj.padic import (
     PrecisionExhausted,
     TruncatedUnramifiedRing,
@@ -147,6 +148,16 @@ def test_record_json_shape():
         "c": "1",
         "match": True,
     }
+
+
+def test_jacobi_matches_per_x_sum():
+    for p in (3, 7, 11):
+        ring, k, records = jacobi_records(p)
+        table = _character_table(ring)
+        for j in range(1, 2 * k):
+            alpha, valuation = jacobi_sum_per_x(j, ring, table)
+            assert (records[j].alpha, records[j].valuation) == (alpha, valuation)
+            assert records[j].c_j == (c_of_j(j, p) if j < k else None)
 
 
 def test_jacobi_index_bounds():
