@@ -26,7 +26,7 @@ from .conjugacy import (
 )
 from .corpus import load_corpus
 from .graphs import field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
-from .linalg import snf, snf_invariants
+from .linalg import snf_invariants
 from .matrix import IntMatrix
 from .padic import TruncatedUnramifiedRing, jacobi_sum, teichmuller
 from .spectral import check_assumption, split_spectrum
@@ -48,7 +48,6 @@ __all__ = [
     "peisert_adjacency",
     "relevant_primes",
     "sl_lift",
-    "snf",
     "snf_invariants",
     "split_spectrum",
     "teichmuller",

@@ -1,6 +1,6 @@
 """Command-line front end for the conjugacy toolkit.
 
-One subcommand per library entry point: Smith forms, split-spectrum
+One subcommand per library entry point: Smith invariants, split-spectrum
 reports, the exponent assumption, the conjugacy decision procedure,
 graph generators, the Smith-invariant lemma check, Jacobi sum
 valuations, determinant-one lifts and the bundled fixture corpus.
@@ -22,7 +22,7 @@ from pathlib import Path
 from .conjugacy import DetNotOne, decide, sl_lift
 from .corpus import FixtureError, load_corpus
 from .graphs import NotThreeModFour, field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
-from .linalg import snf, snf_invariants
+from .linalg import snf_invariants
 from .matrix import CertificateError, IntMatrix, MatrixFormatError
 from .padic import TruncatedUnramifiedRing, _character_table, digit_sum, jacobi_sum
 from .spectral import NotSplit, check_assumption, split_spectrum
@@ -73,17 +73,7 @@ def _write_matrix(matrix: IntMatrix, path):
 
 
 def _cmd_snf(args) -> int:
-    m = _read_matrix(args.matrix)
-    if args.transforms:
-        dec = snf(m)
-        out = Path(args.transforms)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_matrix(dec.u, out / "U.txt")
-        _write_matrix(dec.d, out / "D.txt")
-        _write_matrix(dec.v, out / "V.txt")
-        invariants = dec.invariants
-    else:
-        invariants = snf_invariants(m)
+    invariants = snf_invariants(_read_matrix(args.matrix))
     _print(" ".join(str(d) for d in invariants))
     return EXIT_OK
 
@@ -216,11 +206,6 @@ def _build_parser() -> _Parser:
 
     p_snf = sub.add_parser("snf", help="Smith invariant factors of a matrix")
     p_snf.add_argument("matrix", help="matrix file, text or JSON")
-    p_snf.add_argument(
-        "--transforms",
-        metavar="DIR",
-        help="also write U.txt, D.txt, V.txt with U X V = D",
-    )
     p_snf.set_defaults(func=_cmd_snf)
 
     p_spec = sub.add_parser("spectrum", help="split spectrum of a square matrix")

@@ -700,7 +700,7 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
     """Integer matrix with determinant exactly 1 reducing to m mod q.
 
     Reduces m to the identity over Z/q with shear row operations only
-    (unit pivots are arranged by row combinations, and the leftover
+    (each unit pivot is built by one shear per lower row, and the leftover
     diagonal of units is cleared with the six-shear identity
     diag(u, u^{-1}) = w(u) w(-1), w(z) = e12(z) e21(-z^{-1}) e12(z)),
     then multiplies the lifted inverse shears over Z in reverse.
@@ -725,23 +725,20 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
         ops.append((i, j, lam))
 
     for c in range(n):
-        while gcd(w[c][c], q) != 1:
-            best = None
-            g0 = gcd(w[c][c], q)
-            for i in range(c + 1, n):
-                if w[i][c] % q == 0:
-                    continue
-                for t in range(1, q):
-                    g2 = gcd((w[c][c] + t * w[i][c]) % q, q)
-                    if best is None or g2 < best[0]:
-                        best = (g2, i, t)
-                    if g2 == 1:
-                        break
-                if best and best[0] == 1:
-                    break
-            if best is None or best[0] >= g0:
-                raise CertificateError("no unit pivot is reachable")
-            shear(c, best[1], best[2])
+        for i in range(c + 1, n):
+            # t is q/g with every prime of w_cc/g divided out: a prime of
+            # q/g divides t or w_cc/g, and then not w_ic/g, so adding
+            # t row i leaves gcd(w_cc, q) = g
+            g = gcd(w[c][c], w[i][c], q)
+            if gcd(w[c][c], q) == g:
+                continue
+            t = q // g
+            while (h := gcd(t, w[c][c] // g)) > 1:
+                t //= h
+            shear(c, i, t)
+        # det w is a unit, so column c below row c has no prime of q in common
+        if gcd(w[c][c], q) != 1:
+            raise CertificateError("no unit pivot is reachable")
         uinv = inv_mod(w[c][c], q)
         for i in range(n):
             if i != c and w[i][c]:

@@ -9,9 +9,9 @@ with either an integer witness or a named proof of impossibility:
 * cycle-exclusion: for indefinite non-square discriminant, every value
   m with 4 m^2 < D represented by f appears as a leading coefficient
   in the rho-cycle of the reduced form (1 qualifies since D >= 5);
-* factor-system: square or zero discriminant makes f split into integer
-  linear factors up to the scalar 4a, leaving finitely many divisor
-  systems to solve.
+* factor-system: a square (or zero) discriminant gives f a primitive
+  zero (u, v); moving it to (1, 0) by SL_2(Z) splits f as y (b x + c y),
+  which is a unit only at y = ±1 with the linear factor ±1.
 
 All substitutions are tracked as GL_2(Z) matrices so witnesses can be
 pulled back to the original variables and re-verified by evaluation.
@@ -124,78 +124,31 @@ def _witness(form, x, y):
     return UnitRepresentation(represents=True, witness=(x, y), value=v)
 
 
-def _solve_linear(a: int, b: int, t: int):
-    """One integer solution (x, y) of a x + b y = t, or None."""
-    if a == 0 and b == 0:
-        return (0, 0) if t == 0 else None
-    g, x, y = xgcd(a, b)
-    if t % g:
-        return None
-    return (x * (t // g), y * (t // g))
-
-
 def _unit_by_factor_system(form: BinaryQuadraticForm):
-    """Decide unit representation when the form splits into linear factors.
+    """Decide unit representation when the discriminant is a square e^2.
 
-    Covers square and zero discriminant.  4a·f = (2ax + (b-e)y)(2ax + (b+e)y)
-    with e = sqrt(D); when a = 0 one factor is y itself.
+    f vanishes at the primitive vector (u, v): (1, 0) when a = 0, else
+    (e - b, 2a) divided by its gcd.  Completing it to M in SL_2(Z) gives
+    f∘M = Y (b'X + c'Y), a unit exactly when Y = ±1 and b'X + c'Y = ±1;
+    f∘M(-X, -Y) = f∘M(X, Y), so Y = 1 and the two signs of the linear
+    factor are the only candidates.
     """
-    a, b, c = form.a, form.b, form.c
+    a, b = form.a, form.b
     d = form.discriminant
     e = isqrt(d) if d >= 0 else -1
-    if d < 0 or e * e != d:
+    if e * e != d:
         raise ValueError("factor system needs a square discriminant")
-    no = UnitRepresentation(represents=False, proof="factor-system")
-    if a == 0:
-        # f = y (b x + c y); a unit forces y = ±1 and the factor = ±1
-        if b == 0:
-            return _witness(form, 0, 1) if abs(c) == 1 else no
-        for y in (1, -1):
-            for lin in (1, -1):
-                num = lin - c * y
-                if num % b == 0 and form.evaluate(num // b, y) in (1, -1):
-                    return _witness(form, num // b, y)
-        return no
-    if d == 0:
-        # 4a f = (2ax + by)^2, so f = ±1 needs |4a| to be a square
-        t = isqrt(4 * abs(a))
-        if t * t != 4 * abs(a):
-            return no
-        for rhs in (t, -t):
-            sol = _solve_linear(2 * a, b, rhs)
-            if sol is not None and form.evaluate(*sol) in (1, -1):
-                return _witness(form, *sol)
-        return no
-    # a != 0, e > 0: f = ±1 gives L1 L2 = ±4a for the integer linear forms
-    # L1 = 2ax + (b-e)y, L2 = 2ax + (b+e)y with L2 - L1 = 2 e y
-    for d1 in _signed_divisors(4 * abs(a)):
-        for prod in (4 * a, -4 * a):
-            d2, rem = divmod(prod, d1)
-            if rem:
-                continue
-            num_y = d2 - d1
-            if num_y % (2 * e):
-                continue
-            y = num_y // (2 * e)
-            num_x = d1 - (b - e) * y
-            if num_x % (2 * a):
-                continue
-            x = num_x // (2 * a)
-            if form.evaluate(x, y) in (1, -1):
-                return _witness(form, x, y)
-    return no
-
-
-def _signed_divisors(n: int):
-    if n <= 0:
-        raise ValueError("divisors of a positive integer only")
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, -d, n // d, -(n // d)))
-        d += 1
-    return sorted(set(out), key=abs)
+    u, v = (1, 0) if a == 0 else (e - b, 2 * a)
+    g, s, r = xgcd(u, v)
+    m = ((u // g, -r), (v // g, s))
+    split = form.transformed(m)
+    if split.a:
+        raise CertificateError("isotropic vector does not annihilate the form")
+    for lin in (1, -1):
+        x = (lin - split.c) // split.b if split.b else 0
+        if split.b * x + split.c == lin:
+            return _witness(form, m[0][0] * x + m[0][1], m[1][0] * x + m[1][1])
+    return UnitRepresentation(represents=False, proof="factor-system")
 
 
 def _rho(a: int, b: int, c: int, disc: int, e: int):

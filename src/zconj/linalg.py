@@ -7,26 +7,23 @@ the minimal polynomial in spectral, and LLL keeps integral Gram-Schmidt
 data.  Invariant factors come from one kernel, the divisor chain of
 modular._diagonalize_mod taken modulo a nonzero maximal minor that
 fraction_free_rref supplies (Domich, Kannan and Trotter 1987), so their
-cost is polynomial in the bit size of the input.  Hermite and Smith
-forms with transforms come from gcd row operations; their unimodular
-transforms are accumulated as products of elementary row and column
-operations, never recovered by solving.
+cost is polynomial in the bit size of the input.  The Hermite form
+comes from gcd row operations; its unimodular transform is accumulated
+as a product of elementary row operations, never recovered by solving.
 
 Conventions:
 
 * hnf is row-style: U * A = H with H in row Hermite normal form
   (positive pivots, entries above a pivot reduced into [0, pivot),
   zero rows last)
-* snf returns U * A * V = D with D = diag(d_1, ..., d_r, 0, ..., 0),
-  d_i > 0 and d_1 | d_2 | ... | d_r; snf_invariants returns the same
-  d_1, ..., d_r without transforms
+* snf_invariants returns the invariant factors d_1 | d_2 | ... | d_r,
+  d_i > 0, of a matrix of rank r, without transforms
 * kernel_basis returns a basis of the saturated integer kernel
   {v : A v = 0}, so the basis extends to a basis of Z^ncols
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 import numpy as np
@@ -111,101 +108,7 @@ def hnf(matrix: IntMatrix):
     return IntMatrix(m), IntMatrix(u)
 
 
-# -- Smith normal form --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SnfDecomposition:
-    """U * A * V = D with U, V unimodular and D in Smith normal form."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    invariants: tuple
-
-    def check(self, matrix: IntMatrix) -> bool:
-        return self.u * matrix * self.v == self.d
-
-
-def _transpose_lists(m):
-    return [list(col) for col in zip(*m)]
-
-
-def _snf_core(m, rows, cols, u, vt):
-    """Alternate row and column HNF passes until m is diagonal.
-
-    Column operations are applied as row operations on vt, the
-    transpose of the accumulated right transform.
-    """
-    for _ in range(10000):
-        _hnf_inplace(m, rows, cols, u)
-        mt = _transpose_lists(m)
-        _hnf_inplace(mt, cols, rows, vt)
-        m2 = _transpose_lists(mt)
-        for i in range(rows):
-            m[i] = m2[i]
-        if _is_diagonal(m, rows, cols):
-            return
-    raise CertificateError("diagonalization did not converge")
-
-
-def _is_diagonal(m, rows, cols):
-    for i in range(rows):
-        for j in range(cols):
-            if i != j and m[i][j]:
-                return False
-    return True
-
-
-def snf(matrix: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transforms on both sides.
-
-    Alternating row and column HNF passes, then 2x2 gcd steps for the
-    divisibility chain; every diagonal entry stays positive, as HNF
-    pivots are and as the gcd step's g and (a/g) b are.  Entry growth
-    can make this slow on large matrices; snf_invariants alone is not.
-    """
-    rows, cols = matrix.nrows, matrix.ncols
-    m = matrix.to_lists()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    vt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    _snf_core(m, rows, cols, u, vt)
-    # enforce the divisibility chain d_i | d_j for i < j
-    r = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r):
-            for j in range(i + 1, r):
-                a, b = m[i][i], m[j][j]
-                if a == 0:
-                    divides = b == 0
-                else:
-                    divides = b % a == 0
-                if divides:
-                    continue
-                changed = True
-                g, x, y = xgcd(a, b)
-                bg, ag = b // g, a // g
-                # 2x2 update on the (i, j) diagonal block:
-                # diag(a, b) -> diag(g, lcm) via C_i += C_j, then rows
-                # (x, y) / (-b/g, a/g), then C_j -= (y*b/g) * C_i.
-                # Column ops act on vt as row ops.
-                vti, vtj = vt[i], vt[j]
-                for k in range(cols):
-                    vti[k] += vtj[k]
-                ui, uj = u[i], u[j]
-                for k in range(rows):
-                    s, t = ui[k], uj[k]
-                    ui[k] = x * s + y * t
-                    uj[k] = ag * t - bg * s
-                yb = y * bg
-                for k in range(cols):
-                    vtj[k] -= yb * vti[k]
-                m[i][i], m[j][j] = g, ag * b
-    invariants = tuple(m[i][i] for i in range(r) if m[i][i])
-    v = _transpose_lists(vt)
-    return SnfDecomposition(IntMatrix(u), IntMatrix(m), IntMatrix(v), invariants)
+# -- Smith invariants ---------------------------------------------------
 
 
 def snf_invariants(matrix: IntMatrix) -> tuple:

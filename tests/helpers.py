@@ -12,10 +12,10 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
-from zconj.linalg import hnf
+from zconj.linalg import hnf, xgcd
 from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import prime_factors, solve_congruence_lattice, unit_scaling
 
@@ -106,6 +106,54 @@ def gcd_minor_invariants(matrix: IntMatrix):
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+def signed_divisors(n: int):
+    """Every divisor of n > 0 with both signs, smallest |d| first."""
+    out = set()
+    for d in range(1, n + 1):
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.update((d, -d, n // d, -(n // d)))
+    return sorted(out, key=abs)
+
+
+def unit_by_divisors(a: int, b: int, c: int):
+    """A witness (x, y) with a x^2 + b xy + c y^2 = +-1, or None, for a
+    square discriminant e^2 by enumerating the divisor systems of
+    4a f = (2ax + (b - e) y)(2ax + (b + e) y); a = 0 gives f = y (bx + cy)."""
+    e = isqrt(b * b - 4 * a * c)
+    assert e * e == b * b - 4 * a * c
+
+    def unit(x, y):
+        return a * x * x + b * x * y + c * y * y in (1, -1)
+
+    if a == 0:
+        if b == 0:
+            return (0, 1) if unit(0, 1) else None
+        for y in (1, -1):
+            for lin in (1, -1):
+                x, r = divmod(lin - c * y, b)
+                if not r and unit(x, y):
+                    return x, y
+        return None
+    if e == 0:
+        # 4a f = (2ax + by)^2, so 2ax + by = +-t with t^2 = |4a|
+        t = isqrt(4 * abs(a))
+        g, u, v = xgcd(2 * a, b)
+        for rhs in (t, -t):
+            k, r = divmod(rhs, g)
+            if t * t == 4 * abs(a) and not r and unit(u * k, v * k):
+                return u * k, v * k
+        return None
+    for d1 in signed_divisors(4 * abs(a)):
+        for d2 in (4 * a // d1, -4 * a // d1):
+            y, r = divmod(d2 - d1, 2 * e)
+            x, s = divmod(d1 - (b - e) * y, 2 * a)
+            if not r and not s and unit(x, y):
+                return x, y
+    return None
 
 
 def flat(m: IntMatrix):

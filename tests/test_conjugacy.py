@@ -4,7 +4,8 @@ import json
 import random
 import subprocess
 import sys
-from math import lcm
+import time
+from math import gcd, lcm
 
 import pytest
 from helpers import (
@@ -40,7 +41,7 @@ from zconj.conjugacy import (
     sl_lift,
     verify_conjugator,
 )
-from zconj.linalg import charpoly, det, snf_invariants
+from zconj.linalg import charpoly, det, hnf, snf_invariants
 from zconj.modular import det_mod
 from zconj.matrix import IntMatrix
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
@@ -421,6 +422,46 @@ def test_sl_lift_random():
         assert all(
             (lifted[i, j] - m[i, j]) % q == 0 for i in range(n) for j in range(n)
         )
+    # q = 30 p up to p = 2^61 - 1, first columns (6a, 10b, 15c, 30d, ...):
+    # every pair of entries shares a prime with q, the whole column none
+    for p in (7, 1000003, 2**31 - 1, 2**61 - 1):
+        q = 30 * p
+        for _ in range(4):
+            n = rng.randint(3, 5)
+            col = [0]
+            while gcd(*col) != 1:
+                col = [k * rng.choice((1, 7, 11, 13)) for k in (6, 10, 15)]
+                col += [30 * rng.randint(-3, 3) for _ in range(n - 3)]
+                rng.shuffle(col)
+            # a unimodular matrix with first column col: u col = e_1
+            _, u = hnf(IntMatrix([[v] for v in col]))
+            w = unimodular_inverse(u).to_lists()
+            sign = det_small(w)
+            for r in range(n):
+                w[r][n - 1] *= sign
+            # column shears that leave the first column alone
+            for _ in range(2 * n):
+                j, k, lam = rng.randrange(n), rng.randrange(1, n), rng.randrange(q)
+                for r in range(n):
+                    w[r][k] += lam * w[r][j] if j != k else 0
+            m = IntMatrix([[v % q for v in row] for row in w])
+            lifted = sl_lift(m, q)
+            assert det(lifted) == 1
+            assert all(
+                (lifted[i, j] - m[i, j]) % q == 0 for i in range(n) for j in range(n)
+            )
+
+
+def test_sl_lift_builds_its_pivot():
+    # no single lower row makes the pivot a unit; a scan over t = 1..q-1
+    # takes time linear in q
+    m = IntMatrix([[6, 1, 0], [10, 0, 3], [15, 3, -1]])
+    q = 30 * 1000003
+    t0 = time.monotonic()
+    lifted = sl_lift(m, q)
+    assert time.monotonic() - t0 < 1.0
+    assert det(lifted) == 1
+    assert all((lifted[i, j] - m[i, j]) % q == 0 for i in range(3) for j in range(3))
 
 
 def test_bqf_from_lattice_frozen():
@@ -782,6 +823,17 @@ def test_decide_stops_at_first_local_fail():
     assert v.status == "NOT_CONJUGATE"
     assert v.reason == "local-obstruction"
     assert [(lv.prime, lv.status, lv.method) for lv in v.local] == [(2, "FAIL", "exhaustive")]
+
+
+def test_decide_square_discriminant_without_trial_division():
+    # the form's |a| is about s/2: trial division to sqrt(4|a|) takes seconds
+    s = 1000000007 * 1000003
+    t0 = time.monotonic()
+    v = decide(IntMatrix([[0, 1], [0, s]]), IntMatrix([[0, 2], [0, s]]))
+    assert time.monotonic() - t0 < 1.0
+    assert (v.status, v.reason) == ("NOT_CONJUGATE", "bqf-certificate")
+    assert v.bqf_proof.proof == "factor-system"
+    assert [(lv.prime, lv.status) for lv in v.local] == [(1000003, "PASS"), (1000000007, "PASS")]
 
 
 def decide_in_subprocess(x, y, timeout, **kwargs):

@@ -1,6 +1,10 @@
 """Binary quadratic forms and unit representation certificates."""
 
 import random
+import time
+from math import isqrt
+
+from helpers import unit_by_divisors
 
 from zconj.forms import BinaryQuadraticForm as Form
 from zconj.forms import bqf_represents_unit
@@ -14,6 +18,37 @@ def test_definite_minimum_proof():
 
 def test_factor_system_proof():
     r = bqf_represents_unit(Form(2, 5, 0))
+    assert not r.represents
+    assert r.proof == "factor-system"
+
+
+def test_factor_system_against_divisor_enumeration():
+    # every square-discriminant form with coefficients in [-30, 30]
+    checked = 0
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            for c in range(-30, 31):
+                d = b * b - 4 * a * c
+                if d < 0 or isqrt(d) ** 2 != d or a == b == c == 0:
+                    continue
+                f = Form(a, b, c)
+                rep = bqf_represents_unit(f)
+                assert rep.represents == (unit_by_divisors(a, b, c) is not None)
+                if rep.represents:
+                    assert rep.proof is None
+                    assert f.evaluate(*rep.witness) == rep.value in (1, -1)
+                else:
+                    assert rep.proof == "factor-system"
+                checked += 1
+    assert checked == 19592
+
+
+def test_factor_system_is_not_trial_division():
+    # 4|a| has no divisor below its square root to find by search
+    a = 10**15 + 37
+    t0 = time.monotonic()
+    r = bqf_represents_unit(Form(a, 2 * a + 1, 0))
+    assert time.monotonic() - t0 < 1.0
     assert not r.represents
     assert r.proof == "factor-system"
 

@@ -9,13 +9,13 @@ import pytest
 from helpers import (
     adjugate,
     det_small,
+    gcd_minor_invariants,
     prime_factors_trial_division,
     random_sl,
     solve_congruence_lattice_full,
 )
 
 from zconj import modular
-from zconj.linalg import snf
 from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import (
     FactorizationBudget,
@@ -180,7 +180,7 @@ def test_solve_congruence_lattice_checks_its_divisions(monkeypatch):
 
 def test_scaled_idempotent_invariants_match_snf():
     # E = M P adj(M) (sign-fixed) satisfies E^2 = |det M| E; its
-    # invariants computed mod the scale must equal the plain SNF ones
+    # invariants computed mod the scale must equal the gcds of its minors
     rng = random.Random(13)
     good = 0
     while good < 120:
@@ -196,14 +196,14 @@ def test_scaled_idempotent_invariants_match_snf():
             e = -e
         scale = abs(d)
         assert e * e == e * scale
-        assert scaled_idempotent_invariants(e, scale) == snf(e).invariants
+        assert scaled_idempotent_invariants(e, scale) == gcd_minor_invariants(e)
         good += 1
     # over a composite scale the Smith chain can reach the scale itself:
     # for this Y the diagonal (2, 3) mod 6 chains to (1, 6)
     y = IntMatrix([[9, -8], [9, -9]])
     spectrum = split_spectrum(y)
     for e, scale in zip(spectrum.idempotents, spectrum.scales):
-        assert scaled_idempotent_invariants(e, scale) == snf(e).invariants
+        assert scaled_idempotent_invariants(e, scale) == gcd_minor_invariants(e)
     assert isinstance(check_assumption(y), AssumptionReport)
 
 
@@ -239,7 +239,7 @@ def test_solve_congruence_lattice_at_dtype_boundary():
                     assert sum(r[j] * b[j] for j in range(m)) % q == 0
             # solutions mod q number prod gcd(d_j, q) over the m Smith
             # invariants of A, counting each missing one as 0
-            d = snf(IntMatrix(rows)).invariants
+            d = gcd_minor_invariants(IntMatrix(rows))
             count = 1
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
@@ -324,7 +324,7 @@ def test_diagonalize_mod_gives_a_divisor_chain():
             assert all(diag[j + 1] % diag[j] == 0 for j in range(m - 1))
             # the solutions count prod d_j mod q, as many as A's Smith
             # invariants give
-            d = snf(IntMatrix(rows)).invariants
+            d = gcd_minor_invariants(IntMatrix(rows))
             count = 1
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
@@ -341,7 +341,7 @@ def test_refine_gives_coprime_bases():
 
 def test_scaled_idempotent_invariants_composite_scales():
     # E = M P adj(M) with det M = +-scale: E^2 = det(M) E, invariants
-    # against the plain SNF
+    # against the gcds of minors
     rng = random.Random(43)
     for scale in (6, 12, 30, 36, 60, 225, 360):
         for _ in range(6):
@@ -359,4 +359,4 @@ def test_scaled_idempotent_invariants_composite_scales():
             if det_small(rows) < 0:
                 e = -e
             assert e * e == e * scale
-            assert scaled_idempotent_invariants(e, scale) == snf(e).invariants
+            assert scaled_idempotent_invariants(e, scale) == gcd_minor_invariants(e)
