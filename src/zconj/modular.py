@@ -7,9 +7,13 @@ pass (Storjohann and Mulders, ESA 1998).  The divisor chain of a
 diagonalization over Z/q comes from a chain-ring eliminator: q splits
 into coprime prime powers p^k, over Z/p^k every entry is p^l times a
 unit and pivots go by level l, and the chain of q multiplies the
-chains of the pieces.  Every kernel keeps its residues in [0, q), so
-no intermediate exceeds q^2 + q in magnitude; that bound picks the
-numpy dtype (int64 for small q, Python ints otherwise) and the same
+chains of the pieces.  Its row operations are delayed and applied a
+block of pivots at a time as one product, with bound p^(2k) times the
+block size (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).
+Every kernel keeps its residues in [0, q), so no elementwise step
+exceeds q^2 + q in magnitude; that bound picks the numpy dtype (int64
+for small q, Python ints otherwise), matrix products go through
+matrix.matmul with bound q^2 times the inner dimension, and the same
 code runs for every modulus.
 
 Also here: the invariant-factor shortcut for scaled idempotents.  If
@@ -294,42 +298,78 @@ def _refine(b: int, g: int):
                 parts[c] += f
 
 
+_BLOCK = 32  # pivots whose row operations _eliminate_chain applies as one product
+
+
 def _eliminate_chain(a, b: int, k: int):
     """Levels of the diagonalization of the residues a modulo b^k, in place.
 
     At level l every entry of the residual block is divisible by b^l,
     and a pivot is any entry that b^(l+1) does not divide, found by
-    scanning one row; a row without one moves below the candidates,
-    where this level's row operations keep it divisible by b^(l+1).
-    Row operations clear the pivot's column, and the pivot row is never
-    read again.  Returns levels, levels[j] the level of the j-th pivot.
-    A base b that is not prime raises _ZeroDivisor with a proper factor
-    when a pivot is not b^l times a unit.
+    scanning one row.  Row operations clear the pivot's column, and the
+    pivot row is never read again.  They are delayed: the pivot rows
+    found since the last flush stay in a[t0:t], and each row below keeps
+    its multipliers for them in f.  A row takes its pending operations
+    as one product when it is scanned, and the pivot column of the rows
+    below as one matrix-vector product, which gives their multipliers.
+    Every _BLOCK pivots the rows below take all of theirs as one product
+    f @ a[t0:t], bound b^(2k) times the pending count (float64 on BLAS
+    while that is below 2^53); pending operations carry over from one
+    level to the next.  A scanned row with no pivot moves below the
+    candidates, where this level's multipliers, divisible by b, keep it
+    so; when the row moved up in its place has none either, the rows
+    below are flushed and every such row moves down at once.  Returns
+    levels, levels[j] the level of the j-th pivot.  A base b that is
+    not prime raises _ZeroDivisor with a proper factor when a pivot is
+    not b^l times a unit.
     """
     n_mod = b**k
     nrows, ncols = a.shape
+    f = np.zeros((nrows, min(_BLOCK, ncols)), dtype=a.dtype)
     levels = []
-    t = 0
+    t = t0 = 0
+    dead = -1  # where the last scan found no pivot
+
+    def updated(rows, cols):
+        # a[rows, cols] after the pending row operations
+        n = t - t0
+        return (a[rows, cols] - matmul(f[rows, :n], a[t0:t, cols], n_mod * n_mod * n)) % n_mod
+
+    def flush():
+        nonlocal t0
+        if t0 < t < min(nrows, ncols):
+            a[t:, t:] = updated(slice(t, None), slice(t, None))
+        t0 = t
+
     for level in range(k):
         low, high = b**level, b ** (level + 1)
         end = nrows  # rows t..end-1 may still hold a pivot of this level
         while t < min(end, ncols):
+            if t > t0:
+                a[t, t:] = updated(t, slice(t, None))
+                f[t] = 0
             hits = np.flatnonzero(a[t, t:] % high)
             if not len(hits):
-                end -= 1
-                a[[t, end]] = a[[end, t]]
+                if dead != t:
+                    end, dead = end - 1, t
+                    a[[t, end]], f[[t, end]] = a[[end, t]], f[[end, t]]
+                else:
+                    flush()
+                    keep = (a[t:end, t:] % high != 0).any(axis=1)
+                    a[t:end] = a[t:end][np.argsort(~keep, kind="stable")]
+                    end = t + int(keep.sum())
                 continue
             j = t + int(hits[0])
             a[:, [t, j]] = a[:, [j, t]]
             unit = int(a[t, t]) // low
             if gcd(unit, b) != 1:
                 raise _ZeroDivisor(gcd(unit, b))
-            below = t + 1 + np.flatnonzero(a[t + 1 :, t])
-            if len(below):
-                f = (a[below, t] // low) * pow(unit, -1, n_mod // low) % n_mod
-                a[below, t:] = (a[below, t:] - f[:, None] * a[t, t:]) % n_mod
+            col = updated(slice(t + 1, None), t) if t > t0 else a[t + 1 :, t]
+            f[t + 1 :, t - t0] = (col // low) * pow(unit, -1, n_mod // low) % n_mod
             levels.append(level)
             t += 1
+            if t - t0 == _BLOCK:
+                flush()
     return levels
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .graphs import FieldSpec, field_build
-from .matrix import CertificateError
+from .matrix import CertificateError, int_dtype, matmul
 
 
 class ZeroInput(ValueError):
@@ -50,11 +52,18 @@ class TruncatedUnramifiedRing:
 
     @cached_property
     def jacobi_logs(self):
-        """(log x, k log(1 - x) mod q - 1) for x = 2..q-1, k = (q - 1)/2:
+        """Arrays (log x, k log(1 - x) mod q - 1) over x = 2..q-1, k = (q - 1)/2:
         the part of every Jacobi sum that does not depend on j."""
         field, q = self.field, self.q
-        onemx = field.indices(field.digits[1] - field.digits).tolist()
-        return [(field.log[x], (q - 1) // 2 * field.log[onemx[x]] % (q - 1)) for x in range(2, q)]
+        log = np.zeros(q, dtype=np.int64)
+        log[field.exp] = np.arange(q - 1)
+        onemx = field.indices(field.digits[1] - field.digits)[2:]
+        return log[2:], (q - 1) // 2 * log[onemx] % (q - 1)
+
+    @cached_property
+    def character_table(self):
+        """_character_table of this ring."""
+        return _character_table(self)
 
     def element(self, a: int, b: int):
         return (a % self.pn, b % self.pn)
@@ -124,12 +133,13 @@ def teichmuller(x: int, ring: TruncatedUnramifiedRing):
 
 
 def _character_table(ring: TruncatedUnramifiedRing):
-    """omega(beta^i) for i in 0..q-2, via one lift and q-2 products."""
+    """omega(beta^i) for i in 0..q-2, via one lift and q-2 products, as a
+    (q - 1) x 2 integer array: row i holds the coefficients of 1 and t."""
     wb = teichmuller(ring.field.beta, ring)
     table = [ring.one]
     for _ in range(ring.q - 2):
         table.append(ring.mul(table[-1], wb))
-    return table
+    return np.array(table, dtype=int_dtype(ring.pn))
 
 
 @dataclass(frozen=True)
@@ -175,10 +185,15 @@ def jacobi_sum(j: int, ring: TruncatedUnramifiedRing, table=None) -> JacobiSumRe
     if not 1 <= j <= 2 * k - 1:
         raise ValueError("index must lie in 1..2k-1")
     if table is None:
-        table = _character_table(ring)
-    total = ring.zero
-    for lx, lo in ring.jacobi_logs:
-        total = ring.add(total, ring.mul(table[-j * lx % (q - 1)], table[lo]))
+        table = ring.character_table
+    lx, lo = ring.jacobi_logs
+    # rows (a, b) of tau^(-j)(x) and (c, d) of tau^k(1 - x): the sums of
+    # ac, ad, bc and bd over the q - 2 values of x are one product of
+    # entries below p^N, so q p^(2N) bounds it; t^2 = -c0 - c1 t then
+    # combines them in Python ints
+    (ac, ad), (bc, bd) = matmul(table[-j * lx % (q - 1)].T, table[lo], q * ring.pn**2).tolist()
+    c0, c1, _ = ring.modulus
+    total = ((ac - bd * c0) % ring.pn, (ad + bc - bd * c1) % ring.pn)
     val = ring.valuation(total)
     cj = c_of_j(j, ring.p) if 1 <= j <= k - 1 else None
     return JacobiSumRecord(j=j, alpha=total, valuation=val, c_j=cj)

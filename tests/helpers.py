@@ -15,9 +15,11 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from pathlib import Path
 
+import numpy as np
+
 from zconj.linalg import hnf, xgcd
 from zconj.matrix import CertificateError, IntMatrix
-from zconj.modular import prime_factors, solve_congruence_lattice, unit_scaling
+from zconj.modular import _ZeroDivisor, prime_factors, solve_congruence_lattice, unit_scaling
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -639,3 +641,43 @@ def jacobi_sum_per_x(j: int, ring, table):
         term = ring.mul(table[(-j * field.log[x]) % (q - 1)], table[(k * field.log[onemx]) % (q - 1)])
         total = ring.add(total, term)
     return total, ring.valuation(total)
+
+
+# the row-at-a-time chain-ring eliminator: one rank-1 update per pivot
+def eliminate_chain_rows(a, b: int, k: int):
+    """Levels of the diagonalization of the residues a modulo b^k, in place.
+
+    At level l every entry of the residual block is divisible by b^l,
+    and a pivot is any entry that b^(l+1) does not divide, found by
+    scanning one row; a row without one moves below the candidates,
+    where this level's row operations keep it divisible by b^(l+1).
+    Row operations clear the pivot's column, and the pivot row is never
+    read again.  Returns levels, levels[j] the level of the j-th pivot.
+    A base b that is not prime raises _ZeroDivisor with a proper factor
+    when a pivot is not b^l times a unit.
+    """
+    n_mod = b**k
+    nrows, ncols = a.shape
+    levels = []
+    t = 0
+    for level in range(k):
+        low, high = b**level, b ** (level + 1)
+        end = nrows  # rows t..end-1 may still hold a pivot of this level
+        while t < min(end, ncols):
+            hits = np.flatnonzero(a[t, t:] % high)
+            if not len(hits):
+                end -= 1
+                a[[t, end]] = a[[end, t]]
+                continue
+            j = t + int(hits[0])
+            a[:, [t, j]] = a[:, [j, t]]
+            unit = int(a[t, t]) // low
+            if gcd(unit, b) != 1:
+                raise _ZeroDivisor(gcd(unit, b))
+            below = t + 1 + np.flatnonzero(a[t + 1 :, t])
+            if len(below):
+                f = (a[below, t] // low) * pow(unit, -1, n_mod // low) % n_mod
+                a[below, t:] = (a[below, t:] - f[:, None] * a[t, t:]) % n_mod
+            levels.append(level)
+            t += 1
+    return levels

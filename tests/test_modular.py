@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     adjugate,
     det_small,
+    eliminate_chain_rows,
     gcd_minor_invariants,
     prime_factors_trial_division,
     random_sl,
@@ -18,12 +19,15 @@ from helpers import (
 from zconj import modular
 from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import (
+    _BLOCK,
     FactorizationBudget,
     _diagonalize_mod,
+    _eliminate_chain,
     _refine,
     det_mod,
     inv_mod,
     prime_factors,
+    residues,
     scaled_idempotent_invariants,
     solve_congruence_lattice,
     unit_scaling,
@@ -329,6 +333,90 @@ def test_diagonalize_mod_gives_a_divisor_chain():
             for j in range(m):
                 count *= gcd(d[j], q) if j < len(d) else q
             assert count == prod(diag)
+
+
+def chain_residues(rng, b: int, k: int, nrows: int, ncols: int, rank: int):
+    """Residues mod b^k whose rows are rank base rows, in order, with
+    combinations of the rows before them plus b^e times noise (e >= 1)
+    mixed in: such a row has no pivot left at level 0 once the rows it
+    combines are pivots, so rows drop out partway through a level."""
+    q = b**k
+    rows = []
+    used = 0
+    for _ in range(nrows):
+        if used < rank and (not rows or rng.random() < 0.6):
+            rows.append([rng.randrange(q) for _ in range(ncols)])
+            used += 1
+            continue
+        e = b ** rng.randint(1, k)
+        coeffs = [rng.randrange(q) for _ in rows]
+        rows.append([
+            (sum(c * r[j] for c, r in zip(coeffs, rows)) + e * rng.randrange(q)) % q
+            for j in range(ncols)
+        ])
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+
+
+def test_eliminate_chain_matches_row_at_a_time_oracle():
+    # the delayed-update eliminator against the rank-1-per-pivot one:
+    # the levels are the divisor chain, whatever order the pivots come in
+    rng = random.Random(53)
+    longest = 0
+    for b in (2, 3, 5, 7, 19):
+        for k in (1, 2, 3):
+            for shape in ("square", "wide", "tall"):
+                n = rng.randint(40, 100)
+                nrows, ncols = {"square": (n, n), "wide": (n // 2, n), "tall": (n, n // 2)}[shape]
+                cases = [
+                    chain_residues(rng, b, k, nrows, ncols, rng.randint(0, min(nrows, ncols))),
+                    chain_residues(rng, b, k, nrows, ncols, min(nrows, ncols)) * b ** rng.randint(0, k - 1) % b**k,
+                    np.array([[rng.randrange(b**k) for _ in range(ncols)] for _ in range(nrows)], dtype=np.int64),
+                    np.array([[rng.randrange(4) for _ in range(ncols)] for _ in range(rng.randint(1, 8))], dtype=np.int64) % b**k,
+                ]
+                for a in cases:
+                    levels = _eliminate_chain(a.copy(), b, k)
+                    assert levels == eliminate_chain_rows(a.copy(), b, k)
+                    longest = max([longest] + [levels.count(l) for l in range(k)])
+    # dense and full rank (unit triangular L times U); with residues in
+    # int64 but products past it (2^31 - 1), and residues past it
+    for b, k, n in ((19, 2, 100), (2**31 - 1, 1, 60), (2**61 - 1, 2, 40)):
+        q = b**k
+        lower, upper = (
+            np.array([[rng.randrange(q) if j < i else int(i == j) for j in range(n)] for i in range(n)], dtype=object)
+            for _ in range(2)
+        )
+        a = residues(lower @ upper.T, q)
+        assert _eliminate_chain(a.copy(), b, k) == eliminate_chain_rows(a.copy(), b, k) == [0] * n
+    assert longest > 2 * _BLOCK
+
+
+def test_diagonalize_mod_splits_a_base_after_a_flush(monkeypatch):
+    # the unfactored base P60 * Q60 shows a zero divisor only at pivot
+    # `units`, past the first _BLOCK, so after a flush; the chain must be
+    # the one the row-at-a-time eliminator gives
+    rng = random.Random(59)
+    splits = []
+    monkeypatch.setattr(modular, "_refine", lambda b, g: splits.append(g) or _refine(b, g))
+    for q in (P60 * Q60, P60**2 * Q60, 6 * P60 * Q60):
+        for _ in range(3):
+            m = rng.randint(_BLOCK + 8, 80)
+            units = rng.randint(_BLOCK + 1, m - 4)
+            rows = [[rng.randrange(q) for _ in range(m)] for _ in range(units)]
+            for i in range(units, m):
+                g = P60 if i == units else rng.choice((P60, Q60, P60 * Q60, 1))
+                coeffs = [rng.randrange(q) for _ in range(units)]
+                rows.append([
+                    (g * rng.randrange(q) + sum(c * r[j] for c, r in zip(coeffs, rows[:units]))) % q
+                    for j in range(m)
+                ])
+            del splits[:]
+            diag = _diagonalize_mod(rows, q)
+            assert splits[0] == P60
+            with monkeypatch.context() as patch:
+                patch.setattr(modular, "_eliminate_chain", eliminate_chain_rows)
+                assert _diagonalize_mod(rows, q) == diag
+            assert all(q % d == 0 for d in diag)
+            assert all(diag[j + 1] % diag[j] == 0 for j in range(m - 1))
 
 
 def test_refine_gives_coprime_bases():
