@@ -146,9 +146,12 @@ def fraction_free_rref(rows):
     bound H (the smaller of the products of max(1, norm) over rows and
     over columns); H^2 picks the dtype.
     """
-    a = np.array(rows, dtype=object)
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    m = max_abs(a)
+    # squares and their row and column sums stay within m^2 max(rows, cols)
+    a = a.astype(int_dtype(m * m * max(a.shape)), copy=False)
     sq = a * a
-    h2 = min(prod(max(1, v) for v in sq.sum(axis=axis)) for axis in (0, 1))
+    h2 = min(prod(max(1, v) for v in sq.sum(axis=axis).tolist()) for axis in (0, 1))
     a = a.astype(int_dtype(h2))
     nrows, ncols = a.shape
     pivots, d, sign = [], 1, 1
@@ -231,23 +234,28 @@ def det(matrix: IntMatrix) -> int:
 def charpoly(matrix: IntMatrix):
     """Characteristic polynomial coefficients [1, c_1, ..., c_n].
 
-    Faddeev-LeVerrier recurrence; every division is exact over Z.
-    The polynomial is t^n + c_1 t^(n-1) + ... + c_n.
+    Faddeev-LeVerrier on one integer array: each step is one exact
+    product, whose bound is max |A| n times the last, an exact division
+    and a diagonal shift.  The polynomial is t^n + c_1 t^(n-1) + ... + c_n.
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = matrix.nrows
+    n, a = matrix.nrows, matrix.array
+    mx = max_abs(a)
     coeffs = [1]
-    m = IntMatrix.identity(n)
+    m, bound = np.eye(n, dtype=np.int64), 1
     for k in range(1, n + 1):
-        m = matrix * m
-        c = -m.trace()
+        bound = max(mx, bound, mx * bound * n)
+        m = matmul(a, m, bound)
+        c = -sum(m.diagonal().tolist())
         if c % k:
             raise CertificateError("Faddeev-LeVerrier division is not exact")
         c //= k
         coeffs.append(c)
         if k < n:
-            m = m + IntMatrix.diagonal([c] * n)
+            bound += abs(c)
+            m = m.astype(int_dtype(bound), copy=False)
+            m.flat[:: n + 1] += c
     return coeffs
 
 

@@ -187,10 +187,6 @@ class IntMatrix:
             raise ValueError("trace needs a square matrix")
         return sum(self._a.diagonal().tolist())
 
-    def content(self) -> int:
-        """gcd of all entries (0 for the zero matrix)."""
-        return int(np.gcd.reduce(self._a, axis=None))
-
     def is_zero(self) -> bool:
         return self._bound == 0
 

@@ -7,6 +7,10 @@ the spectral projectors; scaling each by the least q_i that clears the
 denominators gives integer matrices E_i = q_i e_i, the basic certified
 data used by the conjugacy decision procedure.
 
+The minimal polynomial is one Krylov dependency among X's powers; the
+numerators and the projector identities are exact products of integer
+arrays, and each E_i becomes an IntMatrix once, at the end.
+
 Polynomials are tuples of integer coefficients in ascending order.
 """
 
@@ -18,7 +22,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .linalg import fraction_free_rref, snf_invariants
-from .matrix import CertificateError, IntMatrix, int_from_json, matmul, max_abs
+from .matrix import CertificateError, IntMatrix, int_dtype, int_from_json, matmul, max_abs
 from .modular import scaled_idempotent_invariants
 
 
@@ -33,15 +37,6 @@ class DivisibilityViolation(ValueError):
 # -- polynomial helpers -----------------------------------------------------
 
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
-
-
 def poly_eval_int(poly, x: int) -> int:
     acc = 0
     for c in reversed(poly):
@@ -49,32 +44,28 @@ def poly_eval_int(poly, x: int) -> int:
     return acc
 
 
-def poly_eval_matrix(poly, m: IntMatrix) -> IntMatrix:
-    n = m.nrows
-    acc = IntMatrix.identity(n) * poly[-1]
-    for c in reversed(poly[:-1]):
-        acc = acc * m + IntMatrix.identity(n) * c
-    return acc
-
-
 def _local_minimal_polynomial(x: IntMatrix, w):
-    """Monic minimal polynomial of x acting on the vector w (w != 0).
+    """Monic minimal polynomial of x acting by left multiplication on w != 0,
+    an integer vector or n x m array.
 
-    The Krylov vectors w, xw, x^2 w, ... are the columns of K.  The
-    first non-pivot column k of K's fraction-free RREF writes x^k w in
-    the earlier columns, which gives the polynomial; it divides the
-    monic integer minimal polynomial, so its coefficients are integers.
-    Columns come in doubling batches, so entries grow only to about
-    twice the degree needed.
+    The Krylov terms w, xw, x^2 w, ..., flattened, are the columns of K.
+    Over Q, v^T K^T K v = |Kv|^2, so the Gram matrix K^T K (one row and
+    column per term) has K's kernel and hence K's RREF: its first
+    non-pivot column k writes x^k w in the earlier terms, which gives
+    the polynomial.  It divides x's monic integer minimal polynomial, so
+    its coefficients are integers.  Terms come in doubling batches, so
+    entries grow only to about twice the degree needed.
     """
-    kry, size = [np.array(w, dtype=object)], 2
-    mx, bound = max_abs(x.array), max(map(abs, w))
+    kry, size = [np.asarray(w)], 2
+    mx, bound = max_abs(x.array), max_abs(kry[0])
     while True:
         while len(kry) < size:
             # entries of x^k w stay within (mx n)^k max |w|
             bound = max(mx, bound, mx * bound * x.nrows)
             kry.append(matmul(x.array, kry[-1], bound))
-        r, pivots, d, _ = fraction_free_rref(np.stack(kry, axis=1))
+        k_mat = np.stack([t.reshape(-1) for t in kry], axis=1)
+        gram = matmul(k_mat.T, k_mat, max(bound, bound * bound * k_mat.shape[0]))
+        r, pivots, d, _ = fraction_free_rref(gram)
         k = len(pivots)
         if k < size:
             if (r[:k, k] % d).any():
@@ -84,27 +75,11 @@ def _local_minimal_polynomial(x: IntMatrix, w):
 
 
 def minimal_polynomial(x: IntMatrix):
-    """Monic integer polynomial of minimal degree annihilating x.
-
-    Accumulates local minimal polynomials column by column; the running
-    product always divides the true minimal polynomial, so the loop can
-    stop as soon as the product annihilates the matrix.
-    """
+    """Monic integer polynomial of minimal degree annihilating x: that of
+    left multiplication by x on I, one Krylov sequence of x's powers."""
     if not x.is_square:
         raise ValueError("minimal polynomial needs a square matrix")
-    n = x.nrows
-    mu = (1,)
-    mu_at_x = IntMatrix.identity(n)
-    for col in range(n):
-        w = mu_at_x.array[:, col].tolist()
-        if not any(w):
-            continue
-        nu = _local_minimal_polynomial(x, w)
-        mu = poly_mul(mu, nu)
-        mu_at_x = poly_eval_matrix(nu, x) * mu_at_x
-        if mu_at_x.is_zero():
-            break
-    return mu
+    return _local_minimal_polynomial(x, np.eye(x.nrows, dtype=np.int64))
 
 
 def _derivative(poly):
@@ -196,7 +171,8 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
     """Eigenvalues, multiplicities and scaled idempotents of a split matrix.
 
     Raises NotSplit when the minimal polynomial has a repeated or
-    non-integer root.
+    non-integer root.  Each numerator prod_{b != a} (X - b I) is an
+    integer array, its product bounds carried from the factors.
     """
     mu = minimal_polynomial(x)
     roots, full = _integer_roots(mu)
@@ -206,27 +182,35 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
         raise NotSplit("minimal polynomial %s has a repeated root" % (mu,))
     eigenvalues = tuple(sorted(roots))
     n = x.nrows
-    ident = IntMatrix.identity(n)
+    mx = max_abs(x.array)
     idempotents = []
     scales = []
     multiplicities = []
     for a in eigenvalues:
-        num = ident
-        den = 1
+        num, bound, den = None, 1, 1
         for b in eigenvalues:
             if b != a:
-                num = num * (x - ident * b)
+                fb = mx + abs(b)
+                f = x.array.astype(int_dtype(fb))
+                f.flat[:: n + 1] -= b
+                if num is None:
+                    num, bound = f, fb
+                else:
+                    num = matmul(num, f, max(bound, fb, bound * fb * n))
+                    bound *= fb * n
                 den *= a - b
-        g = gcd(num.content(), abs(den))
+        if num is None:  # one eigenvalue: the numerator is I
+            num = np.eye(n, dtype=np.int64)
+        g = gcd(int(np.gcd.reduce(num, axis=None)), abs(den))
         q = abs(den) // g
         sign = 1 if den > 0 else -1
         # num is not zero (it has fewer factors than the minimal
         # polynomial) and g divides its entries, so their dtype holds g
-        e = IntMatrix(num.array // (sign * g))
-        tr = e.trace()
+        e = num // (sign * g)
+        tr = sum(e.diagonal().tolist())
         if tr % q or tr < 0:
             raise CertificateError("idempotent trace is not a multiple of its scale")
-        idempotents.append(e)
+        idempotents.append(IntMatrix._of(e))
         scales.append(q)
         multiplicities.append(tr // q)
     _check_projector_identities(x, eigenvalues, idempotents, scales, multiplicities)
@@ -240,16 +224,25 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
 
 
 def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
-    """E_i E_i = q_i E_i, X E_i = a_i E_i, E_i E_j = 0, sum (L/q_i) E_i = L I."""
-    n = x.nrows
+    """E_i E_j = [i = j] q_i E_i, X E_i = a_i E_i, sum (L/q_i) E_i = L I.
+
+    The E_i are IntMatrix objects.  The k^2 products E_i E_j are one
+    stacked product (k, 1, n, n) @ (1, k, n, n), the X E_i another; the
+    dtype bound max |E| max(k L, max |E| n, max(|X|, |a_i|) n) covers
+    every entry compared.
+    """
+    n, k = x.nrows, len(idempotents)
     big = lcm(*scales)
-    total = IntMatrix.zeros(n, n)
-    ok = sum(mults) == n
-    for i, (e, q, a) in enumerate(zip(idempotents, scales, eigenvalues)):
-        ok = ok and e * e == e * q and x * e == e * a
-        ok = ok and all((e * f).is_zero() for f in idempotents[i + 1 :])
-        total = total + e * (big // q)
-    if not (ok and total == IntMatrix.identity(n) * big):
+    me = max(max_abs(e.array) for e in idempotents)
+    mx = max(max_abs(x.array), *map(abs, eigenvalues))
+    dtype = int_dtype(mx, big, me * max(k * big, me * n, mx * n))
+    es = np.stack([e.array.astype(dtype) for e in idempotents])
+    q, a, w = (np.array(v, dtype=dtype)[:, None, None] for v in (scales, eigenvalues, [big // s for s in scales]))
+    want = np.zeros((k,) + es.shape, dtype=dtype)
+    want[range(k), range(k)] = q * es
+    ok = sum(mults) == n and bool((matmul(es[:, None], es[None], max(me, me * me * n)) == want).all())
+    ok = ok and bool((matmul(x.array, es, max(mx, me, mx * me * n)) == a * es).all())
+    if not (ok and ((w * es).sum(axis=0) == big * np.eye(n, dtype=dtype)).all()):
         raise CertificateError("scaled idempotents fail the projector identities")
 
 

@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from zconj.linalg import hnf, xgcd
-from zconj.matrix import CertificateError, IntMatrix
+from zconj.linalg import fraction_free_rref, hnf, xgcd
+from zconj.matrix import CertificateError, IntMatrix, matmul, max_abs
 from zconj.modular import _ZeroDivisor, prime_factors, solve_congruence_lattice, unit_scaling
+from zconj.spectral import NotSplit, SplitSpectrum, _integer_roots
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,6 +80,21 @@ def random_sl(n: int, rng, steps: int = 6) -> IntMatrix:
         for t in range(n):
             rows[i][t] += lam * rows[j][t]
     return IntMatrix(rows)
+
+
+def hidden(m: IntMatrix, rng, steps: int = 6) -> IntMatrix:
+    """u m u^-1 for u a product of random shears, inverted shear by shear,
+    so any size is cheap."""
+    n = m.nrows
+    u, u_inv = IntMatrix.identity(n), IntMatrix.identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        lam = rng.choice((-2, -1, 1, 2))
+        shear = [[int(r == c) + lam * ((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+        inverse = [[int(r == c) - lam * ((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+        u, u_inv = u * IntMatrix(shear), IntMatrix(inverse) * u_inv
+    assert u * u_inv == IntMatrix.identity(n)
+    return u * m * u_inv
 
 
 def random_split_conjugate(n: int, rng, steps: int = 4):
@@ -413,13 +429,14 @@ def kernel_basis_fraction(matrix: IntMatrix):
 
 
 def local_minimal_polynomial_fraction(x: IntMatrix, w):
-    """Monic minimal polynomial of x on w by incremental rational echelon."""
-    n = x.nrows
+    """Monic minimal polynomial of x acting on w by left multiplication,
+    w a vector or an n x m matrix, by incremental rational echelon of the
+    flattened Krylov terms."""
     echelon = []  # (reduced vector, pivot position, combination coefficients)
-    kry = list(w)
+    kry = np.array(w, dtype=object).reshape(x.nrows, -1).tolist()
     k = 0
     while True:
-        vec = [Fraction(a) for a in kry]
+        vec = [Fraction(a) for row in kry for a in row]
         comb = [Fraction(0)] * k + [Fraction(1)]
         for evec, pos, ecomb in echelon:
             f = vec[pos]
@@ -427,14 +444,146 @@ def local_minimal_polynomial_fraction(x: IntMatrix, w):
                 vec = [a - f * e for a, e in zip(vec, evec)]
                 for j, c in enumerate(ecomb):
                     comb[j] -= f * c
-        pos = next((j for j in range(n) if vec[j]), None)
+        pos = next((j for j in range(len(vec)) if vec[j]), None)
         if pos is None:
             assert all(c.denominator == 1 for c in comb)
             return tuple(int(c) for c in comb)
         piv = vec[pos]
         echelon.append(([a / piv for a in vec], pos, [c / piv for c in comb]))
-        kry = [sum(a * b for a, b in zip(row, kry)) for row in x.to_lists()]
+        kry = [[sum(a * row[j] for a, row in zip(xrow, kry)) for j in range(len(kry[0]))] for xrow in x.to_lists()]
         k += 1
+
+
+# -- the split-spectrum path as it was before the Krylov sequence of x's
+# powers: local minimal polynomials column by column, evaluated at x by
+# Horner's rule, and IntMatrix projectors checked pair by pair
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
+
+
+def poly_eval_matrix(poly, m: IntMatrix) -> IntMatrix:
+    n = m.nrows
+    acc = IntMatrix.identity(n) * poly[-1]
+    for c in reversed(poly[:-1]):
+        acc = acc * m + IntMatrix.identity(n) * c
+    return acc
+
+
+def local_minimal_polynomial_columns(x: IntMatrix, w):
+    """Monic minimal polynomial of x acting on the vector w (w != 0), from
+    the fraction-free RREF of the Krylov vectors themselves."""
+    kry, size = [np.array(w, dtype=object)], 2
+    mx, bound = max_abs(x.array), max(map(abs, w))
+    while True:
+        while len(kry) < size:
+            # entries of x^k w stay within (mx n)^k max |w|
+            bound = max(mx, bound, mx * bound * x.nrows)
+            kry.append(matmul(x.array, kry[-1], bound))
+        r, pivots, d, _ = fraction_free_rref(np.stack(kry, axis=1))
+        k = len(pivots)
+        if k < size:
+            if (r[:k, k] % d).any():
+                raise CertificateError("Krylov dependency is not integral")
+            return tuple(-int(v) // d for v in r[:k, k]) + (1,)
+        size = min(2 * size, x.nrows + 1)
+
+
+def minimal_polynomial_columns(x: IntMatrix):
+    """Accumulates local minimal polynomials column by column; the running
+    product always divides the true minimal polynomial, so the loop can
+    stop as soon as the product annihilates the matrix."""
+    n = x.nrows
+    mu = (1,)
+    mu_at_x = IntMatrix.identity(n)
+    for col in range(n):
+        w = mu_at_x.array[:, col].tolist()
+        if not any(w):
+            continue
+        nu = local_minimal_polynomial_columns(x, w)
+        mu = poly_mul(mu, nu)
+        mu_at_x = poly_eval_matrix(nu, x) * mu_at_x
+        if mu_at_x.is_zero():
+            break
+    return mu
+
+
+def split_spectrum_intmatrix(x: IntMatrix) -> SplitSpectrum:
+    """split_spectrum with IntMatrix numerators and pairwise checks."""
+    mu = minimal_polynomial_columns(x)
+    roots, full = _integer_roots(mu)
+    if not full:
+        raise NotSplit("minimal polynomial %s has a non-integer root" % (mu,))
+    if len(set(roots)) != len(roots):
+        raise NotSplit("minimal polynomial %s has a repeated root" % (mu,))
+    eigenvalues = tuple(sorted(roots))
+    n = x.nrows
+    ident = IntMatrix.identity(n)
+    idempotents = []
+    scales = []
+    multiplicities = []
+    for a in eigenvalues:
+        num = ident
+        den = 1
+        for b in eigenvalues:
+            if b != a:
+                num = num * (x - ident * b)
+                den *= a - b
+        g = gcd(int(np.gcd.reduce(num.array, axis=None)), abs(den))
+        q = abs(den) // g
+        sign = 1 if den > 0 else -1
+        e = IntMatrix(num.array // (sign * g))
+        tr = e.trace()
+        if tr % q or tr < 0:
+            raise CertificateError("idempotent trace is not a multiple of its scale")
+        idempotents.append(e)
+        scales.append(q)
+        multiplicities.append(tr // q)
+    check_projector_identities_pairwise(x, eigenvalues, idempotents, scales, multiplicities)
+    return SplitSpectrum(
+        n=n,
+        eigenvalues=eigenvalues,
+        multiplicities=tuple(multiplicities),
+        idempotents=tuple(idempotents),
+        scales=tuple(scales),
+    )
+
+
+def check_projector_identities_pairwise(x, eigenvalues, idempotents, scales, mults):
+    """E_i E_i = q_i E_i, X E_i = a_i E_i, E_i E_j = 0, sum (L/q_i) E_i = L I."""
+    n = x.nrows
+    big = lcm(*scales)
+    total = IntMatrix.zeros(n, n)
+    ok = sum(mults) == n
+    for i, (e, q, a) in enumerate(zip(idempotents, scales, eigenvalues)):
+        ok = ok and e * e == e * q and x * e == e * a
+        ok = ok and all((e * f).is_zero() for f in idempotents[i + 1 :])
+        total = total + e * (big // q)
+    if not (ok and total == IntMatrix.identity(n) * big):
+        raise CertificateError("scaled idempotents fail the projector identities")
+
+
+def charpoly_intmatrix(matrix: IntMatrix):
+    """Faddeev-LeVerrier with an IntMatrix product, diagonal and sum per step."""
+    n = matrix.nrows
+    coeffs = [1]
+    m = IntMatrix.identity(n)
+    for k in range(1, n + 1):
+        m = matrix * m
+        c = -m.trace()
+        if c % k:
+            raise CertificateError("Faddeev-LeVerrier division is not exact")
+        c //= k
+        coeffs.append(c)
+        if k < n:
+            m = m + IntMatrix.diagonal([c] * n)
+    return coeffs
 
 
 def lll_fraction(basis, delta=Fraction(99, 100)):

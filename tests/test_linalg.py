@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 from helpers import (
     SRC,
+    charpoly_intmatrix,
     det_small,
     gcd_minor_invariants,
+    hidden,
     kernel_basis_fraction,
     lattice_hnf,
     lll_fraction,
@@ -26,7 +29,7 @@ from zconj.linalg import (
     lll_reduce,
     snf_invariants,
 )
-from zconj.matrix import IntMatrix
+from zconj.matrix import IntMatrix, int_dtype
 
 # entry sizes on both sides of the int64 switch (H^2 < 2^62) and far past it
 BOUNDS = (1, 4, 2**15, 2**15 + 9, 2**31, 2**62, 2**80)
@@ -123,6 +126,19 @@ def test_charpoly_descending_coefficients():
         assert cp[0] == 1 and len(cp) == n + 1
         assert cp[-1] == (-1) ** n * det_small(m.to_lists())
         assert cp[1] == -m.trace()
+
+
+def test_charpoly_matches_intmatrix_faddeev():
+    # one array and a carried bound against an IntMatrix per step, on
+    # both sides of float64, int64 and object products
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.3:
+            m = hidden(IntMatrix.diagonal(rng.choices(range(-8, 9), k=n)), rng)
+        else:
+            m = random_matrix(rng, n, n, rng.choice((1, 4, 2**15, 2**40)))
+        assert charpoly(m) == charpoly_intmatrix(m)
 
 
 def test_det_against_laplace():
@@ -234,6 +250,24 @@ def test_fraction_free_rref_is_scaled_rational_rref():
         assert [[Fraction(int(v), d) for v in row] for row in r.tolist()] == rref
         if len(pivots) == m.nrows == m.ncols:
             assert sign * d == det_small(m.to_lists())
+
+
+def test_fraction_free_rref_dtype_follows_the_hadamard_square():
+    # squares summed in int64 while max |a|^2 max(rows, cols) < 2^62, as
+    # Python ints past it: either way R has dtype int_dtype(H^2), and the
+    # same entries from an int64, an object or a list input
+    rng = random.Random(12)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((1, 9, 2**15, 2**29, 2**30, 2**30 + 2**29, 2**31, 2**40))
+        rows = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+        h2 = min(prod(max(1, sum(v * v for v in line)) for line in lines) for lines in (rows, zip(*rows)))
+        want = None
+        for a in (IntMatrix(rows).array, np.array(rows, dtype=object), rows):
+            r, pivots, d, sign = fraction_free_rref(a)
+            assert r.dtype == int_dtype(h2)
+            want = want or (r.tolist(), pivots, d, sign)
+            assert (r.tolist(), pivots, d, sign) == want
 
 
 def test_kernel_basis_matches_fraction_oracle():

@@ -4,22 +4,26 @@ import random
 
 import pytest
 from helpers import (
+    hidden,
     integer_roots_divisors,
     local_minimal_polynomial_fraction,
+    minimal_polynomial_columns,
+    poly_mul,
     random_sl,
+    split_spectrum_intmatrix,
     unimodular_inverse,
 )
 
 import zconj.spectral as spectral
-from zconj.matrix import IntMatrix
+from zconj.matrix import CertificateError, IntMatrix
 from zconj.spectral import (
     AssumptionReport,
     NotSplit,
+    _check_projector_identities,
     _integer_roots,
     _local_minimal_polynomial,
     check_assumption,
     minimal_polynomial,
-    poly_mul,
     quotient_invariants,
     split_spectrum,
 )
@@ -120,8 +124,8 @@ def test_quotient_invariants():
 
 
 def test_minimal_polynomial_matches_fraction_oracle(monkeypatch):
-    # each Krylov dependency, then the whole polynomial against the
-    # same loop run on the rational oracle
+    # each Krylov dependency on a vector, then the whole polynomial
+    # against the rational oracle run from the identity matrix
     rng = random.Random(31)
     cases = []
     for _ in range(80):
@@ -159,3 +163,80 @@ def test_integer_roots_match_divisor_oracle():
     assert _integer_roots((0, -big, 1)) == ([0, big], True)
     assert _integer_roots(poly_mul((-big, 1), (1, 0, 1))) == ([big], False)
     assert _integer_roots(poly_mul((big * 7, 1), (-big, 1))) == ([big, -7 * big], True)
+
+
+def _spectrum_cases(rng):
+    """Matrices for the spectrum path, split or not, n 1-9."""
+    for _ in range(90):  # hidden diagonal
+        n = rng.randint(1, 9)
+        vals = rng.sample(range(-9, 10), rng.randint(1, min(n, 5)))
+        yield hidden(IntMatrix.diagonal(vals + rng.choices(vals, k=n - len(vals))), rng)
+    for n in range(1, 10):  # scalar
+        yield IntMatrix.identity(n) * rng.randint(-6, 6)
+    for _ in range(40):  # a 2 x 2 Jordan block, nilpotent when a = 0, beside a diagonal part
+        a = rng.randint(-3, 3)
+        rows = IntMatrix.diagonal([a, a] + rng.choices(range(-3, 4), k=rng.randint(0, 7))).to_lists()
+        rows[0][1] = 1
+        yield hidden(IntMatrix(rows), rng)
+    for _ in range(40):  # no integer spectrum, mostly
+        n = rng.randint(1, 9)
+        yield IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+    for _ in range(20):  # x^2 - 2 or x^2 + 1 beside a diagonal part
+        rows = IntMatrix.diagonal([0, 0] + rng.choices(range(-3, 4), k=rng.randint(0, 7))).to_lists()
+        rows[0][1], rows[1][0] = 1, rng.choice((2, -1))
+        yield hidden(IntMatrix(rows), rng)
+    for _ in range(20):  # entries past 2^40: object products
+        n = rng.randint(1, 6)
+        vals = [rng.randint(-(2**40), 2**40) for _ in range(rng.randint(1, n))]
+        yield hidden(IntMatrix.diagonal(vals + rng.choices(vals, k=n - len(vals))), rng)
+        yield IntMatrix([[rng.randint(-(2**40), 2**40) for _ in range(n)] for _ in range(n)])
+
+
+def test_split_spectrum_matches_intmatrix_reference():
+    # one Krylov sequence and array projectors against the column loop
+    # with Horner evaluations and IntMatrix projectors checked pairwise
+    rng = random.Random(41)
+    outcomes = {"split": 0, "not split": 0}
+    for x in _spectrum_cases(rng):
+        assert minimal_polynomial(x) == minimal_polynomial_columns(x)
+        try:
+            want = split_spectrum_intmatrix(x)
+        except NotSplit as exc:
+            with pytest.raises(NotSplit) as got:
+                split_spectrum(x)
+            assert str(got.value) == str(exc)
+            outcomes["not split"] += 1
+            continue
+        got = split_spectrum(x)
+        assert got == want
+        assert [e.array.dtype for e in got.idempotents] == [e.array.dtype for e in want.idempotents]
+        outcomes["split"] += 1
+    assert sum(outcomes.values()) >= 200
+    assert min(outcomes.values()) >= 60
+
+
+@pytest.mark.parametrize("scale", (1, 2**40))
+def test_projector_identities_catch_each_tampered_family(scale):
+    # eigenvalues -2, 1, 3 with multiplicities 2, 1, 1, the last two
+    # sharing a scale; scaled by 2^40 the check runs on Python ints
+    x = hidden(IntMatrix.diagonal([-2 * scale, scale, -2 * scale, 3 * scale]), random.Random(5))
+    sp = split_spectrum(x)
+    assert sp.multiplicities == (2, 1, 1) and sp.scales[1] == sp.scales[2]
+    args = (x, sp.eigenvalues, sp.idempotents, sp.scales, sp.multiplicities)
+    _check_projector_identities(*args)
+    es = list(sp.idempotents)
+
+    def tampered(i, value):
+        return args[:i] + (value,) + args[i + 1 :]
+
+    cases = [
+        tampered(2, (es[0] * 2, es[1], es[2])),  # (2 E_0)^2 = 2 q_0 (2 E_0)
+        tampered(1, (sp.eigenvalues[0] + 1,) + sp.eigenvalues[1:]),  # X E_0 != a_0 E_0
+        tampered(2, (es[0], es[1] + es[2], es[2])),  # E_1 E_2 != 0
+        # E_2 left out, its multiplicity given to E_1: only the sum fails
+        (x, sp.eigenvalues[:2], tuple(es[:2]), sp.scales[:2], (2, 2)),
+        tampered(4, (3, 1, 1)),  # multiplicities sum to n + 1
+    ]
+    for case in cases:
+        with pytest.raises(CertificateError):
+            _check_projector_identities(*case)
