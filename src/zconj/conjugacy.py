@@ -17,6 +17,12 @@ is determined by integer block matrices S_i, and integrality of T cuts
 out a congruence lattice mod q = lcm(q_i) that modular.solve handles.
 Non-split pairs fall back to the saturated kernel of the n^2 x n^2
 difference map.
+
+By the boundary rule of zconj.matrix the private functions work on
+integer arrays, each product a matmul with a stated bound, and an
+IntMatrix is built once per certificate (aligned, closed_form, basis, a
+hit); _certified and _decide_bqf take what the public functions they
+serve take, and verify_conjugator's TX = YT is the one IntMatrix product.
 """
 
 from __future__ import annotations
@@ -111,7 +117,8 @@ class IntertwinerLattice:
     as columns, d the matching rows of D = q B^-1 for the source's
     bases B, so T B_a = C_a S_a; det_b and det_c are det B and det C.
     blocks gives (coords, c, d, sizes, q, det_b, det_c); a basis given
-    instead is one n x n block with B = C = I and q = 1.  The elements
+    instead, an (m, n^2) integer array of the elements flattened
+    row-major, is one n x n block with B = C = I and q = 1.  The elements
     as an (m, n, n) array (stack) and as IntMatrix (basis) are
     assembled on first use; rank needs neither.
 
@@ -122,14 +129,13 @@ class IntertwinerLattice:
     """
 
     def __init__(
-        self, n, basis=(), source=None, target=None, aligned=None, closed_form=None, blocks=None
+        self, n, basis=None, source=None, target=None, aligned=None, closed_form=None, blocks=None
     ):
         self.n, self.source, self.target = n, source, target
         self.aligned, self.closed_form = aligned, closed_form
         if blocks is None:
-            coords = np.array([b.array.ravel() for b in basis], dtype=object).reshape(len(basis), n * n)
             eye = np.eye(n, dtype=np.int64)
-            blocks = coords.astype(int_dtype(max_abs(coords))), eye, eye, ((n, n),), 1, 1, 1
+            blocks = basis.astype(int_dtype(max_abs(basis))), eye, eye, ((n, n),), 1, 1, 1
         self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
@@ -152,6 +158,12 @@ class IntertwinerLattice:
             raise CertificateError("lattice element is not divisible by q")
         return total // self.q
 
+    def element(self, coeffs) -> IntMatrix:
+        """The element with the integer coefficients coeffs on the basis."""
+        mc, mk = max_abs(self.coords), max_abs(coeffs)
+        s = matmul(coeffs, self.coords, max(mc, mk, mc * mk * self.rank))
+        return IntMatrix(self.elements(s[None])[0])
+
     @cached_property
     def stack(self):
         return self.elements(self.coords)
@@ -161,36 +173,43 @@ class IntertwinerLattice:
         return tuple(IntMatrix(t) for t in self.stack)
 
 
-def _scaled_inverse(m: IntMatrix, scale: int):
+def _scaled_inverse(m, scale: int):
     """(D, det M) for the integer matrix D with M D = scale I, read off
     the fraction-free RREF d [I | scale M^{-1}] of [M | scale I].
 
     Exists iff scale M^{-1} is integral; raises CertificateError otherwise.
     """
-    n = m.nrows
-    r, pivots, d, sign = fraction_free_rref(np.hstack([m.array, np.eye(n, dtype=object) * scale]))
+    n = len(m)
+    r, pivots, d, sign = fraction_free_rref(np.hstack([m, np.eye(n, dtype=object) * scale]))
     if pivots != list(range(n)):
         raise CertificateError("matrix is singular")
     if (r[:, n:] % d).any():
         raise CertificateError("scaled inverse is not integral")
-    return IntMatrix(r[:, n:] // d), sign * d
+    return r[:, n:] // d, sign * d
 
 
-def _eigenbases(m: IntMatrix, sp: SplitSpectrum):
+def _eigenbases(m, sp: SplitSpectrum):
     """Saturated eigenlattice bases of m stacked as columns, in spectrum
     order, and the range of columns that belongs to each eigenvalue;
     CertificateError unless m maps each column to its eigenvalue times it."""
-    n = m.nrows
-    cols = []
+    n = len(m)
+    mm = max(max_abs(m), *map(abs, sp.eigenvalues))
+    cols, eig = [], []
     blocks = {}
     for a, mult in zip(sp.eigenvalues, sp.multiplicities):
-        rows = kernel_basis(m - IntMatrix.identity(n) * a)
+        shifted = m.astype(int_dtype(2 * mm))
+        shifted.flat[:: n + 1] -= a
+        rows = kernel_basis(shifted)
         if len(rows) != mult:
             raise CertificateError("eigenlattice rank differs from multiplicity")
-        blocks[a] = range(len(cols), len(cols) + mult)
-        cols.extend(rows)
-    basis = IntMatrix(cols).transpose()
-    if m * basis != basis * IntMatrix.diagonal([a for a, r in blocks.items() for _ in r]):
+        blocks[a] = range(len(eig), len(eig) + mult)
+        cols.append(rows)
+        eig += [a] * mult
+    basis = np.concatenate(cols).T
+    mb = max_abs(basis)
+    bound = max(mm, mb, mm * mb * n)
+    dtype = int_dtype(bound)
+    if (matmul(m, basis, bound) != basis.astype(dtype) * np.array(eig, dtype=dtype)).any():
         raise CertificateError("eigenlattice basis is not made of eigenvectors")
     return basis, blocks
 
@@ -216,28 +235,29 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     (closed_form), and C D / q is the aligned intertwiner if integral.
     """
     n = x.nrows
-    b_mat, bx = _eigenbases(x, spx)
-    c_mat, cy = _eigenbases(y, spy)
+    b, bx = _eigenbases(x.array, spx)
+    c, cy = _eigenbases(y.array, spy)
     q = lcm(*spx.scales)
-    d_mat, det_b = _scaled_inverse(b_mat, q)
-    if b_mat * d_mat != IntMatrix.identity(n) * q:
+    d, det_b = _scaled_inverse(b, q)
+    mb, mc, md = max_abs(b), max_abs(c), max_abs(d)
+    if (matmul(b, d, max(mb, md, mb * md * n)) != np.diag([q] * n)).any():
         raise CertificateError("B D is not q I")
     closed_form = aligned = None
     if spx.eigenvalues == spy.eigenvalues and spx.multiplicities == spy.multiplicities:
-        closed_form = c_mat * d_mat
-        if not residues(closed_form.array, q).any():
+        cd = matmul(c, d, max(mc, md, mc * md * n))
+        closed_form = IntMatrix._of(cd)
+        if not residues(cd, q).any():
             # C D is nonsingular, so some entry is a nonzero multiple of q
             # and the array's dtype holds q
-            aligned = IntMatrix(closed_form.array // q)
+            aligned = IntMatrix._of(cd // q)
     common = [a for a in spx.eigenvalues if a in cy]
-    c, d = c_mat.array, d_mat.array
     sols = np.zeros((0, 0), dtype=np.int64)
     if common:
         howell = _howell_rows(residues(d.T, q), q)
         h = np.zeros((len(howell), n), dtype=int_dtype(q * q + q))
         for i, (col, e) in enumerate(sorted(howell.items())):
             h[i, : col + 1] = e
-        if matmul_mod(residues(b_mat.array, q), h.T, q).any():
+        if matmul_mod(residues(b, q), h.T, q).any():
             raise CertificateError("Howell rows lie outside the span of D mod q")
         if prod(q // int(e[col]) for col, e in howell.items()) != abs(det_b):
             raise CertificateError("Howell rows do not span a group of order |det B|")
@@ -248,25 +268,25 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
         sols = solve_congruence_lattice(eq, eq.shape[1], q)
         if matmul_mod(eq, sols.T, q).any():
             raise CertificateError("block coordinates do not satisfy the congruences")
-    c, d = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
+    c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
-    blocks = sols, c, d, sizes, q, det_b, det(c_mat)
-    return IntertwinerLattice(n, (), x, y, aligned, closed_form, blocks)
+    blocks = sols, c_common, d_common, sizes, q, det_b, det(c)
+    return IntertwinerLattice(n, None, x, y, aligned, closed_form, blocks)
 
 
-def _sylvester_basis(x: IntMatrix, y: IntMatrix):
-    """Saturated kernel of T -> TX - YT, flattened row-major."""
-    n = x.nrows
+def _sylvester_basis(x, y):
+    """Saturated kernel of T -> TX - YT, one element per row, flattened
+    row-major; CertificateError unless every element intertwines."""
+    n = len(x)
     eye = np.eye(n, dtype=object)
     # row-major vec(T X - Y T) = (I kron X^t - Y kron I) vec(T)
-    ker = kernel_basis(IntMatrix(np.kron(eye, x.array.T) - np.kron(y.array, eye)))
-    basis = []
-    for flat in ker:
-        t = IntMatrix(np.array(flat, dtype=object).reshape(n, n))
-        if t * x != y * t:
-            raise CertificateError("lattice element does not intertwine")
-        basis.append(t)
-    return basis
+    ker = kernel_basis(np.kron(eye, x.T) - np.kron(y, eye))
+    ts, mt = ker.reshape(-1, n, n), max_abs(ker)
+    mxy = max(max_abs(x), max_abs(y))
+    bound = max(mt, mxy, mt * mxy * n)
+    if (matmul(ts, x, bound) != matmul(y, ts, bound)).any():
+        raise CertificateError("lattice element does not intertwine")
+    return ker
 
 
 def intertwiner_lattice(x: IntMatrix, y: IntMatrix, spectra=None) -> IntertwinerLattice:
@@ -285,7 +305,7 @@ def intertwiner_lattice(x: IntMatrix, y: IntMatrix, spectra=None) -> Intertwiner
         try:
             spectra = split_spectrum(x), split_spectrum(y)
         except NotSplit:
-            return IntertwinerLattice(x.nrows, _sylvester_basis(x, y), x, y)
+            return IntertwinerLattice(x.nrows, _sylvester_basis(x.array, y.array), x, y)
     return _eigenblock_basis(x, y, *spectra)
 
 
@@ -300,7 +320,7 @@ def verify_conjugator(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> b
     if t * x != y * t:
         return False
     if prime is None:
-        return abs(det(t)) == 1
+        return abs(det(t.array)) == 1
     return det_mod(t.array, prime) != 0
 
 
@@ -375,7 +395,7 @@ def local_test(
     assembled as an n x n matrix.
     """
     if lattice is None:
-        if charpoly(x) != charpoly(y):
+        if charpoly(x.array) != charpoly(y.array):
             return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
         lattice = intertwiner_lattice(x, y)
     m, sizes = lattice.rank, lattice.sizes
@@ -402,8 +422,7 @@ def local_test(
         return int(alive[0])
 
     def certify(coeffs, method):
-        s = matmul(coeffs, lattice.coords, p * max_abs(lattice.coords) * m)
-        t = _certified(IntMatrix(lattice.elements(s[None])[0]), x, y, prime=p)
+        t = _certified(lattice.element(coeffs), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
     # candidates in a fixed order: basis elements, prefix sums, close
@@ -461,20 +480,19 @@ def _valuation(v: int, p: int) -> int:
 # -- explicit conjugator search ---------------------------------------------
 
 
-def _is_adjacency(m: IntMatrix) -> bool:
-    a = m.array
-    return m.is_square and ((a == 0) | (a == 1)).all() and (a == a.T).all() and not a.diagonal().any()
+def _is_adjacency(a) -> bool:
+    return ((a == 0) | (a == 1)).all() and (a == a.T).all() and not a.diagonal().any()
 
 
 class _BudgetExceeded(Exception):
     pass
 
 
-def _graph_isomorphism(x: IntMatrix, y: IntMatrix, budget: int):
+def _graph_isomorphism(x, y, budget: int):
     """Vertex bijection with X[u,v] = Y[pi(u), pi(v)], by backtracking."""
-    n = x.nrows
-    ax = x.to_lists()
-    ay = y.to_lists()
+    n = len(x)
+    ax = x.tolist()
+    ay = y.tolist()
     deg_x = [sum(r) for r in ax]
     deg_y = [sum(r) for r in ay]
     if sorted(deg_x) != sorted(deg_y):
@@ -616,8 +634,8 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     m = lattice.rank
     if m == 0:
         return None
-    if _is_adjacency(x) and _is_adjacency(y):
-        perm = _graph_isomorphism(x, y, budget)
+    if _is_adjacency(x.array) and _is_adjacency(y.array):
+        perm = _graph_isomorphism(x.array, y.array, budget)
         if perm is not None:
             rows = np.zeros((n, n), dtype=np.int64)
             rows[perm, range(n)] = 1
@@ -630,9 +648,8 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
         +-1, filtered as one stack mod 2^31 - 1; None if there is none."""
         dets = det_mod(ts, _DET_FILTER_PRIME)
         for i in np.flatnonzero((dets == 1) | (dets == _DET_FILTER_PRIME - 1)):
-            t = IntMatrix(ts[i])
-            if abs(det(t)) == 1:
-                return _certified(t, x, y)
+            if abs(det(ts[i])) == 1:
+                return _certified(IntMatrix(ts[i]), x, y)
         return None
 
     # single basis elements, then single reduced ones; spent counts the
@@ -710,7 +727,7 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
     if not m.is_square:
         raise ValueError("sl_lift needs a square matrix")
     n = m.nrows
-    if det(m) % q != 1 % q:
+    if det(m.array) % q != 1 % q:
         raise DetNotOne("determinant is not 1 modulo %d" % q)
     w = residues(m.array, q).tolist()
     ops = []
@@ -763,10 +780,9 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
     a = np.eye(n, dtype=object)
     for i, j, lam in ops:
         a[:, j] += _balanced(-lam, q) * a[:, i]
-    lifted = IntMatrix(a)
-    if det(lifted) != 1 or residues((lifted - m).array, q).any():
+    if det(a) != 1 or residues(a - m.array, q).any():
         raise CertificateError("lift is not in SL_n(Z) or does not reduce to m")
-    return lifted
+    return IntMatrix(a)
 
 
 # -- determinant forms of rank-2 lattices ------------------------------------
@@ -779,7 +795,8 @@ def bqf_from_lattice(lattice: IntertwinerLattice) -> BinaryQuadraticForm:
             "determinant form needs a rank-2 lattice of 2x2 matrices, got "
             "n=%d rank=%d" % (lattice.n, lattice.rank)
         )
-    b1, b2 = lattice.basis
+    # stack entries stay below 2^62 in int64, so b1 + b2 cannot wrap
+    b1, b2 = lattice.stack
     a = det(b1)
     c = det(b2)
     b = det(b1 + b2) - a - c
@@ -845,8 +862,7 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
     except FormBudget as exc:
         return verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
     if rep.represents:
-        xc, yc = rep.witness
-        t = _certified(lattice.basis[0] * xc + lattice.basis[1] * yc, x, y)
+        t = _certified(lattice.element(np.array(rep.witness, dtype=object)), x, y)
         return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
     return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
 
@@ -892,7 +908,7 @@ def decide(
     try:
         spx, spy = split_spectrum(x), split_spectrum(y)
     except NotSplit:
-        if charpoly(x) != charpoly(y):
+        if charpoly(x.array) != charpoly(y.array):
             return mismatch
         if n == 2:
             return _decide_bqf(x, y, intertwiner_lattice(x, y))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .matrix import CertificateError, IntMatrix, matmul
 from .modular import prime_factors, scaled_idempotent_invariants
+from .spectral import _check_projector_identities
 
 
 class NotThreeModFour(ValueError):
@@ -124,7 +125,8 @@ class FieldSpec:
         """Indices of the elements whose digits, read mod p, run along the
         last axis of digits: a sum or difference of elements is the sum or
         difference of their rows of self.digits."""
-        return matmul(digits % self.p, self.p ** np.arange(self.degree), self.q)
+        p, degree = self.p, self.degree
+        return matmul(digits % p, p ** np.arange(degree), (p - 1) * p ** (degree - 1) * degree)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -239,21 +241,17 @@ class PaleyPeisertData:
 
 
 def _projector_triple(a: IntMatrix, p: int, k: int, r: int, s: int):
-    q = a.nrows
-    j = IntMatrix(np.ones((q, q), dtype=np.int64))
-    ident = IntMatrix.identity(q)
-    e1 = j
-    e2 = j * s + a * p - ident * (p * s)
-    e3 = j * r - a * p + ident * (p * r)
+    """E1 = J, E2 = sJ + pX - psI and E3 = rJ - pX + prI for the adjacency
+    a, checked as the scaled projectors onto its k-, r- and s-eigenspaces
+    (spectral._check_projector_identities) with traces p^2, p^2 k, p^2 k."""
+    x = a.array
+    j, eye = np.ones_like(x), np.eye(len(x), dtype=x.dtype)
+    es = j, s * j + p * x - p * s * eye, r * j - p * x + p * r * eye
     scale = p * p
-    if not (
-        all(e * e == e * scale for e in (e1, e2, e3))
-        and all((u * v).is_zero() for u, v in ((e1, e2), (e1, e3), (e2, e3)))
-        and e1 + e2 + e3 == ident * scale
-        and (e1.trace(), e2.trace(), e3.trace()) == (scale, scale * k, scale * k)
-    ):
+    if tuple(sum(e.diagonal().tolist()) for e in es) != (scale, scale * k, scale * k):
         raise CertificateError("projector identities failed")
-    return e1, e2, e3
+    _check_projector_identities(x, (k, r, s), es, (scale,) * 3, (1, k, k))
+    return tuple(map(IntMatrix._of, es))
 
 
 def paley_idempotent_data(p: int) -> PaleyPeisertData:
@@ -335,7 +333,7 @@ def verify_smith_lemma(p: int) -> LemmaReport:
         ("peisert-E2", data.E2star),
         ("peisert-E3", data.E3star),
     ):
-        inv = scaled_idempotent_invariants(e, scale)
+        inv = scaled_idempotent_invariants(e.array, scale)
         counts = (
             sum(1 for v in inv if v == 1),
             sum(1 for v in inv if v == p),

@@ -99,13 +99,13 @@ def _hnf_inplace(m, rows, cols, transform):
             break
 
 
-def hnf(matrix: IntMatrix):
-    """Return (H, U) with U unimodular and U * matrix = H in row HNF."""
-    m = matrix.to_lists()
-    rows, cols = matrix.nrows, matrix.ncols
+def hnf(a):
+    """Return (H, U), object arrays, with U unimodular and U a = H in row HNF."""
+    m = a.tolist()
+    rows, cols = a.shape
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     _hnf_inplace(m, rows, cols, u)
-    return IntMatrix(m), IntMatrix(u)
+    return np.array(m, dtype=object), np.array(u, dtype=object)
 
 
 # -- Smith invariants ---------------------------------------------------
@@ -176,8 +176,8 @@ def fraction_free_rref(rows):
 # -- kernels, determinant ------------------------------------------------
 
 
-def kernel_basis(matrix: IntMatrix):
-    """Basis of the saturated integer kernel {v : A v = 0}.
+def kernel_basis(a):
+    """Rows of a basis of the saturated integer kernel {v : A v = 0}.
 
     Small systems go through the row HNF of the transpose: rows of the
     transform matching zero rows of the HNF form a basis, and because
@@ -186,13 +186,13 @@ def kernel_basis(matrix: IntMatrix):
     growth stays bounded by minor sizes instead of compounding through
     gcd folds.
     """
-    if matrix.nrows > 16 or matrix.ncols > 16:
-        return _kernel_basis_rref(matrix)
-    h, u = hnf(matrix.transpose())
-    return [tuple(v) for v in u.array[~h.array.any(axis=1)].tolist()]
+    if max(a.shape) > 16:
+        return _kernel_basis_rref(a)
+    h, u = hnf(a.T)
+    return u[~h.any(axis=1)]
 
 
-def _kernel_basis_rref(matrix: IntMatrix):
+def _kernel_basis_rref(a):
     """Saturated kernel via the fraction-free RREF plus one congruence solve.
 
     With R = d RREF(A), pivot columns p_i and free columns f_j, every
@@ -203,10 +203,11 @@ def _kernel_basis_rref(matrix: IntMatrix):
     0 mod den, so the saturated kernel is the image of that solution
     lattice.
     """
-    r_mat, pivots, d, _ = fraction_free_rref(matrix.array)
-    free = [c for c in range(matrix.ncols) if c not in pivots]
+    r_mat, pivots, d, _ = fraction_free_rref(a)
+    ncols = a.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
     if not free:
-        return []
+        return np.zeros((0, ncols), dtype=np.int64)
     num = r_mat[: len(pivots), free].astype(object)
     den = abs(d) // gcd(d, *num.flat)
     coeffs = solve_congruence_lattice(num // (d // den), len(free), den)
@@ -215,32 +216,33 @@ def _kernel_basis_rref(matrix: IntMatrix):
     pivot_part = matmul(num, coeffs.T, max(abs(d), max_abs(num) * den * len(free)))
     if (pivot_part % d).any():
         raise CertificateError("kernel vector is not integral")
-    basis = np.zeros((len(coeffs), matrix.ncols), dtype=object)
+    basis = np.zeros((len(coeffs), ncols), dtype=object)
     basis[:, free] = coeffs
     basis[:, pivots] = -(pivot_part // d).T
-    if not (matrix * IntMatrix(basis.T)).is_zero():
+    ma, mb = max_abs(a), max_abs(basis)
+    if matmul(a, basis.T, max(ma, mb, ma * mb * ncols)).any():
         raise CertificateError("kernel vector is not annihilated")
-    return [tuple(v) for v in basis.tolist()]
+    return basis
 
 
-def det(matrix: IntMatrix) -> int:
+def det(a) -> int:
     """Determinant: sign * d of the fraction-free elimination at full rank."""
-    if not matrix.is_square:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("determinant needs a square matrix")
-    _, pivots, d, sign = fraction_free_rref(matrix.array)
-    return sign * d if len(pivots) == matrix.nrows else 0
+    _, pivots, d, sign = fraction_free_rref(a)
+    return sign * d if len(pivots) == a.shape[0] else 0
 
 
-def charpoly(matrix: IntMatrix):
+def charpoly(a):
     """Characteristic polynomial coefficients [1, c_1, ..., c_n].
 
     Faddeev-LeVerrier on one integer array: each step is one exact
     product, whose bound is max |A| n times the last, an exact division
     and a diagonal shift.  The polynomial is t^n + c_1 t^(n-1) + ... + c_n.
     """
-    if not matrix.is_square:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n, a = matrix.nrows, matrix.array
+    n = len(a)
     mx = max_abs(a)
     coeffs = [1]
     m, bound = np.eye(n, dtype=np.int64), 1

@@ -1,12 +1,14 @@
-"""Exact integer matrices with arbitrary-precision entries.
+"""Exact integer matrices at the package boundary, and the product kernel.
 
-An IntMatrix holds one read-only 2-D numpy array and the largest
-magnitude of its entries.  The dtype is int_dtype of that bound: int64
-below 2^62, object (Python ints) from there on, so it follows from the
-values and equal matrices hold equal arrays.  Every operation picks the
-dtype of its result's computation from the operands' bounds, so nothing
-here ever overflows or rounds.  Callers read the entries as .array and
-pass it on; algorithms that mutate entries work on a copy.
+The boundary rule: the names in zconj.__all__, and the objects they
+return (Verdict, LocalVerdict, SplitSpectrum, PaleyPeisertData, the
+intertwiner lattice's aligned, closed_form and basis, the corpus), take
+and hold IntMatrix; every other function takes and returns integer
+arrays.  An IntMatrix holds one read-only 2-D numpy array, of dtype
+int_dtype of its largest entry magnitude (int64 below 2^62, object from
+there on), so equal matrices hold equal arrays.  It has no elementwise
+arithmetic; its one product is verify_conjugator's re-check of TX = YT.
+Callers pass .array on; algorithms that mutate entries work on a copy.
 
 Every exact integer product in the package is matmul(a, b, bound), with
 bound covering the operands' entries and every partial sum of a @ b:
@@ -114,10 +116,6 @@ class IntMatrix:
         return cls(np.eye(n, dtype=np.int64))
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(np.zeros((nrows, ncols), dtype=np.int64))
-
-    @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
         return cls(np.diag(np.array(list(entries), dtype=object)))
 
@@ -147,48 +145,15 @@ class IntMatrix:
     def to_lists(self):
         return self._a.tolist()
 
-    # -- arithmetic ----------------------------------------------------
-    # each result is computed in the dtype its operands' bounds allow
+    # -- products -------------------------------------------------------
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self._a.shape != other._a.shape:
-            raise ValueError("shape mismatch")
-        dtype = int_dtype(self._bound + other._bound)
-        return IntMatrix._of(self._a.astype(dtype, copy=False) + other._a.astype(dtype, copy=False))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + -other
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(-self._a, self._bound)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            # the bound alone covers a zero factor of an object array
-            dtype = int_dtype(abs(other), self._bound, self._bound * abs(other))
-            return IntMatrix._of(self._a.astype(dtype, copy=False) * other)
+    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         ma, mb = self._bound, other._bound
         return IntMatrix._of(matmul(self._a, other._a, max(ma, mb, ma * mb * self.ncols)))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(self._a.T, self._bound)
-
-    def trace(self) -> int:
-        if not self.is_square:
-            raise ValueError("trace needs a square matrix")
-        return sum(self._a.diagonal().tolist())
-
-    def is_zero(self) -> bool:
-        return self._bound == 0
 
     # -- comparison -----------------------------------------------------
 

@@ -32,7 +32,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .matrix import CertificateError, IntMatrix, int_dtype, matmul
+from .matrix import CertificateError, int_dtype, matmul, max_abs
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -471,7 +471,7 @@ class NotScaledIdempotent(ValueError):
     """Raised when E * E differs from L * E."""
 
 
-def scaled_idempotent_invariants(e: IntMatrix, scale: int):
+def scaled_idempotent_invariants(e, scale: int):
     """Invariant factors of a matrix E satisfying E*E = scale*E exactly.
 
     Verifies the identity, derives rank r = trace/scale, and reads the
@@ -480,15 +480,17 @@ def scaled_idempotent_invariants(e: IntMatrix, scale: int):
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if e * e != e * scale:
+    n, me = len(e), max_abs(e)
+    square = matmul(e, e, max(me, me * me * n))
+    if (square != e.astype(int_dtype(scale, me * scale)) * scale).any():
         raise NotScaledIdempotent("matrix is not a scaled idempotent")
-    tr = e.trace()
+    tr = sum(e.diagonal().tolist())
     if tr % scale:
         raise NotScaledIdempotent("trace is not a multiple of the scale")
     r = tr // scale
-    if r < 0 or r > e.nrows:
+    if r < 0 or r > n:
         raise NotScaledIdempotent("trace out of range")
-    diag = _diagonalize_mod(e.array, scale)
+    diag = _diagonalize_mod(e, scale)
     if any(d != scale for d in diag[r:]):
         raise NotScaledIdempotent("more invariant factors than the rank allows")
     return tuple(diag[:r])

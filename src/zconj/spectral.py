@@ -9,7 +9,9 @@ data used by the conjugacy decision procedure.
 
 The minimal polynomial is one Krylov dependency among X's powers; the
 numerators and the projector identities are exact products of integer
-arrays, and each E_i becomes an IntMatrix once, at the end.
+arrays, and each E_i becomes an IntMatrix once, at the end (the
+boundary rule of zconj.matrix; quotient_invariants takes an IntMatrix
+because the public snf_invariants it wraps does).
 
 Polynomials are tuples of integer coefficients in ascending order.
 """
@@ -44,7 +46,7 @@ def poly_eval_int(poly, x: int) -> int:
     return acc
 
 
-def _local_minimal_polynomial(x: IntMatrix, w):
+def _local_minimal_polynomial(x, w):
     """Monic minimal polynomial of x acting by left multiplication on w != 0,
     an integer vector or n x m array.
 
@@ -57,12 +59,12 @@ def _local_minimal_polynomial(x: IntMatrix, w):
     entries grow only to about twice the degree needed.
     """
     kry, size = [np.asarray(w)], 2
-    mx, bound = max_abs(x.array), max_abs(kry[0])
+    mx, bound = max_abs(x), max_abs(kry[0])
     while True:
         while len(kry) < size:
             # entries of x^k w stay within (mx n)^k max |w|
-            bound = max(mx, bound, mx * bound * x.nrows)
-            kry.append(matmul(x.array, kry[-1], bound))
+            bound = max(mx, bound, mx * bound * len(x))
+            kry.append(matmul(x, kry[-1], bound))
         k_mat = np.stack([t.reshape(-1) for t in kry], axis=1)
         gram = matmul(k_mat.T, k_mat, max(bound, bound * bound * k_mat.shape[0]))
         r, pivots, d, _ = fraction_free_rref(gram)
@@ -71,15 +73,15 @@ def _local_minimal_polynomial(x: IntMatrix, w):
             if (r[:k, k] % d).any():
                 raise CertificateError("Krylov dependency is not integral")
             return tuple(-int(v) // d for v in r[:k, k]) + (1,)
-        size = min(2 * size, x.nrows + 1)
+        size = min(2 * size, len(x) + 1)
 
 
-def minimal_polynomial(x: IntMatrix):
+def minimal_polynomial(x):
     """Monic integer polynomial of minimal degree annihilating x: that of
     left multiplication by x on I, one Krylov sequence of x's powers."""
-    if not x.is_square:
+    if x.shape[0] != x.shape[1]:
         raise ValueError("minimal polynomial needs a square matrix")
-    return _local_minimal_polynomial(x, np.eye(x.nrows, dtype=np.int64))
+    return _local_minimal_polynomial(x, np.eye(len(x), dtype=np.int64))
 
 
 def _derivative(poly):
@@ -174,15 +176,15 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
     non-integer root.  Each numerator prod_{b != a} (X - b I) is an
     integer array, its product bounds carried from the factors.
     """
-    mu = minimal_polynomial(x)
+    mu = minimal_polynomial(x.array)
     roots, full = _integer_roots(mu)
     if not full:
         raise NotSplit("minimal polynomial %s has a non-integer root" % (mu,))
     if len(set(roots)) != len(roots):
         raise NotSplit("minimal polynomial %s has a repeated root" % (mu,))
     eigenvalues = tuple(sorted(roots))
-    n = x.nrows
-    mx = max_abs(x.array)
+    n, xa = x.nrows, x.array
+    mx = max_abs(xa)
     idempotents = []
     scales = []
     multiplicities = []
@@ -191,7 +193,7 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
         for b in eigenvalues:
             if b != a:
                 fb = mx + abs(b)
-                f = x.array.astype(int_dtype(fb))
+                f = xa.astype(int_dtype(fb))
                 f.flat[:: n + 1] -= b
                 if num is None:
                     num, bound = f, fb
@@ -210,38 +212,39 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
         tr = sum(e.diagonal().tolist())
         if tr % q or tr < 0:
             raise CertificateError("idempotent trace is not a multiple of its scale")
-        idempotents.append(IntMatrix._of(e))
+        idempotents.append(e)
         scales.append(q)
         multiplicities.append(tr // q)
-    _check_projector_identities(x, eigenvalues, idempotents, scales, multiplicities)
+    _check_projector_identities(xa, eigenvalues, idempotents, scales, multiplicities)
     return SplitSpectrum(
         n=n,
         eigenvalues=eigenvalues,
         multiplicities=tuple(multiplicities),
-        idempotents=tuple(idempotents),
+        idempotents=tuple(map(IntMatrix._of, idempotents)),
         scales=tuple(scales),
     )
 
 
 def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
-    """E_i E_j = [i = j] q_i E_i, X E_i = a_i E_i, sum (L/q_i) E_i = L I.
+    """X E_i = a_i E_i and sum (L/q_i) E_i = L I for distinct a_i, with
+    multiplicities summing to n; x and the E_i are integer arrays.
 
-    The E_i are IntMatrix objects.  The k^2 products E_i E_j are one
-    stacked product (k, 1, n, n) @ (1, k, n, n), the X E_i another; the
-    dtype bound max |E| max(k L, max |E| n, max(|X|, |a_i|) n) covers
-    every entry compared.
+    These give E_i E_j = [i = j] q_i E_i as well: with P_i = E_i / q_i,
+    every v in the a_i-eigenspace is sum_j P_j v with P_j v in the a_j-
+    eigenspace, and eigenspaces of distinct eigenvalues are independent,
+    so P_j v = [i = j] v; the columns of P_i are such v.  The X E_i are
+    one stacked product (k n x n products); the dtype bound
+    max |E| max(k L, max(|X|, |a_i|) n) covers every entry compared.
     """
-    n, k = x.nrows, len(idempotents)
+    n, k = len(x), len(idempotents)
     big = lcm(*scales)
-    me = max(max_abs(e.array) for e in idempotents)
-    mx = max(max_abs(x.array), *map(abs, eigenvalues))
-    dtype = int_dtype(mx, big, me * max(k * big, me * n, mx * n))
-    es = np.stack([e.array.astype(dtype) for e in idempotents])
-    q, a, w = (np.array(v, dtype=dtype)[:, None, None] for v in (scales, eigenvalues, [big // s for s in scales]))
-    want = np.zeros((k,) + es.shape, dtype=dtype)
-    want[range(k), range(k)] = q * es
-    ok = sum(mults) == n and bool((matmul(es[:, None], es[None], max(me, me * me * n)) == want).all())
-    ok = ok and bool((matmul(x.array, es, max(mx, me, mx * me * n)) == a * es).all())
+    me = max(max_abs(e) for e in idempotents)
+    mx = max(max_abs(x), *map(abs, eigenvalues))
+    dtype = int_dtype(mx, big, me * max(k * big, mx * n))
+    es = np.stack([e.astype(dtype) for e in idempotents])
+    a, w = (np.array(v, dtype=dtype)[:, None, None] for v in (eigenvalues, [big // s for s in scales]))
+    ok = sum(mults) == n and len(set(eigenvalues)) == k
+    ok = ok and bool((matmul(x, es, max(mx, me, mx * me * n)) == a * es).all())
     if not (ok and ((w * es).sum(axis=0) == big * np.eye(n, dtype=dtype)).all()):
         raise CertificateError("scaled idempotents fail the projector identities")
 
@@ -315,7 +318,7 @@ def check_assumption(x: IntMatrix, spectrum: SplitSpectrum | None = None):
         spectrum = split_spectrum(x)
     exponents = []
     for e, q in zip(spectrum.idempotents, spectrum.scales):
-        inv = scaled_idempotent_invariants(e, q)
+        inv = scaled_idempotent_invariants(e.array, q)
         exponents.append(inv[-1] if inv else 1)
     per_index = tuple(
         (q, s, r)

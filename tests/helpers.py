@@ -18,12 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from zconj.linalg import fraction_free_rref, hnf, xgcd
-from zconj.matrix import CertificateError, IntMatrix, matmul, max_abs
+from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import _ZeroDivisor, prime_factors, solve_congruence_lattice, unit_scaling
 from zconj.spectral import NotSplit, SplitSpectrum, _integer_roots
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def obj(m):
+    """m (an IntMatrix, an integer array or nested lists) as an object
+    array of Python ints, for reference arithmetic that cannot overflow."""
+    return np.array(m.to_lists() if isinstance(m, IntMatrix) else np.asarray(m).tolist(), dtype=object)
 
 
 def subprocess_env():
@@ -64,7 +70,7 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
     """Inverse of a determinant +-1 matrix via the adjugate."""
     d = det_small(u.to_lists())
     assert abs(d) == 1
-    inv = IntMatrix(adjugate(u.to_lists())) * d
+    inv = IntMatrix(obj(adjugate(u.to_lists())) * d)
     assert u * inv == IntMatrix.identity(u.nrows)
     return inv
 
@@ -182,8 +188,8 @@ def lattice_hnf(basis):
     """Canonical form of the lattice spanned by flattened matrices."""
     if not basis:
         return None
-    h, _ = hnf(IntMatrix([flat(b) for b in basis]))
-    return tuple(tuple(r) for r in h.to_lists() if any(r))
+    h, _ = hnf(obj([flat(b) for b in basis]))
+    return tuple(tuple(r) for r in h.tolist() if any(r))
 
 
 def same_span(basis_a, basis_b) -> bool:
@@ -333,15 +339,16 @@ def eigenblock_basis_full(x: IntMatrix, y: IntMatrix, spx, spy):
     sum_a C_a S_a D_a = 0 (mod q), one row per entry of T and one
     column per entry of the blocks S_a, solved by
     solve_congruence_lattice_full.  Each element is assembled and
-    checked with IntMatrix arithmetic.
+    checked with object-dtype arithmetic.
     """
     from zconj.conjugacy import _eigenbases, _scaled_inverse
 
     n = x.nrows
-    b_mat, bx = _eigenbases(x, spx)
-    c_mat, cy = _eigenbases(y, spy)
+    b_mat, bx = _eigenbases(x.array, spx)
+    c_mat, cy = _eigenbases(y.array, spy)
     q = lcm(*spx.scales)
     d_mat, _ = _scaled_inverse(b_mat, q)
+    c_mat, d_mat = obj(c_mat), obj(d_mat)
     common = [a for a in spx.eigenvalues if a in cy]
     cols = []  # (a, u, v): the entry S_a[u, v]
     for a in common:
@@ -354,7 +361,7 @@ def eigenblock_basis_full(x: IntMatrix, y: IntMatrix, spx, spy):
         total = [[sum(sv * c_mat[r, u] * d_mat[w, c] for sv, (_, u, w) in zip(s, cols)) for c in range(n)] for r in range(n)]
         assert all(v % q == 0 for row in total for v in row)
         t = IntMatrix([[v // q for v in row] for row in total])
-        assert t * x == y * t
+        assert (obj(t) @ obj(x) == obj(y) @ obj(t)).all()
         basis.append(t)
     return tuple(basis)
 
@@ -428,12 +435,12 @@ def kernel_basis_fraction(matrix: IntMatrix):
     return basis
 
 
-def local_minimal_polynomial_fraction(x: IntMatrix, w):
-    """Monic minimal polynomial of x acting on w by left multiplication,
-    w a vector or an n x m matrix, by incremental rational echelon of the
-    flattened Krylov terms."""
+def local_minimal_polynomial_fraction(x, w):
+    """Monic minimal polynomial of the square integer array x acting on w
+    by left multiplication, w a vector or an n x m matrix, by incremental
+    rational echelon of the flattened Krylov terms."""
     echelon = []  # (reduced vector, pivot position, combination coefficients)
-    kry = np.array(w, dtype=object).reshape(x.nrows, -1).tolist()
+    kry = np.array(w, dtype=object).reshape(len(x), -1).tolist()
     k = 0
     while True:
         vec = [Fraction(a) for row in kry for a in row]
@@ -450,13 +457,14 @@ def local_minimal_polynomial_fraction(x: IntMatrix, w):
             return tuple(int(c) for c in comb)
         piv = vec[pos]
         echelon.append(([a / piv for a in vec], pos, [c / piv for c in comb]))
-        kry = [[sum(a * row[j] for a, row in zip(xrow, kry)) for j in range(len(kry[0]))] for xrow in x.to_lists()]
+        kry = [[sum(a * row[j] for a, row in zip(xrow, kry)) for j in range(len(kry[0]))] for xrow in x.tolist()]
         k += 1
 
 
 # -- the split-spectrum path as it was before the Krylov sequence of x's
 # powers: local minimal polynomials column by column, evaluated at x by
-# Horner's rule, and IntMatrix projectors checked pair by pair
+# Horner's rule, and projectors checked pair by pair, all on object
+# arrays of Python ints
 
 
 def poly_mul(a, b):
@@ -468,24 +476,22 @@ def poly_mul(a, b):
     return tuple(out)
 
 
-def poly_eval_matrix(poly, m: IntMatrix) -> IntMatrix:
-    n = m.nrows
-    acc = IntMatrix.identity(n) * poly[-1]
+def poly_eval_matrix(poly, m):
+    """poly(m) for an object array m, by Horner's rule."""
+    eye = np.eye(len(m), dtype=object)
+    acc = eye * poly[-1]
     for c in reversed(poly[:-1]):
-        acc = acc * m + IntMatrix.identity(n) * c
+        acc = acc @ m + eye * c
     return acc
 
 
 def local_minimal_polynomial_columns(x: IntMatrix, w):
     """Monic minimal polynomial of x acting on the vector w (w != 0), from
     the fraction-free RREF of the Krylov vectors themselves."""
-    kry, size = [np.array(w, dtype=object)], 2
-    mx, bound = max_abs(x.array), max(map(abs, w))
+    xo, kry, size = obj(x), [np.array(w, dtype=object)], 2
     while True:
         while len(kry) < size:
-            # entries of x^k w stay within (mx n)^k max |w|
-            bound = max(mx, bound, mx * bound * x.nrows)
-            kry.append(matmul(x.array, kry[-1], bound))
+            kry.append(xo @ kry[-1])
         r, pivots, d, _ = fraction_free_rref(np.stack(kry, axis=1))
         k = len(pivots)
         if k < size:
@@ -501,21 +507,21 @@ def minimal_polynomial_columns(x: IntMatrix):
     stop as soon as the product annihilates the matrix."""
     n = x.nrows
     mu = (1,)
-    mu_at_x = IntMatrix.identity(n)
+    mu_at_x = np.eye(n, dtype=object)
     for col in range(n):
-        w = mu_at_x.array[:, col].tolist()
+        w = mu_at_x[:, col].tolist()
         if not any(w):
             continue
         nu = local_minimal_polynomial_columns(x, w)
         mu = poly_mul(mu, nu)
-        mu_at_x = poly_eval_matrix(nu, x) * mu_at_x
-        if mu_at_x.is_zero():
+        mu_at_x = poly_eval_matrix(nu, obj(x)) @ mu_at_x
+        if not mu_at_x.any():
             break
     return mu
 
 
 def split_spectrum_intmatrix(x: IntMatrix) -> SplitSpectrum:
-    """split_spectrum with IntMatrix numerators and pairwise checks."""
+    """split_spectrum with object-array numerators and pairwise checks."""
     mu = minimal_polynomial_columns(x)
     roots, full = _integer_roots(mu)
     if not full:
@@ -524,65 +530,69 @@ def split_spectrum_intmatrix(x: IntMatrix) -> SplitSpectrum:
         raise NotSplit("minimal polynomial %s has a repeated root" % (mu,))
     eigenvalues = tuple(sorted(roots))
     n = x.nrows
-    ident = IntMatrix.identity(n)
+    eye, xo = np.eye(n, dtype=object), obj(x)
     idempotents = []
     scales = []
     multiplicities = []
     for a in eigenvalues:
-        num = ident
+        num = eye
         den = 1
         for b in eigenvalues:
             if b != a:
-                num = num * (x - ident * b)
+                num = num @ (xo - eye * b)
                 den *= a - b
-        g = gcd(int(np.gcd.reduce(num.array, axis=None)), abs(den))
+        g = gcd(*num.flat, abs(den))
         q = abs(den) // g
         sign = 1 if den > 0 else -1
-        e = IntMatrix(num.array // (sign * g))
+        e = num // (sign * g)
         tr = e.trace()
         if tr % q or tr < 0:
             raise CertificateError("idempotent trace is not a multiple of its scale")
         idempotents.append(e)
         scales.append(q)
         multiplicities.append(tr // q)
-    check_projector_identities_pairwise(x, eigenvalues, idempotents, scales, multiplicities)
+    check_projector_identities_pairwise(xo, eigenvalues, idempotents, scales, multiplicities)
     return SplitSpectrum(
         n=n,
         eigenvalues=eigenvalues,
         multiplicities=tuple(multiplicities),
-        idempotents=tuple(idempotents),
+        idempotents=tuple(map(IntMatrix, idempotents)),
         scales=tuple(scales),
     )
 
 
 def check_projector_identities_pairwise(x, eigenvalues, idempotents, scales, mults):
-    """E_i E_i = q_i E_i, X E_i = a_i E_i, E_i E_j = 0, sum (L/q_i) E_i = L I."""
-    n = x.nrows
+    """E_i E_i = q_i E_i, X E_i = a_i E_i, E_i E_j = 0, sum (L/q_i) E_i = L I,
+    on object arrays."""
+    x, es = obj(x), [obj(e) for e in idempotents]
+    n = len(x)
     big = lcm(*scales)
-    total = IntMatrix.zeros(n, n)
+    total = np.zeros((n, n), dtype=object)
     ok = sum(mults) == n
-    for i, (e, q, a) in enumerate(zip(idempotents, scales, eigenvalues)):
-        ok = ok and e * e == e * q and x * e == e * a
-        ok = ok and all((e * f).is_zero() for f in idempotents[i + 1 :])
+    for i, (e, q, a) in enumerate(zip(es, scales, eigenvalues)):
+        ok = ok and (e @ e == e * q).all() and (x @ e == e * a).all()
+        ok = ok and not any((e @ f).any() for f in es[i + 1 :])
         total = total + e * (big // q)
-    if not (ok and total == IntMatrix.identity(n) * big):
+    if not (ok and (total == np.eye(n, dtype=object) * big).all()):
         raise CertificateError("scaled idempotents fail the projector identities")
 
 
 def charpoly_intmatrix(matrix: IntMatrix):
-    """Faddeev-LeVerrier with an IntMatrix product, diagonal and sum per step."""
+    """Faddeev-LeVerrier with an object-array product, trace and diagonal
+    shift per step."""
     n = matrix.nrows
+    a, eye = obj(matrix), np.eye(n, dtype=object)
     coeffs = [1]
-    m = IntMatrix.identity(n)
+    m = eye
     for k in range(1, n + 1):
-        m = matrix * m
+        m = a @ m
         c = -m.trace()
         if c % k:
             raise CertificateError("Faddeev-LeVerrier division is not exact")
         c //= k
         coeffs.append(c)
         if k < n:
-            m = m + IntMatrix.diagonal([c] * n)
+            m = m + eye * c
     return coeffs
 
 

@@ -14,6 +14,7 @@ from collections import Counter
 from helpers import (
     factor_powers,
     gcd_minor_invariants,
+    obj,
     random_sl,
     random_split_conjugate,
     unimodular_inverse,
@@ -101,7 +102,7 @@ def test_criterion_3_nine_vertex_pair_explicit_conjugator():
     t = verdict.conjugator
     assert t is not None
     assert verify_conjugator(t, x9, xs9)
-    assert t * x9 == xs9 * t and abs(det(t)) == 1
+    assert t * x9 == xs9 * t and abs(det(t.array)) == 1
     # the search lands on a vertex relabeling
     assert all(sorted(row) == [0] * 8 + [1] for row in t.to_lists())
     assert time.monotonic() - t0 < 10.0
@@ -192,7 +193,7 @@ def test_criterion_7b_sl_lift_property_suite():
                 rows[i][t] = (rows[i][t] + lam * rows[j][t]) % q
         m = IntMatrix(rows)
         lifted = sl_lift(m, q)
-        assert det(lifted) == 1
+        assert det(lifted.array) == 1
         assert all(
             (lifted[i, j] - m[i, j]) % q == 0 for i in range(n) for j in range(n)
         )
@@ -215,14 +216,14 @@ def test_criterion_7d_idempotent_identities_on_fixtures(corpus):
     seen = 0
     for name, spectrum in split_corpus_matrices(corpus):
         n = spectrum.n
-        idem = spectrum.idempotents
+        idem = [obj(e) for e in spectrum.idempotents]
         for e, q, mult in zip(idem, spectrum.scales, spectrum.multiplicities):
-            assert e * e == e * q
+            assert (e @ e == e * q).all()
             # rank checked independently through the kernel
             assert n - len(kernel_basis(e)) == mult
         for i in range(len(idem)):
             for j in range(i + 1, len(idem)):
-                assert (idem[i] * idem[j]).is_zero()
+                assert not (idem[i] @ idem[j]).any()
         assert sum(spectrum.multiplicities) == n
         seen += 1
     assert seen >= 4  # both order-9 graphs and the split 2x2 pair
@@ -237,7 +238,7 @@ def test_criterion_8_quotient_invariants_consistent(corpus):
         for e, q, mult in zip(
             spectrum.idempotents, spectrum.scales, spectrum.multiplicities
         ):
-            divisors = scaled_idempotent_invariants(e, q)
+            divisors = scaled_idempotent_invariants(e.array, q)
             quotients = quotient_invariants(e, q)
             assert len(divisors) == len(quotients) == mult
             for d, m in zip(divisors, quotients):

@@ -8,16 +8,19 @@ every certificate it gets must verify for the rewritten matrices.  The
 pairs have nontrivial glue: [[aI_k, N], [0, bI_k]] hidden by a random
 conjugation, against a hidden copy or against a glue block of another
 Smith type modulo every prime power of b - a, which no conjugation can
-reach.
+reach.  A third kind takes the swapped route: the exponent assumption
+fails for x and holds for y, whose glue block is b - a times another.
 """
 
 import random
 from math import gcd
 
-from helpers import gcd_minor_invariants, random_sl, unimodular_inverse
+import numpy as np
+from helpers import gcd_minor_invariants, obj, random_sl, unimodular_inverse
 
 from zconj.conjugacy import decide, verify_conjugator
 from zconj.matrix import IntMatrix
+from zconj.spectral import check_assumption
 
 GAPS = (2, 3, 4, 6, 9, 25)
 
@@ -74,14 +77,32 @@ def block_pairs(rng, k: int):
     return out
 
 
+def swapped_pairs(rng, k: int):
+    """(x, y) for each gap: a glue block for which the exponent assumption
+    fails, against gap times another block, for which it holds."""
+    out = []
+    for gap in GAPS:
+        a = rng.randint(-3, 3)
+
+        def block(scale):
+            return [[scale * rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+
+        x = glued(a, a + gap, block(1))
+        while check_assumption(x).holds:
+            x = glued(a, a + gap, block(1))
+        out.append((hide(x, rng), hide(glued(a, a + gap, block(gap)), rng)))
+    return out
+
+
 def relations(x: IntMatrix, y: IntMatrix, rng):
     n = x.nrows
-    shift = IntMatrix.identity(n) * rng.choice((-5, -1, 2, 7))
+    shift = np.eye(n, dtype=object) * rng.choice((-5, -1, 2, 7))
+    xo, yo = obj(x), obj(y)
     return {
         "swap": (y, x),
-        "transpose": (x.transpose(), y.transpose()),
-        "shift": (x + shift, y + shift),
-        "negate": (-x, -y),
+        "transpose": (IntMatrix(xo.T), IntMatrix(yo.T)),
+        "shift": (IntMatrix(xo + shift), IntMatrix(yo + shift)),
+        "negate": (IntMatrix(-xo), IntMatrix(-yo)),
         "conjugate-x": (hide(x, rng), y),
         "conjugate-y": (x, hide(y, rng)),
     }
@@ -119,3 +140,19 @@ def test_metamorphic_relations_keep_status_and_certificates():
             methods.update(lv.method for lv in base.local if lv.status == "PASS")
     assert {"theorem+local-passes", "local-obstruction"} <= routes
     assert {"closed-form", "sampled"} <= methods
+
+
+def test_swapped_route_on_random_pairs():
+    # only y meets the exponent assumption, so the pair is not conjugate,
+    # and a local test finds the obstruction
+    rng = random.Random(43)
+    for k in (1, 2):
+        for x, y in swapped_pairs(rng, k):
+            assert not check_assumption(x).holds and check_assumption(y).holds
+            v = decide(x, y, search_dim_cap=0)
+            assert (v.status, v.reason, v.swapped) == ("NOT_CONJUGATE", "local-obstruction", True)
+            check_certificates(v, x, y)
+            for name, (x2, y2) in relations(x, y, rng).items():
+                v2 = decide(x2, y2, search_dim_cap=0)
+                assert v2.status == "NOT_CONJUGATE", (name, k, v2.reason)
+                check_certificates(v2, x2, y2)

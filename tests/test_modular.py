@@ -11,6 +11,7 @@ from helpers import (
     det_small,
     eliminate_chain_rows,
     gcd_minor_invariants,
+    obj,
     prime_factors_trial_division,
     random_sl,
     solve_congruence_lattice_full,
@@ -195,19 +196,18 @@ def test_scaled_idempotent_invariants_match_snf():
         if d == 0:
             continue
         proj = [[1 if (i == j and i < r) else 0 for j in range(n)] for i in range(n)]
-        e = IntMatrix(rows) * IntMatrix(proj) * IntMatrix(adjugate(rows))
-        if d < 0:
-            e = -e
+        e = obj(rows) @ obj(proj) @ obj(adjugate(rows)) * (1 if d > 0 else -1)
         scale = abs(d)
-        assert e * e == e * scale
-        assert scaled_idempotent_invariants(e, scale) == gcd_minor_invariants(e)
+        assert (e @ e == e * scale).all()
+        e = IntMatrix(e)
+        assert scaled_idempotent_invariants(e.array, scale) == gcd_minor_invariants(e)
         good += 1
     # over a composite scale the Smith chain can reach the scale itself:
     # for this Y the diagonal (2, 3) mod 6 chains to (1, 6)
     y = IntMatrix([[9, -8], [9, -9]])
     spectrum = split_spectrum(y)
     for e, scale in zip(spectrum.idempotents, spectrum.scales):
-        assert scaled_idempotent_invariants(e, scale) == gcd_minor_invariants(e)
+        assert scaled_idempotent_invariants(e.array, scale) == gcd_minor_invariants(e)
     assert isinstance(check_assumption(y), AssumptionReport)
 
 
@@ -443,8 +443,7 @@ def test_scaled_idempotent_invariants_composite_scales():
             split[-1] = left
             rows = (random_sl(n, rng) * IntMatrix.diagonal(split) * random_sl(n, rng)).to_lists()
             proj = [[1 if (i == j and i < r) else 0 for j in range(n)] for i in range(n)]
-            e = IntMatrix(rows) * IntMatrix(proj) * IntMatrix(adjugate(rows))
-            if det_small(rows) < 0:
-                e = -e
-            assert e * e == e * scale
-            assert scaled_idempotent_invariants(e, scale) == gcd_minor_invariants(e)
+            e = obj(rows) @ obj(proj) @ obj(adjugate(rows)) * (1 if det_small(rows) > 0 else -1)
+            assert (e @ e == e * scale).all()
+            e = IntMatrix(e)
+            assert scaled_idempotent_invariants(e.array, scale) == gcd_minor_invariants(e)

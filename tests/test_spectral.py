@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from helpers import (
     hidden,
     integer_roots_divisors,
     local_minimal_polynomial_fraction,
     minimal_polynomial_columns,
+    obj,
     poly_mul,
     random_sl,
     split_spectrum_intmatrix,
@@ -31,12 +33,12 @@ from zconj.spectral import (
 
 def test_minimal_polynomial():
     # ascending coefficients, monic
-    assert minimal_polynomial(IntMatrix.identity(3)) == (-1, 1)
-    assert minimal_polynomial(IntMatrix([[1, 2], [0, 6]])) == (6, -7, 1)
-    assert minimal_polynomial(IntMatrix([[0, 2], [-3, 0]])) == (6, 0, 1)
-    assert minimal_polynomial(IntMatrix([[0, 1], [0, 0]])) == (0, 0, 1)
+    assert minimal_polynomial(np.eye(3, dtype=np.int64)) == (-1, 1)
+    assert minimal_polynomial(np.array([[1, 2], [0, 6]])) == (6, -7, 1)
+    assert minimal_polynomial(np.array([[0, 2], [-3, 0]])) == (6, 0, 1)
+    assert minimal_polynomial(np.array([[0, 1], [0, 0]])) == (0, 0, 1)
     # minimal, not characteristic: a repeated eigenvalue drops out
-    assert minimal_polynomial(IntMatrix.diagonal([2, 2, 5])) == (10, -7, 1)
+    assert minimal_polynomial(np.diag([2, 2, 5])) == (10, -7, 1)
 
 
 def test_split_spectrum_frozen_example():
@@ -66,12 +68,13 @@ def test_split_spectrum_identities():
         sp = split_spectrum(x)
         assert sp.eigenvalues == tuple(sorted(set(diag)))
         assert sum(sp.multiplicities) == n
-        for e, q, lam in zip(sp.idempotents, sp.scales, sp.eigenvalues):
-            assert e * e == e * q
-            assert x * e == e * lam
-        for i in range(len(sp.idempotents)):
-            for j in range(i + 1, len(sp.idempotents)):
-                assert (sp.idempotents[i] * sp.idempotents[j]).is_zero()
+        es = [obj(e) for e in sp.idempotents]
+        for e, q, lam in zip(es, sp.scales, sp.eigenvalues):
+            assert (e @ e == e * q).all()
+            assert (obj(x) @ e == e * lam).all()
+        for i in range(len(es)):
+            for j in range(i + 1, len(es)):
+                assert not (es[i] @ es[j]).any()
 
 
 def test_not_split():
@@ -139,11 +142,11 @@ def test_minimal_polynomial_matches_fraction_oracle(monkeypatch):
             x = IntMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
         w = [rng.randint(-3, 3) for _ in range(n)]
         w[rng.randrange(n)] = 1
-        assert _local_minimal_polynomial(x, w) == local_minimal_polynomial_fraction(x, w)
-        cases.append((x, minimal_polynomial(x)))
+        assert _local_minimal_polynomial(x.array, w) == local_minimal_polynomial_fraction(x.array, w)
+        cases.append((x, minimal_polynomial(x.array)))
     monkeypatch.setattr(spectral, "_local_minimal_polynomial", local_minimal_polynomial_fraction)
     for x, mu in cases:
-        assert minimal_polynomial(x) == mu
+        assert minimal_polynomial(x.array) == mu
 
 
 def test_integer_roots_match_divisor_oracle():
@@ -172,7 +175,7 @@ def _spectrum_cases(rng):
         vals = rng.sample(range(-9, 10), rng.randint(1, min(n, 5)))
         yield hidden(IntMatrix.diagonal(vals + rng.choices(vals, k=n - len(vals))), rng)
     for n in range(1, 10):  # scalar
-        yield IntMatrix.identity(n) * rng.randint(-6, 6)
+        yield IntMatrix.diagonal([rng.randint(-6, 6)] * n)
     for _ in range(40):  # a 2 x 2 Jordan block, nilpotent when a = 0, beside a diagonal part
         a = rng.randint(-3, 3)
         rows = IntMatrix.diagonal([a, a] + rng.choices(range(-3, 4), k=rng.randint(0, 7))).to_lists()
@@ -194,11 +197,11 @@ def _spectrum_cases(rng):
 
 def test_split_spectrum_matches_intmatrix_reference():
     # one Krylov sequence and array projectors against the column loop
-    # with Horner evaluations and IntMatrix projectors checked pairwise
+    # with Horner evaluations and object-array projectors checked pairwise
     rng = random.Random(41)
     outcomes = {"split": 0, "not split": 0}
     for x in _spectrum_cases(rng):
-        assert minimal_polynomial(x) == minimal_polynomial_columns(x)
+        assert minimal_polynomial(x.array) == minimal_polynomial_columns(x)
         try:
             want = split_spectrum_intmatrix(x)
         except NotSplit as exc:
@@ -222,20 +225,24 @@ def test_projector_identities_catch_each_tampered_family(scale):
     x = hidden(IntMatrix.diagonal([-2 * scale, scale, -2 * scale, 3 * scale]), random.Random(5))
     sp = split_spectrum(x)
     assert sp.multiplicities == (2, 1, 1) and sp.scales[1] == sp.scales[2]
-    args = (x, sp.eigenvalues, sp.idempotents, sp.scales, sp.multiplicities)
+    es = [e.array for e in sp.idempotents]
+    args = (x.array, sp.eigenvalues, tuple(es), sp.scales, sp.multiplicities)
     _check_projector_identities(*args)
-    es = list(sp.idempotents)
 
     def tampered(i, value):
         return args[:i] + (value,) + args[i + 1 :]
 
     cases = [
-        tampered(2, (es[0] * 2, es[1], es[2])),  # (2 E_0)^2 = 2 q_0 (2 E_0)
+        tampered(2, (obj(es[0]) * 2, es[1], es[2])),  # (2 E_0)^2 = 2 q_0 (2 E_0)
         tampered(1, (sp.eigenvalues[0] + 1,) + sp.eigenvalues[1:]),  # X E_0 != a_0 E_0
-        tampered(2, (es[0], es[1] + es[2], es[2])),  # E_1 E_2 != 0
+        tampered(2, (es[0], obj(es[1]) + obj(es[2]), es[2])),  # E_1 E_2 != 0
         # E_2 left out, its multiplicity given to E_1: only the sum fails
-        (x, sp.eigenvalues[:2], tuple(es[:2]), sp.scales[:2], (2, 2)),
+        (x.array, sp.eigenvalues[:2], tuple(es[:2]), sp.scales[:2], (2, 2)),
         tampered(4, (3, 1, 1)),  # multiplicities sum to n + 1
+        # X = I with the eigenvalue 1 listed twice: X E_i = E_i and the sum
+        # hold, yet E_0 E_1 = diag(-2, 0); only distinct eigenvalues give
+        # E_i E_j = 0
+        (np.eye(2, dtype=np.int64), (1, 1), (np.diag([2, 0]), np.diag([-1, 1])), (1, 1), (2, 0)),
     ]
     for case in cases:
         with pytest.raises(CertificateError):
