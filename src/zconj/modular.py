@@ -481,8 +481,7 @@ def scaled_idempotent_invariants(e, scale: int):
     if scale <= 0:
         raise ValueError("scale must be positive")
     n, me = len(e), max_abs(e)
-    square = matmul(e, e, max(me, me * me * n))
-    if (square != e.astype(int_dtype(scale, me * scale)) * scale).any():
+    if (matmul(e, e, max(me, me * me * n)) != e.astype(int_dtype(scale, me * scale), copy=False) * scale).any():
         raise NotScaledIdempotent("matrix is not a scaled idempotent")
     tr = sum(e.diagonal().tolist())
     if tr % scale:

@@ -436,9 +436,9 @@ def kernel_basis_fraction(matrix: IntMatrix):
 
 
 def local_minimal_polynomial_fraction(x, w):
-    """Monic minimal polynomial of the square integer array x acting on w
-    by left multiplication, w a vector or an n x m matrix, by incremental
-    rational echelon of the flattened Krylov terms."""
+    """Monic minimal polynomial of x acting on w by left multiplication,
+    w a vector or an n x m matrix, by incremental rational echelon of the
+    flattened Krylov terms."""
     echelon = []  # (reduced vector, pivot position, combination coefficients)
     kry = np.array(w, dtype=object).reshape(len(x), -1).tolist()
     k = 0
