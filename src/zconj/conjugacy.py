@@ -158,8 +158,8 @@ class IntertwinerLattice:
             raise CertificateError("lattice element is not divisible by q")
         return total // self.q
 
-    def element(self, coeffs) -> IntMatrix:
-        """The element with the integer coefficients coeffs on the basis."""
+    def combination(self, coeffs) -> IntMatrix:
+        """sum_i coeffs[i] basis[i] for integer coefficients, as an IntMatrix."""
         mc, mk = max_abs(self.coords), max_abs(coeffs)
         s = matmul(coeffs, self.coords, max(mc, mk, mc * mk * self.rank))
         return IntMatrix(self.elements(s[None])[0])
@@ -422,7 +422,7 @@ def local_test(
         return int(alive[0])
 
     def certify(coeffs, method):
-        t = _certified(lattice.element(coeffs), x, y, prime=p)
+        t = _certified(lattice.combination(coeffs), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
     # candidates in a fixed order: basis elements, prefix sums, close
@@ -862,7 +862,7 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
     except FormBudget as exc:
         return verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
     if rep.represents:
-        t = _certified(lattice.element(np.array(rep.witness, dtype=object)), x, y)
+        t = _certified(lattice.combination(np.array(rep.witness, dtype=object)), x, y)
         return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
     return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
 

@@ -240,18 +240,18 @@ class PaleyPeisertData:
     E3star: IntMatrix
 
 
-def _projector_triple(a: IntMatrix, p: int, k: int, r: int, s: int):
+def _projector_triple(x, p: int, k: int, r: int, s: int):
     """E1 = J, E2 = sJ + pX - psI and E3 = rJ - pX + prI for the adjacency
-    a, checked as the scaled projectors onto its k-, r- and s-eigenspaces
-    (spectral._check_projector_identities) with traces p^2, p^2 k, p^2 k."""
-    x = a.array
+    array x, checked as the scaled projectors onto its k-, r- and
+    s-eigenspaces (spectral._check_projector_identities) with traces p^2,
+    p^2 k, p^2 k."""
     j, eye = np.ones_like(x), np.eye(len(x), dtype=x.dtype)
     es = j, s * j + p * x - p * s * eye, r * j - p * x + p * r * eye
     scale = p * p
     if tuple(sum(e.diagonal().tolist()) for e in es) != (scale, scale * k, scale * k):
         raise CertificateError("projector identities failed")
     _check_projector_identities(x, (k, r, s), es, (scale,) * 3, (1, k, k))
-    return tuple(map(IntMatrix._of, es))
+    return es
 
 
 def paley_idempotent_data(p: int) -> PaleyPeisertData:
@@ -269,8 +269,8 @@ def paley_idempotent_data(p: int) -> PaleyPeisertData:
     s = -(p + 1) // 2
     x = paley_adjacency(field)
     xstar = peisert_adjacency(field)
-    e1, e2, e3 = _projector_triple(x, p, k, r, s)
-    f1, f2, f3 = _projector_triple(xstar, p, k, r, s)
+    e1, e2, e3 = map(IntMatrix._of, _projector_triple(x.array, p, k, r, s))
+    f1, f2, f3 = map(IntMatrix._of, _projector_triple(xstar.array, p, k, r, s))
     return PaleyPeisertData(
         p=p,
         q=q,

@@ -232,23 +232,22 @@ def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
     These give E_i E_j = [i = j] q_i E_i as well: with P_i = E_i / q_i,
     every v in the a_i-eigenspace is sum_j P_j v with P_j v in the a_j-
     eigenspace, and eigenspaces of distinct eigenvalues are independent,
-    so P_j v = [i = j] v; the columns of P_i are such v.  That is k n x n
-    products, one per E_i, so that no stack of k of them is held; the
-    dtype bound max |E| max(k L, max(|X|, |a_i|) n) covers every entry
-    compared.
+    so P_j v = [i = j] v; the columns of P_i are such v.  The X E_i are
+    k products, one per E_i, so that the float64 copies of only one E_i
+    are held at a time; the dtype bound max |E| max(k L, max(|X|, |a_i|) n)
+    covers every entry compared.
     """
     n, k = len(x), len(idempotents)
     big = lcm(*scales)
     me = max(max_abs(e) for e in idempotents)
     mx = max(max_abs(x), *map(abs, eigenvalues))
     dtype = int_dtype(mx, big, me * max(k * big, mx * n))
+    es = [e.astype(dtype, copy=False) for e in idempotents]
     ok = sum(mults) == n and len(set(eigenvalues)) == k
-    total = np.zeros((n, n), dtype=dtype)
-    for a, e, q in zip(eigenvalues, idempotents, scales):
-        e = e.astype(dtype, copy=False)
+    ok = ok and bool((sum(e * (big // q) for e, q in zip(es, scales)) == big * np.eye(n, dtype=dtype)).all())
+    for a, e in zip(eigenvalues, es):
         ok = ok and bool((matmul(x, e, max(mx, me, mx * me * n)) == e * a).all())
-        total += e * (big // q)
-    if not (ok and (total == big * np.eye(n, dtype=dtype)).all()):
+    if not ok:
         raise CertificateError("scaled idempotents fail the projector identities")
 
 

@@ -76,7 +76,7 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         "conjugacy:_eigenbases",
         "conjugacy:_eigenblock_basis",
         "conjugacy:_sylvester_basis",
-        "conjugacy:element",
+        "conjugacy:combination",
         "linalg:_kernel_basis_rref",
         "spectral:_check_projector_identities",
         "modular:scaled_idempotent_invariants",

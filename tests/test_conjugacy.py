@@ -654,7 +654,7 @@ def test_certificate_checks_survive_optimize():
         # graphs: projectors that are not idempotent, inputs out of range
         "import zconj.graphs as g\n"
         "try:\n"
-        "    g._projector_triple(IntMatrix.identity(4), 3, 1, 1, -2)\n"
+        "    g._projector_triple(IntMatrix.identity(4).array, 3, 1, 1, -2)\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
         "for bad in (\n"

@@ -144,10 +144,10 @@ def test_peisert_beta_choice():
     assert xs != xs_alt
     assert charpoly(xs.array) == charpoly(xs_alt.array)
     k, r, s = 24, 3, -4
-    _, e2a, e3a = _projector_triple(xs, 7, k, r, s)
-    _, e2b, e3b = _projector_triple(xs_alt, 7, k, r, s)
-    assert scaled_idempotent_invariants(e2a.array, 49) == scaled_idempotent_invariants(e2b.array, 49)
-    assert scaled_idempotent_invariants(e3a.array, 49) == scaled_idempotent_invariants(e3b.array, 49)
+    _, e2a, e3a = _projector_triple(xs.array, 7, k, r, s)
+    _, e2b, e3b = _projector_triple(xs_alt.array, 7, k, r, s)
+    assert scaled_idempotent_invariants(e2a, 49) == scaled_idempotent_invariants(e2b, 49)
+    assert scaled_idempotent_invariants(e3a, 49) == scaled_idempotent_invariants(e3b, 49)
 
 
 def test_peisert_beta_must_be_primitive():
