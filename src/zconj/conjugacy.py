@@ -16,7 +16,10 @@ C(X,Y) maps the saturated a-eigenlattice of X into the one of Y, so T
 is determined by integer block matrices S_i, and integrality of T cuts
 out a congruence lattice mod q = lcm(q_i) that modular.solve handles.
 Non-split pairs fall back to the saturated kernel of the n^2 x n^2
-difference map.
+difference map.  Split pairs with two eigenvalues a < b are decided in
+closed form from their glue blocks N in [[aI, N], [0, bI]]: a complete
+invariant modulo b - a, and a conjugator built from Smith transforms
+over Z/(b - a) where it agrees (_glue_route).
 
 By the boundary rule of zconj.matrix the private functions work on
 integer arrays, each product a matmul with a stated bound, and an
@@ -36,7 +39,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .forms import BinaryQuadraticForm, FormBudget, UnitRepresentation, bqf_represents_unit
-from .linalg import charpoly, det, fraction_free_rref, kernel_basis, lll_reduce
+from .linalg import charpoly, det, fraction_free_rref, hnf, kernel_basis, lll_reduce
 from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
 from .modular import (
     FactorizationBudget,
@@ -46,6 +49,7 @@ from .modular import (
     matmul_mod,
     prime_factors,
     residues,
+    smith_mod,
     solve_congruence_lattice,
 )
 from .spectral import NotSplit, SplitSpectrum, check_assumption, split_spectrum
@@ -115,12 +119,13 @@ class IntertwinerLattice:
     holds its blocks S_a side by side, each row-major with sizes[a] =
     (rows, cols); c has the matching eigenlattice bases of the target
     as columns, d the matching rows of D = q B^-1 for the source's
-    bases B, so T B_a = C_a S_a; det_b and det_c are det B and det C.
-    blocks gives (coords, c, d, sizes, q, det_b, det_c); a basis given
-    instead, an (m, n^2) integer array of the elements flattened
-    row-major, is one n x n block with B = C = I and q = 1.  The elements
-    as an (m, n, n) array (stack) and as IntMatrix (basis) are
-    assembled on first use; rank needs neither.
+    bases B, so T B_a = C_a S_a; b is all of B, in spectrum order, and
+    det_b and det_c are det B and det C.  blocks gives (coords, b, c, d,
+    sizes, q, det_b, det_c); a basis given instead, an (m, n^2) integer
+    array of the elements flattened row-major, is one n x n block with
+    B = C = I and q = 1.  The elements as an (m, n, n) array (stack)
+    and as IntMatrix (basis) are assembled on first use; rank needs
+    neither.
 
     aligned is the eigenbasis-aligned intertwiner C B^{-1}, set when
     both spectra agree and it is integral; it is unimodular exactly
@@ -135,8 +140,8 @@ class IntertwinerLattice:
         self.aligned, self.closed_form = aligned, closed_form
         if blocks is None:
             eye = np.eye(n, dtype=np.int64)
-            blocks = basis.astype(int_dtype(max_abs(basis))), eye, eye, ((n, n),), 1, 1, 1
-        self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
+            blocks = basis.astype(int_dtype(max_abs(basis))), eye, eye, eye, ((n, n),), 1, 1, 1
+        self.coords, self.b, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
     def rank(self) -> int:
@@ -270,7 +275,7 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
             raise CertificateError("block coordinates do not satisfy the congruences")
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
-    blocks = sols, c_common, d_common, sizes, q, det_b, det(c)
+    blocks = sols, b, c_common, d_common, sizes, q, det_b, det(c)
     return IntertwinerLattice(n, None, x, y, aligned, closed_form, blocks)
 
 
@@ -614,6 +619,28 @@ def _enumerate_short(vectors, r2, skip_below, budget):
             yield c
 
 
+def _known_conjugator(lattice: IntertwinerLattice, budget: int):
+    """The first stages of conjugator_search: the identity when source
+    equals target, then, for a lattice of positive rank, a permutation
+    conjugator when both are adjacency matrices and the aligned
+    intertwiner; None when none of them applies or verifies."""
+    x, y = lattice.source, lattice.target
+    n = lattice.n
+    if x == y:
+        return IntMatrix.identity(n)
+    if lattice.rank == 0:
+        return None
+    if _is_adjacency(x.array) and _is_adjacency(y.array):
+        perm = _graph_isomorphism(x.array, y.array, budget)
+        if perm is not None:
+            rows = np.zeros((n, n), dtype=np.int64)
+            rows[perm, range(n)] = 1
+            return _certified(IntMatrix(rows), x, y)
+    if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
+        return lattice.aligned
+    return None
+
+
 def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: int = 0):
     """Look for a unimodular element of the lattice; None if not found.
 
@@ -628,20 +655,10 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     CertificateError.
     """
     x, y = lattice.source, lattice.target
-    n = lattice.n
-    if x == y:
-        return IntMatrix.identity(n)
-    m = lattice.rank
-    if m == 0:
-        return None
-    if _is_adjacency(x.array) and _is_adjacency(y.array):
-        perm = _graph_isomorphism(x.array, y.array, budget)
-        if perm is not None:
-            rows = np.zeros((n, n), dtype=np.int64)
-            rows[perm, range(n)] = 1
-            return _certified(IntMatrix(rows), x, y)
-    if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
-        return lattice.aligned
+    n, m = lattice.n, lattice.rank
+    hit = _known_conjugator(lattice, budget)
+    if hit is not None or m == 0:
+        return hit
 
     def first_unimodular(ts):
         """The first of the (K, n, n) exact candidates ts with determinant
@@ -785,6 +802,111 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
     return IntMatrix(a)
 
 
+# -- split pairs with two eigenvalues in closed form ----------------------------
+
+
+def _glue_block(m, basis, a: int, b: int):
+    """(V, V^-1, N) with V unimodular, V basis = [I; 0] and V m V^-1 =
+    [[aI, N], [0, bI]], for m with eigenvalues a and b and basis its
+    saturated a-eigenlattice basis as columns.  V is the transform of
+    the HNF of basis, and V^-1 the transform of the HNF of V, which is
+    I; CertificateError unless both forms and V m V^-1 have that shape."""
+    n, r = basis.shape
+    h, v = hnf(basis)
+    if (h != np.eye(n, r, dtype=np.int64)).any():
+        raise CertificateError("eigenlattice basis is not saturated")
+    h, v_inv = hnf(v)
+    if (h != np.eye(n, dtype=np.int64)).any():
+        raise CertificateError("HNF transform is not unimodular")
+    mv, mi, mm = max_abs(v), max_abs(v_inv), max_abs(m)
+    vm_bound = max(mv, mm, mv * mm * n)
+    bound = max(vm_bound, mi, vm_bound * mi * n)
+    g = matmul(matmul(v, m, vm_bound), v_inv, bound)
+    form = np.diag(np.array([a] * r + [b] * (n - r), dtype=g.dtype))
+    form[:r, r:] = g[:r, r:]
+    if (g != form).any():
+        raise CertificateError("eigenlattice basis does not split off the glue block")
+    return v, v_inv, g[:r, r:]
+
+
+def _glue_invariant(a: int, b: int, r: int, s: int, g, det_u: int):
+    """(a, b, r, s, g, class) of an r x s glue block N with u N w =
+    diag(g) (mod d = b - a) and det w = 1 (modular.smith_mod).  The
+    class is +-prod e_i/g_i modulo d/g_t, e_i the Smith invariants of
+    N, which is +-det_u^-1, reduced into [0, d/(2 g_t)]; it is None when
+    r != s or g_t = d, where it carries no information."""
+    if r != s or g[-1] == b - a:
+        return a, b, r, s, tuple(g), None
+    m = (b - a) // g[-1]
+    c = inv_mod(det_u, b - a) % m
+    return a, b, r, s, tuple(g), min(c, m - c)
+
+
+def _glue_route(lattice: IntertwinerLattice, sp: SplitSpectrum):
+    """(T, None) with T X T^-1 = Y, or (None, (invariant of X, invariant
+    of Y)) when no such T exists, for split X and Y with one spectrum sp,
+    eigenvalues a < b of multiplicities r and s, and lattice = C(X, Y)
+    from their eigenblocks.
+
+    _glue_block gives V_X X V_X^-1 = [[aI_r, N], [0, bI_s]], and M from
+    Y the same way.  Every intertwiner of these forms is [[P, Q], [0,
+    R]], and it conjugates exactly when P N - M R = (a - b) Q, so the
+    pair is conjugate iff P N = M R (mod d = b - a) for some P and R of
+    determinant +-1.  Over Z/d, u_N N w_N = D = u_M M w_M for D =
+    diag(g_i) when the g_i agree, and then P = u_M^-1 S u_N and R = w_M
+    S' w_N^-1 for any (S, S') with S D = D S'.  The determinant pairs of
+    those (S, S') are all pairs of units when r != s or g_t = d, and the
+    pairs (u, v) with u = v (mod d/g_t) otherwise, so the class of
+    _glue_invariant decides the rest.  With equal invariants, diagonal
+    S and S' give det P = 1 and det R = eps = +-1 mod d; sl_lift lifts
+    P, and R diag(eps, 1, ...), whose lift takes the sign back.  Then Q
+    = (P N - M R)/(a - b) is exact and T = V_Y^-1 [[P, Q], [0, R]] V_X.
+    d = 1 takes P = R = I, since every block is then congruent.
+    """
+    x, y = lattice.source, lattice.target
+    (a, b), (r, s) = sp.eigenvalues, sp.multiplicities
+    d, n = b - a, r + s
+    vx, _, nx = _glue_block(x.array, lattice.b[:, :r], a, b)
+    _, vy_inv, ny = _glue_block(y.array, lattice.c[:, :r], a, b)
+    g, u_n, _, _, w_n_inv, det_n = smith_mod(nx.tolist(), d)
+    g_m, _, u_m_inv, w_m, _, det_m = smith_mod(ny.tolist(), d)
+    invariants = _glue_invariant(a, b, r, s, g, det_n), _glue_invariant(a, b, r, s, g_m, det_m)
+    if invariants[0] != invariants[1]:
+        return None, invariants
+    p_lift, r_lift = np.eye(r, dtype=np.int64), np.eye(s, dtype=np.int64)
+    if d > 1:
+        # S = diag(1, .., sigma) gives det P = 1.  For r = s, S' = diag(1,
+        # .., eps) needs sigma = eps (mod d/g_t); for r > s the last row of
+        # D is 0 and S' = I; for r < s S' takes sigma at D's last pivot,
+        # column r, and sigma^-1 at its last column, which is 0
+        sigma = det_m * inv_mod(det_n, d) % d
+        eps = -1 if invariants[0][-1] is not None and (sigma - 1) % (d // g[-1]) else 1
+        s_p, s_r = [1] * r, [1] * s
+        s_p[-1] = sigma
+        if r == s:
+            s_r[-1] = eps
+        elif r < s:
+            s_r[r - 1], s_r[-1] = sigma, inv_mod(sigma, d)
+        scaled_u_n = residues([[f * v for v in row] for f, row in zip(s_p, u_n)], d)
+        scaled_w_n_inv = residues([[f * v for v in row] for f, row in zip(s_r, w_n_inv)], d)
+        p_lift = sl_lift(IntMatrix(matmul_mod(residues(u_m_inv, d), scaled_u_n, d)), d).array
+        r_mod = matmul_mod(residues(w_m, d), scaled_w_n_inv, d)
+        r_mod[:, 0] = r_mod[:, 0] * eps % d
+        r_lift = sl_lift(IntMatrix(r_mod), d).array.copy()
+        r_lift[:, 0] *= eps
+    mp, mr, mn, mm = max_abs(p_lift), max_abs(r_lift), max_abs(nx), max_abs(ny)
+    bound = max(mp, mr, mn, mm, mp * mn * r + mm * mr * s)
+    diff = matmul(p_lift, nx, bound) - matmul(ny, r_lift, bound)
+    if (diff % d).any():
+        raise CertificateError("P N - M R is not divisible by b - a")
+    k = np.zeros((n, n), dtype=int_dtype(bound))
+    k[:r, :r], k[:r, r:], k[r:, r:] = p_lift, diff // (a - b), r_lift
+    mk, mv, mi = max_abs(k), max_abs(vx), max_abs(vy_inv)
+    kv_bound = max(mk, mv, mk * mv * n)
+    bound = max(kv_bound, mi, kv_bound * mi * n)
+    return IntMatrix(matmul(vy_inv, matmul(k, vx, kv_bound), bound)), None
+
+
 # -- determinant forms of rank-2 lattices ------------------------------------
 
 
@@ -819,6 +941,7 @@ class Verdict:
     assumption: object = None
     swapped: bool = False
     note: str | None = None
+    glue: tuple | None = None  # the glue invariants of x and y
 
     def to_json_obj(self):
         certs = {}
@@ -833,6 +956,13 @@ class Verdict:
             certs["bqf"] = bqf
         if self.assumption is not None:
             certs["assumption"] = self.assumption.to_json_obj()
+        if self.glue is not None:
+            certs["glue"] = {}
+            for side, (a, b, r, s, g, cls) in zip("xy", self.glue):
+                obj = {"a": str(a), "b": str(b), "r": str(r), "s": str(s), "g": [str(v) for v in g]}
+                if cls is not None:
+                    obj["class"] = str(cls)
+                certs["glue"][side] = obj
         obj = {"status": self.status, "reason": self.reason, "certificates": certs}
         if self.swapped:
             obj["swapped"] = True
@@ -841,11 +971,13 @@ class Verdict:
         return obj
 
 
-def _decide_bqf(x, y, lattice, locals_=(), assumption=None):
+def _decide_bqf(x, y, lattice, locals_=(), assumption=None, swapped=False):
     """Exact 2x2 endgame through the determinant form of C(X,Y)."""
 
     def verdict(status, reason, **kw):
-        return Verdict(status=status, reason=reason, local=tuple(locals_), assumption=assumption, **kw)
+        return Verdict(
+            status=status, reason=reason, local=tuple(locals_), assumption=assumption, swapped=swapped, **kw
+        )
 
     # with equal characteristic polynomials C(X,Y) has rank 2 (a scalar
     # X = aI and a Y with Y - aI of rank 1 included), and rank 4 only for
@@ -886,11 +1018,17 @@ def decide(
     each a closed-form PASS when the lattice's C D verifies there and a
     local_test otherwise; the local-global theorem when the assumption
     holds and all locals pass; the exact quadratic-form endgame for n =
-    2; explicit conjugator search otherwise.  UNKNOWN verdicts name what
-    blocked the decision: factorization-budget when an eigenvalue
-    difference could not be factored within prime_factors' step budget
-    and the primes found, the 2x2 endgame and the search did not
-    decide; form-budget when the form endgame passed its step cap.
+    2; then, where the search would run (n <= search_dim_cap, or the
+    theorem does not apply), the closed form of _glue_route for two
+    eigenvalues, after the identity, permutation and aligned stages of
+    the search, and explicit conjugator search for more.  The glue route
+    always decides: a built conjugator, or NOT_CONJUGATE glue-invariant
+    with both invariants, which raises CertificateError instead when the
+    theorem holds.  UNKNOWN verdicts name what blocked the decision:
+    factorization-budget when an eigenvalue difference could not be
+    factored within prime_factors' step budget and the primes found, the
+    2x2 endgame and the search did not decide; form-budget when the form
+    endgame passed its step cap.
 
     swapped marks that the assumption holds for y but not for x.  Local
     conjugacy is symmetric (T in C(x,y) has unit determinant mod p iff
@@ -957,10 +1095,17 @@ def decide(
         return verdict("NOT_CONJUGATE", "local-obstruction")
     theorem = rep.holds and unfactored is None and all(v.status == "PASS" for v in locals_)
     if n == 2 and not theorem:
-        return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep)
+        return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep, swapped=swapped)
     conj = None
     if n <= search_dim_cap or not theorem:
-        conj = conjugator_search(lattice, budget=search_budget, seed=seed)
+        if len(spx.eigenvalues) != 2:
+            conj = conjugator_search(lattice, budget=search_budget, seed=seed)
+        elif (conj := _known_conjugator(lattice, search_budget)) is None:
+            conj, invariants = _glue_route(lattice, spx)
+            if conj is None:
+                if theorem:
+                    raise CertificateError("glue invariants differ on a pair the theorem declares conjugate")
+                return verdict("NOT_CONJUGATE", "glue-invariant", glue=invariants)
     if conj is not None:
         return verdict("CONJUGATE", "explicit-conjugator", conjugator=_certified(conj, x, y))
     if theorem:

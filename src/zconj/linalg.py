@@ -29,20 +29,7 @@ from math import gcd, prod
 import numpy as np
 
 from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
-from .modular import _diagonalize_mod, solve_congruence_lattice
-
-
-def xgcd(a: int, b: int):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
+from .modular import _diagonalize_mod, solve_congruence_lattice, xgcd
 
 
 # -- Hermite normal form ------------------------------------------------

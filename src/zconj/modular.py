@@ -16,6 +16,10 @@ for small q, Python ints otherwise), matrix products go through
 matrix.matmul with bound q^2 times the inner dimension, and the same
 code runs for every modulus.
 
+smith_mod gives the Smith form over Z/q with its transforms and their
+inverses, by gcd steps on residues, for the small glue blocks of
+two-eigenvalue pairs.
+
 Also here: the invariant-factor shortcut for scaled idempotents.  If
 E * E = L * E exactly, every invariant factor of E divides L (for v in
 the saturation of the column space, c v = E w gives c E v = L c v, so
@@ -33,6 +37,19 @@ from math import gcd, isqrt
 import numpy as np
 
 from .matrix import CertificateError, int_dtype, matmul, max_abs
+
+
+def xgcd(a: int, b: int):
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -396,6 +413,88 @@ def _diagonalize_mod(rows, q: int):
         for j in range(m):
             diag[j] *= b ** levels[j] if j < len(levels) else b**k
     return diag
+
+
+def smith_mod(rows, q: int):
+    """Smith form over Z/q with its transforms, for small matrices.
+
+    Returns (g, u, u_inv, w, w_inv, det_u): u A w = diag(g) (mod q), A
+    r x s, with g_1 | g_2 | ... the t = min(r, s) divisors of q, q
+    standing for 0; u u_inv = I_r and w w_inv = I_s (mod q); det w = 1
+    and det_u = det u (mod q).  Each pivot is an entry of least gcd with
+    q.  Steps of determinant 1 on two rows or columns (a gcd step, a
+    swap with one sign changed, adding one row to another) clear its
+    column and row; a pivot that does not divide the rest of the block
+    takes in a row that it does not divide, and the next gcd step makes
+    it smaller.  Each pivot is then scaled to its gcd with q by a unit
+    (modular.unit_scaling), the only step of determinant other than 1.
+    The transforms are lists of residues; their inverses take the
+    inverse steps.
+    """
+    r, s = len(rows), len(rows[0])
+    a = [[int(v) % q for v in row] for row in rows]
+    u, u_inv, w, w_inv = ([[int(i == j) for j in range(k)] for i in range(k)] for k in (r, r, s, s))
+
+    def on_rows(m, i, j, c):
+        m[i], m[j] = (
+            [(c[0] * x + c[1] * y) % q for x, y in zip(m[i], m[j])],
+            [(c[2] * x + c[3] * y) % q for x, y in zip(m[i], m[j])],
+        )
+
+    def on_cols(m, i, j, c):
+        for row in m:
+            row[i], row[j] = (c[0] * row[i] + c[1] * row[j]) % q, (c[2] * row[i] + c[3] * row[j]) % q
+
+    def row_step(i, j, c):
+        # rows i, j of a and u <- [[c0, c1], [c2, c3]] rows; u_inv takes the inverse on columns
+        on_rows(a, i, j, c)
+        on_rows(u, i, j, c)
+        on_cols(u_inv, i, j, (c[3], -c[2], -c[1], c[0]))
+
+    def col_step(i, j, c):
+        on_cols(a, i, j, c)
+        on_cols(w, i, j, c)
+        on_rows(w_inv, i, j, (c[3], -c[2], -c[1], c[0]))
+
+    def gcd_step(step, k, i, p, e):
+        # x p + y e = h: the pivot becomes h, the entry e becomes 0; a
+        # pivot that divides e stays, so a cleared line stays clear
+        h, x, y = (p, 1, 0) if e % p == 0 else xgcd(p, e)
+        step(k, i, (x, y, -e // h, p // h))
+
+    g, det_u = [], 1
+    for k in range(min(r, s)):
+        best, i, j = min((gcd(a[i][j], q), i, j) for i in range(k, r) for j in range(k, s))
+        if best == q:
+            break
+        if i != k:
+            row_step(k, i, (0, 1, -1, 0))
+        if j != k:
+            col_step(k, j, (0, 1, -1, 0))
+        while True:
+            for i in range(k + 1, r):
+                if a[i][k]:
+                    gcd_step(row_step, k, i, a[k][k], a[i][k])
+            for j in range(k + 1, s):
+                if a[k][j]:
+                    gcd_step(col_step, k, j, a[k][k], a[k][j])
+            if any(a[i][k] for i in range(k + 1, r)):
+                continue
+            h = gcd(a[k][k], q)
+            rest = next((i for i in range(k + 1, r) if any(v % h for v in a[i][k + 1 :])), None)
+            if rest is None:
+                break
+            row_step(k, rest, (1, 1, 0, 1))
+        h, unit = unit_scaling(a[k][k], q)
+        a[k] = [v * unit % q for v in a[k]]
+        u[k] = [v * unit % q for v in u[k]]
+        inv = inv_mod(unit, q)
+        for row in u_inv:
+            row[k] = row[k] * inv % q
+        g.append(h)
+        det_u = det_u * unit % q
+    g += [q] * (min(r, s) - len(g))
+    return g, u, u_inv, w, w_inv, det_u
 
 
 # -- congruence lattices ---------------------------------------------------

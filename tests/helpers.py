@@ -840,3 +840,39 @@ def eliminate_chain_rows(a, b: int, k: int):
             levels.append(level)
             t += 1
     return levels
+
+
+def glue_orbits(r: int, s: int, d: int):
+    """{N: root} for every r x s matrix N mod d, as a flat tuple, where
+    N and M share a root exactly when M = P N R^-1 (mod d) with det P
+    and det R = +-1 mod d.  Union-find over all d^(rs) matrices; the
+    generators are I + e_ij (i != j) and diag(-1, 1, ...) on either
+    side, since elementary matrices generate SL_n(Z), which maps onto
+    SL_n(Z/d)."""
+    parent = {}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    states = list(itertools.product(range(d), repeat=r * s))
+    for v in states:
+        parent[v] = v
+    for v in states:
+        m = [list(v[i * s : (i + 1) * s]) for i in range(r)]
+        images = []
+        for i, j in itertools.permutations(range(r), 2):
+            images.append([[(u + w) % d for u, w in zip(m[i], m[j])] if k == i else m[k] for k in range(r)])
+        images.append([[(-u) % d for u in m[0]]] + m[1:])
+        cols = [list(c) for c in zip(*m)]
+        for i, j in itertools.permutations(range(s), 2):
+            added = [[(u + w) % d for u, w in zip(cols[i], cols[j])] if k == i else cols[k] for k in range(s)]
+            images.append(list(zip(*added)))
+        images.append([[(-row[0]) % d] + row[1:] for row in m])
+        for image in images:
+            a, b = find(v), find(tuple(u for row in image for u in row))
+            if a != b:
+                parent[a] = b
+    return {v: find(v) for v in states}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 from helpers import hidden
-from test_metamorphic import block_pairs, swapped_pairs
+from test_metamorphic import block_pairs, class_pairs, glued, swapped_pairs
 
 import zconj
 from zconj.graphs import field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
@@ -54,6 +54,9 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
     for k in (1, 2):
         pairs += [(x, y) for x, y, _ in block_pairs(rng, k)[:3]]
         pairs += swapped_pairs(rng, k)[:2]
+    # two-eigenvalue pairs past the aligned stage: a built conjugator and
+    # glue classes that differ
+    pairs += [(glued(0, 5, [[1, 0], [0, 1]]), glued(0, 5, [[4, 0], [0, 1]]))] + class_pairs(rng, 2)[:1]
     # non-split 2 x 2 pairs: the Sylvester kernel and the form endgame,
     # one representing a unit, so its witness is assembled
     x = IntMatrix([[0, 1], [-6, 0]])
@@ -70,11 +73,13 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
 
     assert not bad, bad
     # the array call sites of the eigenbases, the Sylvester kernel, the
-    # projector and idempotent checks, the form witness and the boundary
-    # re-check all ran
+    # glue blocks and the built conjugator, the projector and idempotent
+    # checks, the form witness and the boundary re-check all ran
     expected = {
         "conjugacy:_eigenbases",
         "conjugacy:_eigenblock_basis",
+        "conjugacy:_glue_block",
+        "conjugacy:_glue_route",
         "conjugacy:_sylvester_basis",
         "conjugacy:combination",
         "linalg:_kernel_basis_rref",

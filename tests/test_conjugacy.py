@@ -596,6 +596,17 @@ def test_decide_swapped_route():
     assert by_prime[3].status == "FAIL"
 
 
+def test_decide_bqf_keeps_the_swapped_flag():
+    # only y meets the exponent condition, and the local test at 1031
+    # cannot exhaust (1031^2 > 2^20), so the 2x2 form endgame decides
+    x, y = IntMatrix([[0, 1], [0, 1031]]), IntMatrix.diagonal([0, 1031])
+    assert not check_assumption(x).holds and check_assumption(y).holds
+    v = decide(x, y)
+    assert (v.status, v.reason, v.swapped) == ("NOT_CONJUGATE", "bqf-certificate", True)
+    assert [lv.status for lv in v.local] == ["UNDECIDED"]
+    assert v.to_json_obj()["swapped"] is True
+
+
 def test_certificate_checks_survive_optimize():
     # under python -O a failed re-check must still raise, not be skipped
     code = (
@@ -624,6 +635,23 @@ def test_certificate_checks_survive_optimize():
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
         "c.split_spectrum = split\n"
+        # glue classes 1 and 2 mod 5 while the theorem is made to hold,
+        # then a conjugate pair whose built conjugator is tampered with
+        "glue = lambda n: IntMatrix([[0, 0] + n[0], [0, 0] + n[1], [0, 0, 5, 0], [0, 0, 0, 5]])\n"
+        "assume = c.check_assumption\n"
+        "c.check_assumption = lambda m, spectrum=None: dataclasses.replace(assume(m, spectrum), clause_a=True)\n"
+        "try:\n"
+        "    c.decide(glue([[1, 0], [0, 1]]), glue([[2, 0], [0, 1]]))\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "c.check_assumption = assume\n"
+        "route = c._glue_route\n"
+        "c._glue_route = lambda lattice, sp: (IntMatrix.identity(4), None)\n"
+        "try:\n"
+        "    c.decide(glue([[1, 0], [0, 1]]), glue([[4, 0], [0, 1]]))\n"
+        "except c.CertificateError:\n"
+        "    print('CertificateError')\n"
+        "c._glue_route = route\n"
         "c.verify_conjugator = lambda *args, **kwargs: False\n"
         "try:\n"
         "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
@@ -691,7 +719,7 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    expected = ["CertificateError"] * 6 + ["ValueError"]
+    expected = ["CertificateError"] * 8 + ["ValueError"]
     expected += ["CertificateError"] + ["ValueError"] * 3  # graphs
     expected += ["CertificateError"] * 2 + ["ValueError"]  # padic
     assert r.stdout.split() == expected

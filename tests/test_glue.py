@@ -1,0 +1,155 @@
+"""Split pairs with two eigenvalues: the glue invariant and the built conjugator.
+
+X with eigenvalues a < b (multiplicities r, s) is conjugate over Z to
+[[aI_r, N], [0, bI_s]], and two such are conjugate exactly when M = P N
+R^-1 (mod b - a) for P and R of determinant +-1.  The invariant of
+conjugacy._glue_invariant is checked against a brute-force enumeration of
+those orbits (helpers.glue_orbits) and its class against the Smith
+invariants of N over Z; the conjugators of conjugacy._glue_route against
+verify_conjugator.
+"""
+
+import random
+from math import gcd, prod
+
+from helpers import gcd_minor_invariants, glue_orbits, hidden, random_sl
+from test_conjugacy import decide_in_subprocess
+from test_metamorphic import glued
+
+from zconj import IntMatrix, decide, intertwiner_lattice, split_spectrum, verify_conjugator
+from zconj.conjugacy import _glue_invariant, _glue_route
+from zconj.modular import smith_mod
+
+# (r, s, d) small enough to enumerate every r x s matrix mod d
+ORBIT_CASES = [(1, 1, 5), (1, 1, 12), (1, 2, 6), (2, 1, 4)] + [(2, 2, d) for d in range(2, 10)]
+
+
+def invariant(block, d):
+    g, _, _, _, _, det_u = smith_mod(block, d)
+    return _glue_invariant(0, d, len(block), len(block[0]), g, det_u)
+
+
+def unflat(v, r, s):
+    return [list(v[i * s : (i + 1) * s]) for i in range(r)]
+
+
+def route(x, y):
+    return _glue_route(intertwiner_lattice(x, y), split_spectrum(x))
+
+
+def test_glue_invariant_separates_the_orbits():
+    # constant on every orbit of N -> P N R^-1 (mod d), different on different ones
+    for r, s, d in ORBIT_CASES:
+        by_root = {}
+        for v, root in glue_orbits(r, s, d).items():
+            by_root.setdefault(root, set()).add(invariant(unflat(v, r, s), d))
+        assert all(len(invs) == 1 for invs in by_root.values()), (r, s, d)
+        assert len(set().union(*by_root.values())) == len(by_root), (r, s, d)
+
+
+def test_glue_class_is_the_product_of_smith_quotients():
+    # g_i = gcd(e_i, d), and the class is +-prod e_i/g_i mod d/g_t, for the
+    # Smith invariants e_i of N over Z padded with zeros
+    rng = random.Random(53)
+    for _ in range(300):
+        r, s, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 30)
+        block = [[rng.randint(-6, 6) for _ in range(s)] for _ in range(r)]
+        t = min(r, s)
+        e = (list(gcd_minor_invariants(IntMatrix(block))) + [0] * t)[:t]
+        _, _, _, _, g, cls = invariant(block, d)
+        assert g == tuple(gcd(v, d) for v in e)
+        if r == s and g[-1] < d:
+            m = d // g[-1]
+            c = prod(v // gcd(v, d) for v in e) % m
+            assert cls == min(c, m - c)
+        else:
+            assert cls is None
+
+
+def test_glue_route_agrees_with_the_orbits():
+    # random hidden pairs: a certified T exactly when the blocks share an orbit
+    rng = random.Random(61)
+    seen = set()
+    for r, s, d in ORBIT_CASES:
+        orbits = glue_orbits(r, s, d)
+        for _ in range(6):
+            n_block, m_block = ([[rng.randint(-d, d) for _ in range(s)] for _ in range(r)] for _ in "nm")
+            a = rng.randint(-3, 3)
+            x, y = hidden(glued(a, a + d, n_block), rng), hidden(glued(a, a + d, m_block), rng)
+            t, invariants = route(x, y)
+            same = orbits[tuple(v % d for row in n_block for v in row)] == orbits[
+                tuple(v % d for row in m_block for v in row)
+            ]
+            assert (t is not None) == same, (r, s, d, n_block, m_block)
+            if same:
+                assert verify_conjugator(t, x, y)
+            else:
+                assert invariants[0] != invariants[1]
+            seen.add(same)
+    assert seen == {True, False}
+
+
+def random_gl(n, rng):
+    u = random_sl(n, rng).to_lists()
+    if rng.random() < 0.5:
+        u[0] = [-v for v in u[0]]
+    return IntMatrix(u)
+
+
+def test_glue_route_builds_certified_conjugators():
+    # M = P N R + d K with det P, det R = +-1: equal invariants by construction.
+    # d = 1, r != s, zero blocks and blocks with some g_i = d all occur
+    rng = random.Random(59)
+    kinds = set()
+    for trial in range(60):
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        d = rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 25))
+        block = [[rng.randint(-4, 4) for _ in range(s)] for _ in range(r)]
+        if trial % 4 == 1:
+            block = [[0] * s for _ in range(r)]
+        elif trial % 4 == 2:
+            block[0] = [d * v for v in block[0]]
+        m_block = (random_gl(r, rng) * IntMatrix(block) * random_gl(s, rng)).to_lists()
+        m_block = [[v + d * rng.randint(-2, 2) for v in row] for row in m_block]
+        a = rng.randint(-3, 3)
+        x, y = hidden(glued(a, a + d, block), rng), hidden(glued(a, a + d, m_block), rng)
+        t, _ = route(x, y)
+        assert t is not None and verify_conjugator(t, x, y), (r, s, d, block, m_block)
+        cases = {
+            "d = 1": d == 1,
+            "r != s": r != s,
+            "zero block": not any(map(any, block)),
+            "g_i = d": d > 1 and invariant(block, d)[4][-1] == d,
+        }
+        kinds.update(name for name, hit in cases.items() if hit)
+    assert kinds == {"d = 1", "r != s", "zero block", "g_i = d"}
+
+
+def test_class_obstructed_pairs_are_decided_at_once():
+    # every local test passes and the assumption fails; before the route
+    # the search ran to its budget and answered UNKNOWN after 37 s (4 x 4)
+    # and 88 s (6 x 6)
+    for k, gap in ((2, 5), (3, 7)):
+        x = glued(0, gap, [[int(i == j) for j in range(k)] for i in range(k)])
+        y = glued(0, gap, [[(2 if i == 0 else 1) * (i == j) for j in range(k)] for i in range(k)])
+        v = decide_in_subprocess(x.to_lists(), y.to_lists(), timeout=10)
+        assert (v["status"], v["reason"]) == ("NOT_CONJUGATE", "glue-invariant")
+        assert [lv["status"] for lv in v["certificates"]["local"]] == ["PASS"]
+        assert not v["certificates"]["assumption"]["clause_a"]
+        shape = {"a": "0", "b": str(gap), "r": str(k), "s": str(k), "g": ["1"] * k}
+        glue = v["certificates"]["glue"]
+        assert glue == {"x": dict(shape, **{"class": "1"}), "y": dict(shape, **{"class": "2"})}
+
+
+def test_glue_invariant_without_a_class():
+    # Smith types that differ only at a prime whose local test cannot
+    # exhaust (1031^8 classes): the route still decides, and a type with
+    # g_t = d has no class
+    p = 1031
+    x, y = glued(0, p, [[1, 0], [0, 1]]), glued(0, p, [[1, 0], [0, p]])
+    v = decide(x, y, budget=64)
+    assert (v.status, v.reason) == ("NOT_CONJUGATE", "glue-invariant")
+    assert [lv.status for lv in v.local] == ["UNDECIDED"]
+    glue = v.to_json_obj()["certificates"]["glue"]
+    assert glue["x"] == {"a": "0", "b": "1031", "r": "2", "s": "2", "g": ["1", "1"], "class": "1"}
+    assert glue["y"] == {"a": "0", "b": "1031", "r": "2", "s": "2", "g": ["1", "1031"]}

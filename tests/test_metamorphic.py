@@ -10,13 +10,15 @@ conjugation, against a hidden copy or against a glue block of another
 Smith type modulo every prime power of b - a, which no conjugation can
 reach.  A third kind takes the swapped route: the exponent assumption
 fails for x and holds for y, whose glue block is b - a times another.
+A fourth pairs glue blocks of one Smith type whose determinant classes
+modulo b - a differ, which only the glue invariant tells apart.
 """
 
 import random
 from math import gcd
 
 import numpy as np
-from helpers import gcd_minor_invariants, obj, random_sl, unimodular_inverse
+from helpers import det_small, gcd_minor_invariants, obj, random_sl, unimodular_inverse
 
 from zconj.conjugacy import decide, verify_conjugator
 from zconj.matrix import IntMatrix
@@ -45,9 +47,10 @@ def smith_type(block, q: int):
 
 
 def glued(a: int, b: int, block) -> IntMatrix:
-    k = len(block)
-    top = [[a if i == j else 0 for j in range(k)] + list(block[i]) for i in range(k)]
-    bottom = [[0] * k + [b if i == j else 0 for j in range(k)] for i in range(k)]
+    """[[aI_r, N], [0, bI_s]] for the r x s glue block N."""
+    r, s = len(block), len(block[0])
+    top = [[a if i == j else 0 for j in range(r)] + list(block[i]) for i in range(r)]
+    bottom = [[0] * r + [b if i == j else 0 for j in range(s)] for i in range(s)]
     return IntMatrix(top + bottom)
 
 
@@ -91,6 +94,25 @@ def swapped_pairs(rng, k: int):
         while check_assumption(x).holds:
             x = glued(a, a + gap, block(1))
         out.append((hide(x, rng), hide(glued(a, a + gap, block(gap)), rng)))
+    return out
+
+
+def class_pairs(rng, k: int):
+    """(x, y) for each gap with a unit c != +-1: glue blocks N and N
+    diag(c, 1, ...) of one Smith type, whose determinant classes +-det
+    N and +-c det N modulo the gap differ, so every local test passes
+    and no conjugation reaches one from the other."""
+    out = []
+    for gap in GAPS:
+        units = [c for c in range(2, gap - 1) if gcd(c, gap) == 1]
+        if k == 1 or not units:
+            continue
+        a, c = rng.randint(-3, 3), rng.choice(units)
+        n_block = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        while gcd(det_small(n_block), gap) != 1:
+            n_block = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        m_block = [[v * (c if j == 0 else 1) for j, v in enumerate(row)] for row in n_block]
+        out.append((hide(glued(a, a + gap, n_block), rng), hide(glued(a, a + gap, m_block), rng)))
     return out
 
 
@@ -140,6 +162,22 @@ def test_metamorphic_relations_keep_status_and_certificates():
             methods.update(lv.method for lv in base.local if lv.status == "PASS")
     assert {"theorem+local-passes", "local-obstruction"} <= routes
     assert {"closed-form", "sampled"} <= methods
+
+
+def test_class_obstructed_pairs_stay_apart():
+    # the glue invariant is the only obstruction: every relation keeps
+    # NOT_CONJUGATE, with every certificate valid
+    rng = random.Random(47)
+    for k in (2, 3):
+        for x, y in class_pairs(rng, k):
+            v = decide(x, y, search_dim_cap=0)
+            assert (v.status, v.reason) == ("NOT_CONJUGATE", "glue-invariant")
+            assert all(lv.status == "PASS" for lv in v.local)
+            check_certificates(v, x, y)
+            for name, (x2, y2) in relations(x, y, rng).items():
+                v2 = decide(x2, y2, search_dim_cap=0)
+                assert (v2.status, v2.reason) == ("NOT_CONJUGATE", "glue-invariant"), (name, k, v2.reason)
+                check_certificates(v2, x2, y2)
 
 
 def test_swapped_route_on_random_pairs():
