@@ -42,12 +42,13 @@ from .forms import BinaryQuadraticForm, FormBudget, UnitRepresentation, bqf_repr
 from .linalg import charpoly, det, fraction_free_rref, hnf, kernel_basis, lll_reduce
 from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
 from .modular import (
-    FactorizationBudget,
     _howell_rows,
+    _local_moduli,
+    _refine,
+    _ZeroDivisor,
     det_mod,
     inv_mod,
     matmul_mod,
-    prime_factors,
     residues,
     smith_mod,
     solve_congruence_lattice,
@@ -318,7 +319,8 @@ def verify_conjugator(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> b
     """Check TX = YT plus the right determinant condition.
 
     Global mode (prime None): det(T) must be +1 or -1.  Local mode:
-    det(T) must not be divisible by the given prime.
+    det(T) must be a unit modulo prime, which may be a composite base of
+    relevant_primes (det_mod may then raise modular._ZeroDivisor).
     """
     if t.nrows != x.nrows or t.ncols != x.nrows or x.nrows != y.nrows:
         return False
@@ -330,30 +332,22 @@ def verify_conjugator(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> b
 
 
 def relevant_primes(spectrum: SplitSpectrum):
-    """Primes dividing some eigenvalue difference.
-
-    Away from these, equal characteristic polynomials already force
-    local conjugacy (the order generated by the matrix localizes to a
-    maximal order with free eigenlattices), so local tests only need to
-    run here.  When some difference cannot be factored within
-    prime_factors' budget, FactorizationBudget is raised with every
-    prime found.
+    """Increasing pairwise coprime bases whose primes are those dividing
+    some eigenvalue difference: of each difference, the primes below
+    1000 and the cofactor (modular._local_moduli), refined by
+    modular._refine.  A base is prime unless that cofactor is 10^6 or
+    more.  Away from these primes, equal characteristic polynomials
+    already force local conjugacy (the order generated by the matrix
+    localizes to a maximal order with free eigenlattices).
     """
-    out, stuck = set(), []
-    for a, b in combinations(spectrum.eigenvalues, 2):
-        try:
-            out.update(prime_factors(a - b))
-        except FactorizationBudget as exc:
-            out.update(exc.primes)
-            stuck.append(str(exc))
-    if stuck:
-        raise FactorizationBudget("; ".join(stuck), sorted(out))
-    return sorted(out)
+    moduli = [m for a, b in combinations(spectrum.eigenvalues, 2) for m in _local_moduli(abs(a - b))]
+    return [b for b, _ in _refine(moduli)]
 
 
 @dataclass(frozen=True)
 class LocalVerdict:
-    """Outcome of a conjugacy test over Z localized at one prime."""
+    """Outcome of a conjugacy test over Z localized at one prime, or at
+    every prime of a base of relevant_primes."""
 
     prime: int
     status: str  # PASS | FAIL | UNDECIDED
@@ -379,14 +373,17 @@ def local_test(
 ) -> LocalVerdict:
     """Search C(X,Y) for an element of unit determinant mod p.
 
-    PASS certificates re-verify exactly.  FAIL is only reported after
-    every class of C(X,Y)/p has been evaluated, which is attempted when
-    p^rank <= 2^20.  The determinant of T + pS is det(T) mod p, so
-    classes mod p decide.  Characteristic polynomials are compared only
-    when no lattice is given and it is built here: a mismatch FAILs at
-    once, because any nonsingular intertwiner would force equality.  A
-    given lattice must be C(x, y), and decide passes one only after the
-    spectra, and so the characteristic polynomials, have matched.
+    p may be a base of relevant_primes: a PASS there holds at each of
+    its primes, a FAIL is an obstruction as at a prime, and det_mod may
+    raise modular._ZeroDivisor.  PASS certificates re-verify exactly.
+    FAIL is only reported after every class of C(X,Y)/p has been
+    evaluated, which is attempted when p^rank <= 2^20.  The determinant
+    of T + pS is det(T) mod p, so classes mod p decide.  Characteristic
+    polynomials are compared only when no lattice is given and it is
+    built here: a mismatch FAILs at once, because any nonsingular
+    intertwiner would force equality.  A given lattice must be C(x, y),
+    and decide passes one only after the spectra, and so the
+    characteristic polynomials, have matched.
 
     Candidates are evaluated in the lattice's block coordinates: T B =
     C blockdiag(S_a) gives det T det B = det C prod_a det S_a, so when
@@ -478,7 +475,7 @@ def local_test(
 
 
 def _valuation(v: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer v."""
+    """The largest e with p^e dividing the nonzero integer v."""
     return next(e for e in count() if v % p ** (e + 1))
 
 
@@ -843,10 +840,10 @@ def _glue_invariant(a: int, b: int, r: int, s: int, g, det_u: int):
 
 
 def _glue_route(lattice: IntertwinerLattice, sp: SplitSpectrum):
-    """(T, None) with T X T^-1 = Y, or (None, (invariant of X, invariant
-    of Y)) when no such T exists, for split X and Y with one spectrum sp,
-    eigenvalues a < b of multiplicities r and s, and lattice = C(X, Y)
-    from their eigenblocks.
+    """(T, None) with T X T^-1 = Y, certified by _certified, or (None,
+    (invariant of X, invariant of Y)) when no such T exists, for split X
+    and Y with one spectrum sp, eigenvalues a < b of multiplicities r and
+    s, and lattice = C(X, Y) from their eigenblocks.
 
     _glue_block gives V_X X V_X^-1 = [[aI_r, N], [0, bI_s]], and M from
     Y the same way.  Every intertwiner of these forms is [[P, Q], [0,
@@ -904,7 +901,7 @@ def _glue_route(lattice: IntertwinerLattice, sp: SplitSpectrum):
     mk, mv, mi = max_abs(k), max_abs(vx), max_abs(vy_inv)
     kv_bound = max(mk, mv, mk * mv * n)
     bound = max(kv_bound, mi, kv_bound * mi * n)
-    return IntMatrix(matmul(vy_inv, matmul(k, vx, kv_bound), bound)), None
+    return _certified(IntMatrix(matmul(vy_inv, matmul(k, vx, kv_bound), bound)), x, y), None
 
 
 # -- determinant forms of rank-2 lattices ------------------------------------
@@ -1013,11 +1010,12 @@ def decide(
     eigenvalues with multiplicities, which for split matrices is the
     characteristic polynomial comparison (charpoly runs only when one
     is not split); the exponent assumption checked on x and then y;
-    local tests at the relevant primes in increasing order,
+    local tests at the bases of relevant_primes in increasing order,
     always on C(x,y), stopping at the first FAIL (so local ends there),
     each a closed-form PASS when the lattice's C D verifies there and a
-    local_test otherwise; the local-global theorem when the assumption
-    holds and all locals pass; the exact quadratic-form endgame for n =
+    local_test otherwise, a base that meets a zero divisor giving way to
+    its parts; the local-global theorem when the assumption holds and
+    all locals pass; the exact quadratic-form endgame for n =
     2; then, where the search would run (n <= search_dim_cap, or the
     theorem does not apply), the closed form of _glue_route for two
     eigenvalues, after the identity, permutation and aligned stages of
@@ -1025,9 +1023,7 @@ def decide(
     always decides: a built conjugator, or NOT_CONJUGATE glue-invariant
     with both invariants, which raises CertificateError instead when the
     theorem holds.  UNKNOWN verdicts name what blocked the decision:
-    factorization-budget when an eigenvalue difference could not be
-    factored within prime_factors' step budget and the primes found, the
-    2x2 endgame and the search did not decide; form-budget when the form
+    assumption-unverified, local-undecided, or form-budget when the form
     endgame passed its step cap.
 
     swapped marks that the assumption holds for y but not for x.  Local
@@ -1068,23 +1064,24 @@ def decide(
         if rep_y.holds:
             rep = rep_y
             swapped = True
-    # without every relevant prime the theorem cannot apply, but the
-    # primes found can still give an obstruction
-    try:
-        primes, unfactored = relevant_primes(spx), None
-    except FactorizationBudget as exc:
-        primes, unfactored = exc.primes, exc
     lattice = intertwiner_lattice(x, y, spectra=(spx, spy))
-    # primes in order, stopping at the first FAIL: one obstruction decides.
-    # The lattice's closed form C D is offered first at each prime
+    # bases in order, stopping at the first FAIL: one obstruction decides.
+    # The lattice's closed form C D is offered first at each base; a zero
+    # divisor splits the base, and its parts are tested in its place
     cd = lattice.closed_form
-    locals_ = []
-    for p in primes:
-        if verify_conjugator(cd, x, y, prime=p):
-            locals_.append(LocalVerdict(prime=p, status="PASS", certificate=cd, method="closed-form"))
+    bases, locals_ = relevant_primes(spx), []
+    while bases:
+        b = bases.pop(0)
+        try:
+            if verify_conjugator(cd, x, y, prime=b):
+                local = LocalVerdict(prime=b, status="PASS", certificate=cd, method="closed-form")
+            else:
+                local = local_test(x, y, b, budget=budget, seed=seed, lattice=lattice)
+        except _ZeroDivisor as exc:
+            bases[:0] = [c for c, _ in _refine([(exc.args[0], 1), (b // exc.args[0], 1)])]
             continue
-        locals_.append(local_test(x, y, p, budget=budget, seed=seed, lattice=lattice))
-        if locals_[-1].status == "FAIL":
+        locals_.append(local)
+        if local.status == "FAIL":
             break
     locals_ = tuple(locals_)
 
@@ -1093,7 +1090,7 @@ def decide(
 
     if locals_ and locals_[-1].status == "FAIL":
         return verdict("NOT_CONJUGATE", "local-obstruction")
-    theorem = rep.holds and unfactored is None and all(v.status == "PASS" for v in locals_)
+    theorem = rep.holds and all(v.status == "PASS" for v in locals_)
     if n == 2 and not theorem:
         return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep, swapped=swapped)
     conj = None
@@ -1107,13 +1104,11 @@ def decide(
                     raise CertificateError("glue invariants differ on a pair the theorem declares conjugate")
                 return verdict("NOT_CONJUGATE", "glue-invariant", glue=invariants)
     if conj is not None:
-        return verdict("CONJUGATE", "explicit-conjugator", conjugator=_certified(conj, x, y))
+        return verdict("CONJUGATE", "explicit-conjugator", conjugator=conj)
     if theorem:
         return verdict("CONJUGATE", "theorem+local-passes")
     if not rep.holds:
         return verdict("UNKNOWN", "assumption-unverified")
-    if unfactored is not None:
-        return verdict("UNKNOWN", "factorization-budget", note=str(unfactored))
     return verdict(
         "UNKNOWN", "local-undecided", note="some local test exhausted its budget without a verdict"
     )

@@ -16,6 +16,13 @@ for small q, Python ints otherwise), matrix products go through
 matrix.matmul with bound q^2 times the inner dimension, and the same
 code runs for every modulus.
 
+No modulus is factored.  Trial division by the primes below 1000 leaves
+a cofactor, which is taken for a prime (a base) until a nonzero entry
+that is not a unit shows up modulo it; its gcd with the base splits it,
+and _refine keeps the parts coprime (Della Dora, Dicrescenzo and Duval,
+EUROCAL 1985).  The divisor chain and decide's local tests
+(conjugacy.relevant_primes, det_mod) share this scheme.
+
 smith_mod gives the Smith form over Z/q with its transforms and their
 inverses, by gcd steps on residues, for the small glue blocks of
 two-eigenvalue pairs.
@@ -77,14 +84,8 @@ def unit_scaling(a: int, q: int):
     return g, u % q
 
 
-class FactorizationBudget(ValueError):
-    """Some cofactor was neither proven prime nor split within the step
-    budget.  primes holds the prime factors that were found.
-    """
-
-    def __init__(self, message: str, primes=()):
-        super().__init__(message)
-        self.primes = list(primes)
+class _ZeroDivisor(ArithmeticError):
+    """A base taken for a prime has a proper factor, args[0]."""
 
 
 def _primes_below(n: int):
@@ -96,123 +97,32 @@ def _primes_below(n: int):
 
 
 _SMALL_PRIMES = _primes_below(1000)
-# Miller-Rabin with the first 13 prime bases (2 to 41) is a proof below
-# this bound, the least strong pseudoprime to all of them
-_MR_BASES = _SMALL_PRIMES[:13]
-_MR_PROOF_LIMIT = 3317044064679887385961981
-_RHO_STEPS = 1 << 20
 
 
-def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on an odd n > 41 with the bases _MR_BASES."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_factor(n: int, steps: int):
-    """(d, steps left): a proper factor d of the odd composite n by
-    Pollard-Brent rho within a budget of steps, or d = None once the
-    budget runs out.
-    """
-    for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            steps -= r
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                batch = min(128, r - k)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                steps -= batch
-                if steps < 0:
-                    return None, steps
-                g = gcd(q, n)
-                k += batch
-            r *= 2
-        if g == n:
-            # the batch overshot the collision: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g, steps
-    return None, steps
-
-
-def _trial_division(n: int):
-    """([(p, k)] for the primes p below 1000 with p^k exactly dividing n,
-    cofactor); the loop stops at p^2 > n, so a cofactor below 10^6 is 1
-    or prime."""
+def _local_moduli(q: int):
+    """Pairwise coprime [(b, k)] with q = prod b^k, increasing: the primes
+    below 1000, then the cofactor as one base taken for a prime.  Trial
+    division stops at p^2 > q, so a cofactor below 10^6 is prime."""
     out = []
     for p in _SMALL_PRIMES:
-        if p * p > n:
+        if p * p > q:
             break
-        if n % p == 0:
+        if q % p == 0:
             k = 0
-            while n % p == 0:
-                n //= p
+            while q % p == 0:
+                q //= p
                 k += 1
             out.append((p, k))
-    return out, n
+    return out + [(q, 1)] if q > 1 else out
 
 
 def prime_factors(n: int):
-    """Sorted distinct prime factors of n.
-
-    Trial division by the primes below 1000, then Miller-Rabin on each
-    cofactor and Pollard-Brent rho to split the composite ones, under a
-    fixed step budget.  A probable prime is never taken as prime: when a
-    cofactor is neither proven prime nor split within the budget, the
-    other cofactors are still factored and FactorizationBudget is raised
-    with the primes found.
-    """
-    if abs(n) < 2:
-        return []
-    small, n = _trial_division(abs(n))
-    out = {p for p, _ in small}
-    pending = [n] if n > 1 else []
-    stuck = []
-    steps = _RHO_STEPS
-    while pending:
-        c = pending.pop()
-        if c < 1000 * 1000:
-            out.add(c)  # it has no factor below min(1000, sqrt(c))
-        elif _strong_probable_prime(c):
-            if c < _MR_PROOF_LIMIT:
-                out.add(c)
-            else:
-                stuck.append(c)  # a probable prime with no proof
-        else:
-            d, steps = _brent_factor(c, steps)
-            if d is None:
-                stuck.append(c)
-            else:
-                pending += [d, c // d]
-    if stuck:
-        raise FactorizationBudget(
-            "cannot factor %s within the step budget" % ", ".join(map(str, sorted(stuck))),
-            sorted(out),
-        )
-    return sorted(out)
+    """Sorted distinct prime factors of n by trial division: the cofactor
+    left is prime below 10^6, and ValueError names a larger one."""
+    bases = [b for b, _ in _local_moduli(abs(n))]
+    if bases and bases[-1] >= 1000 * 1000:
+        raise ValueError("cannot factor %d by trial division" % bases[-1])
+    return bases
 
 
 def residues(rows, q: int):
@@ -234,38 +144,48 @@ def matmul_mod(a, b, q: int):
     return (matmul(a, b, q * q * max(1, a.shape[-1])) % q).astype(int_dtype(q * q + q), copy=False)
 
 
-def _inverses_mod(v, p: int):
-    """Inverses modulo a prime p of the residues v (0 maps to 0).
+def _inverses_mod(v, b: int):
+    """Inverses modulo b of the nonzero residues v; _ZeroDivisor with a
+    proper factor of b when one is not a unit.
 
-    Fermat, v^(p-2), by square-and-multiply over the whole array: about
-    2 log2(p) array operations, whatever the length of v.  When v has
-    fewer entries than that, one Python pow per entry is cheaper.
+    Fermat, v^(b-2), by square-and-multiply over the whole array: about
+    2 log2(b) array operations, whatever the length of v.  A result that
+    is not an inverse (b composite) takes one Python pow, as every entry
+    does when v has fewer entries than that.
     """
-    e = p - 2
-    if len(v) < 2 * e.bit_length():
-        return np.array([pow(u, -1, p) if u else 0 for u in v.tolist()], dtype=v.dtype)
-    out = np.ones_like(v)
-    base = v.copy()
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return out
+    e = b - 2
+    try:
+        if len(v) < 2 * e.bit_length():
+            return np.array([pow(u, -1, b) if u else 0 for u in v.tolist()], dtype=v.dtype)
+        out, base = np.ones_like(v), v.copy()
+        while e:
+            if e & 1:
+                out = (out * base) % b
+            base = (base * base) % b
+            e >>= 1
+        check = out * v % b == 1
+        if np.count_nonzero(check) < np.count_nonzero(v):
+            for i in np.flatnonzero(~check & (v != 0)).tolist():
+                out[i] = pow(int(v[i]), -1, b)
+        return out
+    except ValueError:
+        raise _ZeroDivisor(next(g for u in v.tolist() if 1 < (g := gcd(u, b)) < b)) from None
 
 
-def det_mod(rows, p: int):
-    """Determinant modulo a prime p of one matrix or of a (K, n, n) stack.
+def det_mod(rows, b: int):
+    """Determinant modulo b of one matrix or of a (K, n, n) stack.
 
     rows: int lists or an integer array.  Returns an int for a matrix and
     an array of K residues for a stack.  One Gaussian elimination over
-    Z/p runs on every matrix at once, a single matrix being the K = 1
+    Z/b runs on every matrix at once, a single matrix being the K = 1
     stack.  A zero diagonal entry gets the first row below it with a
     nonzero entry in that column added, which keeps the determinant and
     needs no sign; with no such row the determinant is 0.  The
-    elimination stops once every determinant is known to be 0.
+    elimination stops once every determinant is known to be 0.  Exact
+    for every b: a nonzero pivot that is not a unit raises _ZeroDivisor
+    with a proper factor of b, so a nonzero result is a unit.
     """
-    a = residues(rows, p)
+    a = residues(rows, b)
     single = a.ndim == 2
     if single:
         a = a[None]
@@ -275,44 +195,42 @@ def det_mod(rows, p: int):
         if not a[:, c, c].all():
             zero = np.flatnonzero(a[:, c, c] == 0)
             piv = c + np.argmax(a[zero, c:, c] != 0, axis=1)
-            a[zero, c] = (a[zero, c] + a[zero, piv]) % p
+            a[zero, c] = (a[zero, c] + a[zero, piv]) % b
         pv = a[:, c, c]
-        result = (result * pv) % p
+        result = (result * pv) % b
         if not result.any():
             break
         if c + 1 < n:
-            f = (a[:, c + 1 :, c] * _inverses_mod(pv, p)[:, None]) % p
-            a[:, c + 1 :, c:] = (a[:, c + 1 :, c:] - f[:, :, None] * a[:, None, c, c:]) % p
+            f = (a[:, c + 1 :, c] * _inverses_mod(pv, b)[:, None]) % b
+            a[:, c + 1 :, c:] = (a[:, c + 1 :, c:] - f[:, :, None] * a[:, None, c, c:]) % b
+    # every pivot but the last is a unit here, so the last decides; with
+    # results in [0, b) only 0 has gcd b
+    if np.count_nonzero(np.gcd(result, b) != 1) > k - np.count_nonzero(result):
+        raise _ZeroDivisor(next(g for u in result.tolist() if 1 < (g := gcd(u, b)) < b))
     return int(result[0]) if single else result
 
 
 # -- diagonalization over Z/q --------------------------------------------
 
 
-class _ZeroDivisor(ArithmeticError):
-    """A base taken for a prime has a proper factor, args[0]."""
-
-
-def _local_moduli(q: int):
-    """Pairwise coprime [(b, k)] with q = prod b^k: the primes below 1000,
-    and the cofactor as one base taken for a prime until an entry shows
-    otherwise, so no modulus needs a full factorization."""
-    small, rest = _trial_division(q)
-    return small + [(rest, 1)] if rest > 1 else small
-
-
-def _refine(b: int, g: int):
-    """Pairwise coprime [(c, f)] with b = prod c^f, given a proper factor g of b."""
-    parts = Counter([g, b // g])
+def _refine(parts):
+    """Pairwise coprime [(c, f)], each c > 1, in increasing order, with
+    prod c^f the product of the given (c, f): while two bases x and y
+    share d = gcd(x, y) > 1, they give way to d, x/d and y/d (factor
+    refinement: Bach, Driscoll and Shallit, J. Algorithms 1993)."""
+    out = Counter()
+    for c, f in parts:
+        if c > 1:
+            out[c] += f
     while True:
-        pair = next(((x, y) for x in parts for y in parts if x < y and gcd(x, y) > 1), None)
+        pair = next(((x, y) for x in out for y in out if x < y and gcd(x, y) > 1), None)
         if pair is None:
-            return sorted(parts.items())
+            return sorted(out.items())
         x, y = pair
-        d, fx, fy = gcd(x, y), parts.pop(x), parts.pop(y)
+        d, fx, fy = gcd(x, y), out.pop(x), out.pop(y)
         for c, f in ((d, fx + fy), (x // d, fx), (y // d, fy)):
             if c > 1:
-                parts[c] += f
+                out[c] += f
 
 
 _BLOCK = 32  # pivots whose row operations _eliminate_chain applies as one product
@@ -408,7 +326,7 @@ def _diagonalize_mod(rows, q: int):
         try:
             levels = _eliminate_chain(residues(a, b**k), b, k)
         except _ZeroDivisor as exc:
-            pending += [(c, f * k) for c, f in _refine(b, exc.args[0])]
+            pending += _refine([(exc.args[0], k), (b // exc.args[0], k)])
             continue
         for j in range(m):
             diag[j] *= b ** levels[j] if j < len(levels) else b**k

@@ -654,6 +654,25 @@ def integer_roots_divisors(poly):
     return roots, True
 
 
+def det_bareiss(rows) -> int:
+    """Determinant by fraction-free (Bareiss) elimination on Python ints:
+    every division is exact, so any modulus can reduce the result."""
+    a = [[int(v) for v in row] for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * prev if n else 1
+
+
 def det_mod_list(rows, p: int) -> int:
     """Determinant modulo a prime p by Gaussian elimination on lists."""
     a = [[v % p for v in row] for row in rows]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from helpers import (
     conjugator_search_sequential,
+    det_bareiss,
     det_small,
     eigenblock_basis_full,
     flat,
@@ -24,7 +25,7 @@ from helpers import (
     unimodular_inverse,
 )
 
-from zconj import conjugacy, forms
+from zconj import conjugacy, forms, modular
 from zconj.conjugacy import (
     CertificateError,
     DetNotOne,
@@ -183,6 +184,9 @@ def test_relevant_primes():
     assert primes_of([1, 6]) == [5]
     assert primes_of([4, 1, -2]) == [2, 3]
     assert primes_of([0, 1]) == []
+    # trial division leaves cofactors as bases, refined to be coprime
+    assert primes_of([0, 1009 * 1013, 2 * 1009 * 1013]) == [2, 1009 * 1013]
+    assert primes_of([0, 1009 * 1013, 1009 * 1019]) == [2, 3, 1009, 1013, 1019]
 
 
 def test_local_test_finds_certificates():
@@ -636,7 +640,8 @@ def test_certificate_checks_survive_optimize():
         "    print('CertificateError')\n"
         "c.split_spectrum = split\n"
         # glue classes 1 and 2 mod 5 while the theorem is made to hold,
-        # then a conjugate pair whose built conjugator is tampered with
+        # then a conjugate pair whose built conjugator is doubled inside
+        # _glue_route, which certifies it
         "glue = lambda n: IntMatrix([[0, 0] + n[0], [0, 0] + n[1], [0, 0, 5, 0], [0, 0, 0, 5]])\n"
         "assume = c.check_assumption\n"
         "c.check_assumption = lambda m, spectrum=None: dataclasses.replace(assume(m, spectrum), clause_a=True)\n"
@@ -645,13 +650,13 @@ def test_certificate_checks_survive_optimize():
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
         "c.check_assumption = assume\n"
-        "route = c._glue_route\n"
-        "c._glue_route = lambda lattice, sp: (IntMatrix.identity(4), None)\n"
+        "block = c._glue_block\n"
+        "c._glue_block = lambda *args: (lambda v, v_inv, n: (2 * v, v_inv, n))(*block(*args))\n"
         "try:\n"
         "    c.decide(glue([[1, 0], [0, 1]]), glue([[4, 0], [0, 1]]))\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
-        "c._glue_route = route\n"
+        "c._glue_block = block\n"
         "c.verify_conjugator = lambda *args, **kwargs: False\n"
         "try:\n"
         "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
@@ -711,6 +716,17 @@ def test_certificate_checks_survive_optimize():
         "    pa.TruncatedUnramifiedRing(7, field=g.field_build(3, 2))\n"
         "except ValueError:\n"
         "    print('ValueError')\n"
+        # modular: a pivot that is a zero divisor mod 1009 * 1013, and a
+        # cofactor that trial division cannot certify
+        "import zconj.modular as mo\n"
+        "try:\n"
+        "    mo.det_mod([[1009, 0], [0, 1]], 1009 * 1013)\n"
+        "except mo._ZeroDivisor:\n"
+        "    print('ZeroDivisor')\n"
+        "try:\n"
+        "    mo.prime_factors(1009 * 1013)\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
     )
     r = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -722,6 +738,7 @@ def test_certificate_checks_survive_optimize():
     expected = ["CertificateError"] * 8 + ["ValueError"]
     expected += ["CertificateError"] + ["ValueError"] * 3  # graphs
     expected += ["CertificateError"] * 2 + ["ValueError"]  # padic
+    expected += ["ZeroDivisor", "ValueError"]  # modular
     assert r.stdout.split() == expected
 
 
@@ -864,14 +881,15 @@ def test_decide_stops_at_first_local_fail():
 
 
 def test_decide_square_discriminant_without_trial_division():
-    # the form's |a| is about s/2: trial division to sqrt(4|a|) takes seconds
+    # the form's |a| is about s/2: trial division to sqrt(4|a|) takes
+    # seconds; the gap s is one base, which a local test passes whole
     s = 1000000007 * 1000003
     t0 = time.monotonic()
     v = decide(IntMatrix([[0, 1], [0, s]]), IntMatrix([[0, 2], [0, s]]))
     assert time.monotonic() - t0 < 1.0
     assert (v.status, v.reason) == ("NOT_CONJUGATE", "bqf-certificate")
     assert v.bqf_proof.proof == "factor-system"
-    assert [(lv.prime, lv.status) for lv in v.local] == [(1000003, "PASS"), (1000000007, "PASS")]
+    assert [(lv.prime, lv.status) for lv in v.local] == [(s, "PASS")]
 
 
 def decide_in_subprocess(x, y, timeout, **kwargs):
@@ -896,14 +914,17 @@ def decide_in_subprocess(x, y, timeout, **kwargs):
 
 
 def test_decide_factors_large_eigenvalue_gaps():
-    # the gap (2^31 - 1)(2^61 - 1) is out of reach of trial division
-    n = (2**31 - 1) * (2**61 - 1)
-    verdict = decide_in_subprocess([[0, 1], [0, n]], [[0, 0], [0, n]], timeout=10)
-    assert verdict["status"] == "NOT_CONJUGATE"
-    assert [lv["p"] for lv in verdict["certificates"]["local"]] == [str(2**31 - 1), str(2**61 - 1)]
+    # the gap (2^31 - 1)(2^61 - 1) is out of reach of trial division and
+    # is tested as one base, until a glue entry 2^31 - 1 shows a zero
+    # divisor there; the 2x2 form endgame decides both pairs
+    p, q = 2**31 - 1, 2**61 - 1
+    for glue, local in ((1, [(str(p * q), "UNDECIDED")]), (p, [(str(p), "PASS"), (str(q), "UNDECIDED")])):
+        verdict = decide_in_subprocess([[0, glue], [0, p * q]], [[0, 0], [0, p * q]], timeout=10)
+        assert (verdict["status"], verdict["reason"]) == ("NOT_CONJUGATE", "bqf-certificate")
+        assert [(lv["p"], lv["status"]) for lv in verdict["certificates"]["local"]] == local
 
 
-# two primes near 2^60: their product is beyond prime_factors' rho budget
+# two primes near 2^60: trial division leaves their product as one base
 HARD_SEMIPRIME = 1152921504606846883 * 1152921504606847009
 
 
@@ -915,19 +936,56 @@ def test_decide_past_factorization_budget():
         local = [(lv["p"], lv["status"]) for lv in v["certificates"].get("local", [])]
         return v["status"], v["reason"], local
 
-    # 2x2 pairs need no primes: the quadratic-form endgame decides
-    assert run([[0, 1], [0, s]], [[0, 0], [0, s]]) == ("NOT_CONJUGATE", "bqf-certificate", [])
-    # a prime that was found still gives an obstruction
+    # 2x2 pairs: the base s cannot exhaust, and the quadratic-form endgame decides
+    assert run([[0, 1], [0, s]], [[0, 0], [0, s]]) == (
+        "NOT_CONJUGATE",
+        "bqf-certificate",
+        [(str(s), "UNDECIDED")],
+    )
+    # the obstruction at 2 comes first
     assert run([[0, 1], [0, 2 * s]], [[0, 0], [0, 2 * s]]) == (
         "NOT_CONJUGATE",
         "local-obstruction",
         [("2", "FAIL")],
     )
-    # the theorem needs every relevant prime; the search finds a
+    # the theorem needs a PASS at every base; the search finds a
     # conjugator when there is one, and UNKNOWN names the blocker when not
     y = [[0, 0, 0], [0, s, 0], [0, 0, -1]]
     status, reason, local = run([[0, s, 0], [0, s, 0], [0, 0, -1]], y, search_budget=1000)
     assert (status, reason) == ("CONJUGATE", "explicit-conjugator")
     status, reason, local = run([[0, 1, 0], [0, s, 0], [0, 0, -1]], y, search_budget=1000)
-    assert (status, reason) == ("UNKNOWN", "factorization-budget")
-    assert local and all(st == "PASS" for _, st in local)
+    assert (status, reason) == ("UNKNOWN", "local-undecided")
+    assert [st for p, st in local if p == str(s)] == ["UNDECIDED"]
+    assert all(st == "PASS" for p, st in local if p != str(s))
+
+
+def test_decide_on_gaps_trial_division_cannot_finish(monkeypatch):
+    # eigenvalue gaps d = P Q with no prime factor below 1000: d is one
+    # base, and a glue entry P makes a block determinant a zero divisor
+    # mod d, which splits it.  Every local certificate is re-checked at
+    # its base on Python ints
+    calls = []
+    monkeypatch.setattr(conjugacy, "_refine", lambda parts: calls.append(parts) or modular._refine(parts))
+
+    def check(x, y, status, reason, undecided):
+        del calls[:]
+        v = decide(IntMatrix(x), IntMatrix(y), search_budget=1000)
+        assert (v.status, v.reason) == (status, reason)
+        assert [lv.prime for lv in v.local if lv.status == "UNDECIDED"] == undecided
+        for lv in v.local:
+            assert lv.status != "FAIL"
+            if lv.status == "PASS":
+                t = lv.certificate.to_lists()
+                assert (obj(t) @ obj(x) == obj(y) @ obj(t)).all()
+                assert gcd(det_bareiss(t) % lv.prime, lv.prime) == 1
+        return [lv.prime for lv in v.local], len(calls)
+
+    for p, q in ((1009, 1013), (2**31 - 1, 2**61 - 1), (1152921504606846883, 1152921504606847009)):
+        d = p * q
+        y = [[0, 0, 0], [0, d, 0], [0, 0, -1]]
+        bases, refines = check([[0, d, 0], [0, d, 0], [0, 0, -1]], y, "CONJUGATE", "explicit-conjugator", [])
+        assert d in bases and refines == 1
+        bases, refines = check([[0, p, 0], [0, d, 0], [0, 0, -1]], y, "UNKNOWN", "local-undecided", [q])
+        assert p in bases and d not in bases and refines == 2
+        bases, refines = check([[0, 1], [0, d]], [[0, 0], [0, d]], "NOT_CONJUGATE", "bqf-certificate", [d])
+        assert bases == [d] and refines == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import (
     adjugate,
+    det_bareiss,
     det_small,
     eliminate_chain_rows,
     gcd_minor_invariants,
@@ -21,10 +22,10 @@ from zconj import modular
 from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import (
     _BLOCK,
-    FactorizationBudget,
     _diagonalize_mod,
     _eliminate_chain,
     _refine,
+    _ZeroDivisor,
     det_mod,
     inv_mod,
     prime_factors,
@@ -65,31 +66,32 @@ def test_prime_factors():
 
 
 def test_prime_factors_past_trial_division():
+    # trial division by the primes below 1000 leaves a cofactor with no
+    # smaller prime factor: prime below 10^6, uncertified from there on
     rng = random.Random(23)
     for _ in range(200):
         n = rng.randrange(1, 10**9) * rng.choice((1, 997, 1009**2))
-        assert prime_factors(n) == prime_factors(-n) == prime_factors_trial_division(n)
+        expected = prime_factors_trial_division(n)
+        rest = n
+        for p in expected:
+            while p < 1000 and rest % p == 0:
+                rest //= p
+        if rest < 10**6:
+            assert prime_factors(n) == prime_factors(-n) == expected
+        else:
+            with pytest.raises(ValueError, match="cannot factor %d " % rest):
+                prime_factors(n)
     assert prime_factors(0) == []
-    # Pollard-Brent splits the semiprime, Miller-Rabin proves both parts
-    assert prime_factors(6 * (2**31 - 1) * (2**61 - 1)) == [2, 3, 2**31 - 1, 2**61 - 1]
-    # a prime power above 10^6 is split by rho too
-    assert prime_factors((10**6 + 3) ** 3) == [10**6 + 3]
-    # the least strong pseudoprime to the bases 2 to 37 is caught by 41
-    assert prime_factors(318665857834031151167461) == [399165290221, 798330580441]
+    assert prime_factors(991 * 999983) == [991, 999983]
 
 
 def test_prime_factors_gives_up_instead_of_guessing():
-    # 2^89 - 1 is prime, but above the bound where Miller-Rabin with 13
-    # bases is a proof; two primes near 2^60 are beyond the rho budget
+    # a cofactor of 10^6 or more is neither proven prime nor split, even
+    # a prime one, and the ValueError names it
     hard = 1152921504606846883 * 1152921504606847009
-    for n in (2**89 - 1, hard):
-        with pytest.raises(FactorizationBudget) as exc:
+    for n, rest in ((1009 * 1013, 1009 * 1013), (1000003, 1000003), (2**89 - 1, 2**89 - 1), (12 * hard, hard)):
+        with pytest.raises(ValueError, match="cannot factor %d " % rest):
             prime_factors(n)
-        assert exc.value.primes == []
-    # the primes that were found come with the exception
-    with pytest.raises(FactorizationBudget) as exc:
-        prime_factors(12 * 1000003 * hard)
-    assert exc.value.primes == [2, 3, 1000003]
 
 
 def brute_solutions(rows, m, q):
@@ -285,6 +287,55 @@ def test_det_mod_on_stacks():
 P60, Q60 = 1152921504606846883, 1152921504606847009
 
 
+def test_det_mod_over_composite_moduli():
+    # det % b, or _ZeroDivisor with a proper factor of b, for single
+    # matrices and stacks whose pivot vectors are short (one pow per
+    # entry) or long (Fermat over the array, which for composite b is
+    # checked and mended entry by entry)
+    rng = random.Random(31)
+    for b, factors in ((1009 * 1013, (1009, 1013)), (6 * P60 * Q60, (2, 3, P60, Q60))):
+        units = [u for u in range(2, 99) if gcd(u, b) == 1]
+
+        def unit_pivots(n):
+            # unit lower times upper with units on the diagonal
+            low = [[rng.randrange(b) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+            up = [[rng.randrange(b) if j > i else (i == j) * rng.choice(units) for j in range(n)] for i in range(n)]
+            return [[sum(low[i][t] * up[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+        def any_pivots(n):
+            rows = [[rng.randrange(b) * rng.choice((1, 1) + factors) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[-1] = [sum(r[j] for r in rows[:-1]) for j in range(n)]
+            return rows
+
+        splits = 0
+        for n in range(1, 6):
+            for size in (1, 3, 2 * b.bit_length() + 5):
+                stack = [unit_pivots(n) for _ in range(size)]
+                got = det_mod(stack, b)
+                assert [int(v) for v in got] == [det_bareiss(rows) % b for rows in stack]
+                assert all(gcd(int(v), b) == 1 for v in got)
+                for stack in ([any_pivots(n) for _ in range(size)], [[[0] * n] * n] * size):
+                    try:
+                        got = det_mod(stack, b)
+                    except _ZeroDivisor as exc:
+                        assert 1 < exc.args[0] < b and b % exc.args[0] == 0
+                        splits += 1
+                        continue
+                    assert [int(v) for v in got] == [det_bareiss(rows) % b for rows in stack]
+            for rows in (unit_pivots(n), any_pivots(n), [[factors[0]] + [0] * (n - 1)] + unit_pivots(n)[1:]):
+                try:
+                    assert det_mod(rows, b) == det_bareiss(rows) % b
+                except _ZeroDivisor as exc:
+                    assert 1 < exc.args[0] < b and b % exc.args[0] == 0
+                    splits += 1
+        assert splits > 5
+    # a non-unit pivot raises wherever it stands, the last one included
+    for rows in ([[1009, 0], [0, 1]], [[1, 0], [0, 1013]], [[1013]]):
+        with pytest.raises(_ZeroDivisor):
+            det_mod(rows, 1009 * 1013)
+
+
 def test_solve_congruence_lattice_matches_gcd_sweep_oracle():
     # the chain-ring eliminator against the parent's gcd sweep plus
     # howell_py: prime powers, composite moduli, moduli past the int64
@@ -396,7 +447,7 @@ def test_diagonalize_mod_splits_a_base_after_a_flush(monkeypatch):
     # the one the row-at-a-time eliminator gives
     rng = random.Random(59)
     splits = []
-    monkeypatch.setattr(modular, "_refine", lambda b, g: splits.append(g) or _refine(b, g))
+    monkeypatch.setattr(modular, "_refine", lambda parts: splits.append(parts[0][0]) or _refine(parts))
     for q in (P60 * Q60, P60**2 * Q60, 6 * P60 * Q60):
         for _ in range(3):
             m = rng.randint(_BLOCK + 8, 80)
@@ -420,11 +471,19 @@ def test_diagonalize_mod_splits_a_base_after_a_flush(monkeypatch):
 
 
 def test_refine_gives_coprime_bases():
-    for b, g in ((P60 * Q60, P60), (P60**2 * Q60, P60), (P60**3, P60), (12, 2), (36, 6), (360, 12)):
-        parts = _refine(b, g)
+    # a base and a proper factor of it, as a zero divisor gives them, and
+    # several numbers at once, as relevant_primes gives them
+    splits = ((P60 * Q60, P60), (P60**2 * Q60, P60), (P60**3, P60), (12, 2), (36, 6), (360, 12))
+    cases = [[(g, 1), (b // g, 1)] for b, g in splits]
+    cases += [[(P60 * Q60, 2), (P60 * 1009, 1), (Q60, 3), (1, 5)], [(6, 1), (10, 1), (15, 1), (6, 2)]]
+    cases.append([(P60, 1)] * 3)
+    for given in cases:
+        parts = _refine(given)
         assert all(c > 1 and f >= 1 for c, f in parts)
-        assert prod(c**f for c, f in parts) == b
+        assert [c for c, _ in parts] == sorted(c for c, _ in parts)
+        assert prod(c**f for c, f in parts) == prod(c**f for c, f in given)
         assert all(gcd(c, d) == 1 for (c, _), (d, _) in itertools.combinations(parts, 2))
+    assert _refine([(6, 1), (10, 1), (15, 1)]) == [(2, 2), (3, 2), (5, 2)]
 
 
 def test_scaled_idempotent_invariants_composite_scales():
