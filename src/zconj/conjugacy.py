@@ -16,10 +16,11 @@ C(X,Y) maps the saturated a-eigenlattice of X into the one of Y, so T
 is determined by integer block matrices S_i, and integrality of T cuts
 out a congruence lattice mod q = lcm(q_i) that modular.solve handles.
 Non-split pairs fall back to the saturated kernel of the n^2 x n^2
-difference map.  Split pairs with two eigenvalues a < b are decided in
-closed form from their glue blocks N in [[aI, N], [0, bI]]: a complete
-invariant modulo b - a, and a conjugator built from Smith transforms
-over Z/(b - a) where it agrees (_glue_route).
+difference map.  Split pairs of size n >= 3 with two eigenvalues a < b
+build no lattice: they are decided in closed form from their glue
+blocks N in [[aI, N], [0, bI]], by a complete invariant modulo b - a
+and a conjugator built from Smith transforms over Z/(b - a) where it
+agrees (_glue_route).
 
 By the boundary rule of zconj.matrix the private functions work on
 integer arrays, each product a matmul with a stated bound, and an
@@ -120,13 +121,12 @@ class IntertwinerLattice:
     holds its blocks S_a side by side, each row-major with sizes[a] =
     (rows, cols); c has the matching eigenlattice bases of the target
     as columns, d the matching rows of D = q B^-1 for the source's
-    bases B, so T B_a = C_a S_a; b is all of B, in spectrum order, and
-    det_b and det_c are det B and det C.  blocks gives (coords, b, c, d,
-    sizes, q, det_b, det_c); a basis given instead, an (m, n^2) integer
-    array of the elements flattened row-major, is one n x n block with
-    B = C = I and q = 1.  The elements as an (m, n, n) array (stack)
-    and as IntMatrix (basis) are assembled on first use; rank needs
-    neither.
+    bases B, so T B_a = C_a S_a; det_b and det_c are det B and det C.
+    blocks gives (coords, c, d, sizes, q, det_b, det_c); a basis given
+    instead, an (m, n^2) integer array of the elements flattened
+    row-major, is one n x n block with B = C = I and q = 1.  The elements
+    as an (m, n, n) array (stack) and as IntMatrix (basis) are
+    assembled on first use; rank needs neither.
 
     aligned is the eigenbasis-aligned intertwiner C B^{-1}, set when
     both spectra agree and it is integral; it is unimodular exactly
@@ -141,8 +141,8 @@ class IntertwinerLattice:
         self.aligned, self.closed_form = aligned, closed_form
         if blocks is None:
             eye = np.eye(n, dtype=np.int64)
-            blocks = basis.astype(int_dtype(max_abs(basis))), eye, eye, eye, ((n, n),), 1, 1, 1
-        self.coords, self.b, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
+            blocks = basis.astype(int_dtype(max_abs(basis))), eye, eye, ((n, n),), 1, 1, 1
+        self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
     def rank(self) -> int:
@@ -276,7 +276,7 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
             raise CertificateError("block coordinates do not satisfy the congruences")
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
-    blocks = sols, b, c_common, d_common, sizes, q, det_b, det(c)
+    blocks = sols, c_common, d_common, sizes, q, det_b, det(c)
     return IntertwinerLattice(n, None, x, y, aligned, closed_form, blocks)
 
 
@@ -561,7 +561,7 @@ def _gram_schmidt(vectors):
     return mu, norms
 
 
-def _enumerate_short(vectors, r2, skip_below, budget):
+def _enumerate_short(vectors, r2, skip_below):
     """Coefficient vectors of lattice points with squared norm <= r2.
 
     Standard depth-first enumeration through the Gram-Schmidt
@@ -569,14 +569,17 @@ def _enumerate_short(vectors, r2, skip_below, budget):
     factor, so marginal vectors may appear in a later (larger) round
     instead.  Points with squared norm <= skip_below are suppressed so
     growing-radius rounds see each annulus once.  Only one of x and -x
-    is produced.  Yields at most budget coefficient tuples.
+    is produced, the one whose first nonzero coefficient is positive.
+    Yields one item per node walked: the coefficient tuple at a leaf
+    that is such a point, None at every other node.  A caller that
+    counts the items against its budget stops the walk in time even
+    where a level's range of coefficients is astronomically wide.
     """
     m = len(vectors)
     mu, norms = _gram_schmidt(vectors)
     if any(d <= 0.0 for d in norms):
         return
     coeffs = [0] * m
-    produced = 0
 
     def q_value():
         total = 0.0
@@ -586,15 +589,12 @@ def _enumerate_short(vectors, r2, skip_below, budget):
         return total
 
     def walk(level, remaining):
-        nonlocal produced
-        if produced >= budget:
-            return
         if level < 0:
             q = q_value()
-            if q <= r2 * 1.001 and q > skip_below:
-                produced += 1
-                yield tuple(coeffs)
+            lead = next((v for v in coeffs if v), 0)
+            yield tuple(coeffs) if lead > 0 and skip_below < q <= r2 * 1.001 else None
             return
+        yield None
         center = sum(mu[j][level] * coeffs[j] for j in range(level + 1, m))
         half = (max(remaining, 0.0) / norms[level]) ** 0.5 + 1e-9
         lo = int(np.ceil(-center - half))
@@ -603,39 +603,9 @@ def _enumerate_short(vectors, r2, skip_below, budget):
             coeffs[level] = v
             used = norms[level] * (v + center) ** 2
             yield from walk(level - 1, remaining - used)
-            if produced >= budget:
-                break
         coeffs[level] = 0
 
-    for c in walk(m - 1, r2 * 1.001):
-        # canonical sign: first nonzero coefficient positive
-        lead = next((v for v in c if v), 0)
-        if lead < 0:
-            continue
-        if any(c):
-            yield c
-
-
-def _known_conjugator(lattice: IntertwinerLattice, budget: int):
-    """The first stages of conjugator_search: the identity when source
-    equals target, then, for a lattice of positive rank, a permutation
-    conjugator when both are adjacency matrices and the aligned
-    intertwiner; None when none of them applies or verifies."""
-    x, y = lattice.source, lattice.target
-    n = lattice.n
-    if x == y:
-        return IntMatrix.identity(n)
-    if lattice.rank == 0:
-        return None
-    if _is_adjacency(x.array) and _is_adjacency(y.array):
-        perm = _graph_isomorphism(x.array, y.array, budget)
-        if perm is not None:
-            rows = np.zeros((n, n), dtype=np.int64)
-            rows[perm, range(n)] = 1
-            return _certified(IntMatrix(rows), x, y)
-    if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
-        return lattice.aligned
-    return None
+    yield from walk(m - 1, r2 * 1.001)
 
 
 def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: int = 0):
@@ -647,15 +617,25 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     split pair, so this stage costs one verification), single basis
     elements before and after LLL reduction, then short-vector
     enumeration over the reduced basis in growing-radius rounds, and
-    finally seeded random combinations until the budget runs out.  Any
-    hit is verified before being returned; a hit that fails raises
-    CertificateError.
+    finally seeded random combinations until the budget runs out.  Each
+    candidate, and each node the enumeration walks, counts against the
+    budget.  Any hit is verified before being returned; a hit that fails
+    raises CertificateError.
     """
     x, y = lattice.source, lattice.target
     n, m = lattice.n, lattice.rank
-    hit = _known_conjugator(lattice, budget)
-    if hit is not None or m == 0:
-        return hit
+    if x == y:
+        return IntMatrix.identity(n)
+    if m == 0:
+        return None
+    if _is_adjacency(x.array) and _is_adjacency(y.array):
+        perm = _graph_isomorphism(x.array, y.array, budget)
+        if perm is not None:
+            rows = np.zeros((n, n), dtype=np.int64)
+            rows[perm, range(n)] = 1
+            return _certified(IntMatrix(rows), x, y)
+    if lattice.aligned is not None and verify_conjugator(lattice.aligned, x, y):
+        return lattice.aligned
 
     def first_unimodular(ts):
         """The first of the (K, n, n) exact candidates ts with determinant
@@ -695,14 +675,14 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
         for _ in range(10):
             if spent >= budget:
                 break
-            short = _enumerate_short(vectors, r2, prev, budget - spent)
+            short = _enumerate_short(vectors, r2, prev)
             for lo, hi in _chunks(budget - spent, cap):
                 batch = list(islice(short, hi - lo))
                 if not batch:
                     break
                 spent += len(batch)
-                hit = first_combination(np.array(batch, dtype=object))
-                if hit is not None:
+                points = [c for c in batch if c is not None]
+                if points and (hit := first_combination(np.array(points, dtype=object))) is not None:
                     return hit
             prev = r2
             r2 *= 2.0
@@ -803,13 +783,16 @@ def sl_lift(m: IntMatrix, q: int) -> IntMatrix:
 
 
 def _glue_block(m, basis, a: int, b: int):
-    """(V, V^-1, N) with V unimodular, V basis = [I; 0] and V m V^-1 =
-    [[aI, N], [0, bI]], for m with eigenvalues a and b and basis its
-    saturated a-eigenlattice basis as columns.  V is the transform of
-    the HNF of basis, and V^-1 the transform of the HNF of V, which is
-    I; CertificateError unless both forms and V m V^-1 have that shape."""
+    """(V, V^-1, N) with V unimodular, V basis U = [I; 0] for some
+    unimodular U and V m V^-1 = [[aI, N], [0, bI]], for m with
+    eigenvalues a and b and basis its saturated a-eigenlattice basis as
+    columns.  The columns are LLL-reduced first, since kernel_basis's
+    HNF transform rows, and with them V and the built conjugator, grow
+    fast with n.  V is the transform of the HNF of the reduced basis,
+    and V^-1 the transform of the HNF of V, which is I; CertificateError
+    unless both forms and V m V^-1 have that shape."""
     n, r = basis.shape
-    h, v = hnf(basis)
+    h, v = hnf(np.array(lll_reduce(basis.T.tolist()), dtype=object).T)
     if (h != np.eye(n, r, dtype=np.int64)).any():
         raise CertificateError("eigenlattice basis is not saturated")
     h, v_inv = hnf(v)
@@ -839,16 +822,17 @@ def _glue_invariant(a: int, b: int, r: int, s: int, g, det_u: int):
     return a, b, r, s, tuple(g), min(c, m - c)
 
 
-def _glue_route(lattice: IntertwinerLattice, sp: SplitSpectrum):
+def _glue_route(x: IntMatrix, y: IntMatrix, sp: SplitSpectrum):
     """(T, None) with T X T^-1 = Y, certified by _certified, or (None,
     (invariant of X, invariant of Y)) when no such T exists, for split X
     and Y with one spectrum sp, eigenvalues a < b of multiplicities r and
-    s, and lattice = C(X, Y) from their eigenblocks.
+    s.
 
-    _glue_block gives V_X X V_X^-1 = [[aI_r, N], [0, bI_s]], and M from
-    Y the same way.  Every intertwiner of these forms is [[P, Q], [0,
-    R]], and it conjugates exactly when P N - M R = (a - b) Q, so the
-    pair is conjugate iff P N = M R (mod d = b - a) for some P and R of
+    _glue_block gives V_X X V_X^-1 = [[aI_r, N], [0, bI_s]] from the
+    a-eigenlattice basis of _eigenbases, and M from Y the same way.
+    Every intertwiner of these forms is [[P, Q], [0, R]], and it
+    conjugates exactly when P N - M R = (a - b) Q, so the pair is
+    conjugate iff P N = M R (mod d = b - a) for some P and R of
     determinant +-1.  Over Z/d, u_N N w_N = D = u_M M w_M for D =
     diag(g_i) when the g_i agree, and then P = u_M^-1 S u_N and R = w_M
     S' w_N^-1 for any (S, S') with S D = D S'.  The determinant pairs of
@@ -860,11 +844,10 @@ def _glue_route(lattice: IntertwinerLattice, sp: SplitSpectrum):
     = (P N - M R)/(a - b) is exact and T = V_Y^-1 [[P, Q], [0, R]] V_X.
     d = 1 takes P = R = I, since every block is then congruent.
     """
-    x, y = lattice.source, lattice.target
     (a, b), (r, s) = sp.eigenvalues, sp.multiplicities
     d, n = b - a, r + s
-    vx, _, nx = _glue_block(x.array, lattice.b[:, :r], a, b)
-    _, vy_inv, ny = _glue_block(y.array, lattice.c[:, :r], a, b)
+    vx, _, nx = _glue_block(x.array, _eigenbases(x.array, sp)[0][:, :r], a, b)
+    _, vy_inv, ny = _glue_block(y.array, _eigenbases(y.array, sp)[0][:, :r], a, b)
     g, u_n, _, _, w_n_inv, det_n = smith_mod(nx.tolist(), d)
     g_m, _, u_m_inv, w_m, _, det_m = smith_mod(ny.tolist(), d)
     invariants = _glue_invariant(a, b, r, s, g, det_n), _glue_invariant(a, b, r, s, g_m, det_m)
@@ -1009,29 +992,29 @@ def decide(
     Pipeline: identical inputs; split spectra of x and y, compared as
     eigenvalues with multiplicities, which for split matrices is the
     characteristic polynomial comparison (charpoly runs only when one
-    is not split); the exponent assumption checked on x and then y;
-    local tests at the bases of relevant_primes in increasing order,
+    is not split).  Two eigenvalues and n >= 3 go to the closed form of
+    _glue_route, which always decides: a built conjugator, or
+    NOT_CONJUGATE glue-invariant with both invariants.  Every other
+    split pair goes on: the exponent assumption checked on x and then
+    y; local tests at the bases of relevant_primes in increasing order,
     always on C(x,y), stopping at the first FAIL (so local ends there),
     each a closed-form PASS when the lattice's C D verifies there and a
     local_test otherwise, a base that meets a zero divisor giving way to
     its parts; the local-global theorem when the assumption holds and
-    all locals pass; the exact quadratic-form endgame for n =
-    2; then, where the search would run (n <= search_dim_cap, or the
-    theorem does not apply), the closed form of _glue_route for two
-    eigenvalues, after the identity, permutation and aligned stages of
-    the search, and explicit conjugator search for more.  The glue route
-    always decides: a built conjugator, or NOT_CONJUGATE glue-invariant
-    with both invariants, which raises CertificateError instead when the
-    theorem holds.  UNKNOWN verdicts name what blocked the decision:
+    all locals pass; then, where the search would run (n <=
+    search_dim_cap, or the theorem does not apply), the exact
+    quadratic-form endgame for n = 2 and explicit conjugator search for
+    larger n.  UNKNOWN verdicts name what blocked the decision:
     assumption-unverified, local-undecided, or form-budget when the form
     endgame passed its step cap.
 
-    swapped marks that the assumption holds for y but not for x.  Local
-    conjugacy is symmetric (T in C(x,y) has unit determinant mod p iff
-    adj T in C(y,x) does), so the tests need no swap.  The (scale,
-    exponent, rank) triples are conjugation invariants, so a swapped
-    pair is never conjugate.  Every returned certificate has been
-    re-verified; a failed re-check raises CertificateError.
+    swapped marks, on pairs that take the local tests, that the
+    assumption holds for y but not for x.  Local conjugacy is symmetric
+    (T in C(x,y) has unit determinant mod p iff adj T in C(y,x) does),
+    so the tests need no swap.  The (scale, exponent, rank) triples are
+    conjugation invariants, so a swapped pair is never conjugate.  Every
+    returned certificate has been re-verified; a failed re-check raises
+    CertificateError.
     """
     if not (x.is_square and y.is_square and x.nrows == y.nrows):
         raise ValueError("conjugacy needs square matrices of equal size")
@@ -1057,6 +1040,11 @@ def decide(
             raise CertificateError("split spectrum is not in canonical form")
     if spx.eigenvalues != spy.eigenvalues or spx.multiplicities != spy.multiplicities:
         return mismatch
+    if len(spx.eigenvalues) == 2 and n >= 3:
+        conj, invariants = _glue_route(x, y, spx)
+        if conj is None:
+            return Verdict(status="NOT_CONJUGATE", reason="glue-invariant", glue=invariants)
+        return Verdict(status="CONJUGATE", reason="explicit-conjugator", conjugator=conj)
     rep = check_assumption(x, spectrum=spx)
     swapped = False
     if not rep.holds:
@@ -1091,20 +1079,12 @@ def decide(
     if locals_ and locals_[-1].status == "FAIL":
         return verdict("NOT_CONJUGATE", "local-obstruction")
     theorem = rep.holds and all(v.status == "PASS" for v in locals_)
-    if n == 2 and not theorem:
-        return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep, swapped=swapped)
-    conj = None
     if n <= search_dim_cap or not theorem:
-        if len(spx.eigenvalues) != 2:
-            conj = conjugator_search(lattice, budget=search_budget, seed=seed)
-        elif (conj := _known_conjugator(lattice, search_budget)) is None:
-            conj, invariants = _glue_route(lattice, spx)
-            if conj is None:
-                if theorem:
-                    raise CertificateError("glue invariants differ on a pair the theorem declares conjugate")
-                return verdict("NOT_CONJUGATE", "glue-invariant", glue=invariants)
-    if conj is not None:
-        return verdict("CONJUGATE", "explicit-conjugator", conjugator=conj)
+        if n == 2:
+            return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep, swapped=swapped)
+        conj = conjugator_search(lattice, budget=search_budget, seed=seed)
+        if conj is not None:
+            return verdict("CONJUGATE", "explicit-conjugator", conjugator=conj)
     if theorem:
         return verdict("CONJUGATE", "theorem+local-passes")
     if not rep.holds:

@@ -761,8 +761,9 @@ def conjugator_search_sequential(lattice, budget: int, seed: int = 0):
 
     Basis elements, then the LLL-reduced ones (lll_fraction), then the
     growing-radius enumeration over the reduced basis, then seeded
-    rng.randint(-3, 3) combinations, each candidate counted against the
-    budget and accepted when its Laplace determinant is +-1.
+    rng.randint(-3, 3) combinations, each candidate, and each node the
+    enumeration walks, counted against the budget; a candidate is
+    accepted when its Laplace determinant is +-1.
     """
     from zconj.conjugacy import _enumerate_short
 
@@ -790,9 +791,9 @@ def conjugator_search_sequential(lattice, budget: int, seed: int = 0):
         for _ in range(10):
             if spent >= budget:
                 break
-            for coeffs in _enumerate_short(reduced, r2, prev, budget - spent):
+            for coeffs in _enumerate_short(reduced, r2, prev):
                 spent += 1
-                t = unimodular(coeffs, reduced)
+                t = None if coeffs is None else unimodular(coeffs, reduced)
                 if t is not None:
                     return t, "enumeration"
                 if spent >= budget:

@@ -7,7 +7,7 @@ import sys
 from math import prod
 
 import pytest
-from helpers import subprocess_env
+from helpers import hidden, subprocess_env
 
 import zconj.cli as cli
 import zconj.graphs as graphs
@@ -117,6 +117,23 @@ def test_decide_exit_codes_and_determinism(matfile):
     r = run("decide", x2, x2)
     assert r.returncode == 0
     assert json.loads(r.stdout)["status"] == "CONJUGATE"
+
+
+def test_decide_glue_pair_certificates(matfile):
+    # README's d = 5 pair: the glue invariants alone decide it, and a
+    # hidden copy gets only its built conjugator
+    glue_x = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 5, 0], [0, 0, 0, 5]]
+    glue_y = [[0, 0, 2, 0], [0, 0, 0, 1], [0, 0, 5, 0], [0, 0, 0, 5]]
+    x = matfile("glue_X.txt", glue_x)
+    r = run("decide", x, matfile("glue_Y.txt", glue_y))
+    assert r.returncode == 3
+    obj = json.loads(r.stdout)
+    assert (obj["status"], obj["reason"], list(obj["certificates"])) == ("NOT_CONJUGATE", "glue-invariant", ["glue"])
+    copy = hidden(IntMatrix(glue_x), random.Random(5)).to_lists()
+    r = run("decide", x, matfile("copy.txt", copy))
+    assert r.returncode == 0
+    obj = json.loads(r.stdout)
+    assert (obj["status"], list(obj["certificates"])) == ("CONJUGATE", ["conjugator"])
 
 
 def test_decide_reads_json_matrices(matfile, tmp_path):

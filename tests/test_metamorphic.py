@@ -11,7 +11,10 @@ Smith type modulo every prime power of b - a, which no conjugation can
 reach.  A third kind takes the swapped route: the exponent assumption
 fails for x and holds for y, whose glue block is b - a times another.
 A fourth pairs glue blocks of one Smith type whose determinant classes
-modulo b - a differ, which only the glue invariant tells apart.
+modulo b - a differ, which only the glue invariant tells apart.  Pairs
+with two eigenvalues and n >= 3 are decided by the glue route before any
+local test, so a fifth kind has three eigenvalues: it reaches the
+theorem, the local obstructions and the swapped route at n >= 3.
 """
 
 import random
@@ -116,6 +119,30 @@ def class_pairs(rng, k: int):
     return out
 
 
+def three_eigenvalue_pairs(rng, draws: int):
+    """(x, y, conjugate) for each draw: an upper-triangular matrix with
+    eigenvalues a, a + g1 and a - g2, each once or twice, and entries in
+    [-3, 3] between distinct eigenvalues, against a hidden copy (True)
+    and against another such matrix with the same diagonal (None)."""
+    out = []
+    for _ in range(draws):
+        a = rng.randint(-3, 3)
+        eig = (a, a + rng.choice((2, 3, 4, 6)), a - rng.choice((2, 3, 5)))
+        diag = [e for e in eig for _ in range(rng.randint(1, 2))]
+        n = len(diag)
+
+        def upper():
+            return IntMatrix(
+                [[diag[i] if i == j else rng.randint(-3, 3) * (j > i and diag[i] != diag[j]) for j in range(n)]
+                 for i in range(n)]
+            )
+
+        x = upper()
+        out.append((hide(x, rng), hide(x, rng), True))
+        out.append((hide(x, rng), hide(upper(), rng), None))
+    return out
+
+
 def relations(x: IntMatrix, y: IntMatrix, rng):
     n = x.nrows
     shift = np.eye(n, dtype=object) * rng.choice((-5, -1, 2, 7))
@@ -181,16 +208,42 @@ def test_class_obstructed_pairs_stay_apart():
 
 
 def test_swapped_route_on_random_pairs():
-    # only y meets the exponent assumption, so the pair is not conjugate,
-    # and a local test finds the obstruction
+    # only y meets the exponent assumption, so the pair is not conjugate.
+    # At k = 1 a local test finds the obstruction; at k = 2 the glue
+    # invariants differ, and the route decides before any assumption check
     rng = random.Random(43)
     for k in (1, 2):
         for x, y in swapped_pairs(rng, k):
             assert not check_assumption(x).holds and check_assumption(y).holds
             v = decide(x, y, search_dim_cap=0)
-            assert (v.status, v.reason, v.swapped) == ("NOT_CONJUGATE", "local-obstruction", True)
+            if k == 1:
+                assert (v.status, v.reason, v.swapped) == ("NOT_CONJUGATE", "local-obstruction", True)
+            else:
+                assert (v.status, v.reason, v.swapped) == ("NOT_CONJUGATE", "glue-invariant", False)
             check_certificates(v, x, y)
             for name, (x2, y2) in relations(x, y, rng).items():
                 v2 = decide(x2, y2, search_dim_cap=0)
                 assert v2.status == "NOT_CONJUGATE", (name, k, v2.reason)
                 check_certificates(v2, x2, y2)
+
+
+def test_three_eigenvalue_pairs_never_contradict():
+    # the search may miss a conjugator that a rewritten pair's search
+    # finds, so a relation can turn CONJUGATE into UNKNOWN and back; two
+    # decided verdicts must agree, and every certificate must verify
+    rng = random.Random(71)
+    routes, swapped = set(), False
+    for x, y, conjugate in three_eigenvalue_pairs(rng, 30):
+        base = decide(x, y, search_dim_cap=0, search_budget=2000)
+        check_certificates(base, x, y)
+        if conjugate:
+            assert base.status != "NOT_CONJUGATE"
+        for name, (x2, y2) in relations(x, y, rng).items():
+            v = decide(x2, y2, search_dim_cap=0, search_budget=2000)
+            assert "UNKNOWN" in (v.status, base.status) or v.status == base.status, (name, base.reason, v.reason)
+            check_certificates(v, x2, y2)
+            routes.add(v.reason)
+            swapped |= v.swapped
+        routes.add(base.reason)
+        swapped |= base.swapped
+    assert {"theorem+local-passes", "local-obstruction"} <= routes and swapped
