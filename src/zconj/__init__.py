@@ -10,9 +10,9 @@ unit).  Graph generators, a Smith-invariant lemma checker and
 truncated p-adic Jacobi sum arithmetic cover the Paley/Peisert
 application.  Everything is exact integer arithmetic: rational
 quantities are carried fraction-free through one Gauss-Jordan kernel
-(linalg.fraction_free_rref, int64 while the squared Hadamard bound
-stays below 2^62, Python ints otherwise) and LLL keeps integral
-Gram determinants.
+(linalg.fraction_free_rref, each step in int64 while twice the square
+of its largest entry stays below 2^62, on Python ints otherwise) and
+LLL keeps integral Gram determinants.
 """
 
 from .conjugacy import (

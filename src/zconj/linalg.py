@@ -3,13 +3,15 @@
 Everything here is computed with exact integer arithmetic.  Rational
 data is carried fraction-free: fraction_free_rref is the one elimination
 behind det, the RREF kernel route, the scaled inverse in conjugacy and
-the minimal polynomial in spectral, and LLL keeps integral Gram-Schmidt
-data.  Invariant factors come from one kernel, the divisor chain of
-modular._diagonalize_mod taken modulo a nonzero maximal minor that
-fraction_free_rref supplies (Domich, Kannan and Trotter 1987), so their
-cost is polynomial in the bit size of the input.  The Hermite form
-comes from gcd row operations; its unimodular transform is accumulated
-as a product of elementary row operations, never recovered by solving.
+the minimal polynomial in spectral, each of its steps typed by the
+entries it holds (int64 while they stay below about 2^30.5), and LLL
+keeps integral Gram-Schmidt data.  Invariant factors come from one
+kernel, the divisor chain of modular._diagonalize_mod taken modulo a
+nonzero maximal minor that fraction_free_rref supplies (Domich, Kannan
+and Trotter 1987), so their cost is polynomial in the bit size of the
+input.  The Hermite form comes from gcd row operations; its unimodular
+transform is accumulated as a product of elementary row operations,
+never recovered by solving.
 
 Conventions:
 
@@ -24,7 +26,7 @@ Conventions:
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -129,17 +131,13 @@ def fraction_free_rref(rows):
     Each step keeps the pivot row and replaces every other row by
     (p row - a_ic pivot_row) / d_prev, an exact division (Bareiss).
     Every stored entry is a minor of A and every intermediate a product
-    of two minors, so all stay within H^2, the square of the Hadamard
-    bound H (the smaller of the products of max(1, norm) over rows and
-    over columns); H^2 picks the dtype.
+    of two.  Each step picks its own dtype: with M the largest magnitude
+    in the working array, both products are at most M^2 and their
+    difference at most 2 M^2, so the step runs in int_dtype(2 M^2),
+    int64 until the minors pass about 2^30.5.  A step on Python ints is
+    followed by more of them, without the scan.  A is never written.
     """
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    m = max_abs(a)
-    # squares and their row and column sums stay within m^2 max(rows, cols)
-    a = a.astype(int_dtype(m * m * max(a.shape)), copy=False)
-    sq = a * a
-    h2 = min(prod(max(1, v) for v in sq.sum(axis=axis).tolist()) for axis in (0, 1))
-    a = a.astype(int_dtype(h2))
     nrows, ncols = a.shape
     pivots, d, sign = [], 1, 1
     for c in range(ncols):
@@ -149,14 +147,20 @@ def fraction_free_rref(rows):
         nz = np.flatnonzero(a[r:, c])
         if not len(nz):
             continue
-        if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-            sign = -sign
-        p, pivot_row = a[r, c], a[r].copy()
+        if not pivots or a.dtype != object:
+            m = max_abs(a)
+            a = a.astype(int_dtype(2 * m * m), copy=False)
+        k = r + int(nz[0])
+        p, pivot_row = a[k, c], a[k]
+        # the step makes a new array, so A is never written; rows r and k swap after it
         a = (p * a - np.outer(a[:, c], pivot_row)) // d
+        if k != r:
+            a[k], sign = a[r], -sign
         a[r] = pivot_row
         pivots.append(c)
         d = int(p)
+    if not pivots:
+        return np.zeros(a.shape, dtype=np.int64), pivots, d, sign
     return a, pivots, d, sign
 
 

@@ -59,14 +59,21 @@ def max_abs(a) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
+def product_dtype(bound):
+    """dtype matmul multiplies in under bound: float64 below 2^53, else
+    int_dtype(bound)."""
+    return np.float64 if bound < _FLOAT64_EXACT else int_dtype(bound)
+
+
 def matmul(a, b, bound):
     """a @ b of integer arrays, stacked as numpy's @ allows, exactly and
     with dtype int_dtype(bound) (rule above); bound >= every |entry| of a
-    and b and max |a| * max |b| * inner dimension."""
-    if bound < _FLOAT64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    dtype = int_dtype(bound)
-    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    and b and max |a| * max |b| * inner dimension.  The operands are
+    multiplied in product_dtype(bound), and one already held in it, a
+    float64 array of integers included, is not copied."""
+    dtype = product_dtype(bound)
+    r = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return r.astype(np.int64) if dtype is np.float64 else r
 
 
 def _entries(rows):

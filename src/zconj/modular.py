@@ -13,8 +13,8 @@ block size (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).
 Every kernel keeps its residues in [0, q), so no elementwise step
 exceeds q^2 + q in magnitude; that bound picks the numpy dtype (int64
 for small q, Python ints otherwise), matrix products go through
-matrix.matmul with bound q^2 times the inner dimension, and the same
-code runs for every modulus.
+matrix.matmul with bound q^2 times the number of terms summed, and the
+same code runs for every modulus.
 
 No modulus is factored.  Trial division by the primes below 1000 leaves
 a cofactor, which is taken for a prime (a base) until a nonzero entry
@@ -43,7 +43,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .matrix import CertificateError, int_dtype, matmul, max_abs
+from .matrix import CertificateError, int_dtype, matmul, max_abs, product_dtype
 
 
 def xgcd(a: int, b: int):
@@ -467,17 +467,31 @@ def solve_congruence_lattice(rows, m: int, q: int):
     of the E_j (j < c') that S_c already solves.  det S = prod q / g_c is
     the order of A's row span, the index of the lattice, so S is a basis;
     its entries are reduced below the pivots, so S is the unique HNF.
+
+    S is held as its diagonal and an m x P array of its P pivot columns,
+    so the sum for c' is the diagonal term plus one product: the pivot
+    columns found so far, rows above c', against E_c' at those pivots.
+    Every sum stays within q^2 (P + 1), the product's bound, and the
+    pivot columns are held in the dtype matmul multiplies in, so no
+    pivot copies them.
     """
     if q <= 1:
         return np.eye(m if q else 0, m, dtype=int_dtype(abs(q))) * q
     a = residues(rows, q).reshape(len(rows), m)
-    s = np.eye(m, dtype=a.dtype)
-    for c, e in sorted(_howell_rows(a, q).items()):
+    howell = sorted(_howell_rows(a, q).items())
+    pivots = np.array([c for c, _ in howell], dtype=np.intp)
+    bound = q * q * (len(pivots) + 1)
+    diag = np.ones(m, dtype=a.dtype)
+    sp = np.zeros((m, len(pivots)), dtype=product_dtype(bound))
+    for i, (c, e) in enumerate(howell):
         g = int(e[c])
-        x = matmul_mod(s[:c, :c], e[:c, None], q)[:, 0]
+        x = matmul(sp[:c, :i], e[pivots[:i]], bound) + diag[:c] * e[:c]
         if (x % g).any():
             raise CertificateError("Howell rows do not give an exact division")
-        s[:c, c], s[c, c] = -(x // g) % (q // g), q // g
+        sp[:c, i], diag[c] = -(x // g) % (q // g), q // g
+    s = np.zeros((m, m), dtype=a.dtype)
+    s[:, pivots] = sp
+    np.fill_diagonal(s, diag)
     return s
 
 

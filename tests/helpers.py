@@ -673,6 +673,26 @@ def det_bareiss(rows) -> int:
     return sign * prev if n else 1
 
 
+def bareiss_step_maxima(rows):
+    """Largest entry magnitude of the working matrix before each step of
+    the fraction-free Gauss-Jordan elimination (pivot: the first nonzero
+    entry at or below the next pivot row), on Python ints."""
+    a = [[int(v) for v in row] for row in rows]
+    maxima, d, r = [], 1, 0
+    for c in range(len(a[0]) if a else 0):
+        if r == len(a):
+            break
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        maxima.append(max(abs(v) for row in a for v in row))
+        a[r], a[k] = a[k], a[r]
+        p, top = a[r][c], a[r]
+        a = [row if i == r else [(p * x - row[c] * y) // d for x, y in zip(row, top)] for i, row in enumerate(a)]
+        d, r = p, r + 1
+    return maxima
+
+
 def det_mod_list(rows, p: int) -> int:
     """Determinant modulo a prime p by Gaussian elimination on lists."""
     a = [[v % p for v in row] for row in rows]

@@ -1,13 +1,14 @@
 """Acceptance suite: one test per shipped claim, budgets pinned.
 
 Each test states a complete end-to-end claim about the package: the
-two small non-conjugate pairs with their certificates, the nine and
-forty-nine vertex graph pairs, the invariant lemma, the Jacobi sum
+two small non-conjugate pairs with their certificates, the nine,
+forty-nine and 121 vertex graph pairs, the invariant lemma, the Jacobi sum
 valuations, and the randomized property suites.  Wall-clock budgets
 are asserted where a claim includes one.
 """
 
 import random
+import resource
 import time
 from collections import Counter
 
@@ -123,6 +124,23 @@ def test_criterion_4_forty_nine_vertex_pair_by_theorem():
     for v in verdict.local:
         assert verify_conjugator(v.certificate, x49, xs49, prime=v.prime)
     assert time.monotonic() - t0 < 300.0
+
+
+def test_criterion_4b_one_hundred_twenty_one_vertex_pair_by_theorem():
+    # 36 s wall and a peak RSS of 1.8 GB on a 2-core host with one BLAS
+    # thread; the budgets leave room for slower runners
+    t0 = time.monotonic()
+    f121 = field_build(11, 2)
+    x121, xs121 = paley_adjacency(f121), peisert_adjacency(f121)
+    verdict = decide(x121, xs121)
+    assert verdict.status == "CONJUGATE"
+    assert verdict.reason == "theorem+local-passes"
+    assert [v.prime for v in verdict.local] == relevant_primes(split_spectrum(x121)) == [2, 3, 5, 11]
+    assert all(v.status == "PASS" for v in verdict.local)
+    for v in verdict.local:
+        assert verify_conjugator(v.certificate, x121, xs121, prime=v.prime)
+    assert time.monotonic() - t0 < 120.0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 3 * 1024 * 1024  # KiB
 
 
 def test_criterion_5_invariant_multisets():

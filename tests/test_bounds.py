@@ -73,8 +73,9 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
 
     assert not bad, bad
     # the array call sites of the eigenbases, the Sylvester kernel, the
-    # glue blocks and the built conjugator, the projector and idempotent
-    # checks, the form witness and the boundary re-check all ran
+    # glue blocks and the built conjugator, the congruence read-off, the
+    # projector and idempotent checks, the form witness and the boundary
+    # re-check all ran
     expected = {
         "conjugacy:_eigenbases",
         "conjugacy:_eigenblock_basis",
@@ -83,6 +84,7 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         "conjugacy:_sylvester_basis",
         "conjugacy:combination",
         "linalg:_kernel_basis_rref",
+        "modular:solve_congruence_lattice",
         "spectral:_check_projector_identities",
         "modular:scaled_idempotent_invariants",
         "graphs:indices",

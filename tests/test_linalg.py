@@ -8,6 +8,7 @@ from math import prod
 import numpy as np
 from helpers import (
     SRC,
+    bareiss_step_maxima,
     charpoly_intmatrix,
     det_small,
     gcd_minor_invariants,
@@ -20,6 +21,7 @@ from helpers import (
     same_span,
 )
 
+from zconj import linalg
 from zconj.linalg import (
     _kernel_basis_rref,
     charpoly,
@@ -30,9 +32,9 @@ from zconj.linalg import (
     lll_reduce,
     snf_invariants,
 )
-from zconj.matrix import IntMatrix, int_dtype
+from zconj.matrix import IntMatrix
 
-# entry sizes on both sides of the int64 switch (H^2 < 2^62) and far past it
+# entry sizes on both sides of the int64 switch (2 M^2 < 2^62) and far past it
 BOUNDS = (1, 4, 2**15, 2**15 + 9, 2**31, 2**62, 2**80)
 
 
@@ -255,22 +257,61 @@ def test_fraction_free_rref_is_scaled_rational_rref():
             assert sign * d == det_small(m.to_lists())
 
 
-def test_fraction_free_rref_dtype_follows_the_hadamard_square():
-    # squares summed in int64 while max |a|^2 max(rows, cols) < 2^62, as
-    # Python ints past it: either way R has dtype int_dtype(H^2), and the
-    # same entries from an int64, an object or a list input
+def test_fraction_free_rref_dtype_follows_each_step():
+    # each step runs in int_dtype(2 M^2), M the largest magnitude of the
+    # working array, and stays on Python ints once there: R is int64
+    # exactly when every step's 2 M^2 is below 2^62 (M <= 1518500249).
+    # An int64, an object and a list input give the same R, equal to the
+    # rational RREF, and none is written
     rng = random.Random(12)
+    edge = 1518500249  # the largest M with 2 M^2 < 2^62
+    cases = [[[edge]], [[edge + 1]], [[edge, 1], [1, edge]], [[0, 0], [0, 0]]]
     for _ in range(300):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         bound = rng.choice((1, 9, 2**15, 2**29, 2**30, 2**30 + 2**29, 2**31, 2**40))
         rows = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
-        h2 = min(prod(max(1, sum(v * v for v in line)) for line in lines) for lines in (rows, zip(*rows)))
+        if rng.random() < 0.3:
+            rows = rank_deficient(rng, IntMatrix(rows)).to_lists()
+        cases.append(rows)
+    # small entries, minors past 2^31 partway through the elimination
+    for _ in range(40):
+        rows = [[rng.randint(-99, 99) for _ in range(8)] for _ in range(8)]
+        cases.append(rank_deficient(rng, IntMatrix(rows)).to_lists() if rng.random() < 0.3 else rows)
+    mixed = 0
+    for rows in cases:
+        fits = [2 * m * m < 2**62 for m in bareiss_step_maxima(rows)]
+        mixed += bool(fits) and fits[0] and not all(fits)
+        rref, pivcols = rref_fraction(rows)
+        inputs = (IntMatrix(rows).array, np.array(rows, dtype=object), rows)
         want = None
-        for a in (IntMatrix(rows).array, np.array(rows, dtype=object), rows):
+        for a in inputs:
             r, pivots, d, sign = fraction_free_rref(a)
-            assert r.dtype == int_dtype(h2)
+            assert r.dtype == (np.int64 if all(fits) else object)
+            assert pivots == pivcols
+            assert [[Fraction(int(v), d) for v in row] for row in r.tolist()] == rref
             want = want or (r.tolist(), pivots, d, sign)
             assert (r.tolist(), pivots, d, sign) == want
+        assert inputs[1].tolist() == rows
+    assert mixed > 20
+
+
+def test_fraction_free_rref_int64_steps_match_object_twin(monkeypatch):
+    # the int64 steps against the same code with every step on Python
+    # ints, on entries and minors near the int64 switch
+    rng = random.Random(13)
+    cases = []
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        bound = rng.choice((2**29, 2**30, 1518500249, 99))
+        rows = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+        cases.append(rank_deficient(rng, IntMatrix(rows)).to_lists() if rng.random() < 0.3 else rows)
+    results = [fraction_free_rref(np.array(rows, dtype=object)) for rows in cases]
+    assert any(r.dtype == np.int64 and np.abs(r).max() > 2**29 for r, *_ in results)
+    monkeypatch.setattr(linalg, "int_dtype", lambda *bounds: object)
+    for rows, want in zip(cases, results):
+        r, pivots, d, sign = fraction_free_rref(np.array(rows, dtype=object))
+        assert r.dtype == object or not pivots
+        assert (r.tolist(), pivots, d, sign) == (want[0].tolist(), *want[1:])
 
 
 def test_kernel_basis_matches_fraction_oracle():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from math import gcd, prod
 
 import numpy as np
@@ -19,11 +20,12 @@ from helpers import (
 )
 
 from zconj import modular
-from zconj.matrix import CertificateError, IntMatrix
+from zconj.matrix import CertificateError, IntMatrix, matmul, product_dtype
 from zconj.modular import (
     _BLOCK,
     _diagonalize_mod,
     _eliminate_chain,
+    _howell_rows,
     _refine,
     _ZeroDivisor,
     det_mod,
@@ -439,6 +441,61 @@ def test_eliminate_chain_matches_row_at_a_time_oracle():
         a = residues(lower @ upper.T, q)
         assert _eliminate_chain(a.copy(), b, k) == eliminate_chain_rows(a.copy(), b, k) == [0] * n
     assert longest > 2 * _BLOCK
+
+
+def test_int64_kernels_match_their_object_twins(monkeypatch):
+    # the int64 steps of the Howell pass, the chain-ring eliminator and
+    # det_mod against the same code on Python-int residues, at moduli
+    # just below the int64 bound q^2 + q < 2^62 of the mod-q kernels
+    rng = random.Random(67)
+    for q in (2**31 - 1, 2**31 - 2, 2**30, 3**19):
+        for _ in range(6):
+            m = rng.randint(2, 12)
+            rows = [[rng.randrange(q) * rng.choice((1, 2, 3, 7)) for _ in range(m)] for _ in range(rng.randint(1, 10))]
+            rows.append([sum(col) for col in zip(*rows)])
+            a = residues(rows, q)
+            assert a.dtype == np.int64
+            twin = a.astype(object)
+            out, out_twin = _howell_rows(a, q), _howell_rows(twin, q)
+            assert sorted(out) == sorted(out_twin)
+            assert all(out[c].tolist() == out_twin[c].tolist() for c in out)
+            assert a.tolist() == twin.tolist()
+    for b, k in ((2**31 - 1, 1), (46337, 2), (2, 30), (3, 19)):
+        for rank in (20, 50):
+            a = chain_residues(rng, b, k, 50, 60, rank)
+            twin = a.astype(object)
+            assert _eliminate_chain(a, b, k) == _eliminate_chain(twin, b, k)
+            assert a.tolist() == twin.tolist()
+    stacks = {
+        (p, n): [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(6)]
+        for p in (2**31 - 1, 46337**2)
+        for n in (1, 3, 6)
+    }
+    want = {(p, n): det_mod(stack, p).tolist() for (p, n), stack in stacks.items()}
+    monkeypatch.setattr(modular, "int_dtype", lambda *bounds: object)
+    for (p, n), stack in stacks.items():
+        got = det_mod(stack, p)
+        assert got.dtype == object and got.tolist() == want[p, n]
+
+
+def test_solve_congruence_lattice_reaches_every_product_route(monkeypatch):
+    # the read-off's products in float64 (q^2 (P + 1) < 2^53), in int64
+    # (q near 2^24 with at least 32 pivots) and on Python ints, against
+    # the gcd sweep oracle
+    routes = set()
+
+    def recorded(a, b, bound):
+        if sys._getframe(1).f_code.co_name == "solve_congruence_lattice":
+            routes.add(product_dtype(bound))
+        return matmul(a, b, bound)
+
+    monkeypatch.setattr(modular, "matmul", recorded)
+    rng = random.Random(71)
+    for q, m, k in ((1009**2, 12, 10), (2**24 - 3, 40, 36), (2**24 - 1, 40, 38), (2**24, 40, 36), (2**31 + 11, 8, 6)):
+        rows = [[rng.randrange(q) * rng.choice((1, 1, 2, 3)) for _ in range(m)] for _ in range(k)]
+        expected = [list(r) for r in solve_congruence_lattice_full(rows, m, q)]
+        assert solve_congruence_lattice(rows, m, q).tolist() == expected
+    assert routes == {np.float64, np.int64, object}
 
 
 def test_diagonalize_mod_splits_a_base_after_a_flush(monkeypatch):
