@@ -250,7 +250,8 @@ def _projector_triple(x, p: int, k: int, r: int, s: int):
     scale = p * p
     if tuple(sum(e.diagonal().tolist()) for e in es) != (scale, scale * k, scale * k):
         raise CertificateError("projector identities failed")
-    _check_projector_identities(x, (k, r, s), es, (scale,) * 3, (1, k, k))
+    if not _check_projector_identities(x, (k, r, s), es, (scale,) * 3, (1, k, k)):
+        raise CertificateError("projector identities failed")
     return es
 
 

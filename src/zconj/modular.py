@@ -456,7 +456,22 @@ def _howell_rows(a, q: int):
 def solve_congruence_lattice(rows, m: int, q: int):
     """Hermite normal form of {s in Z^m : A s = 0 (mod q)}, A given by rows,
     as an m x m integer array in the mod-q kernels' dtype (q I for q <= 1,
-    no rows for q = 0).
+    no rows for q = 0): _hermite_columns, assembled."""
+    if q <= 1:
+        return np.eye(m if q else 0, m, dtype=int_dtype(abs(q))) * q
+    return _hermite_dense(*_hermite_columns(rows, m, q))
+
+
+def _hermite_dense(diag, pivots, sp):
+    """The m x m array of a basis from _hermite_columns."""
+    s = np.diag(diag)
+    s[:, pivots] += sp.astype(s.dtype)
+    return s
+
+
+def _hermite_columns(rows, m: int, q: int):
+    """(diag, pivots, sp), q >= 1: solve_congruence_lattice's Hermite basis
+    S is diag on the diagonal plus sp (m x P) at its P pivot columns.
 
     Read off the Howell form of A (_howell_rows: rows E_c, pivots g_c)
     in one pass.  Row c of the basis S has q / g_c on the diagonal (1
@@ -468,15 +483,11 @@ def solve_congruence_lattice(rows, m: int, q: int):
     the order of A's row span, the index of the lattice, so S is a basis;
     its entries are reduced below the pivots, so S is the unique HNF.
 
-    S is held as its diagonal and an m x P array of its P pivot columns,
-    so the sum for c' is the diagonal term plus one product: the pivot
+    The sum for c' is the diagonal term plus one product: the pivot
     columns found so far, rows above c', against E_c' at those pivots.
-    Every sum stays within q^2 (P + 1), the product's bound, and the
-    pivot columns are held in the dtype matmul multiplies in, so no
-    pivot copies them.
+    Every sum stays within q^2 (P + 1), the product's bound, and sp is
+    held in the dtype matmul multiplies in, so no pivot copies it.
     """
-    if q <= 1:
-        return np.eye(m if q else 0, m, dtype=int_dtype(abs(q))) * q
     a = residues(rows, q).reshape(len(rows), m)
     howell = sorted(_howell_rows(a, q).items())
     pivots = np.array([c for c, _ in howell], dtype=np.intp)
@@ -489,10 +500,7 @@ def solve_congruence_lattice(rows, m: int, q: int):
         if (x % g).any():
             raise CertificateError("Howell rows do not give an exact division")
         sp[:c, i], diag[c] = -(x // g) % (q // g), q // g
-    s = np.zeros((m, m), dtype=a.dtype)
-    s[:, pivots] = sp
-    np.fill_diagonal(s, diag)
-    return s
+    return diag, pivots, sp
 
 
 # -- invariant factors of scaled idempotents -------------------------------

@@ -55,10 +55,11 @@ def _local_minimal_polynomial(x, w):
     column per term) has K's kernel and hence K's RREF: its first
     non-pivot column k writes x^k w in the earlier terms, which gives
     the polynomial.  It divides x's monic integer minimal polynomial, so
-    its coefficients are integers.  Terms come in doubling batches, so
-    entries grow only to about twice the degree needed.
+    its coefficients are integers.  Terms come in doubling batches from
+    four (degree <= 3 takes one Gram elimination), so entries grow only
+    to about twice the degree needed, or to x^3 w.
     """
-    kry, size = [np.asarray(w)], 2
+    kry, size = [np.asarray(w)], min(4, len(x) + 1)
     mx, bound = max_abs(x), max_abs(kry[0])
     while True:
         while len(kry) < size:
@@ -170,19 +171,26 @@ class SplitSpectrum:
 
 
 def split_spectrum(x: IntMatrix) -> SplitSpectrum:
-    """Eigenvalues, multiplicities and scaled idempotents of a split matrix.
-
-    Raises NotSplit when the minimal polynomial has a repeated or
-    non-integer root.  Each numerator prod_{b != a} (X - b I) is an
-    integer array, its product bounds carried from the factors.
-    """
+    """Eigenvalues, multiplicities and scaled idempotents of a split matrix;
+    NotSplit when the minimal polynomial has a repeated or non-integer root."""
     mu = minimal_polynomial(x.array)
     roots, full = _integer_roots(mu)
     if not full:
         raise NotSplit("minimal polynomial %s has a non-integer root" % (mu,))
     if len(set(roots)) != len(roots):
         raise NotSplit("minimal polynomial %s has a repeated root" % (mu,))
-    eigenvalues = tuple(sorted(roots))
+    sp = _spectrum_at(x, tuple(sorted(roots)))
+    if sp is None:
+        raise CertificateError("scaled idempotents fail the projector identities")
+    return sp
+
+
+def _spectrum_at(x: IntMatrix, eigenvalues):
+    """split_spectrum(x), given its eigenvalues in increasing order; None
+    unless the projector identities hold there with every E_i != 0, which
+    makes x diagonalizable with exactly these eigenvalues.  Each numerator
+    prod_{b != a} (X - b I) is an integer array, bounds carried from the factors.
+    """
     n, xa = x.nrows, x.array
     mx = max_abs(xa)
     idempotents = []
@@ -203,19 +211,17 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
                 den *= a - b
         if num is None:  # one eigenvalue: the numerator is I
             num = np.eye(n, dtype=np.int64)
+        if not num.any():
+            return None
         g = gcd(int(np.gcd.reduce(num, axis=None)), abs(den))
         q = abs(den) // g
-        sign = 1 if den > 0 else -1
-        # num is not zero (it has fewer factors than the minimal
-        # polynomial) and g divides its entries, so their dtype holds g
-        e = num // (sign * g)
-        tr = sum(e.diagonal().tolist())
-        if tr % q or tr < 0:
-            raise CertificateError("idempotent trace is not a multiple of its scale")
+        # g divides num's entries, and one is nonzero, so their dtype holds g
+        e = num // ((1 if den > 0 else -1) * g)
         idempotents.append(e)
         scales.append(q)
-        multiplicities.append(tr // q)
-    _check_projector_identities(xa, eigenvalues, idempotents, scales, multiplicities)
+        multiplicities.append(sum(e.diagonal().tolist()) // q)
+    if not _check_projector_identities(xa, eigenvalues, idempotents, scales, multiplicities):
+        return None
     return SplitSpectrum(
         n=n,
         eigenvalues=eigenvalues,
@@ -226,16 +232,16 @@ def split_spectrum(x: IntMatrix) -> SplitSpectrum:
 
 
 def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
-    """X E_i = a_i E_i and sum (L/q_i) E_i = L I for distinct a_i, with
-    multiplicities summing to n; x and the E_i are integer arrays.
+    """Whether X E_i = a_i E_i and sum (L/q_i) E_i = L I for distinct a_i,
+    with multiplicities summing to n; x and the E_i are integer arrays.
 
     These give E_i E_j = [i = j] q_i E_i as well: with P_i = E_i / q_i,
     every v in the a_i-eigenspace is sum_j P_j v with P_j v in the a_j-
     eigenspace, and eigenspaces of distinct eigenvalues are independent,
-    so P_j v = [i = j] v; the columns of P_i are such v.  The X E_i are
-    k products, one per E_i, so that the float64 copies of only one E_i
-    are held at a time; the dtype bound max |E| max(k L, max(|X|, |a_i|) n)
-    covers every entry compared.
+    so P_j v = [i = j] v; the columns of P_i are such v (so trace E_i is
+    q_i rank P_i).  The X E_i are k products, one per E_i, so that the
+    float64 copies of only one E_i are held at a time; the dtype bound
+    max |E| max(k L, max(|X|, |a_i|) n) covers every entry compared.
     """
     n, k = len(x), len(idempotents)
     big = lcm(*scales)
@@ -247,8 +253,7 @@ def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
     ok = ok and bool((sum(e * (big // q) for e, q in zip(es, scales)) == big * np.eye(n, dtype=dtype)).all())
     for a, e in zip(eigenvalues, es):
         ok = ok and bool((matmul(x, e, max(mx, me, mx * me * n)) == e * a).all())
-    if not ok:
-        raise CertificateError("scaled idempotents fail the projector identities")
+    return ok
 
 
 # -- the two-clause hypothesis on Smith exponents ----------------------------

@@ -77,14 +77,14 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
     # projector and idempotent checks, the form witness and the boundary
     # re-check all ran
     expected = {
-        "conjugacy:_eigenbases",
+        "conjugacy:_eigenbasis",
         "conjugacy:_eigenblock_basis",
         "conjugacy:_glue_block",
         "conjugacy:_glue_route",
         "conjugacy:_sylvester_basis",
         "conjugacy:combination",
         "linalg:_kernel_basis_rref",
-        "modular:solve_congruence_lattice",
+        "modular:_hermite_columns",
         "spectral:_check_projector_identities",
         "modular:scaled_idempotent_invariants",
         "graphs:indices",

@@ -15,6 +15,7 @@ from helpers import (
     det_small,
     eigenblock_basis_full,
     flat,
+    hidden,
     local_test_sequential,
     obj,
     random_sl,
@@ -25,7 +26,7 @@ from helpers import (
     unimodular_inverse,
 )
 
-from zconj import conjugacy, forms, modular
+from zconj import conjugacy, forms, modular, spectral
 from zconj.conjugacy import (
     CertificateError,
     DetNotOne,
@@ -344,19 +345,28 @@ def test_block_coordinate_checks_catch_corruption(monkeypatch):
     u = random_sl(4, rng)
     y = u * x * unimodular_inverse(u)
     intertwiner_lattice(x, y)
-    solve = conjugacy.solve_congruence_lattice
+    solve = conjugacy._hermite_columns
 
-    def corrupted(eq, m, q):
-        # one solution moved by e_j, j a column the congruences see
-        sols = solve(eq, m, q).copy()
-        j = next(j for j in range(m) if (eq[:, j] % q).any())
-        sols[0, j] += 1
-        return sols
+    def corrupted(on_diagonal):
+        # one solution moved by e_j, j a column the congruences see: a
+        # pivot column, at the diagonal of its own row or in row 0 above it
+        def solve_corrupted(eq, m, q):
+            diag, pivots, cols = solve(eq, m, q)
+            diag, cols = diag.copy(), cols.copy()
+            i = next(i for i, j in enumerate(pivots) if j and (eq[:, j] % q).any())
+            if on_diagonal:
+                diag[pivots[i]] += 1
+            else:
+                cols[0, i] += 1
+            return diag, pivots, cols
 
-    monkeypatch.setattr(conjugacy, "solve_congruence_lattice", corrupted)
-    with pytest.raises(CertificateError, match="congruences"):
-        intertwiner_lattice(x, y)
-    monkeypatch.setattr(conjugacy, "solve_congruence_lattice", solve)
+        return solve_corrupted
+
+    for on_diagonal in (False, True):
+        monkeypatch.setattr(conjugacy, "_hermite_columns", corrupted(on_diagonal))
+        with pytest.raises(CertificateError, match="congruences"):
+            intertwiner_lattice(x, y)
+    monkeypatch.setattr(conjugacy, "_hermite_columns", solve)
     howell = conjugacy._howell_rows
     # a Howell row of D's column span dropped: the rest span too few classes
     monkeypatch.setattr(conjugacy, "_howell_rows", lambda a, q: dict(sorted(howell(a, q).items())[1:]))
@@ -566,6 +576,62 @@ def test_decide_compares_split_spectra_without_charpoly(monkeypatch):
     assert decide(jordan2, IntMatrix([[1, 1], [0, 2]])).reason == "charpoly-mismatch"
 
 
+def test_decide_reads_y_spectrum_at_x_eigenvalues(monkeypatch):
+    # y's spectrum comes from x's eigenvalues: one minimal polynomial per
+    # decide on split pairs with one spectrum, and where y falls back
+    # (not diagonalizable with x's characteristic polynomial, a proper
+    # subset of x's eigenvalues, not split) the verdict is the one with
+    # both spectra computed on their own
+    rng = random.Random(59)
+    mus = []
+    minimal_polynomial = spectral.minimal_polynomial
+    monkeypatch.setattr(spectral, "minimal_polynomial", lambda m: mus.append(m) or minimal_polynomial(m))
+    for _ in range(8):
+        vals = rng.sample(range(-6, 7), rng.randint(2, 3))
+        x = hidden(IntMatrix.diagonal(vals + rng.choices(vals, k=rng.randint(0, 2))), rng)
+        mus.clear()
+        assert decide(x, hidden(x, rng)).status == "CONJUGATE"
+        assert len(mus) == 1
+    # the 2 x 2 pair tries both spectra again in intertwiner_lattice
+    fallbacks = [
+        (IntMatrix.diagonal([1, 1, 2]), IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), "unsupported", 2),
+        (IntMatrix.diagonal([0, 1, 2]), hidden(IntMatrix.diagonal([0, 0, 1]), rng), "charpoly-mismatch", 2),
+        (IntMatrix.diagonal([1, -1]), IntMatrix([[0, 2], [-3, 0]]), "charpoly-mismatch", 2),
+        (IntMatrix.identity(2), IntMatrix([[1, 1], [0, 1]]), "bqf-certificate", 4),
+    ]
+    got = []
+    for x, y, reason, calls in fallbacks:
+        mus.clear()
+        v = decide(x, y)
+        assert (v.reason, len(mus)) == (reason, calls)
+        got.append(v.to_json_obj())
+    monkeypatch.setattr(conjugacy, "_split_spectra", lambda x, y: (split_spectrum(x), split_spectrum(y)))
+    assert got == [decide(x, y).to_json_obj() for x, y, _, _ in fallbacks]
+
+
+def test_decide_checks_the_closed_form_once(monkeypatch):
+    # C D's intertwining products run once with relevant primes, at the
+    # first base, and not at all without them
+    lattices, products = [], []
+    build = conjugacy.intertwiner_lattice
+
+    def recorded(*args, **kwargs):
+        lattices.append(build(*args, **kwargs))
+        return lattices[-1]
+
+    monkeypatch.setattr(conjugacy, "intertwiner_lattice", recorded)
+    mul = IntMatrix.__mul__
+    monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    rng = random.Random(61)
+    for vals, bases in (([0, 6], [2, 3]), ([0, 6, 10], [2, 3, 5]), ([4, 5], [])):
+        x = IntMatrix.diagonal(vals)
+        lattices.clear(), products.clear()
+        v = decide(x, hidden(x, rng), search_dim_cap=0)
+        cd = lattices[0].closed_form
+        assert [lv.prime for lv in v.local] == bases
+        assert sum(cd in pair for pair in products) == (2 if bases else 0)
+
+
 def test_decide_identical_input():
     v = decide(X1, X1)
     assert v.status == "CONJUGATE"
@@ -620,12 +686,17 @@ def test_certificate_checks_survive_optimize():
         "from zconj.matrix import IntMatrix\n"
         "assert False, 'asserts are live'\n"
         "x = IntMatrix.diagonal([1, 3])\n"
+        # projector identities that fail on a split matrix
+        "check = s._check_projector_identities\n"
+        "s._check_projector_identities = lambda *args: False\n"
         "try:\n"
-        "    s._check_projector_identities(x.array, (1, 3), (x.array, x.array), (1, 1), (1, 1))\n"
+        "    s.split_spectrum(x)\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
-        # y's spectrum listed in the other order: a consistent spectrum,
-        # so only the explicit comparison in decide can object
+        "s._check_projector_identities = check\n"
+        # x's spectrum listed in the other order: a consistent spectrum,
+        # and y's is read at x's eigenvalues in that order, so only the
+        # explicit comparison in decide can object
         "split = c.split_spectrum\n"
         "def reordered(m):\n"
         "    sp = split(m)\n"
@@ -635,7 +706,7 @@ def test_certificate_checks_survive_optimize():
         "    return dataclasses.replace(sp, **{f: getattr(sp, f)[::-1] for f in fields})\n"
         "c.split_spectrum = reordered\n"
         "try:\n"
-        "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
+        "    c.decide(x, IntMatrix([[1, 2], [0, 3]]))\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
         "c.split_spectrum = split\n"

@@ -17,7 +17,7 @@ from zconj.graphs import (
     verify_smith_lemma,
 )
 from zconj.linalg import charpoly
-from zconj.matrix import IntMatrix
+from zconj.matrix import CertificateError, IntMatrix
 from zconj.modular import scaled_idempotent_invariants
 from zconj.spectral import check_assumption, split_spectrum
 
@@ -148,6 +148,16 @@ def test_peisert_beta_choice():
     _, e2b, e3b = _projector_triple(xs_alt.array, 7, k, r, s)
     assert scaled_idempotent_invariants(e2a, 49) == scaled_idempotent_invariants(e2b, 49)
     assert scaled_idempotent_invariants(e3a, 49) == scaled_idempotent_invariants(e3b, 49)
+
+
+def test_projector_triple_checks_the_identities():
+    # one off-diagonal entry changed: the traces still match, so only
+    # the projector identities can object
+    x = paley_adjacency(field_build(3, 2)).array.copy()
+    _projector_triple(x, 3, 4, 1, -2)
+    x[0, 1] = 1 - x[0, 1]
+    with pytest.raises(CertificateError, match="projector identities"):
+        _projector_triple(x, 3, 4, 1, -2)
 
 
 def test_peisert_beta_must_be_primitive():

@@ -485,7 +485,7 @@ def test_solve_congruence_lattice_reaches_every_product_route(monkeypatch):
     routes = set()
 
     def recorded(a, b, bound):
-        if sys._getframe(1).f_code.co_name == "solve_congruence_lattice":
+        if sys._getframe(1).f_code.co_name == "_hermite_columns":
             routes.add(product_dtype(bound))
         return matmul(a, b, bound)
 
