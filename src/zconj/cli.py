@@ -24,7 +24,7 @@ from .corpus import FixtureError, load_corpus
 from .graphs import NotThreeModFour, field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
 from .linalg import snf_invariants
 from .matrix import CertificateError, IntMatrix, MatrixFormatError
-from .padic import TruncatedUnramifiedRing, _character_table, digit_sum, jacobi_sum
+from .padic import TruncatedUnramifiedRing, digit_sum, jacobi_sum
 from .spectral import NotSplit, check_assumption, split_spectrum
 
 EXIT_OK = 0
@@ -142,11 +142,10 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_jacobi(args) -> int:
     ring = TruncatedUnramifiedRing(args.p, precision=args.precision)
-    table = _character_table(ring)
     k = (ring.q - 1) // 2
     rows = []
     for j in range(1, k):
-        record = jacobi_sum(j, ring, table)
+        record = jacobi_sum(j, ring)
         rows.append(
             {
                 "j": str(j),

@@ -3,8 +3,8 @@
 The objects of study are intertwiner lattices C(X,Y) = {T : TX = YT}.
 X and Y are conjugate over Z exactly when C(X,Y) contains a unimodular
 element; the local-global route certifies conjugacy from assumption
-checks plus local passes, and 2x2 non-conjugacy from the determinant
-form of a rank-2 lattice.
+checks plus local passes, and non-split 2x2 pairs are decided by the
+determinant form of their rank-2 lattice.
 
 Orientation: everything here uses TX = YT, so a unimodular T is
 directly the conjugator T X T^{-1} = Y.  (For the transposed
@@ -16,7 +16,7 @@ C(X,Y) maps the saturated a-eigenlattice of X into the one of Y, so T
 is determined by integer block matrices S_i, and integrality of T cuts
 out a congruence lattice mod q = lcm(q_i) that modular.solve handles.
 Non-split pairs fall back to the saturated kernel of the n^2 x n^2
-difference map.  Split pairs of size n >= 3 with two eigenvalues a < b
+difference map.  Split pairs with two eigenvalues a < b, 2x2 included,
 build no lattice: they are decided in closed form from their glue
 blocks N in [[aI, N], [0, bI]], by a complete invariant modulo b - a
 and a conjugator built from Smith transforms over Z/(b - a) where it
@@ -960,14 +960,10 @@ class Verdict:
         return obj
 
 
-def _decide_bqf(x, y, lattice, locals_=(), assumption=None, swapped=False):
-    """Exact 2x2 endgame through the determinant form of C(X,Y)."""
-
-    def verdict(status, reason, **kw):
-        return Verdict(
-            status=status, reason=reason, local=tuple(locals_), assumption=assumption, swapped=swapped, **kw
-        )
-
+def _decide_bqf(x, y):
+    """Exact endgame for non-split 2x2 pairs with one characteristic
+    polynomial, through the determinant form of C(X,Y)."""
+    lattice = IntertwinerLattice(2, _sylvester_basis(x.array, y.array), x, y)
     # with equal characteristic polynomials C(X,Y) has rank 2 (a scalar
     # X = aI and a Y with Y - aI of rank 1 included), and rank 4 only for
     # X = Y = aI, which decide answers first
@@ -975,17 +971,16 @@ def _decide_bqf(x, y, lattice, locals_=(), assumption=None, swapped=False):
         raise CertificateError("2x2 intertwiner lattice of rank %d" % lattice.rank)
     form = bqf_from_lattice(lattice)
     if form.is_zero:
-        return verdict(
-            "NOT_CONJUGATE", "bqf-certificate", bqf=form, note="determinant form vanishes identically"
-        )
+        note = "determinant form vanishes identically"
+        return Verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, note=note)
     try:
         rep = bqf_represents_unit(form)
     except FormBudget as exc:
-        return verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
+        return Verdict("UNKNOWN", "form-budget", bqf=form, note=str(exc))
     if rep.represents:
         t = _certified(lattice.combination(np.array(rep.witness, dtype=object)), x, y)
-        return verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
-    return verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
+        return Verdict("CONJUGATE", "explicit-conjugator", conjugator=t, bqf=form, bqf_proof=rep)
+    return Verdict("NOT_CONJUGATE", "bqf-certificate", bqf=form, bqf_proof=rep)
 
 
 def decide(
@@ -1001,22 +996,24 @@ def decide(
     Pipeline: identical inputs; split spectra of x and y (_split_spectra:
     y's at x's eigenvalues), compared as eigenvalues with multiplicities,
     which for split matrices is the characteristic polynomial comparison
-    (charpoly runs only when one is not split).  Two eigenvalues and n >=
-    3 go to the closed form of _glue_route, which always decides: a built
-    conjugator, or NOT_CONJUGATE glue-invariant with both invariants.  Every other
-    split pair goes on: the exponent assumption checked on x and then
-    y; local tests at the bases of relevant_primes in increasing order,
-    always on C(x,y), stopping at the first FAIL (so local ends there),
-    each a closed-form PASS when the lattice's C D, checked once to
-    intertwine, has a unit determinant there, and a local_test
-    otherwise, a base that meets a zero divisor giving way to its
-    parts; the local-global theorem when the assumption holds and all
-    locals pass; then, where the search would run (n <=
-    search_dim_cap, or the theorem does not apply), the exact
-    quadratic-form endgame for n = 2 and explicit conjugator search for
-    larger n.  UNKNOWN verdicts name what blocked the decision:
-    assumption-unverified, local-undecided, or form-budget when the form
-    endgame passed its step cap.
+    (charpoly runs only when one is not split).  One route per input
+    class: non-split 2x2 pairs with one characteristic polynomial take
+    the exact quadratic-form endgame of _decide_bqf, other non-split
+    pairs are UNKNOWN unsupported, and split pairs with two eigenvalues
+    take the closed form of _glue_route, which always decides: a built
+    conjugator, or NOT_CONJUGATE glue-invariant with both invariants.
+    Split pairs with three or more eigenvalues go on: the exponent
+    assumption checked on x and then y; local tests at the bases of
+    relevant_primes in increasing order, always on C(x,y), stopping at
+    the first FAIL (so local ends there), each a closed-form PASS when
+    the lattice's C D, checked once to intertwine, has a unit
+    determinant there, and a local_test otherwise, a base that meets a
+    zero divisor giving way to its parts; the local-global theorem when
+    the assumption holds and all locals pass; then, where the search
+    would run (n <= search_dim_cap, or the theorem does not apply),
+    explicit conjugator search.  UNKNOWN verdicts name what blocked the
+    decision: assumption-unverified, local-undecided, or form-budget
+    when the form endgame passed its step cap.
 
     swapped marks, on pairs that take the local tests, that the
     assumption holds for y but not for x.  Local conjugacy is symmetric
@@ -1038,7 +1035,7 @@ def decide(
         if charpoly(x.array) != charpoly(y.array):
             return mismatch
         if n == 2:
-            return _decide_bqf(x, y, intertwiner_lattice(x, y))
+            return _decide_bqf(x, y)
         return Verdict(
             status="UNKNOWN",
             reason="unsupported",
@@ -1050,7 +1047,7 @@ def decide(
             raise CertificateError("split spectrum is not in canonical form")
     if spx.eigenvalues != spy.eigenvalues or spx.multiplicities != spy.multiplicities:
         return mismatch
-    if len(spx.eigenvalues) == 2 and n >= 3:
+    if len(spx.eigenvalues) == 2:
         conj, invariants = _glue_route(x, y, spx)
         if conj is None:
             return Verdict(status="NOT_CONJUGATE", reason="glue-invariant", glue=invariants)
@@ -1066,9 +1063,10 @@ def decide(
     # bases in order, stopping at the first FAIL: one obstruction decides.
     # The closed form C D is offered first at each base (whether it
     # intertwines is checked once); a zero divisor splits the base, and
-    # its parts are tested in its place
+    # its parts are tested in its place.  Three distinct integer
+    # eigenvalues have a gap of at least 2, so there is always a base
     cd, bases, locals_ = lattice.closed_form, relevant_primes(spx), []
-    intertwines = bool(bases) and cd * x == y * cd
+    intertwines = cd * x == y * cd
     while bases:
         b = bases.pop(0)
         try:
@@ -1091,8 +1089,6 @@ def decide(
         return verdict("NOT_CONJUGATE", "local-obstruction")
     theorem = rep.holds and all(v.status == "PASS" for v in locals_)
     if n <= search_dim_cap or not theorem:
-        if n == 2:
-            return _decide_bqf(x, y, lattice, locals_=locals_, assumption=rep, swapped=swapped)
         conj = conjugator_search(lattice, budget=search_budget, seed=seed)
         if conj is not None:
             return verdict("CONJUGATE", "explicit-conjugator", conjugator=conj)

@@ -23,9 +23,16 @@ from helpers import (
 
 import pytest
 
-from zconj.conjugacy import decide, relevant_primes, sl_lift, verify_conjugator
+from zconj.conjugacy import (
+    bqf_from_lattice,
+    decide,
+    intertwiner_lattice,
+    relevant_primes,
+    sl_lift,
+    verify_conjugator,
+)
 from zconj.corpus import load_corpus
-from zconj.forms import BinaryQuadraticForm
+from zconj.forms import BinaryQuadraticForm, bqf_represents_unit
 from zconj.graphs import (
     expected_invariant_counts,
     field_build,
@@ -84,11 +91,15 @@ def test_criterion_2_split_pair_blocked_by_factor_system():
     report = check_assumption(X2)
     assert not report.holds  # both idempotents have Smith exponent 1 != 5
     assert report.per_index == ((5, 1, 1), (5, 1, 1))
+    # two eigenvalues: the glue route decides, class 2 against 1 mod 5
     verdict = decide(X2, Y2)
-    assert verdict.status == "NOT_CONJUGATE"
-    assert verdict.reason == "bqf-certificate"
-    assert verdict.bqf_proof is not None
-    assert verdict.bqf_proof.proof == "factor-system"
+    assert (verdict.status, verdict.reason) == ("NOT_CONJUGATE", "glue-invariant")
+    assert [side[-1] for side in verdict.glue] == [2, 1]
+    # the fixture's form 2x^2 + 5xy, recomputed, represents no unit
+    form = bqf_from_lattice(intertwiner_lattice(X2, Y2))
+    assert (form.a, form.b, form.c) == (2, 5, 0)
+    rep = bqf_represents_unit(form)
+    assert not rep.represents and rep.proof == "factor-system"
     assert verify_conjugator(IntMatrix([[-1, 1], [0, 3]]), X2, Y2, prime=2)
     assert time.monotonic() - t0 < 1.0
 

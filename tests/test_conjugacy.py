@@ -58,6 +58,12 @@ X2 = IntMatrix([[1, 2], [0, 6]])
 Y2 = IntMatrix([[1, 1], [0, 6]])
 
 
+def direct_sum(rows, c):
+    """The integer rows of M (+) [c] for M's rows: a 2x2 split pair gets a
+    third eigenvalue, so that it takes the local tests, not the glue route."""
+    return [list(row) + [0] for row in rows] + [[0] * len(rows) + [c]]
+
+
 def flatten(basis):
     return [[v for row in b.to_lists() for v in row] for b in basis]
 
@@ -515,14 +521,19 @@ def test_decide_first_pair():
 
 
 def test_decide_second_pair():
+    # two eigenvalues: the glue route decides, class 2 against 1 mod 5,
+    # and the invariants are the only certificate
     v = decide(X2, Y2)
-    assert v.status == "NOT_CONJUGATE"
-    assert v.reason == "bqf-certificate"
+    assert (v.status, v.reason) == ("NOT_CONJUGATE", "glue-invariant")
+    shape = {"a": "1", "b": "6", "r": "1", "s": "1", "g": ["1"]}
+    glue = {"x": dict(shape, **{"class": "2"}), "y": dict(shape, **{"class": "1"})}
+    assert v.to_json_obj()["certificates"] == {"glue": glue}
+    # a non-split pair with one characteristic polynomial takes the form
+    # endgame, whose factor system shows that no unit is represented
+    v = decide(IntMatrix([[1, 1], [0, 1]]), IntMatrix([[1, 2], [0, 1]]))
+    assert (v.status, v.reason) == ("NOT_CONJUGATE", "bqf-certificate")
     assert v.bqf_proof is not None and v.bqf_proof.proof == "factor-system"
-    # the exponent assumption fails here, so the form endgame ran
-    assert v.assumption is not None and not v.assumption.holds
-    assert len(v.local) == 1
-    assert v.local[0].prime == 5 and v.local[0].status == "PASS"
+    assert (v.local, v.assumption) == ((), None)
 
 
 def test_decide_charpoly_mismatch():
@@ -592,12 +603,11 @@ def test_decide_reads_y_spectrum_at_x_eigenvalues(monkeypatch):
         mus.clear()
         assert decide(x, hidden(x, rng)).status == "CONJUGATE"
         assert len(mus) == 1
-    # the 2 x 2 pair tries both spectra again in intertwiner_lattice
     fallbacks = [
         (IntMatrix.diagonal([1, 1, 2]), IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), "unsupported", 2),
         (IntMatrix.diagonal([0, 1, 2]), hidden(IntMatrix.diagonal([0, 0, 1]), rng), "charpoly-mismatch", 2),
         (IntMatrix.diagonal([1, -1]), IntMatrix([[0, 2], [-3, 0]]), "charpoly-mismatch", 2),
-        (IntMatrix.identity(2), IntMatrix([[1, 1], [0, 1]]), "bqf-certificate", 4),
+        (IntMatrix.identity(2), IntMatrix([[1, 1], [0, 1]]), "bqf-certificate", 2),
     ]
     got = []
     for x, y, reason, calls in fallbacks:
@@ -610,8 +620,8 @@ def test_decide_reads_y_spectrum_at_x_eigenvalues(monkeypatch):
 
 
 def test_decide_checks_the_closed_form_once(monkeypatch):
-    # C D's intertwining products run once with relevant primes, at the
-    # first base, and not at all without them
+    # C D's intertwining products run once, at the first base.  Pairs
+    # that reach them have three eigenvalues, so there is always a base
     lattices, products = [], []
     build = conjugacy.intertwiner_lattice
 
@@ -623,13 +633,13 @@ def test_decide_checks_the_closed_form_once(monkeypatch):
     mul = IntMatrix.__mul__
     monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
     rng = random.Random(61)
-    for vals, bases in (([0, 6], [2, 3]), ([0, 6, 10], [2, 3, 5]), ([4, 5], [])):
+    for vals, bases in (([0, 2, 6], [2, 3]), ([0, 6, 10], [2, 3, 5])):
         x = IntMatrix.diagonal(vals)
         lattices.clear(), products.clear()
         v = decide(x, hidden(x, rng), search_dim_cap=0)
         cd = lattices[0].closed_form
         assert [lv.prime for lv in v.local] == bases
-        assert sum(cd in pair for pair in products) == (2 if bases else 0)
+        assert sum(cd in pair for pair in products) == 2
 
 
 def test_decide_identical_input():
@@ -653,28 +663,17 @@ def test_decide_conjugate_pairs_explicit():
 
 def test_decide_swapped_route():
     # only Y meets the exponent condition, so the pair cannot be conjugate
-    x = IntMatrix([[-3, 2], [0, 3]])
-    y = IntMatrix.diagonal([-3, 3])
+    x = IntMatrix([[-3, 2, 0], [0, 3, 0], [0, 0, 0]])
+    y = IntMatrix.diagonal([-3, 3, 0])
     assert check_assumption(x).per_index != check_assumption(y).per_index
     v = decide(x, y)
     assert v.swapped and v.to_json_obj()["swapped"] is True
     assert v.status == "NOT_CONJUGATE"
     assert v.reason == "local-obstruction"
     by_prime = {lv.prime: lv for lv in v.local}
-    assert by_prime[2].status == "PASS"
+    assert (by_prime[2].status, by_prime[2].method) == ("PASS", "closed-form")
     assert verify_conjugator(by_prime[2].certificate, x, y, prime=2)
     assert by_prime[3].status == "FAIL"
-
-
-def test_decide_bqf_keeps_the_swapped_flag():
-    # only y meets the exponent condition, and the local test at 1031
-    # cannot exhaust (1031^2 > 2^20), so the 2x2 form endgame decides
-    x, y = IntMatrix([[0, 1], [0, 1031]]), IntMatrix.diagonal([0, 1031])
-    assert not check_assumption(x).holds and check_assumption(y).holds
-    v = decide(x, y)
-    assert (v.status, v.reason, v.swapped) == ("NOT_CONJUGATE", "bqf-certificate", True)
-    assert [lv.status for lv in v.local] == ["UNDECIDED"]
-    assert v.to_json_obj()["swapped"] is True
 
 
 def test_certificate_checks_survive_optimize():
@@ -862,6 +861,38 @@ def test_conjugator_search_adjacency_route():
     assert all(v in (0, 1) for row in t.to_lists() for v in row)
 
 
+def adjacency(n, edges):
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def test_graph_isomorphism_exits():
+    # C6 against two triangles: equal degrees, every branch undone and no
+    # bijection; a path against a star: the degree sequences differ; a
+    # relabelled Paley(9): found, but not within a budget of one node
+    c6 = adjacency(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = adjacency(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert conjugacy._graph_isomorphism(c6, triangles, 1000) is None
+    path, star = adjacency(4, [(0, 1), (1, 2), (2, 3)]), adjacency(4, [(0, 1), (0, 2), (0, 3)])
+    assert conjugacy._graph_isomorphism(path, star, 1000) is None
+    x = paley_adjacency(field_build(3, 2)).array
+    perm = random.Random(7).sample(range(9), 9)
+    y = x[np.ix_(np.argsort(perm), np.argsort(perm))]
+    found = conjugacy._graph_isomorphism(x, y, 1000)
+    assert found is not None and all(x[u, v] == y[found[u], found[v]] for u in range(9) for v in range(9))
+    assert conjugacy._graph_isomorphism(x, y, 1) is None
+
+
+def test_conjugator_search_trivial_exits():
+    # equal endpoints give the identity, and a lattice of rank 0 nothing
+    x = IntMatrix.diagonal([1, 2])
+    assert conjugator_search(intertwiner_lattice(x, x)) == IntMatrix.identity(2)
+    lattice = intertwiner_lattice(x, IntMatrix.diagonal([3, 4]))
+    assert lattice.rank == 0 and conjugator_search(lattice) is None
+
+
 def test_conjugator_search_matches_sequential_oracle():
     # the stacked filters against one candidate at a time, at budget cuts
     # inside each stage; without an aligned intertwiner every stage runs.
@@ -909,52 +940,6 @@ def test_scaled_inverse_matches_fraction_oracle():
         assert (obj(m) @ obj(expected) == np.eye(n, dtype=object) * scale).all()
 
 
-def test_decide_huge_eigenvalue_gap_without_trial_division():
-    # the constant term of the minimal polynomial is 0 and its other
-    # coefficient 3^40: the root search must not enumerate divisors
-    code = (
-        "import json\n"
-        "from zconj import IntMatrix, decide\n"
-        "v = decide(IntMatrix([[0, 5], [0, 3**40]]), IntMatrix.diagonal([0, 3**40]))\n"
-        "print(json.dumps(v.to_json_obj()))\n"
-    )
-    r = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
-        timeout=60,
-    )
-    assert r.returncode == 0, r.stderr
-    verdict = json.loads(r.stdout)
-    assert verdict["status"] == "NOT_CONJUGATE"
-    assert verdict["reason"] == "local-obstruction"
-    assert verdict["certificates"]["local"] == [
-        {"p": "3", "status": "FAIL", "method": "exhaustive"}
-    ]
-
-
-def test_decide_stops_at_first_local_fail():
-    # eigenvalue gap a - 1 = 2 * 131 * 521 * 73259; p = 2 already FAILs
-    a = 10**10 + 19
-    v = decide(IntMatrix([[1, 1], [0, a]]), IntMatrix.diagonal([1, a]))
-    assert v.status == "NOT_CONJUGATE"
-    assert v.reason == "local-obstruction"
-    assert [(lv.prime, lv.status, lv.method) for lv in v.local] == [(2, "FAIL", "exhaustive")]
-
-
-def test_decide_square_discriminant_without_trial_division():
-    # the form's |a| is about s/2: trial division to sqrt(4|a|) takes
-    # seconds; the gap s is one base, which a local test passes whole
-    s = 1000000007 * 1000003
-    t0 = time.monotonic()
-    v = decide(IntMatrix([[0, 1], [0, s]]), IntMatrix([[0, 2], [0, s]]))
-    assert time.monotonic() - t0 < 1.0
-    assert (v.status, v.reason) == ("NOT_CONJUGATE", "bqf-certificate")
-    assert v.bqf_proof.proof == "factor-system"
-    assert [(lv.prime, lv.status) for lv in v.local] == [(s, "PASS")]
-
-
 def decide_in_subprocess(x, y, timeout, **kwargs):
     """Verdict JSON of decide on the integer rows x and y, run in a new
     interpreter under a timeout.
@@ -976,15 +961,61 @@ def decide_in_subprocess(x, y, timeout, **kwargs):
     return json.loads(r.stdout)
 
 
+def test_decide_huge_eigenvalue_gap_without_trial_division():
+    # the constant term of the minimal polynomial is 0 and its other
+    # coefficient 3^40: the root search must not enumerate divisors.  The
+    # 2x2 pair takes the glue route; with a third eigenvalue -1 the local
+    # tests run, and 3 is an obstruction
+    x, y = [[0, 5], [0, 3**40]], [[0, 0], [0, 3**40]]
+    verdict = decide_in_subprocess(x, y, timeout=60)
+    assert (verdict["status"], verdict["reason"]) == ("NOT_CONJUGATE", "glue-invariant")
+    verdict = decide_in_subprocess(direct_sum(x, -1), direct_sum(y, -1), timeout=60)
+    assert (verdict["status"], verdict["reason"]) == ("NOT_CONJUGATE", "local-obstruction")
+    assert [(lv["p"], lv["status"], lv["method"]) for lv in verdict["certificates"]["local"]] == [
+        ("2", "PASS", "closed-form"),
+        ("3", "FAIL", "exhaustive"),
+    ]
+
+
+def test_decide_stops_at_first_local_fail():
+    # eigenvalue gaps a - 1 = 2 * 131 * 521 * 73259, a and 1; p = 2 already FAILs
+    a = 10**10 + 19
+    v = decide(IntMatrix(direct_sum([[1, 1], [0, a]], 0)), IntMatrix.diagonal([1, a, 0]))
+    assert v.status == "NOT_CONJUGATE"
+    assert v.reason == "local-obstruction"
+    assert [(lv.prime, lv.status, lv.method) for lv in v.local] == [(2, "FAIL", "exhaustive")]
+
+
+def test_decide_square_discriminant_without_trial_division():
+    # the form's |a| is about s/2: trial division to sqrt(4|a|) takes
+    # seconds, and the factor system needs none.  decide answers by the
+    # glue route (class 1 against 2 mod s); with a third eigenvalue -1 the
+    # gap s is one base, which a local test passes whole
+    s = 1000000007 * 1000003
+    x, y = IntMatrix([[0, 1], [0, s]]), IntMatrix([[0, 2], [0, s]])
+    t0 = time.monotonic()
+    rep = forms.bqf_represents_unit(bqf_from_lattice(intertwiner_lattice(x, y)))
+    assert time.monotonic() - t0 < 1.0
+    assert (rep.represents, rep.proof) == (False, "factor-system")
+    assert decide(x, y).reason == "glue-invariant"
+    x, y = (IntMatrix(direct_sum(m.to_lists(), -1)) for m in (x, y))
+    v = decide(x, y, search_budget=1000)
+    assert time.monotonic() - t0 < 1.0
+    bases = [2, 3, (s + 1) // 6, s]
+    assert [(lv.prime, lv.status) for lv in v.local] == [(b, "PASS") for b in bases]
+
+
 def test_decide_factors_large_eigenvalue_gaps():
     # the gap (2^31 - 1)(2^61 - 1) is out of reach of trial division and
     # is tested as one base, until a glue entry 2^31 - 1 shows a zero
-    # divisor there; the 2x2 form endgame decides both pairs
+    # divisor there; the third eigenvalue -1 adds the bases 2 and (pq + 1)/2
     p, q = 2**31 - 1, 2**61 - 1
+    first = [("2", "PASS"), (str((p * q + 1) // 2), "PASS")]
     for glue, local in ((1, [(str(p * q), "UNDECIDED")]), (p, [(str(p), "PASS"), (str(q), "UNDECIDED")])):
-        verdict = decide_in_subprocess([[0, glue], [0, p * q]], [[0, 0], [0, p * q]], timeout=10)
-        assert (verdict["status"], verdict["reason"]) == ("NOT_CONJUGATE", "bqf-certificate")
-        assert [(lv["p"], lv["status"]) for lv in verdict["certificates"]["local"]] == local
+        x, y = direct_sum([[0, glue], [0, p * q]], -1), direct_sum([[0, 0], [0, p * q]], -1)
+        verdict = decide_in_subprocess(x, y, timeout=10, search_budget=1000)
+        assert (verdict["status"], verdict["reason"]) == ("UNKNOWN", "local-undecided")
+        assert [(lv["p"], lv["status"]) for lv in verdict["certificates"]["local"]] == first + local
 
 
 # two primes near 2^60: trial division leaves their product as one base
@@ -999,14 +1030,10 @@ def test_decide_past_factorization_budget():
         local = [(lv["p"], lv["status"]) for lv in v["certificates"].get("local", [])]
         return v["status"], v["reason"], local
 
-    # 2x2 pairs: the base s cannot exhaust, and the quadratic-form endgame decides
-    assert run([[0, 1], [0, s]], [[0, 0], [0, s]]) == (
-        "NOT_CONJUGATE",
-        "bqf-certificate",
-        [(str(s), "UNDECIDED")],
-    )
-    # the obstruction at 2 comes first
-    assert run([[0, 1], [0, 2 * s]], [[0, 0], [0, 2 * s]]) == (
+    # the 2x2 pair: the glue route decides before any base is tested
+    assert run([[0, 1], [0, s]], [[0, 0], [0, s]]) == ("NOT_CONJUGATE", "glue-invariant", [])
+    # with a third eigenvalue the obstruction at 2 comes first
+    assert run(direct_sum([[0, 1], [0, 2 * s]], -1), direct_sum([[0, 0], [0, 2 * s]], -1)) == (
         "NOT_CONJUGATE",
         "local-obstruction",
         [("2", "FAIL")],
@@ -1060,5 +1087,5 @@ def test_decide_on_gaps_trial_division_cannot_finish(monkeypatch):
         assert d in bases and refines == 1
         bases, refines = check([[0, p, 0], [0, d, 0], [0, 0, -1]], y, "UNKNOWN", "local-undecided", [q])
         assert p in bases and d not in bases and refines == 2
-        bases, refines = check([[0, 1], [0, d]], [[0, 0], [0, d]], "NOT_CONJUGATE", "bqf-certificate", [d])
-        assert bases == [d] and refines == 1
+        bases, refines = check([[0, 1, 0], [0, d, 0], [0, 0, -1]], y, "UNKNOWN", "local-undecided", [d])
+        assert bases[-1] == d and refines == 1

@@ -157,23 +157,39 @@ def test_glue_invariant_without_a_class():
 
 def test_two_eigenvalue_pairs_take_the_route_alone(monkeypatch):
     # the route decides from the eigenbases: no intertwiner lattice, no
-    # assumption check and no local test, on the ROADMAP's pairs and on
-    # hidden copies
+    # assumption check and no local test, on the ROADMAP's pairs, on the
+    # 2 x 2 pairs [[a, g], [0, b]] and the bundled counterexample-2
+    # [[1, 2], [0, 6]] against [[1, 1], [0, 6]], and on hidden copies
     def refuse(*args, **kwargs):
         raise AssertionError("the glue route ran the lattice pipeline")
 
     for name in ("intertwiner_lattice", "check_assumption", "local_test"):
         monkeypatch.setattr(conjugacy, name, refuse)
     rng = random.Random(67)
-    for k, gap in ((2, 5), (3, 7)):
-        x = glued(0, gap, [[int(i == j) for j in range(k)] for i in range(k)])
-        y = glued(0, gap, [[(2 if i == 0 else 1) * (i == j) for j in range(k)] for i in range(k)])
+    pairs = [
+        (glued(0, gap, [[int(i == j) for j in range(k)] for i in range(k)]),
+         glued(0, gap, [[(2 if i == 0 else 1) * (i == j) for j in range(k)] for i in range(k)]))
+        for k, gap in ((2, 5), (3, 7))
+    ]
+    pairs.append((glued(1, 6, [[2]]), glued(1, 6, [[1]])))
+    for _ in range(6):
+        a, gap = rng.randint(-3, 3), rng.randint(1, 12)
+        x = glued(a, a + gap, [[rng.randint(-6, 6)]])
+        pairs.append((hidden(x, rng), hidden(glued(a, a + gap, [[rng.randint(-6, 6)]]), rng)))
+    seen = set()
+    for x, y in pairs:
         v = decide(x, y)
-        assert (v.status, v.reason, v.glue) == ("NOT_CONJUGATE", "glue-invariant", route(x, y)[1])
+        conj, invariants = route(x, y)
+        if conj is None:
+            assert (v.status, v.reason, v.glue) == ("NOT_CONJUGATE", "glue-invariant", invariants)
+        else:
+            assert (v.status, v.reason, v.conjugator) == ("CONJUGATE", "explicit-conjugator", conj)
+        seen.add(v.status)
         copy = hidden(x, rng)
         v = decide(x, copy)
         assert (v.status, v.reason, v.conjugator) == ("CONJUGATE", "explicit-conjugator", route(x, copy)[0])
         assert (v.local, v.assumption, v.swapped) == ((), None, False)
+    assert seen == {"CONJUGATE", "NOT_CONJUGATE"}
 
 
 def test_route_conjugators_stay_small():

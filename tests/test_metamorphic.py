@@ -12,9 +12,10 @@ reach.  A third kind takes the swapped route: the exponent assumption
 fails for x and holds for y, whose glue block is b - a times another.
 A fourth pairs glue blocks of one Smith type whose determinant classes
 modulo b - a differ, which only the glue invariant tells apart.  Pairs
-with two eigenvalues and n >= 3 are decided by the glue route before any
-local test, so a fifth kind has three eigenvalues: it reaches the
-theorem, the local obstructions and the swapped route at n >= 3.
+with two eigenvalues are decided by the glue route before any local
+test, so at k = 1 the first and third kinds get the eigenvalue a - 1
+besides, and a fifth kind has three eigenvalues throughout: they reach
+the theorem, the local obstructions and the swapped route.
 """
 
 import random
@@ -57,6 +58,18 @@ def glued(a: int, b: int, block) -> IntMatrix:
     return IntMatrix(top + bottom)
 
 
+def shaped(a: int, gap: int, block) -> IntMatrix:
+    """glued(a, a + gap, block), and for a 1 x 1 block the eigenvalue a - 1
+    besides: a 2 x 2 pair would take the glue route, and with a third
+    eigenvalue the pair takes the local tests.  The a - 1 eigenspace is a
+    direct summand of both sides, so conjugacy is that of the glued parts."""
+    m = glued(a, a + gap, block)
+    if len(block) > 1:
+        return m
+    rows = m.to_lists()
+    return IntMatrix([row + [0] for row in rows] + [[0, 0, a - 1]])
+
+
 def hide(m: IntMatrix, rng) -> IntMatrix:
     u = random_sl(m.nrows, rng)
     return u * m * unimodular_inverse(u)
@@ -73,13 +86,13 @@ def block_pairs(rng, k: int):
             return [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
 
         n_block = block()
-        x = glued(a, a + gap, n_block)
+        x = shaped(a, gap, n_block)
         out.append((hide(x, rng), hide(x, rng), True))
         while True:
             m_block = block()
             if all(smith_type(m_block, q) != smith_type(n_block, q) for q in prime_powers(gap)):
                 break
-        out.append((hide(x, rng), hide(glued(a, a + gap, m_block), rng), False))
+        out.append((hide(x, rng), hide(shaped(a, gap, m_block), rng), False))
     return out
 
 
@@ -93,10 +106,10 @@ def swapped_pairs(rng, k: int):
         def block(scale):
             return [[scale * rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
 
-        x = glued(a, a + gap, block(1))
+        x = shaped(a, gap, block(1))
         while check_assumption(x).holds:
-            x = glued(a, a + gap, block(1))
-        out.append((hide(x, rng), hide(glued(a, a + gap, block(gap)), rng)))
+            x = shaped(a, gap, block(1))
+        out.append((hide(x, rng), hide(shaped(a, gap, block(gap)), rng)))
     return out
 
 
@@ -209,8 +222,9 @@ def test_class_obstructed_pairs_stay_apart():
 
 def test_swapped_route_on_random_pairs():
     # only y meets the exponent assumption, so the pair is not conjugate.
-    # At k = 1 a local test finds the obstruction; at k = 2 the glue
-    # invariants differ, and the route decides before any assumption check
+    # At k = 1, with the third eigenvalue, a local test finds the
+    # obstruction; at k = 2 the glue invariants differ, and the route
+    # decides before any assumption check
     rng = random.Random(43)
     for k in (1, 2):
         for x, y in swapped_pairs(rng, k):

@@ -160,6 +160,16 @@ def test_jacobi_matches_per_x_sum():
             assert records[j].c_j == (c_of_j(j, p) if j < k else None)
 
 
+def test_jacobi_sum_defaults_to_the_ring_table():
+    # without a table jacobi_sum reads the ring's cached character table,
+    # which is _character_table of the ring
+    for p in (3, 7):
+        ring, k, records = jacobi_records(p)
+        assert (TruncatedUnramifiedRing(p).character_table == _character_table(ring)).all()
+        assert all(jacobi_sum(j, ring) == records[j] for j in range(1, 2 * k))
+        assert ring.character_table is ring.character_table
+
+
 def test_jacobi_index_bounds():
     ring = TruncatedUnramifiedRing(7)
     table = _character_table(ring)
