@@ -384,9 +384,12 @@ def local_test(
     p may be a base of relevant_primes: a PASS there holds at each of
     its primes, a FAIL is an obstruction as at a prime, and det_mod may
     raise modular._ZeroDivisor.  PASS certificates re-verify exactly.
-    FAIL is only reported after every class of C(X,Y)/p has been
-    evaluated, which is attempted when p^rank <= 2^20.  The determinant
-    of T + pS is det(T) mod p, so classes mod p decide.  Characteristic
+    Candidates are up to budget seeded random combinations of the basis
+    mod p (method sampled), then, when p^rank <= 2^20, every class of
+    C(X,Y)/p (method exhaustive); an exhaustible lattice gets at most
+    4096 draws, and none when p^rank <= 4096.  FAIL is only reported
+    after every class has been evaluated.  The determinant of T + pS is
+    det(T) mod p, so classes mod p decide.  Characteristic
     polynomials are compared only when no lattice is given and it is
     built here: a mismatch FAILs at once, because any nonsingular
     intertwiner would force equality.  A given lattice must be C(x, y),
@@ -435,36 +438,16 @@ def local_test(
         t = _certified(lattice.combination(coeffs), x, y, prime=p)
         return LocalVerdict(prime=p, status="PASS", certificate=t, method=method)
 
-    # candidates in a fixed order: basis elements, prefix sums, close
-    # pairs, random draws, then every class when that is affordable.  The
-    # zero combination has determinant 0, so it needs no skipping.  Each
-    # phase runs in chunks that grow from 1 to cap candidates, so an
-    # early hit stays cheap and memory stays flat.  The deterministic
-    # ones, e_i, e_0 + ... + e_i for i < 24 and e_i + e_j for i < j < 40,
-    # are each the sum of rows first and second of [basis; prefix sums;
-    # 0], with the same rows of coeff_rows as coefficients: two row
-    # additions per candidate, much cheaper than a row of a product.
-    k = min(m, 24)
-    rows = np.concatenate([res, np.cumsum(res[:k], axis=0) % p, np.zeros_like(res[:1])])
-    coeff_rows = np.concatenate(
-        [np.eye(m, dtype=np.int8), np.tri(k, m, dtype=np.int8), np.zeros((1, m), np.int8)]
-    )
-    pi, pj = np.triu_indices(min(m, 40), 1)
-    first = np.concatenate([np.arange(m + k), pi])
-    second = np.concatenate([np.full(m + k, m + k), pj])
-    spent = max(0, min(len(first), budget))
-    for lo, hi in _chunks(spent, cap):
-        hit = first_unit(rows[first[lo:hi]] + rows[second[lo:hi]])
-        if hit is not None:
-            h = lo + hit
-            return certify(coeff_rows[first[h]] + coeff_rows[second[h]], "sampled")
-
-    # the other candidates come from one (K x m) @ (m x w) product per chunk
+    # candidates in a fixed order: seeded random draws, then every class
+    # when that is affordable.  The zero combination has determinant 0,
+    # so it needs no skipping.  Each phase runs in chunks that grow from
+    # 1 to cap candidates, one (K x m) @ (m x w) product per chunk, so an
+    # early hit stays cheap and memory stays flat.
     draws = _Randranges(random.Random(seed), p)
     quick = budget
     if exhaustible:
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
-    for lo, hi in _chunks(quick - spent, cap):
+    for lo, hi in _chunks(quick, cap):
         coeffs = draws.take((hi - lo) * m).astype(res.dtype).reshape(-1, m)
         hit = first_unit(matmul_mod(coeffs, res, p))
         if hit is not None:

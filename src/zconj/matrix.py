@@ -100,20 +100,18 @@ class IntMatrix:
     def __init__(self, rows):
         self._set(_entries(rows))
 
-    def _set(self, a, bound=None):
-        if bound is None:
-            bound = max(int(a.max()), -int(a.min()))
+    def _set(self, a):
+        bound = max(int(a.max()), -int(a.min()))
         a = a.astype(int_dtype(bound), copy=False)
         a.flags.writeable = False
         self._a, self._bound = a, bound
 
     @classmethod
-    def _of(cls, a, bound=None):
+    def _of(cls, a):
         """IntMatrix on the integer array a, int64 or object holding
-        Python ints, that no other code writes to; bound, when given, is
-        its largest entry magnitude."""
+        Python ints, that no other code writes to."""
         m = cls.__new__(cls)
-        m._set(a, bound)
+        m._set(a)
         return m
 
     # -- construction -------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import FieldSpec, field_build
+from .graphs import field_build
 from .matrix import CertificateError, int_dtype, matmul
 
 
@@ -37,15 +37,11 @@ class TruncatedUnramifiedRing:
 
     one, zero = (1, 0), (0, 0)
 
-    def __init__(self, p: int, precision: int = 4, field: FieldSpec | None = None):
-        if field is None:
-            field = field_build(p, 2)
-        if field.p != p or field.degree != 2 or field.modulus[2] != 1:
-            raise ValueError("the field must be F_(p^2) with a monic modulus")
+    def __init__(self, p: int, precision: int = 4):
         self.p = p
         self.precision = precision
         self.pn = p**precision
-        self.field = field
+        self.field = field = field_build(p, 2)
         self.q = field.q
         # verbatim lift: mod-p coefficients reread in [0, p^N)
         self.modulus = tuple(field.modulus)

@@ -718,10 +718,9 @@ def local_test_sequential(lattice, p: int, budget: int = 100000, seed: int = 0):
     """The local test one candidate at a time: (status, T, method, phase).
 
     Candidate order, random draws and budget accounting as in
-    zconj.conjugacy.local_test: basis elements, the first 24 prefix
-    sums, pairs among the first 40, random draws, then every class of
+    zconj.conjugacy.local_test: seeded random draws, then every class of
     C(X,Y)/p in itertools.product order when p^rank <= 2^20.  phase
-    names where the hit came from (deterministic, random, exhaustive).
+    names where the hit came from (random, exhaustive).
     """
     basis = [flat(b) for b in lattice.basis]
     m, n = len(basis), lattice.n
@@ -738,20 +737,7 @@ def local_test_sequential(lattice, p: int, budget: int = 100000, seed: int = 0):
     def hit(coeffs, method, phase):
         return "PASS", IntMatrix(combine(coeffs)), method, phase
 
-    deterministic = [[int(i == j) for i in range(m)] for j in range(m)]
-    deterministic += [[int(i <= j) for i in range(m)] for j in range(min(m, 24))]
-    deterministic += [
-        [int(t in (i, j)) for t in range(m)]
-        for i in range(min(m, 40))
-        for j in range(i + 1, min(m, 40))
-    ]
     spent = 0
-    for coeffs in deterministic:
-        if spent >= budget:
-            break
-        spent += 1
-        if unit(coeffs):
-            return hit(coeffs, "sampled", "deterministic")
     exhaustible = p**m <= 1 << 20
     rng = random.Random(seed)
     quick = budget
