@@ -40,7 +40,16 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .forms import BinaryQuadraticForm, FormBudget, UnitRepresentation, bqf_represents_unit
-from .linalg import charpoly, det, fraction_free_rref, hnf, kernel_basis, lll_reduce
+from .linalg import (
+    KERNEL_RREF_CUTOFF,
+    charpoly,
+    det,
+    fraction_free_rref,
+    hnf,
+    kernel_basis,
+    lll_reduce,
+    span_basis,
+)
 from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
 from .modular import (
     _hermite_columns,
@@ -60,6 +69,7 @@ from .spectral import NotSplit, SplitSpectrum, _spectrum_at, check_assumption, s
 _DET_FILTER_PRIME = (1 << 31) - 1
 _EXHAUSTIVE_LIMIT = 1 << 20
 _CHUNK_ENTRIES = 1 << 14  # largest candidate stack local_test evaluates at once
+_RECHECK_BLOCK_BYTES = 1 << 24  # int64 bytes of one row block of the congruence re-check
 
 
 def _chunks(total: int, cap: int):
@@ -195,13 +205,28 @@ def _scaled_inverse(m, scale: int):
     return r[:, n:] // d, sign * d
 
 
-def _eigenbasis(m, a: int, mult: int):
+def _eigenbasis(m, a: int, mult: int, f):
     """Saturated a-eigenlattice basis of m as columns; CertificateError
-    unless it has mult columns and m maps each to a times it."""
+    unless it has mult columns and m maps each to a times it.
+
+    f is the scaled idempotent F_a, whose columns span the eigenspace.
+    Above KERNEL_RREF_CUTOFF the lattice comes from whichever of M - aI
+    (rank n - mult, kernel_basis) and F_a^t (rank mult, span_basis) has
+    the smaller Hadamard bound (sqrt(rank) max |entry|)^rank on its
+    largest minor, which bounds every entry of its elimination; both
+    give the same basis.  A tie predicts no gain, so it keeps the kernel
+    route, which also checks its output against M - aI.  At or below
+    the cutoff kernel_basis takes its HNF route and f is not read.  The
+    rank check with the certified multiplicity and the eigenvector
+    check make either output the whole eigenlattice.
+    """
     n, mm = len(m), max(max_abs(m), abs(a))
     shifted = m.astype(int_dtype(2 * mm))
     shifted.flat[:: n + 1] -= a
-    basis = kernel_basis(shifted).T
+    if n > KERNEL_RREF_CUTOFF and _hadamard_squared(mult, f) < _hadamard_squared(n - mult, shifted):
+        basis = span_basis(f.T).T
+    else:
+        basis = kernel_basis(shifted).T
     if basis.shape[1] != mult:
         raise CertificateError("eigenlattice rank differs from multiplicity")
     mb = max_abs(basis)
@@ -211,12 +236,19 @@ def _eigenbasis(m, a: int, mult: int):
     return basis
 
 
+def _hadamard_squared(rank: int, a) -> int:
+    """Square of the Hadamard bound (sqrt(rank) max |a|)^rank on the
+    rank x rank minors of the integer array a, exact."""
+    return rank**rank * max_abs(a) ** (2 * rank)
+
+
 def _eigenbases(m, sp: SplitSpectrum):
     """The _eigenbasis of m at each eigenvalue side by side, in spectrum
     order, and the range of columns that belongs to each eigenvalue."""
     ends = np.cumsum(sp.multiplicities).tolist()
     blocks = {a: range(end - mult, end) for a, mult, end in zip(sp.eigenvalues, sp.multiplicities, ends)}
-    return np.concatenate([_eigenbasis(m, a, len(blocks[a])) for a in sp.eigenvalues], axis=1), blocks
+    bases = [_eigenbasis(m, a, len(blocks[a]), e.array) for a, e in zip(sp.eigenvalues, sp.idempotents)]
+    return np.concatenate(bases, axis=1), blocks
 
 
 def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
@@ -272,8 +304,11 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
         eq = np.concatenate([np.kron(residues(c[:, cy[a]], q), h[:, bx[a]]) % q for a in common], axis=1)
         # S is diag plus cols at the pivot columns: eq S^t = eq diag + eq[:, pivots] cols^t
         diag, pivots, cols = _hermite_columns(eq, eq.shape[1], q)
-        if ((matmul_mod(eq[:, pivots], cols.T, q) + eq * diag) % q).any():
-            raise CertificateError("block coordinates do not satisfy the congruences")
+        # checked over blocks of rows, each temporary one block x m
+        step = max(1, _RECHECK_BLOCK_BYTES // (8 * eq.shape[1]))
+        for block in (eq[lo : lo + step] for lo in range(0, len(eq), step)):
+            if ((matmul_mod(block[:, pivots], cols.T, q) + block * diag) % q).any():
+                raise CertificateError("block coordinates do not satisfy the congruences")
         sols = _hermite_dense(diag, pivots, cols)
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
@@ -813,15 +848,15 @@ def _glue_invariant(a: int, b: int, r: int, s: int, g, det_u: int):
     return a, b, r, s, tuple(g), min(c, m - c)
 
 
-def _glue_route(x: IntMatrix, y: IntMatrix, sp: SplitSpectrum):
+def _glue_route(x: IntMatrix, y: IntMatrix, spx: SplitSpectrum, spy: SplitSpectrum):
     """(T, None) with T X T^-1 = Y, certified by _certified, or (None,
     (invariant of X, invariant of Y)) when no such T exists, for split X
-    and Y with one spectrum sp, eigenvalues a < b of multiplicities r and
-    s.
+    and Y with spectra spx and spy, both with eigenvalues a < b of
+    multiplicities r and s.
 
     _glue_block gives V_X X V_X^-1 = [[aI_r, N], [0, bI_s]] from the
     a-eigenlattice basis of _eigenbasis (the only one read), and M from
-    Y the same way.
+    Y the same way, each with its own a-idempotent.
     Every intertwiner of these forms is [[P, Q], [0, R]], and it
     conjugates exactly when P N - M R = (a - b) Q, so the pair is
     conjugate iff P N = M R (mod d = b - a) for some P and R of
@@ -836,10 +871,10 @@ def _glue_route(x: IntMatrix, y: IntMatrix, sp: SplitSpectrum):
     = (P N - M R)/(a - b) is exact and T = V_Y^-1 [[P, Q], [0, R]] V_X.
     d = 1 takes P = R = I, since every block is then congruent.
     """
-    (a, b), (r, s) = sp.eigenvalues, sp.multiplicities
+    (a, b), (r, s) = spx.eigenvalues, spx.multiplicities
     d, n = b - a, r + s
-    vx, _, nx = _glue_block(x.array, _eigenbasis(x.array, a, r), a, b)
-    _, vy_inv, ny = _glue_block(y.array, _eigenbasis(y.array, a, r), a, b)
+    vx, _, nx = _glue_block(x.array, _eigenbasis(x.array, a, r, spx.idempotents[0].array), a, b)
+    _, vy_inv, ny = _glue_block(y.array, _eigenbasis(y.array, a, r, spy.idempotents[0].array), a, b)
     g, u_n, _, _, w_n_inv, det_n = smith_mod(nx.tolist(), d)
     g_m, _, u_m_inv, w_m, _, det_m = smith_mod(ny.tolist(), d)
     invariants = _glue_invariant(a, b, r, s, g, det_n), _glue_invariant(a, b, r, s, g_m, det_m)
@@ -1031,7 +1066,7 @@ def decide(
     if spx.eigenvalues != spy.eigenvalues or spx.multiplicities != spy.multiplicities:
         return mismatch
     if len(spx.eigenvalues) == 2:
-        conj, invariants = _glue_route(x, y, spx)
+        conj, invariants = _glue_route(x, y, spx, spy)
         if conj is None:
             return Verdict(status="NOT_CONJUGATE", reason="glue-invariant", glue=invariants)
         return Verdict(status="CONJUGATE", reason="explicit-conjugator", conjugator=conj)

@@ -25,6 +25,7 @@ from helpers import (
     subprocess_env,
     unimodular_inverse,
 )
+from test_bounds import paley25
 
 from zconj import conjugacy, forms, modular, spectral
 from zconj.conjugacy import (
@@ -50,7 +51,7 @@ from zconj.linalg import charpoly, det, hnf, snf_invariants
 from zconj.modular import det_mod
 from zconj.matrix import IntMatrix
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
-from zconj.graphs import field_build, paley_adjacency, peisert_adjacency
+from zconj.graphs import field_build, paley_adjacency, paley_idempotent_data, peisert_adjacency
 
 X1 = IntMatrix([[0, 2], [-3, 0]])
 Y1 = IntMatrix([[0, 1], [-6, 0]])
@@ -417,6 +418,44 @@ def test_decide_above_search_cap_never_builds_the_basis(monkeypatch):
     assert [(lv.prime, lv.method) for lv in v.local] == [(2, "closed-form"), (3, "sampled")]
     for lv in v.local:
         assert verify_conjugator(lv.certificate, x, y, prime=lv.prime)
+
+
+def test_eigenbasis_takes_the_smaller_elimination(monkeypatch):
+    # Paley(F_25) against a relabelled copy: on each side the rank-one
+    # eigenvalue 12 is read off its idempotent J, the rank-12 eigenvalues
+    # 2 and -3 off X - aI; forcing the kernel route leaves the verdict JSON
+    x = IntMatrix(paley25())
+    perm = np.random.default_rng(3).permutation(25)
+    y = IntMatrix(x.array[perm][:, perm])
+    routes, eigenbasis = [], conjugacy._eigenbasis
+
+    def traced(m, a, mult, f):
+        routes.append([a])
+        return eigenbasis(m, a, mult, f)
+
+    for name in ("kernel_basis", "span_basis"):
+        route = getattr(conjugacy, name)
+        monkeypatch.setattr(conjugacy, name, lambda a, name=name, route=route: routes[-1].append(name) or route(a))
+    monkeypatch.setattr(conjugacy, "_eigenbasis", traced)
+    chosen = decide(x, y)
+    assert (chosen.status, chosen.reason) == ("CONJUGATE", "theorem+local-passes")
+    assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2)] + [(12, "span_basis")] * 2
+    routes.clear()
+    monkeypatch.setattr(conjugacy, "KERNEL_RREF_CUTOFF", 10**9)
+    forced = decide(x, y)
+    assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2, 12, 12)]
+    assert json.dumps(chosen.to_json_obj(), sort_keys=True) == json.dumps(forced.to_json_obj(), sort_keys=True)
+
+
+def test_rank_one_paley_eigenbasis_at_p19_in_time():
+    # the degree 180 of Paley(F_361) has multiplicity one and eigenlattice
+    # Z (1, ..., 1); from its idempotent J it takes milliseconds, while the
+    # elimination of X - 180 I runs to depth 360 and takes minutes
+    data = paley_idempotent_data(19)
+    start = time.perf_counter()
+    basis = conjugacy._eigenbasis(data.X.array, data.k, 1, data.E1.array)
+    assert time.perf_counter() - start < 5
+    assert basis.T.tolist() == [[1] * 361]
 
 
 def test_randranges_match_randrange():

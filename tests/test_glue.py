@@ -34,7 +34,7 @@ def unflat(v, r, s):
 
 
 def route(x, y):
-    return _glue_route(x, y, split_spectrum(x))
+    return _glue_route(x, y, split_spectrum(x), split_spectrum(y))
 
 
 def test_glue_invariant_separates_the_orbits():
