@@ -26,7 +26,8 @@ By the boundary rule of zconj.matrix the private functions work on
 integer arrays, each product a matmul with a stated bound, and an
 IntMatrix is built once per certificate (aligned, closed_form, basis, a
 hit); _certified and _decide_bqf take what the public functions they
-serve take, and verify_conjugator's TX = YT is the one IntMatrix product.
+serve take, and the IntMatrix products are verify_conjugator's TX = YT
+and the closed form's C D X = Y C D.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from .linalg import (
     hnf,
     kernel_basis,
     lll_reduce,
-    span_basis,
 )
-from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
+from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs, product_dtype
 from .modular import (
     _hermite_columns,
     _hermite_dense,
@@ -69,7 +69,7 @@ from .spectral import NotSplit, SplitSpectrum, _spectrum_at, check_assumption, s
 _DET_FILTER_PRIME = (1 << 31) - 1
 _EXHAUSTIVE_LIMIT = 1 << 20
 _CHUNK_ENTRIES = 1 << 14  # largest candidate stack local_test evaluates at once
-_RECHECK_BLOCK_BYTES = 1 << 24  # int64 bytes of one row block of the congruence re-check
+_BLOCK_BYTES = 1 << 24  # bytes of one block (8 an entry) of a product with an m-wide operand
 
 
 def _chunks(total: int, cap: int):
@@ -177,8 +177,13 @@ class IntertwinerLattice:
 
     def combination(self, coeffs) -> IntMatrix:
         """sum_i coeffs[i] basis[i] for integer coefficients, as an IntMatrix."""
-        mc, mk = max_abs(self.coords), max_abs(coeffs)
-        s = matmul(coeffs, self.coords, max(mc, mk, mc * mk * self.rank))
+        # coords is m x m on the theorem route: its magnitude without an
+        # |coords| copy, and the product over column blocks, each cast alone
+        mc, mk = max(int(self.coords.max()), -int(self.coords.min())), max_abs(coeffs)
+        bound, step = max(mc, mk, mc * mk * self.rank), max(1, _BLOCK_BYTES // (8 * self.rank))
+        s = np.empty(self.coords.shape[1], dtype=int_dtype(bound))
+        for lo in range(0, len(s), step):
+            s[lo : lo + step] = matmul(coeffs, self.coords[:, lo : lo + step], bound)
         return IntMatrix(self.elements(s[None])[0])
 
     @cached_property
@@ -210,22 +215,22 @@ def _eigenbasis(m, a: int, mult: int, f):
     unless it has mult columns and m maps each to a times it.
 
     f is the scaled idempotent F_a, whose columns span the eigenspace.
-    Above KERNEL_RREF_CUTOFF the lattice comes from whichever of M - aI
-    (rank n - mult, kernel_basis) and F_a^t (rank mult, span_basis) has
-    the smaller Hadamard bound (sqrt(rank) max |entry|)^rank on its
-    largest minor, which bounds every entry of its elimination; both
-    give the same basis.  A tie predicts no gain, so it keeps the kernel
-    route, which also checks its output against M - aI.  At or below
-    the cutoff kernel_basis takes its HNF route and f is not read.  The
-    rank check with the certified multiplicity and the eigenvector
-    check make either output the whole eigenlattice.
+    Above KERNEL_RREF_CUTOFF a rank-one lattice is read off f in closed
+    form: its first nonzero column divided by its content, signed so
+    that its last nonzero entry is positive, which is the vector
+    kernel_basis returns there.  Every other lattice is kernel_basis of
+    M - aI.  The rank check with the certified multiplicity and the
+    eigenvector check make either output the whole eigenlattice.
     """
     n, mm = len(m), max(max_abs(m), abs(a))
-    shifted = m.astype(int_dtype(2 * mm))
-    shifted.flat[:: n + 1] -= a
-    if n > KERNEL_RREF_CUTOFF and _hadamard_squared(mult, f) < _hadamard_squared(n - mult, shifted):
-        basis = span_basis(f.T).T
+    if n > KERNEL_RREF_CUTOFF and mult == 1:
+        basis = f[:, np.flatnonzero(f.any(axis=0))[:1]].astype(object)  # no column when f = 0
+        if basis.size:
+            g = gcd(*basis.flat)
+            basis //= g if basis.flat[np.flatnonzero(basis)[-1]] > 0 else -g
     else:
+        shifted = m.astype(int_dtype(2 * mm))
+        shifted.flat[:: n + 1] -= a
         basis = kernel_basis(shifted).T
     if basis.shape[1] != mult:
         raise CertificateError("eigenlattice rank differs from multiplicity")
@@ -234,12 +239,6 @@ def _eigenbasis(m, a: int, mult: int, f):
     if (matmul(m, basis, bound) != basis.astype(int_dtype(bound)) * a).any():
         raise CertificateError("eigenlattice basis is not made of eigenvectors")
     return basis
-
-
-def _hadamard_squared(rank: int, a) -> int:
-    """Square of the Hadamard bound (sqrt(rank) max |a|)^rank on the
-    rank x rank minors of the integer array a, exact."""
-    return rank**rank * max_abs(a) ** (2 * rank)
 
 
 def _eigenbases(m, sp: SplitSpectrum):
@@ -269,7 +268,8 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     with X B = B diag(a) and Y C = C diag(a) that makes every element
     an integral intertwiner.  The lattice stays in these block
     coordinates.  With equal spectra C D intertwines X and Y
-    (closed_form), and C D / q is the aligned intertwiner if integral.
+    (closed_form): C D X = C Lambda D = Y C D, which is checked once
+    here, and C D / q is the aligned intertwiner if integral.
     """
     n = x.nrows
     b, bx = _eigenbases(x.array, spx)
@@ -283,6 +283,8 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     if spx.eigenvalues == spy.eigenvalues and spx.multiplicities == spy.multiplicities:
         cd = matmul(c, d, max(mc, md, mc * md * n))
         closed_form = IntMatrix._of(cd)
+        if not closed_form * x == y * closed_form:
+            raise CertificateError("C D does not intertwine X and Y")
         if not residues(cd, q).any():
             # C D is nonsingular, so some entry is a nonzero multiple of q
             # and the array's dtype holds q
@@ -304,11 +306,13 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
         eq = np.concatenate([np.kron(residues(c[:, cy[a]], q), h[:, bx[a]]) % q for a in common], axis=1)
         # S is diag plus cols at the pivot columns: eq S^t = eq diag + eq[:, pivots] cols^t
         diag, pivots, cols = _hermite_columns(eq, eq.shape[1], q)
-        # checked over blocks of rows, each temporary one block x m
-        step = max(1, _RECHECK_BLOCK_BYTES // (8 * eq.shape[1]))
-        for block in (eq[lo : lo + step] for lo in range(0, len(eq), step)):
-            if ((matmul_mod(block[:, pivots], cols.T, q) + block * diag) % q).any():
-                raise CertificateError("block coordinates do not satisfy the congruences")
+        # checked over blocks of rows, each temporary one block x m; eq and
+        # its blocks are gone before the m x m basis is allocated
+        step = max(1, _BLOCK_BYTES // (8 * eq.shape[1]))
+        blocks = (eq[lo : lo + step] for lo in range(0, len(eq), step))
+        if any(((matmul_mod(e[:, pivots], cols.T, q) + e * diag) % q).any() for e in blocks):
+            raise CertificateError("block coordinates do not satisfy the congruences")
+        del eq
         sols = _hermite_dense(diag, pivots, cols)
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
@@ -454,7 +458,14 @@ def local_test(
     square = all(r == c for r, c in sizes) and sum(c for _, c in sizes) == lattice.n
     if m == 0 or not square or _valuation(lattice.det_b, p) != _valuation(lattice.det_c, p):
         return exhausted
-    res = residues(lattice.coords, p)
+    # the residues once, in the dtype matmul_mod multiplies them in (no
+    # chunk re-casts them, and no int64 copy precedes them); candidates
+    # stay in the integer residue dtype
+    dtype, coeff_dtype = product_dtype(p * p * m), int_dtype(p * p + p)
+    if dtype is object:
+        res = residues(lattice.coords, p).astype(object, copy=False)
+    else:
+        res = np.remainder(lattice.coords, p, out=np.empty(lattice.coords.shape, dtype), casting="unsafe")
     cap = max(1, _CHUNK_ENTRIES // max(res.shape[1], m))
     offsets = np.cumsum([0] + [k * k for k, _ in sizes])
     by_size = sorted(zip(offsets, (k for k, _ in sizes)), key=lambda b: b[1])
@@ -483,7 +494,7 @@ def local_test(
     if exhaustible:
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
     for lo, hi in _chunks(quick, cap):
-        coeffs = draws.take((hi - lo) * m).astype(res.dtype).reshape(-1, m)
+        coeffs = draws.take((hi - lo) * m).astype(coeff_dtype).reshape(-1, m)
         hit = first_unit(matmul_mod(coeffs, res, p))
         if hit is not None:
             return certify(coeffs[hit], "sampled")
@@ -1024,14 +1035,14 @@ def decide(
     assumption checked on x and then y; local tests at the bases of
     relevant_primes in increasing order, always on C(x,y), stopping at
     the first FAIL (so local ends there), each a closed-form PASS when
-    the lattice's C D, checked once to intertwine, has a unit
-    determinant there, and a local_test otherwise, a base that meets a
-    zero divisor giving way to its parts; the local-global theorem when
-    the assumption holds and all locals pass; then, where the search
-    would run (n <= search_dim_cap, or the theorem does not apply),
-    explicit conjugator search.  UNKNOWN verdicts name what blocked the
-    decision: assumption-unverified, local-undecided, or form-budget
-    when the form endgame passed its step cap.
+    the lattice's C D has a unit determinant there, and a local_test
+    otherwise, a base that meets a zero divisor giving way to its parts;
+    the local-global theorem when the assumption holds and all locals
+    pass; then, where the search would run (n <= search_dim_cap, or the
+    theorem does not apply), explicit conjugator search.  UNKNOWN
+    verdicts name what blocked the decision: assumption-unverified,
+    local-undecided, or form-budget when the form endgame passed its
+    step cap.
 
     swapped marks, on pairs that take the local tests, that the
     assumption holds for y but not for x.  Local conjugacy is symmetric
@@ -1079,16 +1090,15 @@ def decide(
             swapped = True
     lattice = intertwiner_lattice(x, y, spectra=(spx, spy))
     # bases in order, stopping at the first FAIL: one obstruction decides.
-    # The closed form C D is offered first at each base (whether it
-    # intertwines is checked once); a zero divisor splits the base, and
+    # The closed form C D, checked to intertwine when it was built, is
+    # offered first at each base; a zero divisor splits the base, and
     # its parts are tested in its place.  Three distinct integer
     # eigenvalues have a gap of at least 2, so there is always a base
     cd, bases, locals_ = lattice.closed_form, relevant_primes(spx), []
-    intertwines = cd * x == y * cd
     while bases:
         b = bases.pop(0)
         try:
-            if intertwines and det_mod(cd.array, b):
+            if det_mod(cd.array, b):
                 local = LocalVerdict(prime=b, status="PASS", certificate=cd, method="closed-form")
             else:
                 local = local_test(x, y, b, budget=budget, seed=seed, lattice=lattice)

@@ -2,17 +2,16 @@
 
 Everything here is computed with exact integer arithmetic.  Rational
 data is carried fraction-free: fraction_free_rref is the one elimination
-behind det, the two lattice routes (the RREF kernel route and the
-row-space route span_basis, which share one congruence tail), the
-scaled inverse in conjugacy and the minimal polynomial in spectral,
-each of its steps typed by the entries it holds (int64 while they stay
-below about 2^30.5), and LLL keeps integral Gram-Schmidt data.
-Invariant factors come from one kernel, the divisor chain of
-modular._diagonalize_mod taken modulo a nonzero maximal minor that
-fraction_free_rref supplies (Domich, Kannan and Trotter 1987), so their
-cost is polynomial in the bit size of the input.  The Hermite form
-comes from gcd row operations; its unimodular transform is accumulated
-as a product of elementary row operations, never recovered by solving.
+behind det, the RREF kernel route, the scaled inverse in conjugacy and
+the minimal polynomial in spectral, each of its steps typed by the
+entries it holds (int64 while they stay below about 2^30.5), and LLL
+keeps integral Gram-Schmidt data.  Invariant factors come from one
+kernel, the divisor chain of modular._diagonalize_mod taken modulo a
+nonzero maximal minor that fraction_free_rref supplies (Domich, Kannan
+and Trotter 1987), so their cost is polynomial in the bit size of the
+input.  The Hermite form comes from gcd row operations; its unimodular
+transform is accumulated as a product of elementary row operations,
+never recovered by solving.
 
 Conventions:
 
@@ -23,8 +22,6 @@ Conventions:
   d_i > 0, of a matrix of rank r, without transforms
 * kernel_basis returns a basis of the saturated integer kernel
   {v : A v = 0}, so the basis extends to a basis of Z^ncols
-* span_basis returns a basis of the saturated lattice (row space of
-  F over Q) meet Z^ncols, as rows
 """
 
 from __future__ import annotations
@@ -181,7 +178,9 @@ def kernel_basis(a):
     the transform is unimodular the basis is automatically saturated.
     Systems with a side above KERNEL_RREF_CUTOFF switch to fraction-free
     elimination, where entry growth stays bounded by minor sizes instead
-    of compounding through gcd folds.
+    of compounding through gcd folds.  There a kernel of rank one is the
+    primitive vector whose last nonzero entry is positive: that entry is
+    the one free coordinate, and the Hermite diagonal is positive.
     """
     if max(a.shape) > KERNEL_RREF_CUTOFF:
         return _kernel_basis_rref(a)
@@ -194,62 +193,31 @@ def _kernel_basis_rref(a):
 
     With R = d RREF(A), pivot columns p_i and free columns f_j, every
     rational kernel vector is determined by its free coordinates c,
-    with pivot coordinates -N c for the block N = R[:, free] / d, so the
-    saturated kernel is _integral_rows of R[:, free] over -d.
+    with pivot coordinates -N c for the block N = R[:, free] / d.  Its
+    common denominator is den = |d| / gcd(d, R[:, free]), and
+    integrality of the pivot coordinates is the congruence (den N) c =
+    0 mod den, so the saturated kernel is the image of that solution
+    lattice.
     """
     r_mat, pivots, d, _ = fraction_free_rref(a)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
-    basis = _integral_rows(r_mat[: len(pivots), free], -d, free, pivots, ncols)
-    ma, mb = max_abs(a), max_abs(basis)
-    if matmul(a, basis.T, max(ma, mb, ma * mb * ncols)).any():
-        raise CertificateError("kernel vector is not annihilated")
-    return basis
-
-
-def span_basis(f):
-    """Rows of a basis of (row space of f over Q) meet Z^ncols, saturated.
-
-    The fraction-free RREF of f with its columns reversed picks the last
-    coordinates that are independent on the row space V; by matroid
-    duality they are the free columns of the RREF of any A with kernel V.
-    Read back in the original order, its rows W = d RREF hold d I at
-    those coordinates, so the vectors of V with coordinates c there have
-    the rest W[:, rest]^t c / d, and the lattice is _integral_rows of
-    that block: the same unknowns in the same order as _kernel_basis_rref
-    on A, so the same Hermite block and the same rows.
-    """
-    ncols = f.shape[1]
-    r_mat, pivots, d, _ = fraction_free_rref(f[:, ::-1])
-    free = [ncols - 1 - c for c in reversed(pivots)]
-    rest = [c for c in range(ncols) if c not in free]
-    w = r_mat[: len(pivots)][::-1, ::-1]
-    return _integral_rows(w[:, rest].T, d, free, rest, ncols)
-
-
-def _integral_rows(num, d, free, rest, ncols):
-    """Saturated basis, as rows, of the integer vectors v in the rational
-    space {v : v[rest] = num v[free] / d}, by one congruence solve.
-
-    Its vectors are determined by c = v[free], with common denominator
-    den = |d| / gcd(d, num), and integrality of v[rest] is the
-    congruence (den num / d) c = 0 mod den, so the lattice is the image
-    of that solution lattice's Hermite basis, which the lattice alone
-    fixes, whatever num and d describe it.
-    """
     if not free:
         return np.zeros((0, ncols), dtype=np.int64)
-    num = num.astype(object)
+    num = r_mat[: len(pivots), free].astype(object)
     den = abs(d) // gcd(d, *num.flat)
     coeffs = solve_congruence_lattice(num // (d // den), len(free), den)
     # coeffs are reduced mod den <= |d|; the bound covers d, which
     # divides the product next
-    rest_part = matmul(num, coeffs.T, max(abs(d), max_abs(num) * den * len(free)))
-    if (rest_part % d).any():
-        raise CertificateError("lattice vector is not integral")
+    pivot_part = matmul(num, coeffs.T, max(abs(d), max_abs(num) * den * len(free)))
+    if (pivot_part % d).any():
+        raise CertificateError("kernel vector is not integral")
     basis = np.zeros((len(coeffs), ncols), dtype=object)
     basis[:, free] = coeffs
-    basis[:, rest] = (rest_part // d).T
+    basis[:, pivots] = -(pivot_part // d).T
+    ma, mb = max_abs(a), max_abs(basis)
+    if matmul(a, basis.T, max(ma, mb, ma * mb * ncols)).any():
+        raise CertificateError("kernel vector is not annihilated")
     return basis
 
 

@@ -138,8 +138,8 @@ def test_criterion_4_forty_nine_vertex_pair_by_theorem():
 
 
 def test_criterion_4b_one_hundred_twenty_one_vertex_pair_by_theorem():
-    # 25 s wall and a peak RSS of 1.35 GB on a 2-core host with one BLAS
-    # thread; the budgets leave room for slower runners
+    # 23-32 s wall and a peak RSS of 1.04 GB on a 2-core host with one
+    # BLAS thread; the budgets leave room for slower runners
     t0 = time.monotonic()
     f121 = field_build(11, 2)
     x121, xs121 = paley_adjacency(f121), peisert_adjacency(f121)

@@ -72,9 +72,8 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         assert verify_smith_lemma(p).ok
 
     assert not bad, bad
-    # the array call sites of the eigenbases (both lattice routes and
-    # their shared congruence tail), the Sylvester kernel, the glue
-    # blocks and the built conjugator, the congruence read-off, the
+    # the array call sites of the eigenbases, the Sylvester kernel, the
+    # glue blocks and the built conjugator, the congruence read-off, the
     # projector and idempotent checks, the form witness and the boundary
     # re-check all ran
     expected = {
@@ -85,7 +84,6 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         "conjugacy:_sylvester_basis",
         "conjugacy:combination",
         "linalg:_kernel_basis_rref",
-        "linalg:_integral_rows",
         "modular:_hermite_columns",
         "spectral:_check_projector_identities",
         "modular:scaled_idempotent_invariants",

@@ -16,6 +16,7 @@ from helpers import (
     eigenblock_basis_full,
     flat,
     hidden,
+    kernel_basis_fraction,
     local_test_sequential,
     obj,
     random_sl,
@@ -420,31 +421,52 @@ def test_decide_above_search_cap_never_builds_the_basis(monkeypatch):
         assert verify_conjugator(lv.certificate, x, y, prime=lv.prime)
 
 
-def test_eigenbasis_takes_the_smaller_elimination(monkeypatch):
+def test_rank_one_eigenbasis_skips_the_elimination(monkeypatch):
     # Paley(F_25) against a relabelled copy: on each side the rank-one
     # eigenvalue 12 is read off its idempotent J, the rank-12 eigenvalues
-    # 2 and -3 off X - aI; forcing the kernel route leaves the verdict JSON
+    # 2 and -3 off X - aI by kernel_basis; forcing kernel_basis for all
+    # leaves the verdict JSON
     x = IntMatrix(paley25())
     perm = np.random.default_rng(3).permutation(25)
     y = IntMatrix(x.array[perm][:, perm])
-    routes, eigenbasis = [], conjugacy._eigenbasis
+    routes, eigenbasis, kernel = [], conjugacy._eigenbasis, conjugacy.kernel_basis
 
     def traced(m, a, mult, f):
         routes.append([a])
         return eigenbasis(m, a, mult, f)
 
-    for name in ("kernel_basis", "span_basis"):
-        route = getattr(conjugacy, name)
-        monkeypatch.setattr(conjugacy, name, lambda a, name=name, route=route: routes[-1].append(name) or route(a))
+    monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: routes[-1].append("kernel_basis") or kernel(m))
     monkeypatch.setattr(conjugacy, "_eigenbasis", traced)
     chosen = decide(x, y)
     assert (chosen.status, chosen.reason) == ("CONJUGATE", "theorem+local-passes")
-    assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2)] + [(12, "span_basis")] * 2
+    assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2)] + [(12,)] * 2
     routes.clear()
     monkeypatch.setattr(conjugacy, "KERNEL_RREF_CUTOFF", 10**9)
     forced = decide(x, y)
     assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2, 12, 12)]
     assert json.dumps(chosen.to_json_obj(), sort_keys=True) == json.dumps(forced.to_json_obj(), sort_keys=True)
+
+
+def test_rank_one_eigenbasis_matches_fraction_oracle():
+    # hidden upper-triangular matrices, n = 17..25, with eigenvalue 0 once
+    # between blocks of b and c: the idempotent's columns have content > 1
+    # and mixed signs, and the closed form is the oracle's saturated kernel of X
+    rng, contents, mixed = random.Random(25), set(), set()
+    for _ in range(6):
+        n, b, c = rng.randint(17, 25), rng.choice((2, 3, 4)), -rng.choice((2, 3))
+        k = rng.randint(1, n - 2)
+        diag = [b] * k + [0] + [c] * (n - 1 - k)
+        upper = [[diag[i] if i == j else rng.randint(-3, 3) * (j > i and diag[i] != diag[j]) for j in range(n)]
+                 for i in range(n)]
+        x = hidden(IntMatrix(upper), rng, steps=2 * n)
+        sp = split_spectrum(x)
+        f = sp.idempotents[sp.eigenvalues.index(0)].array
+        col = f[:, np.flatnonzero(f.any(axis=0))[0]].tolist()
+        contents.add(gcd(*col) > 1)
+        mixed.add(min(col) < 0 < max(col))
+        got = conjugacy._eigenbasis(x.array, 0, 1, f)
+        assert [tuple(v) for v in got.T.tolist()] == kernel_basis_fraction(x)
+    assert contents == mixed == {True}
 
 
 def test_rank_one_paley_eigenbasis_at_p19_in_time():
@@ -693,6 +715,23 @@ def test_decide_checks_the_closed_form_once(monkeypatch):
         cd = lattices[0].closed_form
         assert [lv.prime for lv in v.local] == bases
         assert sum(cd in pair for pair in products) == 2
+
+
+def test_closed_form_that_does_not_intertwine_is_refused(monkeypatch):
+    # Y's eigenbases with the columns of eigenvalues 0 and 2 swapped: B D
+    # = q I does not read C, so C D X = Y C D is the check that sees them
+    x = IntMatrix.diagonal([0, 2, 6])
+    y = hidden(x, random.Random(62))
+    calls, eigenbases = [], conjugacy._eigenbases
+
+    def swapped(m, sp):
+        basis, blocks = eigenbases(m, sp)
+        calls.append(m)
+        return (basis[:, [1, 0, 2]] if len(calls) == 2 else basis), blocks
+
+    monkeypatch.setattr(conjugacy, "_eigenbases", swapped)
+    with pytest.raises(CertificateError, match="does not intertwine"):
+        decide(x, y)
 
 
 def test_decide_identical_input():

@@ -31,7 +31,6 @@ from zconj.linalg import (
     kernel_basis,
     lll_reduce,
     snf_invariants,
-    span_basis,
 )
 from zconj.matrix import IntMatrix
 
@@ -315,52 +314,23 @@ def test_fraction_free_rref_int64_steps_match_object_twin(monkeypatch):
         assert (r.tolist(), pivots, d, sign) == (want[0].tolist(), *want[1:])
 
 
-def spanning_set(rng, basis, ncols):
-    """A scaled, non-saturated spanning set of the Q-span of basis:
-    random nonsingular integer combinations of its rows, each times 1,
-    2, 3 or 6, plus dependent rows, shuffled; a zero row for no basis."""
-    k = len(basis)
-    if not k:
-        return np.zeros((1, ncols), dtype=object)
-    while True:
-        g = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], dtype=object)
-        if det(g):
-            break
-    rows = (g @ np.array(basis, dtype=object)).tolist()
-    rows = [[c * v for v in row] for c, row in zip(rng.choices((1, 2, 3, 6), k=k), rows)]
-    for _ in range(rng.randint(1, 3)):
-        a, b = rng.randrange(k), rng.randrange(k)
-        rows.append([2 * u - 3 * v for u, v in zip(rows[a], rows[b])])
-    rng.shuffle(rows)
-    return np.array(rows, dtype=object)
-
-
 def test_kernel_basis_matches_fraction_oracle():
     # both sides of the 16 cutoff for the RREF route, the public
-    # dispatch above it; equality of the vectors, not only of the span.
-    # The row-space route gives the same vectors from any spanning set
-    # of a rank-deficient case's kernel
-    rng, span_rng = random.Random(12), random.Random(13)
-    sides = set()
+    # dispatch above it; equality of the vectors, not only of the span
+    rng = random.Random(12)
     for _ in range(60):
         nrows, ncols = rng.randint(1, 25), rng.randint(1, 25)
         m = random_matrix(rng, nrows, ncols, rng.choice(BOUNDS))
-        deficient = rng.random() < 0.5
-        if deficient:
+        if rng.random() < 0.5:
             m = rank_deficient(rng, m)
         expected = kernel_basis_fraction(m)
         assert kernel_rows(_kernel_basis_rref, m) == expected
-        if deficient:
-            f = spanning_set(span_rng, expected, ncols)
-            assert [tuple(v) for v in span_basis(f).tolist()] == expected
-            sides.add(ncols > 16)
         if nrows > 16 or ncols > 16:
             assert kernel_rows(kernel_basis, m) == expected
         else:
             assert same_span(
                 [IntMatrix([v]) for v in kernel_rows(kernel_basis, m)], [IntMatrix([v]) for v in expected]
             )
-    assert sides == {False, True}
 
 
 def test_lll_matches_fraction_oracle():
