@@ -238,7 +238,7 @@ def _eigenbasis(m, a: int, mult: int, f):
     bound = max(mm, mb, mm * mb * n)
     if (matmul(m, basis, bound) != basis.astype(int_dtype(bound)) * a).any():
         raise CertificateError("eigenlattice basis is not made of eigenvectors")
-    return basis
+    return basis.astype(int_dtype(mb), copy=False)
 
 
 def _eigenbases(m, sp: SplitSpectrum):
@@ -248,6 +248,36 @@ def _eigenbases(m, sp: SplitSpectrum):
     blocks = {a: range(end - mult, end) for a, mult, end in zip(sp.eigenvalues, sp.multiplicities, ends)}
     bases = [_eigenbasis(m, a, len(blocks[a]), e.array) for a, e in zip(sp.eigenvalues, sp.idempotents)]
     return np.concatenate(bases, axis=1), blocks
+
+
+def _stacked(howell, width: int, q: int):
+    """_howell_rows' rows E_c as the rows of a (rows, width) array of
+    residues, by pivot column, and the pivots g_c in the same order."""
+    rows = sorted(howell.items())
+    out = np.zeros((len(rows), width), dtype=int_dtype(q * q + q))
+    for i, (col, e) in enumerate(rows):
+        out[i, : col + 1] = e
+    return out, [int(e[col]) for col, e in rows]
+
+
+def _row_span(a, q: int):
+    """Rows of the Howell form of the span of the rows of the residues a
+    mod q, certified to span it.
+
+    They are the rows G != 0 of the Howell rows [T | G] of [I | a].  Two
+    checks make the spans equal: T a = G (mod q) puts each [T | G] in
+    the span of the rows [x | x a], a group of q^n elements for n rows
+    of a, and prod_c q / g_c = q^n, the order of that span, which rows
+    in echelon form with pivots g_c span at least.  Restricted to a's
+    columns the two spans give G's and a's.
+    """
+    n = len(a)
+    tg, pivots = _stacked(_howell_rows(np.hstack([np.eye(n, dtype=a.dtype) % q, a]), q), n + a.shape[1], q)
+    if (matmul_mod(tg[:, :n], a, q) != tg[:, n:]).any():
+        raise CertificateError("Howell rows lie outside the row span mod q")
+    if prod(q // g for g in pivots) != q**n:
+        raise CertificateError("Howell rows of [I | A] do not span a group of order q^n")
+    return tg[tg[:, n:].any(axis=1), n:]
 
 
 def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
@@ -264,12 +294,17 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     make the spans equal: B H^t = 0 (mod q), which puts every row of H
     in D's span because B D = q I, and prod_c q / g_c = |det B|, the
     order of D's span mod q, which a triangular set with pivots g_c
-    spans at least.  Every solution is checked against the congruences;
-    with X B = B diag(a) and Y C = C diag(a) that makes every element
-    an integral intertwiner.  The lattice stays in these block
-    coordinates.  With equal spectra C D intertwines X and Y
-    (closed_form): C D X = C Lambda D = Y C D, which is checked once
-    here, and C D / q is the aligned intertwiner if integral.
+    spans at least.  Likewise only the span of C's rows mod q counts:
+    the congruences are solved on the rows of its Howell form
+    (_row_span, certified to span it), whose Kronecker products with H
+    are nearly in echelon form already, which keeps the Howell pass of
+    the system short.  Every solution is checked against the
+    congruences on C's own rows; with X B = B diag(a) and Y C = C
+    diag(a) that makes every element an integral intertwiner.  The
+    lattice stays in these block coordinates.  With equal spectra C D
+    intertwines X and Y (closed_form): C D X = C Lambda D = Y C D,
+    which is checked once here, and C D / q is the aligned intertwiner
+    if integral.
     """
     n = x.nrows
     b, bx = _eigenbases(x.array, spx)
@@ -292,27 +327,34 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     common = [a for a in spx.eigenvalues if a in cy]
     sols = np.zeros((0, 0), dtype=np.int64)
     if common:
-        howell = _howell_rows(residues(d.T, q), q)
-        h = np.zeros((len(howell), n), dtype=int_dtype(q * q + q))
-        for i, (col, e) in enumerate(sorted(howell.items())):
-            h[i, : col + 1] = e
+        h, pivots_h = _stacked(_howell_rows(residues(d.T, q), q), n, q)
         if matmul_mod(residues(b, q), h.T, q).any():
             raise CertificateError("Howell rows lie outside the span of D mod q")
-        if prod(q // int(e[col]) for col, e in howell.items()) != abs(det_b):
+        if prod(q // g for g in pivots_h) != abs(det_b):
             raise CertificateError("Howell rows do not span a group of order |det B|")
-        # congruence rows: entry (r,c) of sum_a C_a S_a H_a^t, coefficient
-        # of S_a[u,v] is C_a[r,u] * H[c,v] over B_a's columns v; as a
-        # block this is kron(C_a, H_a)
-        eq = np.concatenate([np.kron(residues(c[:, cy[a]], q), h[:, bx[a]]) % q for a in common], axis=1)
-        # S is diag plus cols at the pivot columns: eq S^t = eq diag + eq[:, pivots] cols^t
-        diag, pivots, cols = _hermite_columns(eq, eq.shape[1], q)
-        # checked over blocks of rows, each temporary one block x m; eq and
-        # its blocks are gone before the m x m basis is allocated
-        step = max(1, _BLOCK_BYTES // (8 * eq.shape[1]))
-        blocks = (eq[lo : lo + step] for lo in range(0, len(eq), step))
-        if any(((matmul_mod(e[:, pivots], cols.T, q) + e * diag) % q).any() for e in blocks):
-            raise CertificateError("block coordinates do not satisfy the congruences")
-        del eq
+
+        def system(rows):
+            # congruence rows for rows R of C or G: entry (r,c) of
+            # sum_a R_a S_a H_a^t, whose coefficient of S_a[u,v] is
+            # R_a[r,u] * H[c,v] over B_a's columns v, as a block
+            # kron(R_a, H_a), with entries below q^2
+            blocks = [np.multiply(rows[:, None, cy[a], None], h[None, :, None, bx[a]], order="C") for a in common]
+            return np.concatenate([k.reshape(len(rows) * len(h), k.shape[2] * k.shape[3]) for k in blocks], axis=1)
+
+        cr = residues(c, q)
+        m = sum(len(cy[a]) * len(bx[a]) for a in common)
+        diag, pivots, cols = _hermite_columns(system(_row_span(cr, q)), m, q)
+        # S is diag plus cols at the pivot columns: E S^t = E diag + E[:,
+        # pivots] cols^t for C's own system E, built and checked a block of
+        # C's rows at a time so that each temporary is about _BLOCK_BYTES;
+        # the m x m basis is allocated after the last.  Entries are
+        # residues, so each sum is within the read-off's bound q^2 (P + 1)
+        step, bound = max(1, _BLOCK_BYTES // (8 * m * max(1, len(h)))), q * q * (len(pivots) + 1)
+        for lo in range(0, n, step):
+            e = system(cr[lo : lo + step]) % q
+            if ((matmul(e[:, pivots], cols.T, bound) + e * diag) % q).any():
+                raise CertificateError("block coordinates do not satisfy the congruences")
+        del e
         sols = _hermite_dense(diag, pivots, cols)
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)

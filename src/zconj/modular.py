@@ -433,18 +433,20 @@ def _howell_rows(a, q: int):
     out = {}
     for col in range(a.shape[1] - 1, -1, -1):
         while True:
-            active = np.flatnonzero(a[:, col])
+            (active,) = a[:, col].nonzero()
             if not len(active):
                 break
-            kbest = active[int(np.argmin(np.gcd(a[active, col], q)))]
-            g, u = unit_scaling(int(a[kbest, col]), q)
+            column = a[active, col]
+            k = int(np.gcd(column, q).argmin())
+            kbest = active[k]
+            g, u = unit_scaling(int(column[k]), q)
             if u != 1:
                 a[kbest, : col + 1] = (a[kbest, : col + 1] * u) % q
             pivrow = a[kbest, : col + 1].copy()
-            others = active[active != kbest]
-            if len(others):
-                f = a[others, col] // g
-                a[others, : col + 1] = (a[others, : col + 1] - np.outer(f, pivrow)) % q
+            if len(active) > 1:
+                keep = active != kbest
+                others = active[keep]
+                a[others, : col + 1] = (a[others, : col + 1] - (column[keep] // g)[:, None] * pivrow) % q
                 if a[others, col].any():
                     continue
             out[col] = pivrow
@@ -465,8 +467,13 @@ def solve_congruence_lattice(rows, m: int, q: int):
 def _hermite_dense(diag, pivots, sp):
     """The m x m array of a basis from _hermite_columns."""
     s = np.diag(diag)
-    s[:, pivots] += sp.astype(s.dtype)
+    # sp's column i is 0 on its pivot's row, so this only drops the diagonal
+    s[:, pivots] = sp
+    s[pivots, pivots] = diag[pivots]
     return s
+
+
+_READ_BLOCK = 128  # least number of pivots in a block of _hermite_columns' read-off
 
 
 def _hermite_columns(rows, m: int, q: int):
@@ -483,10 +490,15 @@ def _hermite_columns(rows, m: int, q: int):
     the order of A's row span, the index of the lattice, so S is a basis;
     its entries are reduced below the pivots, so S is the unique HNF.
 
-    The sum for c' is the diagonal term plus one product: the pivot
-    columns found so far, rows above c', against E_c' at those pivots.
-    Every sum stays within q^2 (P + 1), the product's bound, and sp is
-    held in the dtype matmul multiplies in, so no pivot copies it.
+    The sum for c' is the diagonal term plus the pivot columns found so
+    far, rows above c', against E_c' at those pivots.  The pivots go in
+    max(1, P // _READ_BLOCK) blocks of equal size: one product gives
+    every row of a block its sum over the columns found before the
+    block, which vanish from the block's first pivot down, and each
+    pivot adds one matrix-vector product over the block's own earlier
+    columns.  Every sum stays within q^2 (P + 1), the products' bound,
+    and sp is held in the dtype matmul multiplies in, so no pivot
+    copies it.
     """
     a = residues(rows, q).reshape(len(rows), m)
     howell = sorted(_howell_rows(a, q).items())
@@ -494,9 +506,18 @@ def _hermite_columns(rows, m: int, q: int):
     bound = q * q * (len(pivots) + 1)
     diag = np.ones(m, dtype=a.dtype)
     sp = np.zeros((m, len(pivots)), dtype=product_dtype(bound))
+    nb = max(1, len(howell) // _READ_BLOCK)
+    ends = {len(howell) * k // nb: len(howell) * (k + 1) // nb for k in range(1, nb)}  # block start: end
+    i0 = 0
     for i, (c, e) in enumerate(howell):
+        if i in ends:
+            i0, c0 = i, c
+            block = np.array([f[pivots[:i0]] for _, f in howell[i0 : ends[i0]]])
+            ahead = matmul(sp[:c0, :i0], block.T, bound)
         g = int(e[c])
-        x = matmul(sp[:c, :i], e[pivots[:i]], bound) + diag[:c] * e[:c]
+        x = matmul(sp[:c, i0:i], e[pivots[i0:i]], bound) + diag[:c] * e[:c]
+        if i0:
+            x[:c0] += ahead[:, i - i0]
         if (x % g).any():
             raise CertificateError("Howell rows do not give an exact division")
         sp[:c, i], diag[c] = -(x // g) % (q // g), q // g

@@ -18,8 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from zconj.linalg import fraction_free_rref, hnf, xgcd
-from zconj.matrix import CertificateError, IntMatrix
-from zconj.modular import _ZeroDivisor, prime_factors, solve_congruence_lattice, unit_scaling
+from zconj.matrix import CertificateError, IntMatrix, matmul, product_dtype
+from zconj.modular import (
+    _howell_rows,
+    _ZeroDivisor,
+    prime_factors,
+    residues,
+    solve_congruence_lattice,
+    unit_scaling,
+)
 from zconj.spectral import NotSplit, SplitSpectrum, _integer_roots
 
 
@@ -826,6 +833,31 @@ def jacobi_sum_per_x(j: int, ring, table):
         term = ring.mul(table[(-j * field.log[x]) % (q - 1)], table[(k * field.log[onemx]) % (q - 1)])
         total = ring.add(total, term)
     return total, ring.valuation(total)
+
+
+# the pivot-at-a-time Hermite read-off: one product per pivot over every
+# pivot column found before it
+def hermite_columns_pivotwise(rows, m: int, q: int):
+    """(diag, pivots, sp) as modular._hermite_columns gives them, q >= 1.
+
+    The pivot c' of Howell row E_c' gets, in the rows c above it, the
+    entry -(sum_{j<c'} E_c'j S_cj) / g_c' mod q / g_c': the diagonal
+    term plus one product of all the pivot columns found so far against
+    E_c' at those pivots.
+    """
+    a = residues(rows, q).reshape(len(rows), m)
+    howell = sorted(_howell_rows(a, q).items())
+    pivots = np.array([c for c, _ in howell], dtype=np.intp)
+    bound = q * q * (len(pivots) + 1)
+    diag = np.ones(m, dtype=a.dtype)
+    sp = np.zeros((m, len(pivots)), dtype=product_dtype(bound))
+    for i, (c, e) in enumerate(howell):
+        g = int(e[c])
+        x = matmul(sp[:c, :i], e[pivots[:i]], bound) + diag[:c] * e[:c]
+        if (x % g).any():
+            raise CertificateError("Howell rows do not give an exact division")
+        sp[:c, i], diag[c] = -(x // g) % (q // g), q // g
+    return diag, pivots, sp
 
 
 # the row-at-a-time chain-ring eliminator: one rank-1 update per pivot

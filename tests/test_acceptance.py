@@ -7,6 +7,8 @@ valuations, and the randomized property suites.  Wall-clock budgets
 are asserted where a claim includes one.
 """
 
+import hashlib
+import json
 import random
 import resource
 import time
@@ -138,12 +140,15 @@ def test_criterion_4_forty_nine_vertex_pair_by_theorem():
 
 
 def test_criterion_4b_one_hundred_twenty_one_vertex_pair_by_theorem():
-    # 23-32 s wall and a peak RSS of 1.04 GB on a 2-core host with one
-    # BLAS thread; the budgets leave room for slower runners
+    # 8-11 s wall and a peak RSS of 0.93-0.95 GB on a 2-core host with one
+    # BLAS thread; the budgets leave room for slower runners.  The digest
+    # of the verdict JSON pins its certificates as test_digests does
     t0 = time.monotonic()
     f121 = field_build(11, 2)
     x121, xs121 = paley_adjacency(f121), peisert_adjacency(f121)
     verdict = decide(x121, xs121)
+    digest = hashlib.sha256(json.dumps(verdict.to_json_obj(), sort_keys=True).encode()).hexdigest()
+    assert digest == "6b358c3d40827865865abd00a660c4fdb62866b50e0cb3ef81e6b623a3378947"
     assert verdict.status == "CONJUGATE"
     assert verdict.reason == "theorem+local-passes"
     assert [v.prime for v in verdict.local] == relevant_primes(split_spectrum(x121)) == [2, 3, 5, 11]

@@ -27,6 +27,7 @@ from helpers import (
     unimodular_inverse,
 )
 from test_bounds import paley25
+from test_metamorphic import three_eigenvalue_pairs
 
 from zconj import conjugacy, forms, modular, spectral
 from zconj.conjugacy import (
@@ -398,11 +399,72 @@ def test_block_coordinate_checks_catch_corruption(monkeypatch):
     monkeypatch.setattr(conjugacy, "_howell_rows", lambda a, q: {0: [1], **howell(a, q)})
     with pytest.raises(CertificateError, match="outside"):
         intertwiner_lattice(x, y)
+    # the Howell rows of [I | C] mod q: a row of G = C's rows dropped, and
+    # e_j added at a column j of C without a pivot, so outside C's span
+    n = x.nrows
+
+    def of_c(change):
+        return lambda a, q: change(howell(a, q)) if a.shape[1] == 2 * n else howell(a, q)
+
+    monkeypatch.setattr(conjugacy, "_howell_rows", of_c(lambda out: dict(sorted(out.items())[:-1])))
+    with pytest.raises(CertificateError, match="order q"):
+        intertwiner_lattice(x, y)
+
+    def extra(out):
+        j = next(j for j in range(n, 2 * n) if j not in out)
+        return {**out, j: np.eye(j + 1, dtype=np.int64)[j]}
+
+    monkeypatch.setattr(conjugacy, "_howell_rows", of_c(extra))
+    with pytest.raises(CertificateError, match="outside the row span"):
+        intertwiner_lattice(x, y)
     monkeypatch.setattr(conjugacy, "_howell_rows", howell)
+    # a row of G dropped past its certificate: the solutions are checked
+    # against C's own rows
+    span = conjugacy._row_span
+    monkeypatch.setattr(conjugacy, "_row_span", lambda a, q: span(a, q)[1:])
+    with pytest.raises(CertificateError, match="congruences"):
+        intertwiner_lattice(x, y)
+    monkeypatch.setattr(conjugacy, "_row_span", span)
     # eigenvectors of another eigenvalue
     monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: np.array([[1, 0]] if m[0, 0] else [[1, 1]]))
     with pytest.raises(CertificateError, match="eigenvectors"):
         intertwiner_lattice(IntMatrix.diagonal([1, 2]), IntMatrix.diagonal([1, 2]))
+
+
+def coords_on_c_rows(lattice):
+    """The lattice's block coordinates solved on the unreduced system: the
+    n^2 congruences sum_a C_a S_a D_a = 0 (mod q), kron(C_a, D_a^t) as a
+    block, from C's own rows and D's own columns."""
+    q, blocks, row, col = lattice.q, [], 0, 0
+    for my, mx in lattice.sizes:
+        c_a, d_a = lattice.c[:, row : row + my], lattice.d[col : col + mx]
+        blocks.append(np.kron(modular.residues(c_a, q), modular.residues(d_a.T, q)))
+        row, col = row + my, col + mx
+    m = sum(my * mx for my, mx in lattice.sizes)
+    return modular.solve_congruence_lattice(np.concatenate(blocks, axis=1), m, q)
+
+
+def test_congruences_on_howell_rows_of_c_match_c_rows():
+    # C's rows replaced by the Howell rows of their span mod q leave the
+    # Hermite basis as it is: three-eigenvalue pairs, hidden copies and
+    # pairs with another glue, at q a prime power or with two or three
+    # prime factors; the Paley pairs on F_9, F_25 (against a relabelled
+    # copy) and F_49
+    rng, moduli = random.Random(89), set()
+    pairs = [(x, y) for x, y, _ in three_eigenvalue_pairs(rng, 12)]
+    for p in (3, 7):
+        f = field_build(p, 2)
+        pairs.append((paley_adjacency(f), peisert_adjacency(f)))
+    x25 = IntMatrix(paley25())
+    perm = np.random.default_rng(5).permutation(25)
+    pairs.append((x25, IntMatrix(x25.array[perm][:, perm])))
+    for x, y in pairs:
+        lattice = intertwiner_lattice(x, y)
+        assert lattice.rank and len(lattice.sizes) >= 3
+        assert lattice.c.dtype == np.int64
+        assert lattice.coords.tolist() == coords_on_c_rows(lattice).tolist()
+        moduli.add(lattice.q)
+    assert {len(modular.prime_factors(q)) for q in moduli} >= {1, 2, 3}
 
 
 def test_decide_above_search_cap_never_builds_the_basis(monkeypatch):
@@ -465,6 +527,7 @@ def test_rank_one_eigenbasis_matches_fraction_oracle():
         contents.add(gcd(*col) > 1)
         mixed.add(min(col) < 0 < max(col))
         got = conjugacy._eigenbasis(x.array, 0, 1, f)
+        assert got.dtype == np.int64
         assert [tuple(v) for v in got.T.tolist()] == kernel_basis_fraction(x)
     assert contents == mixed == {True}
 
@@ -816,6 +879,28 @@ def test_certificate_checks_survive_optimize():
         "    c.decide(IntMatrix([[1, 2], [0, 3]]), x)\n"
         "except c.CertificateError:\n"
         "    print('CertificateError')\n"
+        # C = [[1, 1], [0, 2]] mod 2 spans only (1, 1): the row (0, 0 | 1, 0)
+        # added to the Howell rows of [I | C] is outside its span, and G
+        # without its one row, past the certificate, fails the congruences
+        # on C's rows
+        "import numpy as np\n"
+        "x3 = IntMatrix([[1, 1], [0, 3]])\n"
+        "howell = c._howell_rows\n"
+        "def extra(a, q):\n"
+        "    return {**howell(a, q), 2: np.eye(3, dtype=a.dtype)[2]} if a.shape[1] == 4 else howell(a, q)\n"
+        "c._howell_rows = extra\n"
+        "try:\n"
+        "    c.intertwiner_lattice(x3, x3)\n"
+        "except c.CertificateError as e:\n"
+        "    print('CertificateError' if 'outside the row span' in str(e) else e)\n"
+        "c._howell_rows = howell\n"
+        "span = c._row_span\n"
+        "c._row_span = lambda a, q: span(a, q)[1:]\n"
+        "try:\n"
+        "    c.intertwiner_lattice(x3, x3)\n"
+        "except c.CertificateError as e:\n"
+        "    print('CertificateError' if 'congruences' in str(e) else e)\n"
+        "c._row_span = span\n"
         # D's column span mod q without its one Howell row
         "c._howell_rows = lambda a, q: {}\n"
         "try:\n"
@@ -885,7 +970,7 @@ def test_certificate_checks_survive_optimize():
         env=subprocess_env(),
     )
     assert r.returncode == 0, r.stderr
-    expected = ["CertificateError"] * 7 + ["ValueError"]
+    expected = ["CertificateError"] * 9 + ["ValueError"]
     expected += ["CertificateError"] + ["ValueError"] * 3  # graphs
     expected += ["CertificateError"] * 2  # padic
     expected += ["ZeroDivisor", "ValueError"]  # modular

@@ -13,6 +13,7 @@ from helpers import (
     det_small,
     eliminate_chain_rows,
     gcd_minor_invariants,
+    hermite_columns_pivotwise,
     obj,
     prime_factors_trial_division,
     random_sl,
@@ -476,6 +477,34 @@ def test_int64_kernels_match_their_object_twins(monkeypatch):
     for (p, n), stack in stacks.items():
         got = det_mod(stack, p)
         assert got.dtype == object and got.tolist() == want[p, n]
+
+
+def test_blocked_read_off_matches_pivotwise_oracle(monkeypatch):
+    # the read-off by blocks of pivots against the one-product-per-pivot
+    # read-off, on systems whose pivots span three or more blocks: in
+    # float64 at the default block size, then in int64 and on Python ints
+    # (q^2 (P + 1) >= 2^62) with blocks of 5 pivots; composite q throughout
+    routes = set()
+
+    def recorded(a, b, bound):
+        if sys._getframe(1).f_code.co_name == "_hermite_columns":
+            routes.add(product_dtype(bound))
+        return matmul(a, b, bound)
+
+    rng = random.Random(79)
+    cases = [(36, 400, 420), (225, 410, 400)]
+    cases += [(q, 40, 36) for q in (2**24 - 2, 2**31 - 2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29)]
+    for q, m, k in cases:
+        rows = [[rng.randrange(q) * rng.choice((1, 1, 2, 3)) for _ in range(m)] for _ in range(k)]
+        want = hermite_columns_pivotwise(rows, m, q)
+        if m < 100:
+            monkeypatch.setattr(modular, "_READ_BLOCK", 5)
+        monkeypatch.setattr(modular, "matmul", recorded)
+        got = modular._hermite_columns(rows, m, q)
+        monkeypatch.undo()
+        assert len(got[1]) >= 3 * (5 if m < 100 else modular._READ_BLOCK)
+        assert all(u.tolist() == v.tolist() for u, v in zip(got, want))
+    assert routes == {np.float64, np.int64, object}
 
 
 def test_solve_congruence_lattice_reaches_every_product_route(monkeypatch):
