@@ -7,7 +7,8 @@ valuations, determinant-one lifts and the bundled fixture corpus.
 
 Output is deterministic for fixed inputs and seeds.  Integers inside
 JSON are decimal strings throughout.  Exit codes: 0 success, 1
-malformed input, 2 unsupported input class, 3 negative verdict
+malformed input, 2 unsupported input class (a Jacobi precision too
+low to read a valuation included), 3 negative verdict
 (NOT_CONJUGATE, assumption fails, lemma or valuation mismatch,
 fixture failure), 4 undecided, 5 internal error (a computed
 certificate or identity failed its exact re-check, reported as
@@ -24,7 +25,7 @@ from .corpus import FixtureError, load_corpus
 from .graphs import NotThreeModFour, field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
 from .linalg import snf_invariants
 from .matrix import CertificateError, IntMatrix, MatrixFormatError
-from .padic import TruncatedUnramifiedRing, digit_sum, jacobi_sum
+from .padic import PrecisionExhausted, TruncatedUnramifiedRing, digit_sum, jacobi_sum
 from .spectral import NotSplit, check_assumption, split_spectrum
 
 EXIT_OK = 0
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     except FixtureError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MALFORMED
-    except (NotSplit, NotThreeModFour, DetNotOne) as exc:
+    except (NotSplit, NotThreeModFour, DetNotOne, PrecisionExhausted) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:

@@ -46,6 +46,7 @@ from .linalg import (
     charpoly,
     det,
     fraction_free_rref,
+    gram_schmidt,
     hnf,
     kernel_basis,
     lll_reduce,
@@ -486,8 +487,10 @@ def local_test(
     give is returned at once.  Candidates are stacks of residues mod p;
     their order, the random draws and the budget accounting are those
     of a loop over one candidate at a time, and only the hit is
-    assembled as an n x n matrix.
+    assembled as an n x n matrix.  p < 2 raises ValueError.
     """
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
     if lattice is None:
         if charpoly(x.array) != charpoly(y.array):
             return LocalVerdict(prime=p, status="FAIL", method="exhaustive")
@@ -621,57 +624,36 @@ def _graph_isomorphism(x, y, budget: int):
     return mapping if found else None
 
 
-def _gram_schmidt(vectors):
-    """Float GSO data (mu, squared norms) of integer row vectors."""
-    m = len(vectors)
-    basis = [np.array(v, dtype=float) for v in vectors]
-    ortho = []
-    mu = [[0.0] * m for _ in range(m)]
-    norms = []
-    for i in range(m):
-        w = basis[i].copy()
-        for j in range(i):
-            if norms[j] == 0.0:
-                continue
-            mu[i][j] = float(basis[i] @ ortho[j]) / norms[j]
-            w -= mu[i][j] * ortho[j]
-        ortho.append(w)
-        norms.append(float(w @ w))
-    return mu, norms
-
-
 def _enumerate_short(vectors, r2, skip_below):
     """Coefficient vectors of lattice points with squared norm <= r2.
 
-    Standard depth-first enumeration through the Gram-Schmidt
-    coordinates of the (reduced) basis.  Float bounds carry a slack
+    Depth-first enumeration through the Gram-Schmidt coordinates of the
+    (reduced) basis, whose float mu_ij = lam_ij / d_(j+1) and |b_i*|^2 =
+    d_(i+1) / d_i are linalg.gram_schmidt's integers, each rounded once;
+    a basis with a zero b_i* is not walked.  The bound carries a slack
     factor, so marginal vectors may appear in a later (larger) round
-    instead.  Points with squared norm <= skip_below are suppressed so
-    growing-radius rounds see each annulus once.  Only one of x and -x
-    is produced, the one whose first nonzero coefficient is positive.
-    Yields one item per node walked: the coefficient tuple at a leaf
-    that is such a point, None at every other node.  A caller that
-    counts the items against its budget stops the walk in time even
-    where a level's range of coefficients is astronomically wide.
+    instead, and a leaf's squared norm is what the walk has used of it.
+    Points with squared norm <= skip_below are suppressed so
+    growing-radius rounds see each annulus once.  Only one of x and -x is
+    produced, the one whose first nonzero coefficient is positive.
+    Yields one item per node walked: the coefficient tuple at a leaf that
+    is such a point, None at every other node.  A caller that counts the
+    items against its budget stops the walk in time even where a level's
+    range of coefficients is astronomically wide.
     """
     m = len(vectors)
-    mu, norms = _gram_schmidt(vectors)
-    if any(d <= 0.0 for d in norms):
+    d, lam, zero = gram_schmidt(vectors)
+    if any(zero):
         return
+    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(m)]
+    norms = [d[i + 1] / d[i] for i in range(m)]
     coeffs = [0] * m
-
-    def q_value():
-        total = 0.0
-        for i in range(m):
-            t = coeffs[i] + sum(mu[j][i] * coeffs[j] for j in range(i + 1, m))
-            total += norms[i] * t * t
-        return total
+    bound = r2 * 1.001
 
     def walk(level, remaining):
         if level < 0:
-            q = q_value()
             lead = next((v for v in coeffs if v), 0)
-            yield tuple(coeffs) if lead > 0 and skip_below < q <= r2 * 1.001 else None
+            yield tuple(coeffs) if lead > 0 and remaining >= 0 and bound - remaining > skip_below else None
             return
         yield None
         center = sum(mu[j][level] * coeffs[j] for j in range(level + 1, m))
@@ -684,7 +666,7 @@ def _enumerate_short(vectors, r2, skip_below):
             yield from walk(level - 1, remaining - used)
         coeffs[level] = 0
 
-    yield from walk(m - 1, r2 * 1.001)
+    yield from walk(m - 1, bound)
 
 
 def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: int = 0):
@@ -694,12 +676,14 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
     permutation conjugator when both endpoints are adjacency matrices,
     the lattice's aligned intertwiner (built with the lattice of a
     split pair, so this stage costs one verification), single basis
-    elements before and after LLL reduction, then short-vector
-    enumeration over the reduced basis in growing-radius rounds, and
-    finally seeded random combinations until the budget runs out.  Each
-    candidate, and each node the enumeration walks, counts against the
-    budget.  Any hit is verified before being returned; a hit that fails
-    raises CertificateError.
+    elements, then, when the rank m is at most 64, the elements of the
+    LLL-reduced basis and short-vector enumeration over it in
+    growing-radius rounds, and finally seeded random combinations of
+    the reduced basis (of the basis itself when m > 64, where LLL does
+    not run) until the budget runs out.  Each candidate evaluated, and
+    each node the enumeration walks, counts against the budget.  Any hit
+    is verified before being returned; a hit that fails raises
+    CertificateError.
     """
     x, y = lattice.source, lattice.target
     n, m = lattice.n, lattice.rank
@@ -725,20 +709,16 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
                 return _certified(IntMatrix(ts[i]), x, y)
         return None
 
-    # single basis elements, then single reduced ones; spent counts the
-    # candidates, and at least one is evaluated
-    hit = first_unimodular(lattice.stack[: max(1, budget)])
-    if hit is not None or m >= budget:
+    # single basis elements, then, when LLL ran (m <= 64), single reduced
+    # ones; spent counts the candidates evaluated, at least one
+    hit, spent = first_unimodular(lattice.stack[: max(1, budget)]), m
+    if hit is not None or spent >= budget:
         return hit
-    vectors = [tuple(v) for v in lattice.stack.reshape(m, n * n).tolist()]
+    vectors = lattice.stack.reshape(m, n * n).tolist()
     if m <= 64:
         vectors = lll_reduce(vectors)
     max_entry = max(abs(v) for w in vectors for v in w)
     reduced = np.array(vectors, dtype=int_dtype(max_entry))
-    hit = first_unimodular(reduced[: budget - m].reshape(-1, n, n))
-    spent = 2 * m
-    if hit is not None or spent >= budget:
-        return hit
     cap = max(1, _CHUNK_ENTRIES // max(n * n, m))
 
     def first_combination(coeffs):
@@ -748,8 +728,12 @@ def conjugator_search(lattice: IntertwinerLattice, budget: int = 1000000, seed: 
         bound = max(max_entry, cmax, max_entry * cmax * m)
         return first_unimodular(matmul(coeffs, reduced, bound).reshape(-1, n, n))
 
-    # growing-radius short-vector rounds over the reduced basis, in chunks
     if m <= 64:
+        hit = first_unimodular(reduced[: budget - spent].reshape(-1, n, n))
+        spent += min(m, budget - spent)
+        if hit is not None or spent >= budget:
+            return hit
+        # growing-radius short-vector rounds over the reduced basis, in chunks
         r2, prev = float(max(sum(v * v for v in w) for w in vectors)) * 1.1, 0.0
         for _ in range(10):
             if spent >= budget:

@@ -4,8 +4,9 @@ Everything here is computed with exact integer arithmetic.  Rational
 data is carried fraction-free: fraction_free_rref is the one elimination
 behind det, the RREF kernel route, the scaled inverse in conjugacy and
 the minimal polynomial in spectral, each of its steps typed by the
-entries it holds (int64 while they stay below about 2^30.5), and LLL
-keeps integral Gram-Schmidt data.  Invariant factors come from one
+entries it holds (int64 while they stay below about 2^30.5), and
+gram_schmidt gives the integral Gram-Schmidt data that lll_reduce keeps
+current and the conjugator search reads.  Invariant factors come from one
 kernel, the divisor chain of modular._diagonalize_mod taken modulo a
 nonzero maximal minor that fraction_free_rref supplies (Domich, Kannan
 and Trotter 1987), so their cost is polynomial in the bit size of the
@@ -260,27 +261,43 @@ def charpoly(a):
 # -- lattice reduction ---------------------------------------------------
 
 
-def lll_reduce(basis, delta=None):
+def gram_schmidt(b):
+    """de Weger's integral Gram-Schmidt data (d, lam, zero) of integer rows
+    (Cohen, Alg. 2.6.7): d[i + 1] is the Gram determinant of the
+    independent vectors among b_0..b_i, d[0] = 1, and lam[i][j] = d[j + 1]
+    mu_ij, so |b_i*|^2 = d[i + 1] / d[i].  zero[i] says b_i* = 0: then
+    d[i + 1] = d[i] and mu_ki = 0 for every k.
+    """
+    n = len(b)
+    d, lam, zero = [1] * (n + 1), [[0] * n for _ in range(n)], [False] * n
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                if not zero[l]:
+                    u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = 0 if zero[j] else u
+            else:
+                zero[i] = u == 0
+                d[i + 1] = d[i] if zero[i] else u
+    return d, lam, zero
+
+
+def lll_reduce(basis):
     """LLL-reduce integer row vectors with integral Gram-Schmidt data.
 
-    Returns a new list of vectors spanning the same lattice.  delta is
-    the Lovasz parameter, an exact rational 1/4 < delta <= 1 given as
-    any number with as_integer_ratio() (default 99/100).  In place of
-    the rational mu_ij and |b_i*|^2 the loop keeps de Weger's integers
-    (Cohen, Alg. 2.6.7): d_i, the Gram determinant of the independent
-    vectors among b_0..b_i, and lam_ij = d_j mu_ij.  A vector that
-    depends on its predecessors has b_i* = 0, so mu_ji = 0 and d_i =
-    d_(i-1).  A swap updates these in place, as SWAPI does for
-    independent vectors and MLLL (Alg. 2.6.8) when b_k* = 0.
+    Returns a new list of vectors spanning the same lattice, reduced for
+    the Lovasz parameter 99/100.  The loop keeps gram_schmidt's d, lam
+    and zero current: a swap updates them in place, as SWAPI does for
+    independent vectors and MLLL (Cohen, Alg. 2.6.8) when b_k* = 0.
     """
     b = [list(v) for v in basis]
     n = len(b)
     if any(len(v) != len(b[0]) for v in b):
         raise ValueError("basis vectors must share a dimension")
-    num, den = (99, 100) if delta is None else delta.as_integer_ratio()
-    d = [1] * (n + 1)  # d[i + 1] belongs to b_i, d[0] = 1
-    lam = [[0] * n for _ in range(n)]
-    zero = [False] * n  # b_i* = 0
+    num, den = 99, 100  # the Lovasz parameter
+    d, lam, zero = gram_schmidt(b)
 
     def swap(k):
         # b_(k-1)* != 0; below, d[k - 1], d[k] and d[k + 1] belong to
@@ -313,17 +330,6 @@ def lll_reduce(basis, delta=None):
                 d[j] = d[j] * big // dk
             d[k] = big
 
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for l in range(j):
-                if not zero[l]:
-                    u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
-            if j < i:
-                lam[i][j] = 0 if zero[j] else u
-            else:
-                zero[i] = u == 0
-                d[i + 1] = d[i] if zero[i] else u
     k = 1
     while k < n:
         # size reduction of b_k against b_j for j < k: |mu_kj| > 1/2,

@@ -32,12 +32,15 @@ class TruncatedUnramifiedRing:
 
     Elements are pairs (a, b) meaning a + b t with coefficients in
     [0, p^N); t satisfies the lifted field modulus.  N defaults to 4,
-    comfortably above the valuations (at most 2) the Jacobi sums take.
+    comfortably above the valuations (at most 2) the Jacobi sums take;
+    a precision below 1 raises ValueError.
     """
 
     one, zero = (1, 0), (0, 0)
 
     def __init__(self, p: int, precision: int = 4):
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
         self.p = p
         self.precision = precision
         self.pn = p**precision
@@ -174,7 +177,8 @@ def jacobi_sum(j: int, ring: TruncatedUnramifiedRing, table=None) -> JacobiSumRe
     tau is the Teichmuller character; characters take the value 0 at 0
     by convention, which the identity alpha_j alpha_{j+k} = p^2
     validates.  Raises PrecisionExhausted if the sum vanishes to
-    working precision.
+    working precision.  A table given must equal ring.character_table,
+    which is read when none is.
     """
     q = ring.q
     k = (q - 1) // 2

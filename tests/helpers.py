@@ -603,29 +603,32 @@ def charpoly_intmatrix(matrix: IntMatrix):
     return coeffs
 
 
-def lll_fraction(basis, delta=Fraction(99, 100)):
-    """LLL with exact rational Gram-Schmidt, recomputed after every change."""
-    b = [list(v) for v in basis]
-    n = len(b)
-    if n <= 1:
-        return [tuple(v) for v in b]
+def gram_schmidt_fraction(basis):
+    """(mu, norms): the rational Gram-Schmidt coefficients mu_ij, j < i,
+    and squared norms |b_i*|^2 of integer rows; mu_ij = 0 when b_j* = 0."""
+    n = len(basis)
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
     mu = [[Fraction(0)] * n for _ in range(n)]
     norms = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu_ij = Fraction(dot(basis[i], basis[j]))
+            for l in range(j):
+                mu_ij -= mu[j][l] * mu[i][l] * norms[l]
+            mu[i][j] = mu_ij / norms[j] if norms[j] else Fraction(0)
+        norms[i] = dot(basis[i], basis[i]) - sum(mu[i][j] ** 2 * norms[j] for j in range(i))
+    return mu, norms
 
-    def update_gs(start):
-        for i in range(start, n):
-            for j in range(i):
-                mu_ij = Fraction(dot(b[i], b[j]))
-                for l in range(j):
-                    mu_ij -= mu[j][l] * mu[i][l] * norms[l]
-                mu[i][j] = mu_ij / norms[j] if norms[j] else Fraction(0)
-            norms[i] = dot(b[i], b[i]) - sum(mu[i][j] ** 2 * norms[j] for j in range(i))
 
-    update_gs(0)
+def lll_fraction(basis):
+    """LLL (delta = 99/100) with exact rational Gram-Schmidt, recomputed
+    after every change."""
+    b = [list(v) for v in basis]
+    n = len(b)
+    mu, norms = gram_schmidt_fraction(b)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -633,12 +636,12 @@ def lll_fraction(basis, delta=Fraction(99, 100)):
             if q * 2 > 1 or q * 2 < -1:
                 r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
                 b[k] = [a - r * c for a, c in zip(b[k], b[j])]
-                update_gs(k)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mu, norms = gram_schmidt_fraction(b)
+        if norms[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            update_gs(k - 1)
+            mu, norms = gram_schmidt_fraction(b)
             k = max(k - 1, 1)
     return [tuple(v) for v in b]
 
@@ -772,11 +775,12 @@ def conjugator_search_sequential(lattice, budget: int, seed: int = 0):
     """(T, stage): the stages of conjugator_search after the aligned
     intertwiner, one candidate at a time.
 
-    Basis elements, then the LLL-reduced ones (lll_fraction), then the
-    growing-radius enumeration over the reduced basis, then seeded
-    rng.randint(-3, 3) combinations, each candidate, and each node the
-    enumeration walks, counted against the budget; a candidate is
-    accepted when its Laplace determinant is +-1.
+    Basis elements, then, for at most 64 of them, the LLL-reduced ones
+    (lll_fraction) and the growing-radius enumeration over the reduced
+    basis, then seeded rng.randint(-3, 3) combinations of the reduced
+    basis (of the basis above 64 elements), each candidate evaluated,
+    and each node the enumeration walks, counted against the budget; a
+    candidate is accepted when its Bareiss determinant is +-1.
     """
     from zconj.conjugacy import _enumerate_short
 
@@ -789,9 +793,9 @@ def conjugator_search_sequential(lattice, budget: int, seed: int = 0):
     def unimodular(coeffs, basis):
         vec = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(n * n)]
         rows = [vec[r * n : (r + 1) * n] for r in range(n)]
-        return IntMatrix(rows) if abs(det_small(rows)) == 1 else None
+        return IntMatrix(rows) if abs(det_bareiss(rows)) == 1 else None
 
-    for stage, basis in (("basis", vectors), ("reduced", reduced)):
+    for stage, basis in (("basis", vectors), ("reduced", reduced))[: 2 if m <= 64 else 1]:
         for i in range(m):
             spent += 1
             t = unimodular([int(j == i) for j in range(m)], basis)

@@ -172,6 +172,16 @@ def test_jacobi_table():
     }
 
 
+def test_jacobi_unusable_precision_exits_two():
+    # below 1 the ring is refused; at 1 some Jacobi sum vanishes mod p, so
+    # its valuation is unreadable.  Either is an error line, no traceback
+    for precision in ("0", "-2", "1"):
+        r = run("jacobi", "7", "--precision", precision)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "internal" not in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_lift_sl(matfile):
     r = run("lift-sl", matfile("m7.txt", [[7, 0], [0, 1]]), "6")
     assert r.returncode == 0

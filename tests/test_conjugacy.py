@@ -552,6 +552,23 @@ def test_randranges_match_randrange():
             assert got == [rng.randrange(p) for _ in got]
 
 
+def test_local_test_rejects_modulus_below_two(monkeypatch):
+    # p = 1 would loop in _valuation (v % 1 is always 0), p = 0 divide by
+    # zero and p = -3 report a false obstruction; all raise before any
+    # work, and a _valuation that refuses them keeps a regression from hanging
+    def valuation(v, p):
+        assert p >= 2, "local_test reached _valuation with p = %d" % p
+        return _valuation(v, p)
+
+    monkeypatch.setattr(conjugacy, "_valuation", valuation)
+    x, y = IntMatrix.diagonal([1, 2, 4]), IntMatrix([[1, 1, 0], [0, 2, 0], [0, 0, 4]])
+    lattice = intertwiner_lattice(x, y)
+    for p in (1, 0, -3):
+        for given in (None, lattice):
+            with pytest.raises(ValueError, match="modulus must be at least 2"):
+                local_test(x, y, p, lattice=given)
+
+
 def test_local_test_fail_is_exhaustive():
     v = local_test(IntMatrix.diagonal([1, 2]), IntMatrix.diagonal([1, 3]), 2)
     assert v.status == "FAIL"
@@ -1086,6 +1103,50 @@ def test_conjugator_search_matches_sequential_oracle():
                 assert conjugator_search(lattice, budget, seed) == t
                 seen.add(stage)
     assert seen == {None, "basis", "reduced", "enumeration", "random"}
+
+
+def test_conjugator_search_above_lll_rank_matches_sequential_oracle(monkeypatch):
+    # 70 elements U (a_k I_8 + N_k) (+) a_k U of C(X, U X U^-1), X = 0_8 (+) 1,
+    # with N_k strictly upper triangular and a_k in {0, 2, 3}: none is
+    # unimodular, and a combination is exactly when sum c_k a_k = +-1.
+    # Past 64 elements LLL does not run, so the det_mod filter sees each
+    # element once, then the random stage's chunks up to the budget
+    rng = random.Random(83)
+    u, u_inv = IntMatrix.identity(9), IntMatrix.identity(9)
+    for _ in range(12):
+        i, j = rng.sample(range(9), 2)
+        lam = rng.choice((-1, 1))
+        u = u * IntMatrix([[int(r == c) + lam * ((r, c) == (i, j)) for c in range(9)] for r in range(9)])
+        u_inv = IntMatrix([[int(r == c) - lam * ((r, c) == (i, j)) for c in range(9)] for r in range(9)]) * u_inv
+    x = IntMatrix.diagonal([0] * 8 + [1])
+    y = u * x * u_inv
+    assert x != y
+    elements = []
+    for _ in range(70):
+        a = rng.choice((0, 2, 3))
+        s = [[a * (r == c) + (rng.randint(-1, 1) if c > r and c < 8 else 0) for c in range(9)] for r in range(9)]
+        elements.append(flat(u * IntMatrix(s)))
+    lattice = IntertwinerLattice(9, obj(elements), x, y)
+    stacks = []
+
+    def recording(ts, p):
+        if p == conjugacy._DET_FILTER_PRIME:
+            stacks.append(len(ts))
+        return det_mod(ts, p)
+
+    monkeypatch.setattr(conjugacy, "det_mod", recording)
+    cap = 16384 // 81
+    seen = set()
+    for budget, seed in ((70, 0), (71, 0), (80, 1), (200, 0), (200, 1), (200, 2), (600, 3)):
+        t, stage = conjugator_search_sequential(lattice, budget, seed)
+        del stacks[:]
+        assert conjugator_search(lattice, budget, seed) == t
+        chunks = [hi - lo for lo, hi in conjugacy._chunks(budget - 70, cap)]
+        assert stacks[0] == 70 and stacks[1:] == chunks[: len(stacks) - 1]
+        if t is None:
+            assert sum(stacks) == budget
+        seen.add(stage)
+    assert seen == {None, "random"}
 
 
 def test_decide_non_square_rejected():

@@ -12,6 +12,7 @@ from helpers import (
     charpoly_intmatrix,
     det_small,
     gcd_minor_invariants,
+    gram_schmidt_fraction,
     hidden,
     kernel_basis_fraction,
     lattice_hnf,
@@ -27,6 +28,7 @@ from zconj.linalg import (
     charpoly,
     det,
     fraction_free_rref,
+    gram_schmidt,
     hnf,
     kernel_basis,
     lll_reduce,
@@ -238,11 +240,6 @@ def test_lll_shortens():
     assert max(sum(x * x for x in v) for v in reduced) <= 3
 
 
-def test_lll_accepts_fraction_delta():
-    basis = [[3, 1], [1, 2]]
-    assert lll_reduce(basis, delta=Fraction(3, 4)) is not None
-
-
 def test_fraction_free_rref_is_scaled_rational_rref():
     rng = random.Random(11)
     for _ in range(200):
@@ -352,11 +349,7 @@ def test_lll_matches_fraction_oracle():
             basis.insert(rng.randrange(len(basis) + 1), half)
         elif kind < 0.6:
             basis[0] = [0] * dim
-        delta = rng.choice((Fraction(99, 100), Fraction(3, 4), 1))
-        expected = lll_fraction(basis, delta)
-        assert lll_reduce(basis, delta) == expected
-        if delta == Fraction(99, 100):
-            assert lll_reduce(basis) == expected
+        assert lll_reduce(basis) == lll_fraction(basis)
     # a zero Gram-Schmidt vector at k - 1 must pass the Lovasz test, or
     # these two swap forever
     for basis in ([[0, 0], [3, 3], [6, 6]], [[4, 0, 4], [2, 2, 1], [0, 4, -2], [-2, 0, -2]]):
@@ -377,6 +370,25 @@ def test_lll_swaps_with_dependent_rows_match_fraction_oracle():
             ci, cj = rng.randint(-3, 3), rng.randint(-3, 3)
             basis[rng.randrange(n)] = [ci * x + cj * y for x, y in zip(basis[i], basis[j])]
         assert lll_reduce(basis) == lll_fraction(basis)
+
+
+def test_gram_schmidt_matches_fraction_oracle():
+    # d and lam read back as the rational mu_ij and |b_i*|^2, dependent
+    # rows (zero b_i*) included, and entries past 2^62
+    rng = random.Random(16)
+    for _ in range(200):
+        n, dim = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((1, 3, 30, 2**40))
+        basis = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(n)]
+        if rng.random() < 0.4:
+            i, j = rng.randrange(n), rng.randrange(n)
+            basis[rng.randrange(n)] = [2 * x - 3 * y for x, y in zip(basis[i], basis[j])]
+        d, lam, zero = gram_schmidt(basis)
+        mu, norms = gram_schmidt_fraction(basis)
+        assert d[0] == 1 and all(v > 0 for v in d)
+        assert zero == [v == 0 for v in norms]
+        assert [Fraction(d[i + 1], d[i]) if not zero[i] else 0 for i in range(n)] == norms
+        assert all(Fraction(lam[i][j], d[j + 1]) == mu[i][j] for i in range(n) for j in range(i))
 
 
 def test_no_module_imports_fractions():

@@ -103,11 +103,16 @@ def test_valuation_of_zero_exhausts_precision():
         ring.valuation(ring.zero)
 
 
+def test_ring_rejects_precision_below_one():
+    for precision in (0, -2):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            TruncatedUnramifiedRing(7, precision=precision)
+
+
 def jacobi_records(p):
     ring = TruncatedUnramifiedRing(p)
-    table = _character_table(ring)
     k = (ring.q - 1) // 2
-    return ring, k, {j: jacobi_sum(j, ring, table=table) for j in range(1, 2 * k)}
+    return ring, k, {j: jacobi_sum(j, ring) for j in range(1, 2 * k)}
 
 
 def test_jacobi_small_prime():
@@ -165,15 +170,15 @@ def test_jacobi_sum_defaults_to_the_ring_table():
     # which is _character_table of the ring
     for p in (3, 7):
         ring, k, records = jacobi_records(p)
-        assert (TruncatedUnramifiedRing(p).character_table == _character_table(ring)).all()
-        assert all(jacobi_sum(j, ring) == records[j] for j in range(1, 2 * k))
+        table = _character_table(ring)
+        assert (TruncatedUnramifiedRing(p).character_table == table).all()
+        assert all(jacobi_sum(j, ring, table=table) == records[j] for j in range(1, 2 * k))
         assert ring.character_table is ring.character_table
 
 
 def test_jacobi_index_bounds():
     ring = TruncatedUnramifiedRing(7)
-    table = _character_table(ring)
     k = (ring.q - 1) // 2
     for bad in (0, 2 * k):
         with pytest.raises(ValueError):
-            jacobi_sum(bad, ring, table=table)
+            jacobi_sum(bad, ring)
