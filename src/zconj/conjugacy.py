@@ -51,7 +51,7 @@ from .linalg import (
     kernel_basis,
     lll_reduce,
 )
-from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs, product_dtype
+from .matrix import CertificateError, IntMatrix, int_dtype, matmul, max_abs
 from .modular import (
     _hermite_columns,
     _hermite_dense,
@@ -129,16 +129,21 @@ def _certified(t: IntMatrix, x: IntMatrix, y: IntMatrix, prime=None) -> IntMatri
 class IntertwinerLattice:
     """Saturated Z-basis of {T : T source = target T}, in block coordinates.
 
-    Basis element i is T = (1/q) C blockdiag(S_a) D: row i of coords
-    holds its blocks S_a side by side, each row-major with sizes[a] =
-    (rows, cols); c has the matching eigenlattice bases of the target
-    as columns, d the matching rows of D = q B^-1 for the source's
-    bases B, so T B_a = C_a S_a; det_b and det_c are det B and det C.
-    blocks gives (coords, c, d, sizes, q, det_b, det_c); a basis given
-    instead, an (m, n^2) integer array of the elements flattened
-    row-major, is one n x n block with B = C = I and q = 1.  The elements
-    as an (m, n, n) array (stack) and as IntMatrix (basis) are
-    assembled on first use; rank needs neither.
+    Basis element i is T = (1/q) C blockdiag(S_a) D: row i of the block
+    coordinates holds its blocks S_a side by side, each row-major with
+    sizes[a] = (rows, cols); c has the matching eigenlattice bases of the
+    target as columns, d the matching rows of D = q B^-1 for the
+    source's bases B, so T B_a = C_a S_a; det_b and det_c are det B and
+    det C.  blocks gives (compact, c, d, sizes, q, det_b, det_c), compact
+    being the Hermite basis S of the coordinates as _hermite_columns
+    gives it, (diag, pivots, sp): diag on the diagonal plus sp at the
+    pivot columns.  A basis given instead, an (m, n^2) integer array of
+    the elements flattened row-major, is one n x n block with B = C = I
+    and q = 1, held as diag 0 and every column a pivot.  combine and
+    combination multiply by the compact form; the dense coordinates
+    (coords, m x m on the theorem route) and the elements as an (m, n, n)
+    array (stack) and as IntMatrix (basis) are assembled on first use,
+    by the conjugator search; rank needs none of them.
 
     aligned is the eigenbasis-aligned intertwiner C B^{-1}, set when
     both spectra agree and it is integral; it is unimodular exactly
@@ -153,12 +158,36 @@ class IntertwinerLattice:
         self.aligned, self.closed_form = aligned, closed_form
         if blocks is None:
             eye = np.eye(n, dtype=np.int64)
-            blocks = basis.astype(int_dtype(max_abs(basis))), eye, eye, ((n, n),), 1, 1, 1
-        self.coords, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
+            self.coords = basis.astype(int_dtype(max_abs(basis)))
+            compact = np.zeros(len(basis), dtype=np.int64), np.arange(n * n), self.coords
+            blocks = compact, eye, eye, ((n, n),), 1, 1, 1
+        self.compact, self.c, self.d, self.sizes, self.q, self.det_b, self.det_c = blocks
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
+        return len(self.compact[0])
+
+    @cached_property
+    def coords(self):
+        return _hermite_dense(*self.compact)
+
+    @cached_property
+    def _magnitude(self) -> int:
+        # of S's entries, without an |sp| copy
+        diag, _, sp = self.compact
+        return max(max_abs(diag), int(sp.max(initial=0)), -int(sp.min(initial=0)))
+
+    def combine(self, coeffs):
+        """The block coordinates coeffs @ S of the combinations with the
+        rows of coeffs as coefficients: coeffs * diag, plus coeffs @ sp
+        at the pivot columns."""
+        diag, pivots, sp = self.compact
+        mk, ms = max_abs(coeffs), self._magnitude
+        bound = max(mk, ms, mk * ms * (self.rank + 1))
+        out = np.zeros((len(coeffs), sum(r * c for r, c in self.sizes)), dtype=int_dtype(bound))
+        out[:, : self.rank] = coeffs.astype(out.dtype, copy=False) * diag
+        out[:, pivots] += matmul(coeffs, sp, bound)
+        return out
 
     def elements(self, coords):
         """The elements with the given rows of block coordinates, as a
@@ -178,14 +207,7 @@ class IntertwinerLattice:
 
     def combination(self, coeffs) -> IntMatrix:
         """sum_i coeffs[i] basis[i] for integer coefficients, as an IntMatrix."""
-        # coords is m x m on the theorem route: its magnitude without an
-        # |coords| copy, and the product over column blocks, each cast alone
-        mc, mk = max(int(self.coords.max()), -int(self.coords.min())), max_abs(coeffs)
-        bound, step = max(mc, mk, mc * mk * self.rank), max(1, _BLOCK_BYTES // (8 * self.rank))
-        s = np.empty(self.coords.shape[1], dtype=int_dtype(bound))
-        for lo in range(0, len(s), step):
-            s[lo : lo + step] = matmul(coeffs, self.coords[:, lo : lo + step], bound)
-        return IntMatrix(self.elements(s[None])[0])
+        return IntMatrix(self.elements(self.combine(coeffs[None]))[0])
 
     @cached_property
     def stack(self):
@@ -326,7 +348,7 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
             # and the array's dtype holds q
             aligned = IntMatrix._of(cd // q)
     common = [a for a in spx.eigenvalues if a in cy]
-    sols = np.zeros((0, 0), dtype=np.int64)
+    compact = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp), np.zeros((0, 0), dtype=np.int64)
     if common:
         h, pivots_h = _stacked(_howell_rows(residues(d.T, q), q), n, q)
         if matmul_mod(residues(b, q), h.T, q).any():
@@ -338,28 +360,32 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
             # congruence rows for rows R of C or G: entry (r,c) of
             # sum_a R_a S_a H_a^t, whose coefficient of S_a[u,v] is
             # R_a[r,u] * H[c,v] over B_a's columns v, as a block
-            # kron(R_a, H_a), with entries below q^2
-            blocks = [np.multiply(rows[:, None, cy[a], None], h[None, :, None, bx[a]], order="C") for a in common]
-            return np.concatenate([k.reshape(len(rows) * len(h), k.shape[2] * k.shape[3]) for k in blocks], axis=1)
+            # kron(R_a, H_a) written into its columns of one array (a
+            # reshape that only splits axes is a view), reduced in place
+            out, off = np.empty((len(rows) * len(h), m), dtype=h.dtype), 0
+            for a in common:
+                ky, kx = len(cy[a]), len(bx[a])
+                k = out[:, off : off + ky * kx].reshape(len(rows), len(h), ky, kx)
+                np.multiply(rows[:, None, cy[a], None], h[None, :, None, bx[a]], out=k)
+                off += ky * kx
+            return np.remainder(out, q, out=out)
 
         cr = residues(c, q)
         m = sum(len(cy[a]) * len(bx[a]) for a in common)
-        diag, pivots, cols = _hermite_columns(system(_row_span(cr, q)), m, q)
+        compact = diag, pivots, cols = _hermite_columns(system(_row_span(cr, q)), m, q)
         # S is diag plus cols at the pivot columns: E S^t = E diag + E[:,
         # pivots] cols^t for C's own system E, built and checked a block of
-        # C's rows at a time so that each temporary is about _BLOCK_BYTES;
-        # the m x m basis is allocated after the last.  Entries are
-        # residues, so each sum is within the read-off's bound q^2 (P + 1)
+        # C's rows at a time so that each temporary is about _BLOCK_BYTES.
+        # Entries are residues, so each sum is within the read-off's bound
+        # q^2 (P + 1)
         step, bound = max(1, _BLOCK_BYTES // (8 * m * max(1, len(h)))), q * q * (len(pivots) + 1)
         for lo in range(0, n, step):
-            e = system(cr[lo : lo + step]) % q
+            e = system(cr[lo : lo + step])
             if ((matmul(e[:, pivots], cols.T, bound) + e * diag) % q).any():
                 raise CertificateError("block coordinates do not satisfy the congruences")
-        del e
-        sols = _hermite_dense(diag, pivots, cols)
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
-    blocks = sols, c_common, d_common, sizes, q, det_b, det(c)
+    blocks = compact, c_common, d_common, sizes, q, det_b, det(c)
     return IntertwinerLattice(n, None, x, y, aligned, closed_form, blocks)
 
 
@@ -484,10 +510,13 @@ def local_test(
     exactly when every det S_a has.  Otherwise no element has one, nor
     when the blocks are not square or miss an eigenvalue (every element
     is then singular), and the verdict evaluating every candidate would
-    give is returned at once.  Candidates are stacks of residues mod p;
-    their order, the random draws and the budget accounting are those
-    of a loop over one candidate at a time, and only the hit is
-    assembled as an n x n matrix.  p < 2 raises ValueError.
+    give is returned at once.  Candidates are stacks of residues mod p of
+    the lattice's compact products (combine: coefficients times the
+    Hermite diagonal, plus one product with its pivot columns), so no
+    dense basis is built; their order, the random draws and the budget
+    accounting are those of a loop over one candidate at a time, and
+    only the hit is assembled as an n x n matrix.  p < 2 raises
+    ValueError.
     """
     if p < 2:
         raise ValueError("modulus must be at least 2")
@@ -503,15 +532,10 @@ def local_test(
     square = all(r == c for r, c in sizes) and sum(c for _, c in sizes) == lattice.n
     if m == 0 or not square or _valuation(lattice.det_b, p) != _valuation(lattice.det_c, p):
         return exhausted
-    # the residues once, in the dtype matmul_mod multiplies them in (no
-    # chunk re-casts them, and no int64 copy precedes them); candidates
-    # stay in the integer residue dtype
-    dtype, coeff_dtype = product_dtype(p * p * m), int_dtype(p * p + p)
-    if dtype is object:
-        res = residues(lattice.coords, p).astype(object, copy=False)
-    else:
-        res = np.remainder(lattice.coords, p, out=np.empty(lattice.coords.shape, dtype), casting="unsafe")
-    cap = max(1, _CHUNK_ENTRIES // max(res.shape[1], m))
+    # candidates are the residues of the lattice's compact products,
+    # taken in the integer dtype combine returns
+    coeff_dtype = int_dtype(p * p + p)
+    cap = max(1, _CHUNK_ENTRIES // sum(r * c for r, c in sizes))  # the width, at least m
     offsets = np.cumsum([0] + [k * k for k, _ in sizes])
     by_size = sorted(zip(offsets, (k for k, _ in sizes)), key=lambda b: b[1])
 
@@ -540,7 +564,7 @@ def local_test(
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
     for lo, hi in _chunks(quick, cap):
         coeffs = draws.take((hi - lo) * m).astype(coeff_dtype).reshape(-1, m)
-        hit = first_unit(matmul_mod(coeffs, res, p))
+        hit = first_unit(lattice.combine(coeffs) % p)
         if hit is not None:
             return certify(coeffs[hit], "sampled")
     if exhaustible:
@@ -550,7 +574,7 @@ def local_test(
         powers = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
         for lo, hi in _chunks(p ** m, cap):
             coeffs = np.arange(lo, hi, dtype=np.int64)[:, None] // powers % p
-            hit = first_unit(matmul_mod(coeffs, res, p))
+            hit = first_unit(lattice.combine(coeffs) % p)
             if hit is not None:
                 return certify(coeffs[hit], "exhaustive")
     return exhausted
@@ -1061,8 +1085,10 @@ def decide(
     assumption checked on x and then y; local tests at the bases of
     relevant_primes in increasing order, always on C(x,y), stopping at
     the first FAIL (so local ends there), each a closed-form PASS when
-    the lattice's C D has a unit determinant there, and a local_test
-    otherwise, a base that meets a zero divisor giving way to its parts;
+    the lattice's C D has a unit determinant there, read off det(C D) =
+    det C q^n / det B (B D = q I), and a local_test when the base
+    divides it, a base that meets a zero divisor (a proper factor in
+    common with det(C D), or one in local_test) giving way to its parts;
     the local-global theorem when the assumption holds and all locals
     pass; then, where the search would run (n <= search_dim_cap, or the
     theorem does not apply), explicit conjugator search.  UNKNOWN
@@ -1117,15 +1143,19 @@ def decide(
     lattice = intertwiner_lattice(x, y, spectra=(spx, spy))
     # bases in order, stopping at the first FAIL: one obstruction decides.
     # The closed form C D, checked to intertwine when it was built, is
-    # offered first at each base; a zero divisor splits the base, and
-    # its parts are tested in its place.  Three distinct integer
-    # eigenvalues have a gap of at least 2, so there is always a base
+    # offered first at each base, its determinant read off det C and det
+    # B; a zero divisor splits the base, as det_mod's would, and its
+    # parts are tested in its place.  Three distinct integer eigenvalues
+    # have a gap of at least 2, so there is always a base
     cd, bases, locals_ = lattice.closed_form, relevant_primes(spx), []
+    det_cd = lattice.det_c * (lattice.q**n // lattice.det_b)
     while bases:
         b = bases.pop(0)
         try:
-            if det_mod(cd.array, b):
+            if (g := gcd(det_cd, b)) == 1:
                 local = LocalVerdict(prime=b, status="PASS", certificate=cd, method="closed-form")
+            elif g < b:
+                raise _ZeroDivisor(g)
             else:
                 local = local_test(x, y, b, budget=budget, seed=seed, lattice=lattice)
         except _ZeroDivisor as exc:

@@ -70,8 +70,11 @@ def matmul(a, b, bound):
     with dtype int_dtype(bound) (rule above); bound >= every |entry| of a
     and b and max |a| * max |b| * inner dimension.  The operands are
     multiplied in product_dtype(bound), and one already held in it, a
-    float64 array of integers included, is not copied."""
+    float64 array of integers included, is not copied; on Python ints a
+    float64 operand goes through int64, so no entry becomes a float."""
     dtype = product_dtype(bound)
+    if dtype is object:
+        a, b = (v.astype(np.int64) if v.dtype == np.float64 else v for v in (a, b))
     r = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return r.astype(np.int64) if dtype is np.float64 else r
 

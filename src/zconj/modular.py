@@ -458,10 +458,10 @@ def _howell_rows(a, q: int):
 def solve_congruence_lattice(rows, m: int, q: int):
     """Hermite normal form of {s in Z^m : A s = 0 (mod q)}, A given by rows,
     as an m x m integer array in the mod-q kernels' dtype (q I for q <= 1,
-    no rows for q = 0): _hermite_columns, assembled."""
+    no rows for q = 0): _hermite_columns of A's residues, assembled."""
     if q <= 1:
         return np.eye(m if q else 0, m, dtype=int_dtype(abs(q))) * q
-    return _hermite_dense(*_hermite_columns(rows, m, q))
+    return _hermite_dense(*_hermite_columns(residues(rows, q), m, q))
 
 
 def _hermite_dense(diag, pivots, sp):
@@ -476,9 +476,13 @@ def _hermite_dense(diag, pivots, sp):
 _READ_BLOCK = 128  # least number of pivots in a block of _hermite_columns' read-off
 
 
-def _hermite_columns(rows, m: int, q: int):
+def _hermite_columns(a, m: int, q: int):
     """(diag, pivots, sp), q >= 1: solve_congruence_lattice's Hermite basis
     S is diag on the diagonal plus sp (m x P) at its P pivot columns.
+
+    a holds the rows of A as residues (the residues function's dtype),
+    m to a row; the Howell pass overwrites it, so a caller that still
+    needs A passes a copy.
 
     Read off the Howell form of A (_howell_rows: rows E_c, pivots g_c)
     in one pass.  Row c of the basis S has q / g_c on the diagonal (1
@@ -500,7 +504,7 @@ def _hermite_columns(rows, m: int, q: int):
     and sp is held in the dtype matmul multiplies in, so no pivot
     copies it.
     """
-    a = residues(rows, q).reshape(len(rows), m)
+    a = a.reshape(len(a), m)
     howell = sorted(_howell_rows(a, q).items())
     pivots = np.array([c for c, _ in howell], dtype=np.intp)
     bound = q * q * (len(pivots) + 1)

@@ -74,7 +74,8 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
     assert not bad, bad
     # the array call sites of the eigenbases, the Sylvester kernel, the
     # glue blocks and the built conjugator, the congruence read-off, the
-    # projector and idempotent checks, the form witness and the boundary
+    # compact lattice product (local test candidates and the form
+    # witness), the projector and idempotent checks and the boundary
     # re-check all ran
     expected = {
         "conjugacy:_eigenbasis",
@@ -82,7 +83,7 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         "conjugacy:_glue_block",
         "conjugacy:_glue_route",
         "conjugacy:_sylvester_basis",
-        "conjugacy:combination",
+        "conjugacy:combine",
         "linalg:_kernel_basis_rref",
         "modular:_hermite_columns",
         "spectral:_check_projector_identities",

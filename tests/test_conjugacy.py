@@ -27,7 +27,7 @@ from helpers import (
     unimodular_inverse,
 )
 from test_bounds import paley25
-from test_metamorphic import three_eigenvalue_pairs
+from test_metamorphic import block_pairs, swapped_pairs, three_eigenvalue_pairs
 
 from zconj import conjugacy, forms, modular, spectral
 from zconj.conjugacy import (
@@ -51,7 +51,7 @@ from zconj.conjugacy import (
 )
 from zconj.linalg import charpoly, det, hnf, snf_invariants
 from zconj.modular import det_mod
-from zconj.matrix import IntMatrix
+from zconj.matrix import IntMatrix, matmul, product_dtype
 from zconj.spectral import NotSplit, check_assumption, split_spectrum
 from zconj.graphs import field_build, paley_adjacency, paley_idempotent_data, peisert_adjacency
 
@@ -372,11 +372,13 @@ def test_block_coordinate_checks_catch_corruption(monkeypatch):
 
     def corrupted(on_diagonal):
         # one solution moved by e_j, j a column the congruences see: a
-        # pivot column, at the diagonal of its own row or in row 0 above it
+        # pivot column, at the diagonal of its own row or in row 0 above
+        # it.  The solve overwrites eq, so the columns are read before it
         def solve_corrupted(eq, m, q):
+            seen = (eq % q).any(axis=0)
             diag, pivots, cols = solve(eq, m, q)
             diag, cols = diag.copy(), cols.copy()
-            i = next(i for i, j in enumerate(pivots) if j and (eq[:, j] % q).any())
+            i = next(i for i, j in enumerate(pivots) if j and seen[j])
             if on_diagonal:
                 diag[pivots[i]] += 1
             else:
@@ -481,6 +483,97 @@ def test_decide_above_search_cap_never_builds_the_basis(monkeypatch):
     assert [(lv.prime, lv.method) for lv in v.local] == [(2, "closed-form"), (3, "sampled")]
     for lv in v.local:
         assert verify_conjugator(lv.certificate, x, y, prime=lv.prime)
+
+
+def test_decide_on_paley25_never_builds_the_dense_basis(monkeypatch):
+    # the theorem route at n = 25: the local tests multiply by the compact
+    # Hermite basis, so the m x m block coordinates are never assembled
+    def refuse(*args):
+        raise AssertionError("the dense basis was built")
+
+    monkeypatch.setattr(conjugacy, "_hermite_dense", refuse)
+    x = IntMatrix(paley25())
+    perm = np.random.default_rng(3).permutation(25)
+    y = IntMatrix(x.array[perm][:, perm])
+    v = decide(x, y)
+    assert (v.status, v.reason) == ("CONJUGATE", "theorem+local-passes")
+    assert "sampled" in {lv.method for lv in v.local}
+    for lv in v.local:
+        assert verify_conjugator(lv.certificate, x, y, prime=lv.prime)
+
+
+def test_closed_form_determinant_matches_bareiss():
+    # det(C D) = det C q^n / det B, as decide reads it at each base, against
+    # the Bareiss determinant of C D: hidden copies, other glue and swapped
+    # pairs with three or more eigenvalues, and the Paley pairs on F_9 and F_49
+    rng = random.Random(97)
+    pairs = [(x, y) for x, y, _ in block_pairs(rng, 1) + three_eigenvalue_pairs(rng, 6)]
+    pairs += swapped_pairs(rng, 1)
+    for p in (3, 7):
+        f = field_build(p, 2)
+        pairs.append((paley_adjacency(f), peisert_adjacency(f)))
+    for x, y in pairs:
+        lattice = intertwiner_lattice(x, y)
+        assert len(lattice.sizes) >= 3 and lattice.closed_form is not None
+        q, n = lattice.q, x.nrows
+        assert q**n % lattice.det_b == 0
+        assert lattice.det_c * q**n // lattice.det_b == det_bareiss(lattice.closed_form.to_lists())
+
+
+def dense_twin(lattice):
+    """The lattice with its dense block coordinates as the pivot columns of
+    a zero diagonal, so that combine multiplies by the whole basis."""
+    dense = modular._hermite_dense(*lattice.compact)
+    compact = np.zeros(lattice.rank, dtype=np.int64), np.arange(lattice.rank), dense
+    blocks = compact, lattice.c, lattice.d, lattice.sizes, lattice.q, lattice.det_b, lattice.det_c
+    return IntertwinerLattice(lattice.n, None, lattice.source, lattice.target, blocks=blocks)
+
+
+def test_compact_products_match_the_dense_basis(monkeypatch):
+    # combine (and with it combination) and local_test's candidates use the
+    # compact basis diag + sp: against coeffs @ the dense basis on Python
+    # ints, and local_test against its run on the dense twin, candidate by
+    # candidate.  sp is held in float64, in int64 (q^2 (P + 1) >= 2^53, q
+    # = 512 729 1241) and on Python ints (q above 2^62), and the products
+    # run in all three
+    routes, held = set(), set()
+
+    def recorded(a, b, bound):
+        if sys._getframe(1).f_code.co_name == "combine":
+            routes.add(product_dtype(bound))
+        return matmul(a, b, bound)
+
+    monkeypatch.setattr(conjugacy, "matmul", recorded)
+    rng = random.Random(101)
+    pairs = [(x, y) for x, y, _ in three_eigenvalue_pairs(rng, 3)]
+    f9 = field_build(3, 2)
+    pairs.append((paley_adjacency(f9), peisert_adjacency(f9)))
+    x = IntMatrix([[0, 1, 2], [0, 512, 1], [0, 0, -729]])
+    pairs.append((x, hidden(x, rng)))
+    d = (2**31 - 1) * (2**61 - 1)
+    pairs.append((IntMatrix([[0, 1, 0], [0, d, 0], [0, 0, -1]]), IntMatrix([[0, 0, 0], [0, d, 0], [0, 0, -1]])))
+    candidates = []
+    monkeypatch.setattr(conjugacy, "det_mod", lambda rows, b: candidates.append(rows.tolist()) or det_mod(rows, b))
+    evaluated = 0
+    for x, y in pairs:
+        lattice = intertwiner_lattice(x, y)
+        twin = dense_twin(lattice)
+        dense = twin.compact[2].astype(object)
+        held.add(lattice.compact[2].dtype)
+        for bits in (2, 24, 48):
+            coeffs = np.array([[rng.randrange(-(2**bits), 2**bits) for _ in range(lattice.rank)] for _ in range(4)])
+            assert lattice.combine(coeffs).tolist() == (coeffs.astype(object) @ dense).tolist()
+            assert lattice.combination(coeffs[0]) == twin.combination(coeffs[0])
+        for p in relevant_primes(split_spectrum(x)):
+            del candidates[:]
+            v = local_test(x, y, p, budget=300, lattice=lattice)
+            got, candidates[:] = candidates[:], []
+            assert local_test(x, y, p, budget=300, lattice=twin) == v
+            assert candidates == got
+            evaluated += len(got)
+    assert held == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+    assert routes == {np.float64, np.int64, object}
+    assert evaluated
 
 
 def test_rank_one_eigenbasis_skips_the_elimination(monkeypatch):

@@ -500,7 +500,7 @@ def test_blocked_read_off_matches_pivotwise_oracle(monkeypatch):
         if m < 100:
             monkeypatch.setattr(modular, "_READ_BLOCK", 5)
         monkeypatch.setattr(modular, "matmul", recorded)
-        got = modular._hermite_columns(rows, m, q)
+        got = modular._hermite_columns(residues(rows, q), m, q)
         monkeypatch.undo()
         assert len(got[1]) >= 3 * (5 if m < 100 else modular._READ_BLOCK)
         assert all(u.tolist() == v.tolist() for u, v in zip(got, want))
