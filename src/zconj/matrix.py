@@ -12,9 +12,11 @@ Callers pass .array on; algorithms that mutate entries work on a copy.
 
 Every exact integer product in the package is matmul(a, b, bound), with
 bound covering the operands' entries and every partial sum of a @ b:
-float64 through BLAS while bound < 2^53, where every partial sum and
-fused multiply-add is an integer double, exact in any summation order;
-int64 while bound < 2^62; object (Python ints) from there on.
+float32 through BLAS (sgemm) while bound < 2^24 and float64 (dgemm)
+while bound < 2^53, where every partial sum and fused multiply-add is an
+integer held exactly in the float's significand, so either is exact in
+any summation order (FFLAS-FFPACK chooses its float type by the same
+rule); int64 while bound < 2^62; object (Python ints) from there on.
 
 Serialization formats:
 
@@ -42,6 +44,7 @@ class CertificateError(AssertionError):
 
 _INT64_LIMIT = 1 << 62
 _FLOAT64_EXACT = 1 << 53
+_FLOAT32_EXACT = 1 << 24
 
 
 def int_dtype(*bounds):
@@ -60,8 +63,10 @@ def max_abs(a) -> int:
 
 
 def product_dtype(bound):
-    """dtype matmul multiplies in under bound: float64 below 2^53, else
-    int_dtype(bound)."""
+    """dtype matmul multiplies in under bound: float32 below 2^24, float64
+    below 2^53, else int_dtype(bound)."""
+    if bound < _FLOAT32_EXACT:
+        return np.float32
     return np.float64 if bound < _FLOAT64_EXACT else int_dtype(bound)
 
 
@@ -69,14 +74,16 @@ def matmul(a, b, bound):
     """a @ b of integer arrays, stacked as numpy's @ allows, exactly and
     with dtype int_dtype(bound) (rule above); bound >= every |entry| of a
     and b and max |a| * max |b| * inner dimension.  The operands are
-    multiplied in product_dtype(bound), and one already held in it, a
-    float64 array of integers included, is not copied; on Python ints a
-    float64 operand goes through int64, so no entry becomes a float."""
+    multiplied in product_dtype(bound): one already held in it, a float
+    array of integers included, is not copied, and a shared operand (a
+    is b) is cast once.  On Python ints a float operand goes through
+    int64, so no entry becomes a float."""
     dtype = product_dtype(bound)
     if dtype is object:
-        a, b = (v.astype(np.int64) if v.dtype == np.float64 else v for v in (a, b))
-    r = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    return r.astype(np.int64) if dtype is np.float64 else r
+        a, b = (v.astype(np.int64) if v.dtype.kind == "f" else v for v in (a, b))
+    fa = a.astype(dtype, copy=False)
+    r = fa @ (fa if b is a else b.astype(dtype, copy=False))
+    return r.astype(np.int64) if r.dtype.kind == "f" else r
 
 
 def _entries(rows):

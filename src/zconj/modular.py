@@ -248,19 +248,20 @@ def _eliminate_chain(a, b: int, k: int):
     as one product when it is scanned, and the pivot column of the rows
     below as one matrix-vector product, which gives their multipliers.
     Every _BLOCK pivots the rows below take all of theirs as one product
-    f @ a[t0:t], bound b^(2k) times the pending count (float64 on BLAS
-    while that is below 2^53); pending operations carry over from one
-    level to the next.  A scanned row with no pivot moves below the
-    candidates, where this level's multipliers, divisible by b, keep it
-    so; when the row moved up in its place has none either, the rows
-    below are flushed and every such row moves down at once.  Returns
-    levels, levels[j] the level of the j-th pivot.  A base b that is
-    not prime raises _ZeroDivisor with a proper factor when a pivot is
-    not b^l times a unit.
+    f @ a[t0:t], bound b^(2k) times the pending count (on BLAS while
+    that is below 2^53), and f is held in the product dtype of the
+    flush bound b^(2k) _BLOCK, so that no flush casts it; pending
+    operations carry over from one level to the next.  A scanned row
+    with no pivot moves below the candidates, where this level's
+    multipliers, divisible by b, keep it so; when the row moved up in
+    its place has none either, the rows below are flushed and every
+    such row moves down at once.  Returns levels, levels[j] the level
+    of the j-th pivot.  A base b that is not prime raises _ZeroDivisor
+    with a proper factor when a pivot is not b^l times a unit.
     """
     n_mod = b**k
     nrows, ncols = a.shape
-    f = np.zeros((nrows, min(_BLOCK, ncols)), dtype=a.dtype)
+    f = np.zeros((nrows, min(_BLOCK, ncols)), dtype=product_dtype(n_mod * n_mod * min(_BLOCK, ncols)))
     levels = []
     t = t0 = 0
     dead = -1  # where the last scan found no pivot

@@ -24,7 +24,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .linalg import fraction_free_rref, snf_invariants
-from .matrix import CertificateError, IntMatrix, int_dtype, int_from_json, matmul, max_abs
+from .matrix import CertificateError, IntMatrix, int_dtype, int_from_json, matmul, max_abs, product_dtype
 from .modular import scaled_idempotent_invariants
 
 
@@ -240,8 +240,9 @@ def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
     eigenspace, and eigenspaces of distinct eigenvalues are independent,
     so P_j v = [i = j] v; the columns of P_i are such v (so trace E_i is
     q_i rank P_i).  The X E_i are k products, one per E_i, so that the
-    float64 copies of only one E_i are held at a time; the dtype bound
-    max |E| max(k L, max(|X|, |a_i|) n) covers every entry compared.
+    product-dtype copies (matrix.product_dtype) of only one E_i are held
+    at a time, and X is cast to that dtype once for all k; the dtype
+    bound max |E| max(k L, max(|X|, |a_i|) n) covers every entry compared.
     """
     n, k = len(x), len(idempotents)
     big = lcm(*scales)
@@ -251,8 +252,10 @@ def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
     es = [e.astype(dtype, copy=False) for e in idempotents]
     ok = sum(mults) == n and len(set(eigenvalues)) == k
     ok = ok and bool((sum(e * (big // q) for e, q in zip(es, scales)) == big * np.eye(n, dtype=dtype)).all())
+    bound = max(mx, me, mx * me * n)
+    xp = x.astype(product_dtype(bound), copy=False)
     for a, e in zip(eigenvalues, es):
-        ok = ok and bool((matmul(x, e, max(mx, me, mx * me * n)) == e * a).all())
+        ok = ok and bool((matmul(xp, e, bound) == e * a).all())
     return ok
 
 

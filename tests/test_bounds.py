@@ -1,11 +1,13 @@
 """Every exact product states a bound that covers it.
 
-matrix.matmul picks float64, int64 or Python ints from its bound, which
-must cover max |a|, max |b| and max |a| max |b| k, k the inner
-dimension.  The audit wraps matmul in every zconj module that imports
-it, the binding IntMatrix.__mul__ calls included, runs the decision
-procedure and the lemma checker, and checks each call's bound; results
-are compared with an object-dtype product while a.size k <= 2 10^6.
+matrix.matmul picks float32, float64, int64 or Python ints from its
+bound, which must cover max |a|, max |b| and max |a| max |b| k, k the
+inner dimension.  The audit wraps matmul in every zconj module that
+imports it, the binding IntMatrix.__mul__ calls included, runs the
+decision procedure and the lemma checker, and checks each call's bound;
+results are compared with a product on Python ints (a float operand
+converted exactly, through int64) while a.size k <= 2 10^6, and both
+float tiers must be among the calls compared.
 """
 
 import random
@@ -18,7 +20,7 @@ from test_metamorphic import block_pairs, class_pairs, glued, swapped_pairs
 
 import zconj
 from zconj.graphs import field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
-from zconj.matrix import IntMatrix, matmul, max_abs
+from zconj.matrix import IntMatrix, matmul, max_abs, product_dtype
 
 OBJECT_CHECK_LIMIT = 2 * 10**6
 
@@ -30,8 +32,12 @@ def paley25():
     return [[int(((a[0] - b[0]) % 5, (a[1] - b[1]) % 5) in squares) for b in els] for a in els]
 
 
+def python_ints(v):
+    return (v.astype(np.int64) if v.dtype.kind == "f" else v).astype(object)
+
+
 def test_every_matmul_call_states_a_covering_bound(monkeypatch):
-    sites, bad = {}, []
+    sites, bad, compared = {}, [], set()
 
     def audited(a, b, bound):
         code = sys._getframe(1).f_code
@@ -40,8 +46,10 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         if bound < max(ma, mb, ma * mb * k):
             bad.append((site, bound, ma, mb, k))
         r = matmul(a, b, bound)
-        if a.size * k <= OBJECT_CHECK_LIMIT and not (r == a.astype(object) @ b.astype(object)).all():
-            bad.append((site, "differs from the object product"))
+        if a.size * k <= OBJECT_CHECK_LIMIT:
+            if not (r == python_ints(a) @ python_ints(b)).all():
+                bad.append((site, "differs from the object product"))
+            compared.add(product_dtype(bound))
         sites[site] = sites.get(site, 0) + 1
         return r
 
@@ -72,6 +80,7 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         assert verify_smith_lemma(p).ok
 
     assert not bad, bad
+    assert {np.float32, np.float64} <= compared, compared
     # the array call sites of the eigenbases, the Sylvester kernel, the
     # glue blocks and the built conjugator, the congruence read-off, the
     # compact lattice product (local test candidates and the form

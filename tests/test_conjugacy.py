@@ -533,9 +533,9 @@ def test_compact_products_match_the_dense_basis(monkeypatch):
     # combine (and with it combination) and local_test's candidates use the
     # compact basis diag + sp: against coeffs @ the dense basis on Python
     # ints, and local_test against its run on the dense twin, candidate by
-    # candidate.  sp is held in float64, in int64 (q^2 (P + 1) >= 2^53, q
-    # = 512 729 1241) and on Python ints (q above 2^62), and the products
-    # run in all three
+    # candidate.  sp is held in float32 (q^2 (P + 1) < 2^24), in float64
+    # (q = 16 27 43), in int64 (q^2 (P + 1) >= 2^53, q = 512 729 1241)
+    # and on Python ints (q above 2^62), and the products run in all four
     routes, held = set(), set()
 
     def recorded(a, b, bound):
@@ -548,8 +548,9 @@ def test_compact_products_match_the_dense_basis(monkeypatch):
     pairs = [(x, y) for x, y, _ in three_eigenvalue_pairs(rng, 3)]
     f9 = field_build(3, 2)
     pairs.append((paley_adjacency(f9), peisert_adjacency(f9)))
-    x = IntMatrix([[0, 1, 2], [0, 512, 1], [0, 0, -729]])
-    pairs.append((x, hidden(x, rng)))
+    for a, b in ((16, -27), (512, -729)):
+        x = IntMatrix([[0, 1, 2], [0, a, 1], [0, 0, b]])
+        pairs.append((x, hidden(x, rng)))
     d = (2**31 - 1) * (2**61 - 1)
     pairs.append((IntMatrix([[0, 1, 0], [0, d, 0], [0, 0, -1]]), IntMatrix([[0, 0, 0], [0, d, 0], [0, 0, -1]])))
     candidates = []
@@ -571,8 +572,8 @@ def test_compact_products_match_the_dense_basis(monkeypatch):
             assert local_test(x, y, p, budget=300, lattice=twin) == v
             assert candidates == got
             evaluated += len(got)
-    assert held == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
-    assert routes == {np.float64, np.int64, object}
+    assert held == {np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+    assert routes == {np.float32, np.float64, np.int64, object}
     assert evaluated
 
 

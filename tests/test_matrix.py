@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import zconj
-from zconj.matrix import IntMatrix, MatrixFormatError, int_dtype, matmul
+from zconj.graphs import paley_idempotent_data
+from zconj.matrix import IntMatrix, MatrixFormatError, int_dtype, matmul, max_abs, product_dtype
 from zconj.modular import matmul_mod
 
 
@@ -57,6 +58,67 @@ def test_matmul_exact_at_dtype_switches(bound):
         assert abs(r[1, 2]) == ma * mb * k
 
 
+# (ma, mb, k, the product dtype) with ma mb k at each edge of
+# product_dtype: 2^24 - 1, 2^24, 2^24 + 1, 2^53 - 1, 2^53, 2^53 + 1,
+# 2^62 - 1, 2^62, 2^62 + 1
+EDGES = [
+    (4097, 1, 4095, np.float32),
+    (2**12, 1, 2**12, np.float64),
+    (673, 257, 97, np.float64),
+    (441650591, 20394401, 1, np.float64),
+    (2**26, 2**26, 2, np.int64),
+    (321, 28059810762433, 1, np.int64),
+    (2147483649, 2147483647, 1, np.int64),
+    (2**30, 2**31, 2, object),
+    (242243305, 19037413721, 1, object),
+]
+
+
+@pytest.mark.parametrize("ma, mb, k, dtype", EDGES)
+def test_matmul_partial_sums_reach_the_bound(ma, mb, k, dtype):
+    # every term is +-ma mb, so the partial sums climb to the bound
+    # ma mb k itself, in exact arithmetic; at 2^24 + 1 and 2^53 + 1 the
+    # next float tier down would round the sum
+    bound = ma * mb * k
+    assert product_dtype(bound) is dtype
+    a = np.full((2, k), ma, dtype=np.int64)
+    b = np.full((k, 3), mb, dtype=np.int64)
+    a[1] = -ma
+    r = matmul(a, b, bound)
+    assert_integer_array(r)
+    assert r.dtype == int_dtype(bound)
+    assert r.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    assert r[0, 0] == bound and r[1, 2] == -bound
+    for limit, lower in ((2**24, np.float32), (2**53, np.float64)):
+        if bound == limit + 1:
+            assert int((a.astype(lower) @ b.astype(lower))[0, 0]) != bound
+
+
+def test_matmul_converts_float_operands_before_python_ints():
+    # a float32 or float64 operand at a bound past 2^62 becomes int64 and
+    # then Python ints, never Python floats, which would round 3 (2^61 + 1)
+    big = np.array([[2**61 + 1, 1]], dtype=object).T
+    for dtype in (np.float32, np.float64):
+        a = np.array([[3, 0], [1, 2]], dtype=dtype)
+        r = matmul(a, big, 3 * (2**61 + 1) * 2)
+        assert_integer_array(r)
+        assert r.tolist() == [[3 * (2**61 + 1)], [2**61 + 3]]
+        assert matmul(big.T, a, 3 * (2**61 + 1) * 2).tolist() == [[3 * (2**61 + 1) + 1, 2]]
+
+
+def test_matmul_float32_tier_at_lemma_scale():
+    # verify_smith_lemma(19)'s E E, 361 x 361 with |E| <= 180, against
+    # numpy's int64 product: the bound 180^2 361 is below 2^24
+    data = paley_idempotent_data(19)
+    for e in (data.E2, data.E3, data.E2star, data.E3star):
+        e = e.array
+        bound = max_abs(e) ** 2 * len(e)
+        assert product_dtype(bound) is np.float32
+        r = matmul(e, e, bound)
+        assert r.dtype == np.int64
+        assert (r == e @ e).all()
+
+
 def test_matmul_stacked_operands():
     rng = random.Random(5)
     for bound in (2**53 - 1, 2**53, 2**62):
@@ -86,16 +148,17 @@ def test_matmul_mod_either_side_of_float_limit():
 
 
 def test_one_float_rule():
-    # the float64-exact limit of the product kernel is stated in matrix.py
-    # alone; any other exact product must call matrix.matmul
-    pattern = re.compile(r"1\s*<<\s*53|2\s*\*\*\s*53")
+    # the float32- and float64-exact limits of the product kernel are
+    # stated in matrix.py alone; any other exact product must call
+    # matrix.matmul.  A byte count (a name ending in _BYTES) is no limit
+    pattern = re.compile(r"(1\s*<<|2\s*\*\*)\s*(24|53)\b")
     hits = [
         (path.name, line)
         for path in sorted(Path(zconj.__file__).parent.glob("*.py"))
         for line in path.read_text().splitlines()
-        if pattern.search(line)
+        if pattern.search(line) and not re.match(r"\s*\w+_BYTES\s*=", line)
     ]
-    assert [name for name, _ in hits] == ["matrix.py"], hits
+    assert [name for name, _ in hits] == ["matrix.py", "matrix.py"], hits
 
 
 def test_int_dtype_bound():

@@ -482,8 +482,9 @@ def test_int64_kernels_match_their_object_twins(monkeypatch):
 def test_blocked_read_off_matches_pivotwise_oracle(monkeypatch):
     # the read-off by blocks of pivots against the one-product-per-pivot
     # read-off, on systems whose pivots span three or more blocks: in
-    # float64 at the default block size, then in int64 and on Python ints
-    # (q^2 (P + 1) >= 2^62) with blocks of 5 pivots; composite q throughout
+    # float32 (q = 36) and float64 (q = 225) at the default block size,
+    # then in int64 and on Python ints (q^2 (P + 1) >= 2^62) with blocks
+    # of 5 pivots; composite q throughout
     routes = set()
 
     def recorded(a, b, bound):
@@ -504,13 +505,13 @@ def test_blocked_read_off_matches_pivotwise_oracle(monkeypatch):
         monkeypatch.undo()
         assert len(got[1]) >= 3 * (5 if m < 100 else modular._READ_BLOCK)
         assert all(u.tolist() == v.tolist() for u, v in zip(got, want))
-    assert routes == {np.float64, np.int64, object}
+    assert routes == {np.float32, np.float64, np.int64, object}
 
 
 def test_solve_congruence_lattice_reaches_every_product_route(monkeypatch):
     # the read-off's products in float64 (q^2 (P + 1) < 2^53), in int64
-    # (q near 2^24 with at least 32 pivots) and on Python ints, against
-    # the gcd sweep oracle
+    # (q near 2^24 with at least 32 pivots), on Python ints and, last, in
+    # float32 (q^2 (P + 1) < 2^24), against the gcd sweep oracle
     routes = set()
 
     def recorded(a, b, bound):
@@ -520,11 +521,13 @@ def test_solve_congruence_lattice_reaches_every_product_route(monkeypatch):
 
     monkeypatch.setattr(modular, "matmul", recorded)
     rng = random.Random(71)
-    for q, m, k in ((1009**2, 12, 10), (2**24 - 3, 40, 36), (2**24 - 1, 40, 38), (2**24, 40, 36), (2**31 + 11, 8, 6)):
+    for q, m, k in (
+        (1009**2, 12, 10), (2**24 - 3, 40, 36), (2**24 - 1, 40, 38), (2**24, 40, 36), (2**31 + 11, 8, 6), (1009, 12, 10)
+    ):
         rows = [[rng.randrange(q) * rng.choice((1, 1, 2, 3)) for _ in range(m)] for _ in range(k)]
         expected = [list(r) for r in solve_congruence_lattice_full(rows, m, q)]
         assert solve_congruence_lattice(rows, m, q).tolist() == expected
-    assert routes == {np.float64, np.int64, object}
+    assert routes == {np.float32, np.float64, np.int64, object}
 
 
 def test_diagonalize_mod_splits_a_base_after_a_flush(monkeypatch):
