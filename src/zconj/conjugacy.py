@@ -62,6 +62,7 @@ from .modular import (
     det_mod,
     inv_mod,
     matmul_mod,
+    reduce_mod,
     residues,
     smith_mod,
 )
@@ -201,9 +202,10 @@ class IntertwinerLattice:
             s_a = coords[:, off : off + my * mx].reshape(-1, my, mx)
             total += matmul(matmul(self.c[:, row : row + my], s_a, bound), self.d[col : col + mx], bound)
             off, row, col = off + my * mx, row + my, col + mx
-        if (total % self.q).any():
+        quotient = total // self.q
+        if (quotient * self.q != total).any():
             raise CertificateError("lattice element is not divisible by q")
-        return total // self.q
+        return quotient
 
     def combination(self, coeffs) -> IntMatrix:
         """sum_i coeffs[i] basis[i] for integer coefficients, as an IntMatrix."""
@@ -368,7 +370,7 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
                 k = out[:, off : off + ky * kx].reshape(len(rows), len(h), ky, kx)
                 np.multiply(rows[:, None, cy[a], None], h[None, :, None, bx[a]], out=k)
                 off += ky * kx
-            return np.remainder(out, q, out=out)
+            return reduce_mod(out, q)
 
         cr = residues(c, q)
         m = sum(len(cy[a]) * len(bx[a]) for a in common)
@@ -381,7 +383,7 @@ def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
         step, bound = max(1, _BLOCK_BYTES // (8 * m * max(1, len(h)))), q * q * (len(pivots) + 1)
         for lo in range(0, n, step):
             e = system(cr[lo : lo + step])
-            if ((matmul(e[:, pivots], cols.T, bound) + e * diag) % q).any():
+            if reduce_mod(matmul(e[:, pivots], cols.T, bound) + e * diag, q).any():
                 raise CertificateError("block coordinates do not satisfy the congruences")
     c_common, d_common = c[:, [j for a in common for j in cy[a]]], d[[j for a in common for j in bx[a]]]
     sizes = tuple((len(cy[a]), len(bx[a])) for a in common)
@@ -564,7 +566,7 @@ def local_test(
         quick = 0 if p ** m <= 4096 else min(budget, 4096)
     for lo, hi in _chunks(quick, cap):
         coeffs = draws.take((hi - lo) * m).astype(coeff_dtype).reshape(-1, m)
-        hit = first_unit(lattice.combine(coeffs) % p)
+        hit = first_unit(reduce_mod(lattice.combine(coeffs), p))
         if hit is not None:
             return certify(coeffs[hit], "sampled")
     if exhaustible:
@@ -573,8 +575,8 @@ def local_test(
         # one fastest (itertools.product order)
         powers = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
         for lo, hi in _chunks(p ** m, cap):
-            coeffs = np.arange(lo, hi, dtype=np.int64)[:, None] // powers % p
-            hit = first_unit(lattice.combine(coeffs) % p)
+            coeffs = reduce_mod(np.arange(lo, hi, dtype=np.int64)[:, None] // powers, p)
+            hit = first_unit(reduce_mod(lattice.combine(coeffs), p))
             if hit is not None:
                 return certify(coeffs[hit], "exhaustive")
     return exhausted
@@ -964,11 +966,13 @@ def _glue_route(x: IntMatrix, y: IntMatrix, spx: SplitSpectrum, spy: SplitSpectr
         r_lift[:, 0] *= eps
     mp, mr, mn, mm = max_abs(p_lift), max_abs(r_lift), max_abs(nx), max_abs(ny)
     bound = max(mp, mr, mn, mm, mp * mn * r + mm * mr * s)
-    diff = matmul(p_lift, nx, bound) - matmul(ny, r_lift, bound)
-    if (diff % d).any():
+    # Python ints once d is past int64: numpy cannot mix such a d with int64
+    diff = (matmul(p_lift, nx, bound) - matmul(ny, r_lift, bound)).astype(int_dtype(bound, d), copy=False)
+    quotient = diff // (a - b)
+    if reduce_mod(diff, d).any():
         raise CertificateError("P N - M R is not divisible by b - a")
     k = np.zeros((n, n), dtype=int_dtype(bound))
-    k[:r, :r], k[:r, r:], k[r:, r:] = p_lift, diff // (a - b), r_lift
+    k[:r, :r], k[:r, r:], k[r:, r:] = p_lift, quotient, r_lift
     mk, mv, mi = max_abs(k), max_abs(vx), max_abs(vy_inv)
     kv_bound = max(mk, mv, mk * mv * n)
     bound = max(kv_bound, mi, kv_bound * mi * n)

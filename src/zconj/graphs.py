@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from .matrix import CertificateError, IntMatrix, matmul
-from .modular import prime_factors, scaled_idempotent_invariants
+from .modular import prime_factors, reduce_mod, scaled_idempotent_invariants
 from .spectral import _check_projector_identities
 
 
@@ -118,15 +118,19 @@ class FieldSpec:
 
     @cached_property
     def digits(self):
-        """The q x degree array whose row i is coeffs(i)."""
-        return np.arange(self.q)[:, None] // self.p ** np.arange(self.degree) % self.p
+        """The q x degree array whose row i is coeffs(i), read-only."""
+        out = reduce_mod(np.arange(self.q)[:, None] // self.p ** np.arange(self.degree), self.p)
+        out.flags.writeable = False
+        return out
 
     def indices(self, digits):
         """Indices of the elements whose digits, read mod p, run along the
         last axis of digits: a sum or difference of elements is the sum or
-        difference of their rows of self.digits."""
+        difference of their rows of self.digits.  digits is reduced in
+        place (modular.reduce_mod) unless it is read-only, as
+        self.digits is."""
         p, degree = self.p, self.degree
-        return matmul(digits % p, p ** np.arange(degree), (p - 1) * p ** (degree - 1) * degree)
+        return matmul(reduce_mod(digits, p), p ** np.arange(degree), (p - 1) * p ** (degree - 1) * degree)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

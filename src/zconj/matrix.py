@@ -17,6 +17,10 @@ while bound < 2^53, where every partial sum and fused multiply-add is an
 integer held exactly in the float's significand, so either is exact in
 any summation order (FFLAS-FFPACK chooses its float type by the same
 rule); int64 while bound < 2^62; object (Python ints) from there on.
+Its residue twin is modular.reduce_mod(x, q): every whole-array
+reduction mod q is x - q (x // q), in place on an int64 x the caller
+gives up, and on Python ints for an object x or q past int64; scalars
+and per-pivot rows and vectors keep %.
 
 Serialization formats:
 

@@ -14,7 +14,15 @@ Every kernel keeps its residues in [0, q), so no elementwise step
 exceeds q^2 + q in magnitude; that bound picks the numpy dtype (int64
 for small q, Python ints otherwise), matrix products go through
 matrix.matmul with bound q^2 times the number of terms summed, and the
-same code runs for every modulus.
+same code runs for every modulus.  Whole-array reductions mod q go
+through the one residue kernel, reduce_mod, in place on the array its
+caller gives up: numpy divides an int64 array by one divisor with a
+multiply and shifts (libdivide; Granlund and Montgomery, PLDI 1994),
+where % divides entry by entry, so x - q (x // q) is several times
+faster.  The rule is by call site, not by size: % stays on scalars and
+on per-pivot rows and vectors (the Howell pass, the Hermite read-off,
+the eliminator's row scan and multipliers), where one division pass
+costs less than reduce_mod's three array operations.
 
 No modulus is factored.  Trial division by the primes below 1000 leaves
 a cofactor, which is taken for a prime (a base) until a nonzero entry
@@ -125,23 +133,65 @@ def prime_factors(n: int):
     return bases
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# entries of reduce_mod's temporary: 64 KiB of int64, which the allocator
+# serves without mapping fresh pages, where a whole-array temporary of the
+# 121-vertex pair's congruence system would add 250 MB
+_RESIDUE_BLOCK = 1 << 13
+
+
+def reduce_mod(x, q: int):
+    """x mod q, in [0, q), for an integer array x that the caller gives up.
+
+    An int64 x takes t = x // q; t *= q; x -= t in place, over blocks of
+    leading-axis slices, so that its one temporary t stays near
+    _RESIDUE_BLOCK entries.  Floor division rounds negative quotients
+    down, so the result is exact, even where q (x // q) wraps.  Object
+    arrays, integer dtypes int64 cannot hold and q past int64 go through
+    Python ints; a read-only x is copied first.  ValueError for q < 1 and
+    for a non-integer x.
+    """
+    if x.dtype == np.int64 and x.flags.writeable and 0 < q <= _INT64_MAX:
+        blocks = (x,)
+        if x.size > _RESIDUE_BLOCK:
+            step = max(1, _RESIDUE_BLOCK // x[0].size)
+            blocks = (x[i : i + step] for i in range(0, len(x), step))
+        for block in blocks:
+            t = block // q
+            t *= q
+            block -= t
+        return x
+    if q < 1:
+        raise ValueError("modulus must be at least 1, got %d" % q)
+    if x.dtype.kind not in "biuO":
+        raise ValueError("reduce_mod needs an integer array, got %s" % x.dtype)
+    if x.dtype != object and q <= _INT64_MAX and np.can_cast(x.dtype, np.int64):
+        return reduce_mod(x.astype(np.int64), q)
+    if x.dtype != object or not x.flags.writeable:
+        x = x.astype(object)
+    return np.remainder(x, q, out=x)
+
+
 def residues(rows, q: int):
     """rows (nested int lists or an integer array) reduced into [0, q).
 
     The result has the dtype every mod-q kernel uses, chosen by the
     bound q^2 + q.  Lists go through Python ints so that no entry is
-    rounded or wrapped on the way in.
+    rounded or wrapped on the way in.  An array is copied, never reduced
+    in place.
     """
     dtype = int_dtype(q * q + q)
     if dtype is object or not isinstance(rows, np.ndarray):
         rows = np.array(rows, dtype=object)
-    return (rows % q).astype(dtype, copy=False)
+    else:
+        rows = rows.copy()
+    return reduce_mod(rows, q).astype(dtype, copy=False)
 
 
 def matmul_mod(a, b, q: int):
     """a @ b mod q for arrays of residues in [0, q], with residues' dtype;
     the product is matmul's, with bound q^2 times the inner dimension."""
-    return (matmul(a, b, q * q * max(1, a.shape[-1])) % q).astype(int_dtype(q * q + q), copy=False)
+    return reduce_mod(matmul(a, b, q * q * max(1, a.shape[-1])), q).astype(int_dtype(q * q + q), copy=False)
 
 
 def _inverses_mod(v, b: int):
@@ -195,14 +245,14 @@ def det_mod(rows, b: int):
         if not a[:, c, c].all():
             zero = np.flatnonzero(a[:, c, c] == 0)
             piv = c + np.argmax(a[zero, c:, c] != 0, axis=1)
-            a[zero, c] = (a[zero, c] + a[zero, piv]) % b
+            a[zero, c] = reduce_mod(a[zero, c] + a[zero, piv], b)
         pv = a[:, c, c]
         result = (result * pv) % b
         if not result.any():
             break
         if c + 1 < n:
             f = (a[:, c + 1 :, c] * _inverses_mod(pv, b)[:, None]) % b
-            a[:, c + 1 :, c:] = (a[:, c + 1 :, c:] - f[:, :, None] * a[:, None, c, c:]) % b
+            a[:, c + 1 :, c:] = reduce_mod(a[:, c + 1 :, c:] - f[:, :, None] * a[:, None, c, c:], b)
     # every pivot but the last is a unit here, so the last decides; with
     # results in [0, b) only 0 has gcd b
     if np.count_nonzero(np.gcd(result, b) != 1) > k - np.count_nonzero(result):
@@ -269,7 +319,7 @@ def _eliminate_chain(a, b: int, k: int):
     def updated(rows, cols):
         # a[rows, cols] after the pending row operations
         n = t - t0
-        return (a[rows, cols] - matmul(f[rows, :n], a[t0:t, cols], n_mod * n_mod * n)) % n_mod
+        return reduce_mod(a[rows, cols] - matmul(f[rows, :n], a[t0:t, cols], n_mod * n_mod * n), n_mod)
 
     def flush():
         nonlocal t0
@@ -291,7 +341,8 @@ def _eliminate_chain(a, b: int, k: int):
                     a[[t, end]], f[[t, end]] = a[[end, t]], f[[end, t]]
                 else:
                     flush()
-                    keep = (a[t:end, t:] % high != 0).any(axis=1)
+                    rest = a[t:end, t:]  # divisibility by floor division, a left as it is
+                    keep = (rest != rest // high * high).any(axis=1)
                     a[t:end] = a[t:end][np.argsort(~keep, kind="stable")]
                     end = t + int(keep.sum())
                 continue

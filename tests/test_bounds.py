@@ -7,9 +7,13 @@ imports it, the binding IntMatrix.__mul__ calls included, runs the
 decision procedure and the lemma checker, and checks each call's bound;
 results are compared with a product on Python ints (a float operand
 converted exactly, through int64) while a.size k <= 2 10^6, and both
-float tiers must be among the calls compared.
+float tiers must be among the calls compared.  modular.reduce_mod, the
+residue kernel, is audited the same way: its call sites during a
+theorem-25 decide, the lemma checker and a mixed-small round of the
+benchmark are recorded, and each result is compared with Python's %.
 """
 
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -19,8 +23,10 @@ from helpers import hidden
 from test_metamorphic import block_pairs, class_pairs, glued, swapped_pairs
 
 import zconj
+from zconj import modular
 from zconj.graphs import field_build, paley_adjacency, peisert_adjacency, verify_smith_lemma
 from zconj.matrix import IntMatrix, matmul, max_abs, product_dtype
+from zconj.modular import reduce_mod
 
 OBJECT_CHECK_LIMIT = 2 * 10**6
 
@@ -101,3 +107,81 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         "matrix:__mul__",
     }
     assert expected <= set(sites), expected - set(sites)
+
+
+def benchmark_generator():
+    """perfbench/gen.py, the benchmark's input generator (it imports no zconj)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_every_residue_reduction_goes_through_reduce_mod(monkeypatch):
+    sites, bad = {}, []
+
+    def audited(x, q):
+        code = sys._getframe(1).f_code
+        site = "%s:%s" % (Path(code.co_filename).stem, code.co_name)
+        want = [v % q for v in x.ravel().tolist()]
+        r = reduce_mod(x, q)
+        if r.ravel().tolist() != want:
+            bad.append((site, q))
+        sites[site] = sites.get(site, 0) + 1
+        return r
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zconj") and getattr(module, "reduce_mod", None) is reduce_mod:
+            monkeypatch.setattr(module, "reduce_mod", audited)
+    assert modular.reduce_mod is audited
+
+    a25 = np.array(paley25())
+    perm = np.random.default_rng(5).permutation(25)
+    assert zconj.decide(IntMatrix(a25), IntMatrix(a25[perm][:, perm])).status == "CONJUGATE"
+    assert verify_smith_lemma(7).ok
+    gen = benchmark_generator()
+    ctx = gen.setup("mixed-small", zconj)
+    pairs = [item for item in gen.round_items("mixed-small", 1, 0, ctx) if isinstance(item, gen.Pair)]
+    for item in pairs:
+        v = zconj.decide(IntMatrix([list(r) for r in item.x]), IntMatrix([list(r) for r in item.y]))
+        assert v.status in (item.expected, "UNKNOWN"), item.family
+
+    assert not bad, bad
+    # the sites that reduce whole arrays mod q: the residues of every mod-q
+    # kernel and its products, det_mod's stacked row updates, the
+    # chain-ring eliminator's delayed operations, the congruence system and
+    # its re-check, local test candidates, the glue route's divisibility
+    # check, and the field's digits and indices
+    expected = {
+        "modular:residues",
+        "modular:matmul_mod",
+        "modular:det_mod",
+        "modular:updated",
+        "conjugacy:system",
+        "conjugacy:_eigenblock_basis",
+        "conjugacy:local_test",
+        "conjugacy:_glue_route",
+        "graphs:digits",
+        "graphs:indices",
+    }
+    assert expected <= set(sites), expected - set(sites)
+
+
+def test_field_digits_are_never_reduced_in_place():
+    # FieldSpec.indices reduces the array it is given in place; the cached
+    # digits, which the graphs and the p-adic ring both read, stay as built
+    for p in (3, 7):
+        field = field_build(p, 2)
+        built = np.arange(p * p)[:, None] // p ** np.arange(2) % p
+        assert (field.digits == built).all() and not field.digits.flags.writeable
+        paley_adjacency(field)
+        peisert_adjacency(field)
+        assert field.indices(field.digits).tolist() == list(range(p * p))
+        assert (field.digits == built).all()
+        ring = zconj.TruncatedUnramifiedRing(p)
+        before = ring.field.digits.copy()
+        assert len(ring.jacobi_logs[0]) == p * p - 2
+        zconj.jacobi_sum(1, ring)
+        assert (ring.field.digits == before).all() and (before == built).all()

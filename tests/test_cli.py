@@ -135,6 +135,19 @@ def test_decide_glue_pair_certificates(matfile):
     assert (obj["status"], list(obj["certificates"])) == ("CONJUGATE", ["conjugator"])
 
 
+def test_decide_past_int64_gap_exits_zero(matfile):
+    # eigenvalue gap 2^63 + 5: the glue route once crashed here with an
+    # OverflowError, printed a traceback and exited 1
+    big = 2**63 + 5
+    x, y = [[big, 0], [0, 0]], [[0, 0], [0, big]]
+    r = run("decide", matfile("x.txt", x), matfile("y.txt", y))
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(r.stdout)
+    assert (obj["status"], obj["reason"]) == ("CONJUGATE", "explicit-conjugator")
+    t = IntMatrix.from_json_obj(obj["certificates"]["conjugator"])
+    assert t * IntMatrix(x) == IntMatrix(y) * t and abs(det(t.array)) == 1
+
+
 def test_decide_reads_json_matrices(matfile, tmp_path):
     jx = tmp_path / "x.json"
     jx.write_text(json.dumps(IntMatrix([[1, 2], [0, 6]]).to_json_obj()))

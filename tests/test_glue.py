@@ -207,3 +207,24 @@ def test_route_conjugators_stay_small():
         t, _ = route(x, y)
         assert verify_conjugator(t, x, y)
         assert max(map(abs, t.array.flat)) < 10**20
+
+
+def test_gaps_past_int64_get_certified_verdicts():
+    # a gap b - a of 2^63 or more raised OverflowError where the int64
+    # P N - M R met it; the difference is now held in Python ints there
+    big = 2**63 + 5
+    diag3 = [[0] * 3 for _ in range(3)]
+    low, high = [row[:] for row in diag3], [row[:] for row in diag3]
+    low[2][2] = high[0][0] = 2**64
+    glue = glued(0, 2**64, [[1], [2]])
+    pairs = [
+        (IntMatrix([[big, 0], [0, 0]]), IntMatrix([[0, 0], [0, big]])),
+        (IntMatrix(low), IntMatrix(high)),
+        (glue, hidden(glue, random.Random(79))),
+    ]
+    for x, y in pairs:
+        v = decide(x, y)
+        assert (v.status, v.reason) == ("CONJUGATE", "explicit-conjugator")
+        assert verify_conjugator(v.conjugator, x, y)
+    v = decide(glued(0, big, [[1]]), glued(0, big, [[0]]))
+    assert (v.status, v.reason) == ("NOT_CONJUGATE", "glue-invariant")

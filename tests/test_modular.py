@@ -1,9 +1,11 @@
 """Modular arithmetic: unit scalings, congruence lattices, invariants."""
 
+import ast
 import itertools
 import random
 import sys
 from math import gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from zconj.modular import (
     det_mod,
     inv_mod,
     prime_factors,
+    reduce_mod,
     residues,
     scaled_idempotent_invariants,
     solve_congruence_lattice,
@@ -42,6 +45,89 @@ from zconj.spectral import AssumptionReport, check_assumption, split_spectrum
 # moduli on both sides of the int64 bound q^2 + q < 2^62 of the mod-q kernels
 BOUNDARY_PRIMES = (2**31 - 1, 3037000493, 4294967311, 2**61 - 1)
 BOUNDARY_MODULI = (2**31 - 1, 2**31, 2**31 + 11, 10**20 + 39, 2**40 * 3**5)
+
+
+REDUCE_MODULI = (1, 2, 25, 361, 2**31 - 1, 2**61 - 1, 2**63 + 5)
+
+
+def test_reduce_mod_matches_remainder():
+    # against numpy's % on int64 (q fitting int64) and Python's % on object
+    # arrays: signs, entries near +-2^62 and the int64 extremes, where
+    # q (x // q) wraps, empty arrays and (K, n, n) stacks
+    rng = np.random.default_rng(71)
+    edge = [0, 1, -1, 2**62, -(2**62), 2**62 - 1, -(2**62) + 1, 2**63 - 1, -(2**63)]
+    shapes = [(0,), (0, 4), (len(edge),), (5, 7), (3, 4, 4)]
+    for q in REDUCE_MODULI:
+        for shape in shapes:
+            x = rng.integers(-(2**62), 2**62, size=shape, dtype=np.int64)
+            if shape == (len(edge),):
+                x[:] = edge
+            want = [v % q for v in x.ravel().tolist()]
+            got = reduce_mod(x.copy(), q)
+            assert got.shape == x.shape
+            assert got.dtype == (np.int64 if q < 2**63 else object)
+            assert got.ravel().tolist() == want, (q, shape)
+            if q < 2**63:
+                assert (got == x % q).all()
+            # object arrays, entries past int64 included
+            big = x.astype(object) * (2**70 + 1)
+            got = reduce_mod(big.copy(), q)
+            assert got.dtype == object
+            assert got.ravel().tolist() == [v % q for v in big.ravel().tolist()]
+    # the int64 steps work in place and hand x back
+    x = np.arange(-50, 50, dtype=np.int64).reshape(10, 10)
+    assert reduce_mod(x, 7) is x and (x == np.arange(-50, 50).reshape(10, 10) % 7).all()
+    # narrower integer dtypes take the int64 steps, uint64 Python ints
+    assert reduce_mod(np.array([-3, 200], dtype=np.int16), 7).tolist() == [4, 4]
+    u = np.array([2**64 - 1, 5], dtype=np.uint64)
+    assert reduce_mod(u, 2**61 - 1).tolist() == [(2**64 - 1) % (2**61 - 1), 5]
+
+
+def test_reduce_mod_rejects_and_never_writes_read_only_input():
+    for q in (0, -1, -361):
+        with pytest.raises(ValueError):
+            reduce_mod(np.arange(4), q)
+        with pytest.raises(ValueError):
+            reduce_mod(np.arange(4, dtype=object), q)
+    for bad in (np.array([1.0, 2.0]), np.array([1.0, 2.0], dtype=np.float32), np.array([1 + 0j])):
+        with pytest.raises(ValueError):
+            reduce_mod(bad, 5)
+    for dtype in (np.int64, object):
+        x = np.arange(-12, 12).astype(dtype).reshape(2, 3, 4)
+        x.flags.writeable = False
+        for q in (5, 2**63 + 5):
+            got = reduce_mod(x, q)
+            assert got.tolist() == [[[v % q for v in row] for row in m] for m in x.tolist()]
+            assert x.tolist() == np.arange(-12, 12).reshape(2, 3, 4).tolist()
+
+
+def test_moduli_below_one_raise():
+    # residues(rows, 0) once returned zeros with a RuntimeWarning, and
+    # det_mod(m, 0) returned 0
+    for q in (0, -5):
+        with pytest.raises(ValueError):
+            residues([[1, 2], [3, 4]], q)
+        with pytest.raises(ValueError):
+            residues(np.array([[1, 2], [3, 4]]), q)
+        with pytest.raises(ValueError):
+            det_mod([[1, 2], [3, 4]], q)
+        with pytest.raises(ValueError):
+            det_mod(np.ones((3, 2, 2), dtype=np.int64), q)
+    assert det_mod([[1, 2], [3, 4]], 1) == 0
+
+
+def test_one_remainder_rule():
+    # every whole-array reduction goes through modular.reduce_mod: numpy's
+    # remainder ufunc (np.remainder, np.mod) is called in reduce_mod alone
+    hits = []
+    for path in sorted(Path(modular.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(node.name, node) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("remainder", "mod", "fmod"):
+                inside = [name for name, f in scopes if f.lineno <= node.lineno <= f.end_lineno]
+                hits.append((path.name, inside[-1] if inside else None, node.attr))
+    assert hits == [("modular.py", "reduce_mod", "remainder")], hits
 
 
 def test_unit_scaling():
