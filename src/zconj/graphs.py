@@ -21,8 +21,8 @@ from math import gcd
 
 import numpy as np
 
-from .matrix import CertificateError, IntMatrix, matmul
-from .modular import prime_factors, reduce_mod, scaled_idempotent_invariants
+from .matrix import CertificateError, IntMatrix
+from .modular import _idempotent_invariants, prime_factors, reduce_mod
 from .spectral import _check_projector_identities
 
 
@@ -100,11 +100,11 @@ class FieldSpec:
         self.q = p ** self.degree
         self.modulus = tuple(modulus)
         self.beta = p  # index of the canonical root x
-        exp = []
-        cur = (1,)
+        # x^(i+1) = x x^i: shift up, and fold the top coefficient back by the monic modulus
+        exp, cur = [], [1] + [0] * (self.degree - 1)
         for _ in range(self.q - 1):
             exp.append(self._index(cur))
-            cur = _poly_mul_mod(cur, (0, 1), self.modulus, p)
+            cur = [(c - cur[-1] * m) % p for c, m in zip([0] + cur[:-1], self.modulus)]
         self.exp = exp
         self.log = {idx: i for i, idx in enumerate(exp)}
         if self._index(cur) != 1 or len(self.log) != self.q - 1:
@@ -117,20 +117,16 @@ class FieldSpec:
         return tuple(idx // self.p**i % self.p for i in range(self.degree))
 
     @cached_property
-    def digits(self):
-        """The q x degree array whose row i is coeffs(i), read-only."""
-        out = reduce_mod(np.arange(self.q)[:, None] // self.p ** np.arange(self.degree), self.p)
+    def differences(self):
+        """The read-only q x q table whose entry (i, j) is the index of
+        i - j: the p x p table of (a - b) mod p summed over the digits
+        with weights p^t (a Kronecker sum), in int16 while q <= 2^15."""
+        p, r = self.p, np.arange(self.p)
+        out = digit = reduce_mod(r[:, None] - r, p).astype(np.int16 if self.q <= 1 << 15 else np.int64)
+        for t in range(1, self.degree):
+            out = ((digit * p**t)[:, None, :, None] + out[None, :, None, :]).reshape(p ** (t + 1), -1)
         out.flags.writeable = False
         return out
-
-    def indices(self, digits):
-        """Indices of the elements whose digits, read mod p, run along the
-        last axis of digits: a sum or difference of elements is the sum or
-        difference of their rows of self.digits.  digits is reduced in
-        place (modular.reduce_mod) unless it is read-only, as
-        self.digits is."""
-        p, degree = self.p, self.degree
-        return matmul(reduce_mod(digits, p), p ** np.arange(degree), (p - 1) * p ** (degree - 1) * degree)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -187,12 +183,12 @@ def quarter_cosets(field: FieldSpec):
 
 
 def _difference_graph(field: FieldSpec, connection) -> IntMatrix:
-    """Adjacency joining i and j when i - j lies in the connection set."""
+    """Adjacency joining i and j when i - j lies in the connection set,
+    read as the set's mask at field.differences."""
     conn = set(connection)
     if 0 in conn:
         raise ValueError("connection set must not contain 0")
-    digits = field.digits
-    adj = np.isin(field.indices(digits[:, None] - digits[None]), list(conn))
+    adj = np.isin(np.arange(field.q), list(conn))[field.differences]
     if (adj != adj.T).any():
         raise ValueError("connection set must be symmetric")
     if (adj.sum(axis=1) != len(conn)).any():
@@ -217,8 +213,8 @@ def peisert_adjacency(field: FieldSpec, beta: int | None = None) -> IntMatrix:
     """
     if beta is None:
         beta = field.beta
-    lb = field.log[beta]
-    if gcd(lb, field.q - 1) != 1:
+    lb = field.log.get(beta)
+    if lb is None or gcd(lb, field.q - 1) != 1:
         raise ValueError("beta must be primitive")
     conn = {field.exp[i] for i in range(0, field.q - 1, 4)}
     conn |= {field.exp[(i + lb) % (field.q - 1)] for i in range(0, field.q - 1, 4)}
@@ -249,8 +245,10 @@ def _projector_triple(x, p: int, k: int, r: int, s: int):
     array x, checked as the scaled projectors onto its k-, r- and
     s-eigenspaces (spectral._check_projector_identities) with traces p^2,
     p^2 k, p^2 k."""
-    j, eye = np.ones_like(x), np.eye(len(x), dtype=x.dtype)
-    es = j, s * j + p * x - p * s * eye, r * j - p * x + p * r * eye
+    es = np.ones_like(x), p * x, -p * x
+    for e, c, d in zip(es[1:], (s, r), (-p * s, p * r)):
+        e += c
+        e.flat[:: len(x) + 1] += d
     scale = p * p
     if tuple(sum(e.diagonal().tolist()) for e in es) != (scale, scale * k, scale * k):
         raise CertificateError("projector identities failed")
@@ -272,25 +270,9 @@ def paley_idempotent_data(p: int) -> PaleyPeisertData:
     k = (q - 1) // 2
     r = (p - 1) // 2
     s = -(p + 1) // 2
-    x = paley_adjacency(field)
-    xstar = peisert_adjacency(field)
-    e1, e2, e3 = map(IntMatrix._of, _projector_triple(x.array, p, k, r, s))
-    f1, f2, f3 = map(IntMatrix._of, _projector_triple(xstar.array, p, k, r, s))
-    return PaleyPeisertData(
-        p=p,
-        q=q,
-        k=k,
-        r=r,
-        s=s,
-        X=x,
-        Xstar=xstar,
-        E1=e1,
-        E2=e2,
-        E3=e3,
-        E1star=f1,
-        E2star=f2,
-        E3star=f3,
-    )
+    xs = paley_adjacency(field), peisert_adjacency(field)
+    es = [IntMatrix._of(e) for x in xs for e in _projector_triple(x.array, p, k, r, s)]
+    return PaleyPeisertData(p, q, k, r, s, *xs, *es)  # X, Xstar, E1, E2, E3, E1star, E2star, E3star
 
 
 @dataclass(frozen=True)
@@ -327,7 +309,10 @@ def expected_invariant_counts(p: int):
 
 def verify_smith_lemma(p: int) -> LemmaReport:
     """Compare Smith invariants of E2, E3 of both graphs to the
-    closed-form multiset."""
+    closed-form multiset.  Each projector is certified once: the identities
+    _projector_triple checked (k - 1 products X E_i and a linear identity
+    for the last) imply E^2 = p^2 E, so its invariants are read without
+    multiplying E E again (modular._idempotent_invariants)."""
     data = paley_idempotent_data(p)
     ones, ps, p2s = expected_invariant_counts(p)
     scale = p * p
@@ -338,12 +323,7 @@ def verify_smith_lemma(p: int) -> LemmaReport:
         ("peisert-E2", data.E2star),
         ("peisert-E3", data.E3star),
     ):
-        inv = scaled_idempotent_invariants(e.array, scale)
-        counts = (
-            sum(1 for v in inv if v == 1),
-            sum(1 for v in inv if v == p),
-            sum(1 for v in inv if v == scale),
-        )
-        ok = counts == (ones, ps, p2s) and len(inv) == ones + ps + p2s
+        inv = _idempotent_invariants(e.array, scale)
+        ok = sorted(inv) == [1] * ones + [p] * ps + [scale] * p2s
         entries.append(LemmaEntry(name=name, invariants=tuple(inv), ok=ok))
     return LemmaReport(p=p, entries=tuple(entries))

@@ -324,7 +324,9 @@ def _eliminate_chain(a, b: int, k: int):
     def flush():
         nonlocal t0
         if t0 < t < min(nrows, ncols):
-            a[t:, t:] = updated(slice(t, None), slice(t, None))
+            done = matmul(f[t:, : t - t0], a[t0:t, t:], n_mod * n_mod * (t - t0))
+            rest = a[t:, t:].astype(np.result_type(a, done), copy=False)  # a's own block when it holds done
+            a[t:, t:] = reduce_mod(np.subtract(rest, done, out=rest), n_mod)
         t0 = t
 
     for level in range(k):
@@ -369,10 +371,9 @@ def _diagonalize_mod(rows, q: int):
     diagonalized by _eliminate_chain, and by the Chinese remainder
     theorem the diagonal entries of the pieces multiply.
     """
-    a = residues(rows, q)
-    m = a.shape[1]
-    diag = [1] * m
     pending = _local_moduli(q)
+    a = residues(rows, q) if len(pending) > 1 else rows  # one piece takes its residues itself
+    diag = [1] * np.shape(a)[1]
     while pending:
         b, k = pending.pop()
         try:
@@ -380,7 +381,7 @@ def _diagonalize_mod(rows, q: int):
         except _ZeroDivisor as exc:
             pending += _refine([(exc.args[0], k), (b // exc.args[0], k)])
             continue
-        for j in range(m):
+        for j in range(len(diag)):
             diag[j] *= b ** levels[j] if j < len(levels) else b**k
     return diag
 
@@ -588,22 +589,25 @@ class NotScaledIdempotent(ValueError):
 
 
 def scaled_idempotent_invariants(e, scale: int):
-    """Invariant factors of a matrix E satisfying E*E = scale*E exactly.
-
-    Verifies the identity, derives rank r = trace/scale, and reads the
-    invariant factors as the first r entries of the divisor chain over
-    Z/scale; every later entry must be the scale itself.
-    """
+    """Invariant factors of a matrix E satisfying E*E = scale*E exactly:
+    verifies the identity, then reads them by _idempotent_invariants."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     n, me = len(e), max_abs(e)
     if (matmul(e, e, max(me, me * me * n)) != e.astype(int_dtype(scale, me * scale), copy=False) * scale).any():
         raise NotScaledIdempotent("matrix is not a scaled idempotent")
+    return _idempotent_invariants(e, scale)
+
+
+def _idempotent_invariants(e, scale: int):
+    """scaled_idempotent_invariants of an E whose E*E = scale*E its caller
+    certified in the same call (graphs.verify_smith_lemma's projectors): the
+    first trace/scale entries of the divisor chain over Z/scale, the rest scale."""
     tr = sum(e.diagonal().tolist())
     if tr % scale:
         raise NotScaledIdempotent("trace is not a multiple of the scale")
     r = tr // scale
-    if r < 0 or r > n:
+    if r < 0 or r > len(e):
         raise NotScaledIdempotent("trace out of range")
     diag = _diagonalize_mod(e, scale)
     if any(d != scale for d in diag[r:]):

@@ -56,7 +56,7 @@ class TruncatedUnramifiedRing:
         field, q = self.field, self.q
         log = np.zeros(q, dtype=np.int64)
         log[field.exp] = np.arange(q - 1)
-        onemx = field.indices(field.digits[1] - field.digits)[2:]
+        onemx = field.differences[1, 2:]
         return log[2:], (q - 1) // 2 * log[onemx] % (q - 1)
 
     @cached_property

@@ -8,10 +8,10 @@ denominators gives integer matrices E_i = q_i e_i, the basic certified
 data used by the conjugacy decision procedure.
 
 The minimal polynomial is one Krylov dependency among X's powers; the
-numerators and the projector identities are exact products of integer
-arrays, and each E_i becomes an IntMatrix once, at the end (the
-boundary rule of zconj.matrix; quotient_invariants takes an IntMatrix
-because the public snf_invariants it wraps does).
+numerators and the projector identities are exact products and linear
+identities of integer arrays, and each E_i becomes an IntMatrix once, at
+the end (the boundary rule of zconj.matrix; quotient_invariants takes an
+IntMatrix because the public snf_invariants it wraps does).
 
 Polynomials are tuples of integer coefficients in ascending order.
 """
@@ -239,24 +239,37 @@ def _check_projector_identities(x, eigenvalues, idempotents, scales, mults):
     every v in the a_i-eigenspace is sum_j P_j v with P_j v in the a_j-
     eigenspace, and eigenspaces of distinct eigenvalues are independent,
     so P_j v = [i = j] v; the columns of P_i are such v (so trace E_i is
-    q_i rank P_i).  The X E_i are k products, one per E_i, so that the
-    product-dtype copies (matrix.product_dtype) of only one E_i are held
-    at a time, and X is cast to that dtype once for all k; the dtype
-    bound max |E| max(k L, max(|X|, |a_i|) n) covers every entry compared.
+    q_i rank P_i).  Given the sum, L X - sum_i (L/q_i) a_i E_i is
+    sum_i (L/q_i) (X - a_i I) E_i, so once X E_i = a_i E_i for i < k the
+    linear identity sum_i (L/q_i) a_i E_i = L X holds exactly when
+    X E_k = a_k E_k: k - 1 products, one per E_i, so that the product-dtype
+    copies (matrix.product_dtype) of one E_i are held at a time, and X is
+    cast to that dtype once.  The sums accumulate in place, in the dtype of
+    L (k max |E| + 1) max(|X|, |a_i|, 1), which bounds their partial sums,
+    and of max |E| max(|X|, |a_i|) n, which bounds the products.
     """
     n, k = len(x), len(idempotents)
-    big = lcm(*scales)
-    me = max(max_abs(e) for e in idempotents)
+    if sum(mults) != n or len(set(eigenvalues)) != k:
+        return False
+    big, me = lcm(*scales), max(max_abs(e) for e in idempotents)
     mx = max(max_abs(x), *map(abs, eigenvalues))
-    dtype = int_dtype(mx, big, me * max(k * big, mx * n))
+    dtype = int_dtype(big * (k * me + 1) * max(mx, 1), me * mx * n)
     es = [e.astype(dtype, copy=False) for e in idempotents]
-    ok = sum(mults) == n and len(set(eigenvalues)) == k
-    ok = ok and bool((sum(e * (big // q) for e, q in zip(es, scales)) == big * np.eye(n, dtype=dtype)).all())
+    acc, tmp = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
+    for t in (0, 1):  # sum_i (L/q_i) a_i^t E_i - L X^t
+        acc[...] = x if t else 0
+        acc.flat[:: n + 1] += 1 - t
+        acc *= -big
+        for a, e, q in zip(eigenvalues, es, scales):
+            acc += np.multiply(e, big // q * a**t, out=tmp)
+        if acc.any():
+            return False
     bound = max(mx, me, mx * me * n)
     xp = x.astype(product_dtype(bound), copy=False)
-    for a, e in zip(eigenvalues, es):
-        ok = ok and bool((matmul(xp, e, bound) == e * a).all())
-    return ok
+    for a, e in zip(eigenvalues, es[:-1]):
+        if not (matmul(xp, e, bound) == e * a).all():
+            return False
+    return True
 
 
 # -- the two-clause hypothesis on Smith exponents ----------------------------

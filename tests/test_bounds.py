@@ -90,7 +90,9 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
     # the array call sites of the eigenbases, the Sylvester kernel, the
     # glue blocks and the built conjugator, the congruence read-off, the
     # compact lattice product (local test candidates and the form
-    # witness), the projector and idempotent checks and the boundary
+    # witness), the projector check, the eliminator's flush, the public
+    # idempotent check (through decide's check_assumption: the lemma
+    # reads its certified projectors without it) and the boundary
     # re-check all ran
     expected = {
         "conjugacy:_eigenbasis",
@@ -103,7 +105,7 @@ def test_every_matmul_call_states_a_covering_bound(monkeypatch):
         "modular:_hermite_columns",
         "spectral:_check_projector_identities",
         "modular:scaled_idempotent_invariants",
-        "graphs:indices",
+        "modular:flush",
         "matrix:__mul__",
     }
     assert expected <= set(sites), expected - set(sites)
@@ -151,37 +153,37 @@ def test_every_residue_reduction_goes_through_reduce_mod(monkeypatch):
     assert not bad, bad
     # the sites that reduce whole arrays mod q: the residues of every mod-q
     # kernel and its products, det_mod's stacked row updates, the
-    # chain-ring eliminator's delayed operations, the congruence system and
-    # its re-check, local test candidates, the glue route's divisibility
-    # check, and the field's digits and indices
+    # chain-ring eliminator's delayed operations (a row's, and the flush
+    # in place), the congruence system and its re-check, local test
+    # candidates, the glue route's divisibility check, and the digit
+    # table of the field's differences
     expected = {
         "modular:residues",
         "modular:matmul_mod",
         "modular:det_mod",
         "modular:updated",
+        "modular:flush",
         "conjugacy:system",
         "conjugacy:_eigenblock_basis",
         "conjugacy:local_test",
         "conjugacy:_glue_route",
-        "graphs:digits",
-        "graphs:indices",
+        "graphs:differences",
     }
     assert expected <= set(sites), expected - set(sites)
 
 
-def test_field_digits_are_never_reduced_in_place():
-    # FieldSpec.indices reduces the array it is given in place; the cached
-    # digits, which the graphs and the p-adic ring both read, stay as built
+def test_field_differences_are_read_only():
+    # the cached difference table, which both graphs and the p-adic ring
+    # read, cannot be written and stays as built
     for p in (3, 7):
         field = field_build(p, 2)
-        built = np.arange(p * p)[:, None] // p ** np.arange(2) % p
-        assert (field.digits == built).all() and not field.digits.flags.writeable
+        digits = np.arange(p * p)[:, None] // p ** np.arange(2) % p
+        built = (digits[:, None] - digits[None]) % p @ p ** np.arange(2)
+        assert (field.differences == built).all() and not field.differences.flags.writeable
         paley_adjacency(field)
         peisert_adjacency(field)
-        assert field.indices(field.digits).tolist() == list(range(p * p))
-        assert (field.digits == built).all()
+        assert (field.differences == built).all()
         ring = zconj.TruncatedUnramifiedRing(p)
-        before = ring.field.digits.copy()
         assert len(ring.jacobi_logs[0]) == p * p - 2
         zconj.jacobi_sum(1, ring)
-        assert (ring.field.digits == before).all() and (before == built).all()
+        assert (ring.field.differences == built).all() and not ring.field.differences.flags.writeable

@@ -6,6 +6,7 @@ import pytest
 from zconj.conjugacy import decide, intertwiner_lattice, verify_conjugator
 from zconj.graphs import (
     NotThreeModFour,
+    _poly_mul_mod,
     _projector_triple,
     _root_is_primitive,
     expected_invariant_counts,
@@ -18,7 +19,7 @@ from zconj.graphs import (
 )
 from zconj.linalg import charpoly
 from zconj.matrix import CertificateError, IntMatrix
-from zconj.modular import scaled_idempotent_invariants
+from zconj.modular import NotScaledIdempotent, _idempotent_invariants, scaled_idempotent_invariants
 from zconj.spectral import check_assumption, split_spectrum
 
 
@@ -161,6 +162,51 @@ def test_projector_triple_checks_the_identities():
 
 
 def test_peisert_beta_must_be_primitive():
+    # 0, -1 and q are no element's index; f3.exp[2] has order dividing (q-1)/2
     f3 = field_build(3, 2)
+    for beta in (0, -1, f3.q, f3.exp[2]):
+        with pytest.raises(ValueError, match="beta must be primitive"):
+            peisert_adjacency(f3, beta=beta)
+
+
+def python_difference(field, i, j):
+    """Index of i - j, digit by digit from FieldSpec.coeffs."""
+    return sum((a - b) % field.p * field.p**t for t, (a, b) in enumerate(zip(field.coeffs(i), field.coeffs(j))))
+
+
+@pytest.mark.parametrize("p, degree", [(3, 2), (7, 2), (11, 2), (3, 4)])
+def test_difference_table_and_graphs_match_python(p, degree):
+    field = field_build(p, degree)
+    q = field.q
+    table = [[python_difference(field, i, j) for j in range(q)] for i in range(q)]
+    assert field.differences.tolist() == table
+    assert field.differences.dtype == np.int16 and not field.differences.flags.writeable
     with pytest.raises(ValueError):
-        peisert_adjacency(f3, beta=f3.exp[2])  # order divides (q-1)/2
+        field.differences[0, 1] = 0
+    squares = {field.exp[i] for i in range(0, q - 1, 2)}
+    quarters = {field.exp[i] for i in range(q - 1) if i % 4 < 2}  # U and beta U
+    for adj, conn in ((paley_adjacency(field), squares), (peisert_adjacency(field), quarters)):
+        assert adj.to_lists() == [[int(d in conn) for d in row] for row in table]
+    assert field.differences is field.differences
+    # the exp table by the x-recurrence is the one of repeated products
+    cur, powers = (1,), []
+    for _ in range(q - 1):
+        powers.append(field._index(cur))
+        cur = _poly_mul_mod(cur, (0, 1), field.modulus, p)
+    assert field.exp == powers
+
+
+@pytest.mark.parametrize("p", (3, 7, 11))
+def test_lemma_invariants_match_the_checked_reading(p):
+    # verify_smith_lemma skips E E = p^2 E for the projectors it certified;
+    # the public reading, which multiplies, gives the same invariants
+    data, report = paley_idempotent_data(p), verify_smith_lemma(p)
+    for entry, e in zip(report.entries, (data.E2, data.E3, data.E2star, data.E3star)):
+        assert entry.invariants == scaled_idempotent_invariants(e.array, p * p)
+    # a matrix with the trace and rank of E2 that is no scaled idempotent
+    # gets past the lemma's core, and the public reading rejects it
+    bent = data.E2.array.copy()
+    bent[0, 1] += 1
+    _idempotent_invariants(bent, p * p)
+    with pytest.raises(NotScaledIdempotent):
+        scaled_idempotent_invariants(bent, p * p)

@@ -182,3 +182,15 @@ def test_jacobi_index_bounds():
     for bad in (0, 2 * k):
         with pytest.raises(ValueError):
             jacobi_sum(bad, ring)
+
+
+@pytest.mark.parametrize("p", (7, 11))
+def test_jacobi_logs_match_python(p):
+    # log x and k log(1 - x) mod q - 1 over x = 2..q-1, with 1 - x read
+    # digit by digit from FieldSpec.coeffs
+    ring = TruncatedUnramifiedRing(p)
+    field, q = ring.field, ring.q
+    lx, lo = ring.jacobi_logs
+    onemx = [field._index(tuple((a - b) % p for a, b in zip(field.coeffs(1), field.coeffs(x)))) for x in range(2, q)]
+    assert lx.tolist() == [field.log[x] for x in range(2, q)]
+    assert lo.tolist() == [(q - 1) // 2 * field.log[y] % (q - 1) for y in onemx]

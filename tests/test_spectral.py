@@ -1,6 +1,9 @@
 """Split spectra, scaled idempotents and the exponent assumption."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from helpers import (
     poly_mul,
     random_sl,
     split_spectrum_intmatrix,
+    subprocess_env,
     unimodular_inverse,
 )
 
@@ -248,6 +252,55 @@ def test_projector_identities_catch_each_tampered_family(scale):
     ]
     for case in cases:
         assert _check_projector_identities(*case) is False
+
+
+def last_identity_tampers(x, sp):
+    """Arguments of _check_projector_identities for which only the last
+    eigenvalue's linear identity can object: X E_i = a_i E_i for i < k
+    and the sum identity hold, and X E_k != a_k E_k."""
+    es, qs, last = [obj(e.array) for e in sp.idempotents], sp.scales, len(sp.idempotents) - 1
+    wrong = sp.eigenvalues[:-1] + (sp.eigenvalues[-1] + 1,)
+    cases = [(x.array, wrong, tuple(es), qs, sp.multiplicities)]
+    # E_i + q_i M and E_k - q_k M keep sum (L/q_i) E_i; with M = E_i,
+    # X E_i = a_i E_i still holds, while X E_k = a_k E_k fails
+    for i in range(last):
+        moved = list(es)
+        moved[i], moved[last] = es[i] + qs[i] * es[i], es[last] - qs[last] * es[i]
+        cases.append((x.array, sp.eigenvalues, tuple(moved), qs, sp.multiplicities))
+    return cases
+
+
+@pytest.mark.parametrize("scale", (1, 2**40))
+@pytest.mark.parametrize("entries", ([0, 3, 0, 0], [-2, 1, -2, 3]))
+def test_last_eigenvalue_identity_catches_tampering(entries, scale):
+    # k = 2 and k = 3; scaled by 2^40 the identity runs on Python ints
+    x = hidden(IntMatrix.diagonal([v * scale for v in entries]), random.Random(7))
+    sp = split_spectrum(x)
+    assert len(sp.eigenvalues) == len(set(entries))
+    cases = last_identity_tampers(x, sp)
+    for xa, eigenvalues, es, qs, mults in cases:
+        big = np.lcm.reduce(np.array(qs, dtype=object))
+        assert (sum(e * (big // q) for e, q in zip(es, qs)) == big * np.eye(len(xa), dtype=object)).all()
+        assert all((obj(xa).dot(e) == a * e).all() for a, e in zip(eigenvalues[:-1], es[:-1]))
+        assert not (obj(xa).dot(es[-1]) == eigenvalues[-1] * es[-1]).all()
+        assert _check_projector_identities(xa, eigenvalues, es, qs, mults) is False
+    args = (x.array, sp.eigenvalues, tuple(e.array for e in sp.idempotents), sp.scales, sp.multiplicities)
+    assert _check_projector_identities(*args) is True
+
+
+def test_last_eigenvalue_identity_survives_optimize():
+    code = (
+        "assert False, 'asserts are live'\n"
+        "import random\n"
+        "from test_spectral import last_identity_tampers, hidden, IntMatrix, split_spectrum\n"
+        "from zconj.spectral import _check_projector_identities as check\n"
+        "x = hidden(IntMatrix.diagonal([-2, 1, -2, 3]), random.Random(7))\n"
+        "print(*(check(*case) for case in last_identity_tampers(x, split_spectrum(x))))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env(), cwd=tests)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"] * 3
 
 
 def _companion(poly):
