@@ -42,7 +42,6 @@ import numpy as np
 
 from .forms import BinaryQuadraticForm, FormBudget, UnitRepresentation, bqf_represents_unit
 from .linalg import (
-    KERNEL_RREF_CUTOFF,
     charpoly,
     det,
     fraction_free_rref,
@@ -239,16 +238,16 @@ def _eigenbasis(m, a: int, mult: int, f):
     """Saturated a-eigenlattice basis of m as columns; CertificateError
     unless it has mult columns and m maps each to a times it.
 
-    f is the scaled idempotent F_a, whose columns span the eigenspace.
-    Above KERNEL_RREF_CUTOFF a rank-one lattice is read off f in closed
-    form: its first nonzero column divided by its content, signed so
-    that its last nonzero entry is positive, which is the vector
-    kernel_basis returns there.  Every other lattice is kernel_basis of
-    M - aI.  The rank check with the certified multiplicity and the
-    eigenvector check make either output the whole eigenlattice.
+    The one rule for every eigenlattice basis, at every size: rank one
+    is read off the scaled idempotent f, whose columns span the
+    eigenspace, as its first nonzero column divided by its content and
+    signed so that its last nonzero entry is positive; a higher rank is
+    kernel_basis of M - aI, LLL-reduced once, since its HNF transform
+    rows grow fast with n and m's bit size.  The rank and eigenvector
+    checks run on the basis returned and make it the whole eigenlattice.
     """
     n, mm = len(m), max(max_abs(m), abs(a))
-    if n > KERNEL_RREF_CUTOFF and mult == 1:
+    if mult == 1:
         basis = f[:, np.flatnonzero(f.any(axis=0))[:1]].astype(object)  # no column when f = 0
         if basis.size:
             g = gcd(*basis.flat)
@@ -256,7 +255,7 @@ def _eigenbasis(m, a: int, mult: int, f):
     else:
         shifted = m.astype(int_dtype(2 * mm))
         shifted.flat[:: n + 1] -= a
-        basis = kernel_basis(shifted).T
+        basis = np.array(lll_reduce(kernel_basis(shifted).tolist()), dtype=object).reshape(-1, n).T
     if basis.shape[1] != mult:
         raise CertificateError("eigenlattice rank differs from multiplicity")
     mb = max_abs(basis)
@@ -308,7 +307,8 @@ def _row_span(a, q: int):
 def _eigenblock_basis(x, y, spx: SplitSpectrum, spy: SplitSpectrum):
     """C(X,Y) for split X, Y via per-eigenvalue blocks.
 
-    B and C stack the eigenlattice bases of X and Y as columns.  T is
+    B and C stack the eigenlattice bases of X and Y as columns, as
+    _eigenbasis shapes them (LLL-reduced from rank two on).  T is
     parametrized by blocks S_a (one per eigenvalue common to both
     spectra) through T B_a = C_a S_a; with D = q B^{-1} (integral
     because q Z^n lies inside the sum of the X-eigenlattices), T =
@@ -875,13 +875,12 @@ def _glue_block(m, basis, a: int, b: int):
     """(V, V^-1, N) with V unimodular, V basis U = [I; 0] for some
     unimodular U and V m V^-1 = [[aI, N], [0, bI]], for m with
     eigenvalues a and b and basis its saturated a-eigenlattice basis as
-    columns.  The columns are LLL-reduced first, since kernel_basis's
-    HNF transform rows, and with them V and the built conjugator, grow
-    fast with n.  V is the transform of the HNF of the reduced basis,
-    and V^-1 the transform of the HNF of V, which is I; CertificateError
-    unless both forms and V m V^-1 have that shape."""
+    columns as _eigenbasis shapes it, taken as it comes.  V is the
+    transform of the HNF of the basis, and V^-1 the transform of the HNF
+    of V, which is I; CertificateError unless both forms and V m V^-1
+    have that shape."""
     n, r = basis.shape
-    h, v = hnf(np.array(lll_reduce(basis.T.tolist()), dtype=object).T)
+    h, v = hnf(basis)
     if (h != np.eye(n, r, dtype=np.int64)).any():
         raise CertificateError("eigenlattice basis is not saturated")
     h, v_inv = hnf(v)

@@ -110,6 +110,42 @@ def hidden(m: IntMatrix, rng, steps: int = 6) -> IntMatrix:
     return u * m * u_inv
 
 
+def upper_triangular(diag, rng) -> IntMatrix:
+    """Upper-triangular matrix with the given diagonal and random entries
+    in [-3, 3] above it exactly where the row's and the column's diagonal
+    entries differ."""
+    n = len(diag)
+    return IntMatrix(
+        [[diag[i] if i == j else rng.randint(-3, 3) * (j > i and diag[i] != diag[j]) for j in range(n)]
+         for i in range(n)]
+    )
+
+
+def scalar_blocks(eigenvalues, n: int, rng) -> IntMatrix:
+    """upper_triangular n x n, the eigenvalues in the order given on the
+    diagonal in scalar blocks of near-equal size."""
+    return upper_triangular([eigenvalues[i * len(eigenvalues) // n] for i in range(n)], rng)
+
+
+def three_eigenvalue_probe(n: int, seed: int):
+    """(X, Y): one scalar_blocks matrix with eigenvalues -3, 0 and 25,
+    each side hidden by its own 3n shears.  The inputs have a few digits,
+    the HNF transform rows of their eigenlattices hundreds at n = 12."""
+    rng = random.Random(seed)
+    x = scalar_blocks((-3, 0, 25), n, rng)
+    return hidden(x, rng, steps=3 * n), hidden(x, rng, steps=3 * n)
+
+
+def bit_size_pair(bits: int, seed: int):
+    """(X, Y): one 6 x 6 scalar_blocks matrix with eigenvalues 0, g1 and
+    -g2, two each, for random gaps g1 and g2 of the given bit size, each
+    side hidden by its own 2n = 12 shears."""
+    rng = random.Random(seed)
+    g1, g2 = (rng.randrange(2 ** (bits - 1), 2**bits) for _ in range(2))
+    x = scalar_blocks((0, g1, -g2), 6, rng)
+    return hidden(x, rng, steps=12), hidden(x, rng, steps=12)
+
+
 def random_split_conjugate(n: int, rng, steps: int = 4):
     """A matrix with split integer spectrum, hidden by conjugation."""
     vals = rng.sample(range(-8, 9), rng.randint(1, n))

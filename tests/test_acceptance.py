@@ -150,7 +150,7 @@ def test_criterion_4b_one_hundred_twenty_one_vertex_pair_by_theorem():
     x121, xs121 = paley_adjacency(f121), peisert_adjacency(f121)
     verdict = decide(x121, xs121)
     digest = hashlib.sha256(json.dumps(verdict.to_json_obj(), sort_keys=True).encode()).hexdigest()
-    assert digest == "6b358c3d40827865865abd00a660c4fdb62866b50e0cb3ef81e6b623a3378947"
+    assert digest == "d54a502664db51d982d4ae7d5d3007ad04f87fd0d9e7dc68399b4a4592901ba8"
     assert verdict.status == "CONJUGATE"
     assert verdict.reason == "theorem+local-passes"
     assert [v.prime for v in verdict.local] == relevant_primes(split_spectrum(x121)) == [2, 3, 5, 11]

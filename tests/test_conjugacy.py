@@ -10,6 +10,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 from helpers import (
+    bit_size_pair,
     conjugator_search_sequential,
     det_bareiss,
     det_small,
@@ -17,6 +18,7 @@ from helpers import (
     flat,
     hidden,
     kernel_basis_fraction,
+    lll_fraction,
     local_test_sequential,
     obj,
     random_sl,
@@ -24,10 +26,12 @@ from helpers import (
     same_span,
     scaled_inverse_fraction,
     subprocess_env,
+    three_eigenvalue_probe,
     unimodular_inverse,
+    upper_triangular,
 )
 from test_bounds import paley25
-from test_metamorphic import block_pairs, swapped_pairs, three_eigenvalue_pairs
+from test_metamorphic import block_pairs, glued, swapped_pairs, three_eigenvalue_pairs
 
 from zconj import conjugacy, forms, modular, spectral
 from zconj.conjugacy import (
@@ -427,10 +431,11 @@ def test_block_coordinate_checks_catch_corruption(monkeypatch):
     with pytest.raises(CertificateError, match="congruences"):
         intertwiner_lattice(x, y)
     monkeypatch.setattr(conjugacy, "_row_span", span)
-    # eigenvectors of another eigenvalue
-    monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: np.array([[1, 0]] if m[0, 0] else [[1, 1]]))
+    # eigenvectors of another eigenvalue at the multiplicity-two eigenvalue
+    # 1 (a rank-one lattice is read off its idempotent, past kernel_basis)
+    monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: np.array([[1, 0, 0], [0, 0, 1]]))
     with pytest.raises(CertificateError, match="eigenvectors"):
-        intertwiner_lattice(IntMatrix.diagonal([1, 2]), IntMatrix.diagonal([1, 2]))
+        intertwiner_lattice(IntMatrix.diagonal([1, 1, 2]), IntMatrix.diagonal([1, 1, 2]))
 
 
 def coords_on_c_rows(lattice):
@@ -578,52 +583,103 @@ def test_compact_products_match_the_dense_basis(monkeypatch):
 
 
 def test_rank_one_eigenbasis_skips_the_elimination(monkeypatch):
-    # Paley(F_25) against a relabelled copy: on each side the rank-one
-    # eigenvalue 12 is read off its idempotent J, the rank-12 eigenvalues
-    # 2 and -3 off X - aI by kernel_basis; forcing kernel_basis for all
-    # leaves the verdict JSON
-    x = IntMatrix(paley25())
-    perm = np.random.default_rng(3).permutation(25)
-    y = IntMatrix(x.array[perm][:, perm])
+    # at every size a rank-one eigenlattice is read off its idempotent and
+    # a higher rank off X - aI by kernel_basis: Paley(F_25) against a
+    # relabelled copy (degree 12 once, 2 and -3 twelve times), the Paley
+    # and Peisert graphs on F_9 (degree 4 once, 1 and -2 four times) and a
+    # 2 x 2 glue pair.  Each closed form is kernel_basis's vector up to sign
     routes, eigenbasis, kernel = [], conjugacy._eigenbasis, conjugacy.kernel_basis
 
     def traced(m, a, mult, f):
         routes.append([a])
-        return eigenbasis(m, a, mult, f)
+        basis = eigenbasis(m, a, mult, f)
+        if mult == 1:
+            (v,) = kernel(m - a * np.eye(len(m), dtype=m.dtype)).tolist()
+            assert basis.T.tolist() in ([v], [[-e for e in v]])
+        return basis
 
     monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: routes[-1].append("kernel_basis") or kernel(m))
     monkeypatch.setattr(conjugacy, "_eigenbasis", traced)
-    chosen = decide(x, y)
-    assert (chosen.status, chosen.reason) == ("CONJUGATE", "theorem+local-passes")
+    x = IntMatrix(paley25())
+    perm = np.random.default_rng(3).permutation(25)
+    v = decide(x, IntMatrix(x.array[perm][:, perm]))
+    assert (v.status, v.reason) == ("CONJUGATE", "theorem+local-passes")
     assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2)] + [(12,)] * 2
     routes.clear()
-    monkeypatch.setattr(conjugacy, "KERNEL_RREF_CUTOFF", 10**9)
-    forced = decide(x, y)
-    assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-3, -3, 2, 2, 12, 12)]
-    assert json.dumps(chosen.to_json_obj(), sort_keys=True) == json.dumps(forced.to_json_obj(), sort_keys=True)
+    f9 = field_build(3, 2)
+    assert decide(paley_adjacency(f9), peisert_adjacency(f9)).status == "CONJUGATE"
+    assert sorted(map(tuple, routes)) == [(a, "kernel_basis") for a in (-2, -2, 1, 1)] + [(4,)] * 2
+    routes.clear()
+    x = IntMatrix([[0, 1], [0, 3]])
+    v = decide(x, hidden(x, random.Random(29)))
+    assert (v.status, v.reason) == ("CONJUGATE", "explicit-conjugator")
+    assert routes == [[0], [0]]
 
 
 def test_rank_one_eigenbasis_matches_fraction_oracle():
-    # hidden upper-triangular matrices, n = 17..25, with eigenvalue 0 once
-    # between blocks of b and c: the idempotent's columns have content > 1
-    # and mixed signs, and the closed form is the oracle's saturated kernel of X
-    rng, contents, mixed = random.Random(25), set(), set()
-    for _ in range(6):
-        n, b, c = rng.randint(17, 25), rng.choice((2, 3, 4)), -rng.choice((2, 3))
-        k = rng.randint(1, n - 2)
-        diag = [b] * k + [0] + [c] * (n - 1 - k)
-        upper = [[diag[i] if i == j else rng.randint(-3, 3) * (j > i and diag[i] != diag[j]) for j in range(n)]
-                 for i in range(n)]
-        x = hidden(IntMatrix(upper), rng, steps=2 * n)
+    # hidden upper-triangular matrices with eigenvalue 0 once between
+    # blocks of b and c, six at n = 17..25 and one at each n = 2..16: the
+    # idempotent's columns have content > 1 and mixed signs (every draw
+    # above 16, some below), and the closed form is the oracle's saturated
+    # kernel of X
+    rng = random.Random(25)
+
+    def closed_form_matches(n, inside):
+        b, c = rng.choice((2, 3, 4)), -rng.choice((2, 3))
+        k = rng.randint(1, n - 2) if inside else rng.randint(0, n - 1)
+        x = hidden(upper_triangular([b] * k + [0] + [c] * (n - 1 - k), rng), rng, steps=2 * n)
         sp = split_spectrum(x)
         f = sp.idempotents[sp.eigenvalues.index(0)].array
         col = f[:, np.flatnonzero(f.any(axis=0))[0]].tolist()
-        contents.add(gcd(*col) > 1)
-        mixed.add(min(col) < 0 < max(col))
         got = conjugacy._eigenbasis(x.array, 0, 1, f)
         assert got.dtype == np.int64
         assert [tuple(v) for v in got.T.tolist()] == kernel_basis_fraction(x)
-    assert contents == mixed == {True}
+        return gcd(*col) > 1, min(col) < 0 < max(col)
+
+    large = [closed_form_matches(rng.randint(17, 25), True) for _ in range(6)]
+    assert set(large) == {(True, True)}
+    small = [closed_form_matches(n, False) for n in range(2, 17)]
+    assert {True} <= {c for c, _ in small} and {True} <= {m for _, m in small}
+
+
+def test_eigenbases_of_higher_rank_are_reduced_once(monkeypatch):
+    # every basis of rank two or more that _eigenbasis returns is the LLL
+    # reduction (the exact rational oracle) of kernel_basis's rows:
+    # three-eigenvalue pairs, the 64-bit pair, the n = 12 probe and the
+    # Paley and Peisert graphs on F_9.  A glue-route decide calls
+    # lll_reduce from _eigenbasis alone: _glue_block takes the columns as
+    # they come
+    kernels, callers, ranks = [], [], set()
+    kernel, eigenbasis, reduce = conjugacy.kernel_basis, conjugacy._eigenbasis, conjugacy.lll_reduce
+
+    def compared(m, a, mult, f):
+        del kernels[:]
+        basis = eigenbasis(m, a, mult, f)
+        if mult > 1:
+            (rows,) = kernels
+            assert [tuple(v) for v in basis.T.tolist()] == lll_fraction(rows.tolist())
+            ranks.add(mult)
+        else:
+            assert not kernels
+        return basis
+
+    monkeypatch.setattr(conjugacy, "kernel_basis", lambda m: kernels.append(kernel(m)) or kernels[-1])
+    monkeypatch.setattr(conjugacy, "_eigenbasis", compared)
+    monkeypatch.setattr(conjugacy, "lll_reduce", lambda b: callers.append(sys._getframe(1).f_code.co_name) or reduce(b))
+    rng = random.Random(107)
+    pairs = [(x, y) for x, y, _ in three_eigenvalue_pairs(rng, 4)]
+    pairs += [bit_size_pair(64, 1), three_eigenvalue_probe(12, 1)]
+    f9 = field_build(3, 2)
+    pairs.append((paley_adjacency(f9), peisert_adjacency(f9)))
+    for x, y in pairs:
+        intertwiner_lattice(x, y)
+    assert ranks >= {2, 4}
+    for block in ([[1]], [[1, 2], [0, 3]], [[2, -1, 3]]):
+        x = glued(1, 7, block)
+        del callers[:]
+        v = decide(x, hidden(x, rng))
+        assert (v.status, v.reason) == ("CONJUGATE", "explicit-conjugator")
+        assert callers == ["_eigenbasis"] * 2 * (len(block) > 1)
 
 
 def test_rank_one_paley_eigenbasis_at_p19_in_time():
@@ -1287,6 +1343,39 @@ def decide_in_subprocess(x, y, timeout, **kwargs):
     )
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)
+
+
+def assert_verified_or_named(verdict, x, y):
+    """The verdict JSON of decide(x, y) for a conjugate pair: CONJUGATE
+    with certificates that re-verify, or UNKNOWN naming its blocker."""
+    x, y, certs = IntMatrix(x), IntMatrix(y), verdict["certificates"]
+    assert verdict["status"] in ("CONJUGATE", "UNKNOWN")
+    if verdict["status"] == "UNKNOWN":
+        assert verdict["reason"] in ("assumption-unverified", "local-undecided")
+    elif verdict["reason"] == "explicit-conjugator":
+        assert verify_conjugator(IntMatrix.from_json_obj(certs["conjugator"]), x, y)
+    for lv in certs.get("local", ()):
+        assert lv["status"] in ("PASS", "UNDECIDED")
+        if "T" in lv:
+            assert verify_conjugator(IntMatrix.from_json_obj(lv["T"]), x, y, prime=int(lv["p"]))
+
+
+def test_three_eigenvalue_probe_returns():
+    # n = 12, eigenvalues -3, 0 and 25 four times each, 4-digit inputs:
+    # kernel_basis's rows of the eigenlattices have hundreds of digits, and
+    # the decide did not return within minutes on them; on their LLL
+    # reductions it takes 7-10 s at the default budgets
+    x, y = (m.to_lists() for m in three_eigenvalue_probe(12, 1))
+    assert_verified_or_named(decide_in_subprocess(x, y, timeout=60), x, y)
+
+
+def test_bit_size_pair_returns():
+    # n = 6 with gaps of 256 bits: about 1 s with reduced eigenbases,
+    # against 25 s on kernel_basis's rows (2-core x86-64 host)
+    x, y = (m.to_lists() for m in bit_size_pair(256, 1))
+    verdict = decide_in_subprocess(x, y, timeout=10)
+    assert verdict["status"] == "CONJUGATE"
+    assert_verified_or_named(verdict, x, y)
 
 
 def test_decide_huge_eigenvalue_gap_without_trial_division():

@@ -21,15 +21,15 @@ from zconj.graphs import field_build, paley_adjacency, peisert_adjacency
 from zconj.matrix import IntMatrix
 
 DIGESTS = {
-    "paley-peisert-9": "6ce65173429e2076226519149b9771902eaf57eb98157b770ba556c8939b96d1",
-    "paley-peisert-49": "7eccf810befefd9393a4d333e7120a95928012d2eeddd439101eb099d94eb997",
-    "theorem-25:1:0": "7a236d5db0bfe2fb58b6d9321f75490854ef23dea1febe8cd771933cbf704548",
-    "theorem-25:1:1": "c9e7fa9efbd661992aff0ed447439954c6f81828e1281365959c52636a673387",
-    "theorem-25:1:2": "fdae1e9efefb3d51a47e39d254648f6e949e37d5aee41987ef050957a5a9f4c4",
-    "theorem-25:1:3": "b94629bf85407f7cbd195bba2793e3f45f88ad1047d995ec626db8c4890333d2",
+    "paley-peisert-9": "7e6b23a0c9575d771e4ef6cd42771c372cba138b93d038e302d2a13995996e71",
+    "paley-peisert-49": "7a7640b0cc5098dcde141e36ce092179875d8b62cad22a8b0cda7ebc1e0ed7d9",
+    "theorem-25:1:0": "742c0d5ef4329b87ff6beb71fa3e657417e2ba8d540a07fe098ba86cf56f5b0a",
+    "theorem-25:1:1": "fe4af439a6abaa14f33a1c1ee39a65f8c79d4420eb044b430ebf4bd9fe6df521",
+    "theorem-25:1:2": "36ea7c93f58be0597124960bee5744dd539fe4fb0c5044c2b463245b63a84252",
+    "theorem-25:1:3": "ccb97a1bd1acf3b20c01d78487ccedae6e5627d7977d038abf09fa00ceed36ee",
     "fixture:counterexample-1": "ad32064f2393b43c980ff805b24737ee4096feb950e1de62701b821f07077a78",
     "fixture:counterexample-2": "82c72e4e0490368079c402b7a3b88cb1b614c97ad2277fdeea4132ed101fdf1e",
-    "fixture:paley-peisert-9": "6ce65173429e2076226519149b9771902eaf57eb98157b770ba556c8939b96d1",
+    "fixture:paley-peisert-9": "7e6b23a0c9575d771e4ef6cd42771c372cba138b93d038e302d2a13995996e71",
 }
 
 

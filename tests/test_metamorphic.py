@@ -23,7 +23,7 @@ import random
 from math import gcd
 
 import numpy as np
-from helpers import det_small, gcd_minor_invariants, obj, random_sl, unimodular_inverse
+from helpers import det_small, gcd_minor_invariants, obj, random_sl, unimodular_inverse, upper_triangular
 
 from zconj.conjugacy import decide, verify_conjugator
 from zconj.matrix import IntMatrix
@@ -146,17 +146,9 @@ def three_eigenvalue_pairs(rng, draws: int):
         a = rng.randint(-3, 3)
         eig = (a, a + rng.choice((2, 3, 4, 6)), a - rng.choice((2, 3, 5)))
         diag = [e for e in eig for _ in range(rng.randint(1, 2))]
-        n = len(diag)
-
-        def upper():
-            return IntMatrix(
-                [[diag[i] if i == j else rng.randint(-3, 3) * (j > i and diag[i] != diag[j]) for j in range(n)]
-                 for i in range(n)]
-            )
-
-        x = upper()
+        x = upper_triangular(diag, rng)
         out.append((hide(x, rng), hide(x, rng), True))
-        out.append((hide(x, rng), hide(upper(), rng), None))
+        out.append((hide(x, rng), hide(upper_triangular(diag, rng), rng), None))
     return out
 
 
